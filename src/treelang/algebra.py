@@ -81,13 +81,6 @@ def finite_algebra(
     )
 
 
-def table_from_function(sig: Signature, carriers: Mapping[str, int], opname: str, fn):
-    """Materialize a dense table (last argument fastest) from a python function."""
-    op = sig.operation(opname)
-    spaces = [range(carriers[s]) for s in op.arity]
-    return tuple(fn(*args) for args in itertools.product(*spaces))
-
-
 Assignment = dict  # variable name -> carrier element
 
 
@@ -220,10 +213,6 @@ def product_algebra(algebras: Sequence[FiniteAlgebra]):
         }
         projections.append(proj)
     return product, projections
-
-
-def pair_encode(sizes_b: Mapping[str, int], sort: str, a: int, b: int) -> int:
-    return a * sizes_b[sort] + b
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,6 @@ its replacement language.
 
 from __future__ import annotations
 
-import itertools
 from typing import Mapping
 
 from .algebra import closure_elements, product_algebra
@@ -20,6 +19,7 @@ from .recognizer import (
     minimize,
     nta,
     recognize_basic,
+    table_rules,
 )
 
 
@@ -66,19 +66,11 @@ def substitute_language(
     leaf: dict[str, set[int]] = {y: set() for y in vars.all_names()}
     epsilon: dict[str, list[tuple[int, int]]] = {s: [] for s in sig.sorts}
 
-    def add_tables(alg, shift: Mapping[str, int]):
-        for op in sig.ops:
-            pools = [range(alg.size(s)) for s in op.arity]
-            for args in itertools.product(*pools):
-                key = (
-                    op.name,
-                    tuple(shift[s] + a for s, a in zip(op.arity, args)),
-                )
-                rules.setdefault(key, set()).add(
-                    shift[op.result] + alg.apply(op.name, args)
-                )
+    def add_tables(alg, shift: Mapping[str, int] | None = None):
+        for key, v in table_rules(alg, shift):
+            rules.setdefault(key, set()).add(v)
 
-    add_tables(km.algebra, {s: 0 for s in sig.sorts})
+    add_tables(km.algebra)
     k_assignment = dict(km.assignment)
     for x in vars.all_names():
         lx = full[x]
@@ -97,7 +89,7 @@ def substitute_language(
         vars,
         counts,
         {y: frozenset(states) for y, states in leaf.items()},
-        {key: frozenset(v) for key, v in rules.items()},
+        rules,
         epsilon,
         accepting,
     )
@@ -121,13 +113,6 @@ def iterate_language(l: Recognizer, z: str) -> Recognizer:
     top = counts[sort]
     counts[sort] += 1
 
-    rules: dict[tuple[str, tuple[int, ...]], set[int]] = {}
-    for op in sig.ops:
-        pools = [range(lm.algebra.size(s)) for s in op.arity]
-        for args in itertools.product(*pools):
-            rules.setdefault((op.name, tuple(args)), set()).add(
-                lm.algebra.apply(op.name, args)
-            )
     asg = dict(lm.assignment)
     leaf = {y: {asg[y]} for y in vars.all_names()}
     leaf[z].add(top)
@@ -141,7 +126,7 @@ def iterate_language(l: Recognizer, z: str) -> Recognizer:
         vars,
         counts,
         {y: frozenset(v) for y, v in leaf.items()},
-        {key: frozenset(v) for key, v in rules.items()},
+        {key: {v} for key, v in table_rules(lm.algebra)},
         epsilon,
         {sort: frozenset({top})},
     )
@@ -191,13 +176,6 @@ def quotient_language(l: Recognizer, k: Recognizer, z: str) -> Recognizer:
     lm = minimize(l)
     values = quotient_seed_values(lm, k, z)
 
-    rules: dict[tuple[str, tuple[int, ...]], set[int]] = {}
-    for op in sig.ops:
-        pools = [range(lm.algebra.size(s)) for s in op.arity]
-        for args in itertools.product(*pools):
-            rules.setdefault((op.name, tuple(args)), set()).add(
-                lm.algebra.apply(op.name, args)
-            )
     asg = dict(lm.assignment)
     leaf: dict[str, set[int]] = {}
     for y in vars.all_names():
@@ -210,7 +188,7 @@ def quotient_language(l: Recognizer, k: Recognizer, z: str) -> Recognizer:
         vars,
         {s: lm.algebra.size(s) for s in sig.sorts},
         {y: frozenset(v) for y, v in leaf.items()},
-        {key: frozenset(v) for key, v in rules.items()},
+        {key: {v} for key, v in table_rules(lm.algebra)},
         {},
         {s: lm.accepting_at(s) for s in sig.sorts},
     )

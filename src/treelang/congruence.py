@@ -63,21 +63,6 @@ def partition(sig_sorts: Sequence[str], classes: Mapping[str, Sequence[int]]) ->
     return SortedPartition(tuple(cls), tuple(counts))
 
 
-def partition_from_blocks(
-    sig_sorts: Sequence[str], sizes: Mapping[str, int], blocks: Mapping[str, Sequence[Sequence[int]]]
-) -> SortedPartition:
-    classes = {}
-    for s in sig_sorts:
-        ids = [-1] * sizes[s]
-        for b, members in enumerate(blocks.get(s, ())):
-            for e in members:
-                ids[e] = b
-        if -1 in ids:
-            raise ValidationError(f"blocks do not cover the carrier at sort {s!r}")
-        classes[s] = ids
-    return partition(sig_sorts, classes)
-
-
 def identity_partition(alg: FiniteAlgebra) -> SortedPartition:
     return partition(alg.signature.sorts, {s: list(range(n)) for s, n in alg.carriers})
 

@@ -9,6 +9,7 @@ machinery only and are eliminated by ``determinize``.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -135,14 +136,6 @@ def _space(sig: Signature, op, sizes) -> int:
 def restrict_to_sort(rec: Recognizer, sort: str) -> Recognizer:
     """Keep the language at one sort and empty it elsewhere."""
     acc = {sort: dict(rec.accepting)[sort]}
-    return recognizer(rec.vars, rec.algebra, dict(rec.assignment), acc)
-
-
-def complement_accepting(rec: Recognizer) -> Recognizer:
-    acc = {
-        s: [e for e in range(n) if e not in rec.accepting_at(s)]
-        for s, n in rec.algebra.carriers
-    }
     return recognizer(rec.vars, rec.algebra, dict(rec.assignment), acc)
 
 
@@ -317,105 +310,191 @@ def nta(
     )
 
 
-DETERMINIZE_CAP = 1 << 20
+DETERMINIZE_BUDGET = 1 << 22
 
 
-def determinize(machine: NTA, cap: int = DETERMINIZE_CAP) -> Recognizer:
-    """Subset construction per sort, pruned to reachable subsets during
-    construction; the result is deterministic and complete on the reachable
-    subset carriers."""
+def _mask(states) -> int:
+    m = 0
+    for q in states:
+        m |= 1 << q
+    return m
+
+
+def _members(mask: int) -> tuple[int, ...]:
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
+
+
+def determinize(machine: NTA, cap: int = DETERMINIZE_BUDGET) -> Recognizer:
+    """Accessible subset construction per sort: only subsets reached from the
+    leaves become states, and the result is deterministic and complete on
+    them.
+
+    State sets are bitmasks; each rule's targets are closed under epsilon
+    edges once, so images need no further closing.  The rules of an
+    operation of arity k are grouped by their first k-1 states, and each
+    such state prefix keeps a row of masks indexed by the subset id at the
+    last argument.  The image of a subset tuple is the OR of the rows of its
+    member prefixes; the interned ORs are kept per set of member prefixes.
+    Rows and ORs grow only as subsets appear, and each round visits only the
+    argument tuples that contain a subset interned since the operation was
+    last processed.
+
+    Subsets are numbered in interning order: leaves first (constants in
+    declaration order, then variables), then round by round, operations in
+    declaration order, each over its tuples in lexicographic order.
+
+    Guard: a budget of ``cap`` output table entries (default
+    ``DETERMINIZE_BUDGET``, 2**22), counted as the sum over operations of the
+    product of argument carrier sizes.  Interning a subset that would take
+    the tables past it raises ``ValidationError``.
+    """
     sig = machine.signature
-    closures = machine.eps_closure_maps()
-    leaf = dict(machine.leaf)
-    rules = dict(machine.rules)
-    eps = {sort: closures[sort] for sort in sig.sorts}
+    closure = {s: [_mask(c) for c in cs] for s, cs in machine.eps_closure_maps().items()}
 
-    def close(sort: str, states: frozenset[int]) -> frozenset[int]:
-        out: set[int] = set()
+    def close(sort: str, states) -> int:
+        m = 0
         for q in states:
-            out.update(eps[sort][q])
-        return frozenset(out)
+            m |= closure[sort][q]
+        return m
 
-    subsets: dict[str, list[frozenset[int]]] = {s: [] for s in sig.sorts}
-    index: dict[str, dict[frozenset[int], int]] = {s: {} for s in sig.sorts}
+    index: dict[str, dict[int, int]] = {s: {} for s in sig.sorts}  # mask -> subset id
+    members: dict[str, list[tuple[int, ...]]] = {s: [] for s in sig.sorts}
+    sizes = {s: 0 for s in sig.sorts}
+    arities = [op.arity for op in sig.ops]
 
-    def intern(sort: str, subset: frozenset[int]) -> int:
-        got = index[sort].get(subset)
+    def intern(sort: str, mask: int) -> int:
+        got = index[sort].get(mask)
         if got is not None:
             return got
-        i = len(subsets[sort])
-        subsets[sort].append(subset)
-        index[sort][subset] = i
-        if sum(len(v) for v in subsets.values()) > cap:
-            raise ValidationError("determinization state-space guard exceeded")
-        return i
+        sizes[sort] += 1
+        entries = sum(math.prod(map(sizes.__getitem__, arity)) for arity in arities)
+        if entries > cap:
+            raise ValidationError(
+                f"determinization entry budget exceeded: {entries} table entries > {cap}"
+            )
+        members[sort].append(_members(mask))
+        index[sort][mask] = got = sizes[sort] - 1
+        return got
 
-    # leaves first: constants in declaration order, then variables
+    result_sort = {op.name: op.result for op in sig.ops}
+    constants: dict[str, int] = {}
+    # opname -> state prefix -> last state -> closed target mask
+    grouped: dict[str, dict[tuple[int, ...], dict[int, int]]] = {
+        op.name: {} for op in sig.ops
+    }
+    for (name, args), targets in machine.rules:
+        mask = close(result_sort[name], targets)
+        if not args:
+            constants[name] = mask
+        elif mask:
+            grouped[name].setdefault(args[:-1], {})[args[-1]] = mask
+
+    # opname -> subset-id prefix -> subset ids over the last argument
+    tables: dict[str, dict[tuple[int, ...], list[int]]] = {op.name: {} for op in sig.ops}
+    leaf = dict(machine.leaf)
     assignment: dict[str, int] = {}
-    tables: dict[str, dict[tuple[int, ...], int]] = {op.name: {} for op in sig.ops}
     for op in sig.ops:
         if not op.arity:
-            subset = close(op.result, frozenset(rules.get((op.name, ()), frozenset())))
-            tables[op.name][()] = intern(op.result, subset)
+            tables[op.name][()] = [intern(op.result, constants.get(op.name, 0))]
     for sort, names in machine.vars.by_sort:
         for x in names:
-            assignment[x] = intern(sort, close(sort, leaf.get(x, frozenset())))
+            assignment[x] = intern(sort, close(sort, leaf.get(x, ())))
 
+    ops = [op for op in sig.ops if op.arity]
+    done = {op.name: (0,) * len(op.arity) for op in ops}
+    # per operation: state prefix -> masks by last-argument subset id, and
+    # member state prefixes of a subset-id prefix -> interned ORs of their rows
+    rows: dict[str, dict[tuple[int, ...], list[int]]] = {op.name: {} for op in ops}
+    unions: dict[str, dict[tuple, list[int]]] = {op.name: {} for op in ops}
     changed = True
     while changed:
         changed = False
-        for op in sig.ops:
-            if not op.arity:
+        for op in ops:
+            now = tuple(sizes[s] for s in op.arity)
+            prev = done[op.name]
+            if now == prev:
                 continue
-            pools = [range(len(subsets[s])) for s in op.arity]
-            for args in itertools.product(*pools):
-                if args in tables[op.name]:
+            done[op.name] = now
+            n = now[-1]
+            last = members[op.arity[-1]]
+            by_prefix = grouped[op.name]
+            found = index[op.result]
+            op_rows, op_unions = rows[op.name], unions[op.name]
+            table = tables[op.name]
+            for prefix in itertools.product(*map(range, now[:-1])):
+                start = prev[-1] if all(i < p for i, p in zip(prefix, prev)) else 0
+                if start == n:
                     continue
-                member_pools = [subsets[s][i] for s, i in zip(op.arity, args)]
-                gathered: set[int] = set()
-                for members in itertools.product(*member_pools):
-                    hit = rules.get((op.name, members))
-                    if hit:
-                        gathered.update(hit)
-                subset = close(op.result, frozenset(gathered))
-                tables[op.name][args] = intern(op.result, subset)
                 changed = True
+                pools = [members[s][i] for s, i in zip(op.arity, prefix)]
+                key = tuple(p for p in itertools.product(*pools) if p in by_prefix)
+                ids = op_unions.setdefault(key, [])
+                if len(ids) < n:
+                    key_rows = []
+                    for p in key:
+                        row = op_rows.setdefault(p, [])
+                        targets = by_prefix[p]
+                        for j in range(len(row), n):
+                            m = 0
+                            for b in last[j]:
+                                m |= targets.get(b, 0)
+                            row.append(m)
+                        key_rows.append(row)
+                    for j in range(len(ids), n):
+                        m = 0
+                        for row in key_rows:
+                            m |= row[j]
+                        got = found.get(m)
+                        ids.append(intern(op.result, m) if got is None else got)
+                table.setdefault(prefix, []).extend(ids[start:n])
 
-    carriers = {s: len(subsets[s]) for s in sig.sorts}
-    dense = {}
-    for op in sig.ops:
-        entries = []
-        for args in itertools.product(*[range(carriers[s]) for s in op.arity]):
-            entries.append(tables[op.name][args])
-        dense[op.name] = tuple(entries)
-    alg = finite_algebra(sig, carriers, dense)
-    nta_accepting = dict(machine.accepting)
-    accepting = {
-        s: [
-            i
-            for i, subset in enumerate(subsets[s])
-            if subset.intersection(nta_accepting.get(s, frozenset()))
+    dense = {
+        op.name: [
+            v
+            for prefix in itertools.product(*(range(sizes[s]) for s in op.arity[:-1]))
+            for v in tables[op.name].get(prefix, ())
         ]
-        for s in sig.sorts
+        for op in sig.ops
+    }
+    alg = finite_algebra(sig, sizes, dense)
+    nta_accepting = {s: _mask(states) for s, states in machine.accepting}
+    accepting = {
+        s: [i for m, i in index[s].items() if m & nta_accepting[s]] for s in sig.sorts
     }
     return recognizer(machine.vars, alg, assignment, accepting)
+
+
+def table_rules(alg: FiniteAlgebra, shift: Mapping[str, int] | None = None):
+    """The transition rules of an evaluator, one per table entry, as
+    ``((opname, args), state)`` pairs: operations in declaration order,
+    argument tuples with the last argument fastest.
+
+    ``shift`` offsets the states of each sort, to place the evaluator inside
+    a larger NTA.
+    """
+    shift = shift or {}
+    for op in alg.signature.ops:
+        pools = [range(shift.get(s, 0), shift.get(s, 0) + alg.size(s)) for s in op.arity]
+        base = shift.get(op.result, 0)
+        for args, v in zip(itertools.product(*pools), alg.table(op.name)):
+            yield (op.name, args), base + v
 
 
 def evaluator_nta(rec: Recognizer) -> NTA:
     """View a deterministic evaluator as an NTA (one state per carrier element)."""
     sig = rec.signature
-    rules: dict[tuple[str, tuple[int, ...]], frozenset[int]] = {}
-    for op in sig.ops:
-        pools = [range(rec.algebra.size(s)) for s in op.arity]
-        for args in itertools.product(*pools):
-            rules[(op.name, tuple(args))] = frozenset({rec.algebra.apply(op.name, args)})
     asg = dict(rec.assignment)
     return nta(
         sig,
         rec.vars,
         {s: n for s, n in rec.algebra.carriers},
         {x: frozenset({asg[x]}) for x in rec.vars.all_names()},
-        rules,
+        {key: {v} for key, v in table_rules(rec.algebra)},
         {},
         {s: rec.accepting_at(s) for s in sig.sorts},
     )

@@ -31,6 +31,7 @@ from .recognizer import (
     minimize,
     nta,
     recognizer,
+    table_rules,
 )
 
 PLACEHOLDER_RE = re.compile(r"v(\d+)")
@@ -301,20 +302,17 @@ def direct_image(h: Hyperderivor, l: Recognizer, sort: str) -> Recognizer:
         rules.setdefault((body.symbol, child_states), set()).add(state)
         return state
 
-    for op in h.source.ops:
-        body = h.pattern(op.name)
-        pools = [range(lm.algebra.size(s)) for s in op.arity]
-        for args in itertools.product(*pools):
-            result = lm.algebra.apply(op.name, args)
-            env = {
-                f"v{i}": nonterminal[(w, a)]
-                for i, (w, a) in enumerate(zip(op.arity, args))
-            }
-            root = compile_rhs(body, env)
-            head = nonterminal[(op.result, result)]
-            target_sort = h.sort_image(op.result)
-            if root != head:
-                epsilon[target_sort].append((root, head))
+    source_ops = h.source.op_by_name
+    patterns = dict(h.patterns)
+    for (name, args), result in table_rules(lm.algebra):
+        op = source_ops[name]
+        env = {
+            f"v{i}": nonterminal[(w, a)] for i, (w, a) in enumerate(zip(op.arity, args))
+        }
+        root = compile_rhs(patterns[name], env)
+        head = nonterminal[(op.result, result)]
+        if root != head:
+            epsilon[h.sort_image(op.result)].append((root, head))
     lm_assignment = dict(lm.assignment)
     for s, names in h.source_vars.by_sort:
         for x in names:
@@ -334,7 +332,7 @@ def direct_image(h: Hyperderivor, l: Recognizer, sort: str) -> Recognizer:
         vars,
         counts,
         {y: frozenset(v) for y, v in leaf.items()},
-        {key: frozenset(v) for key, v in rules.items()},
+        rules,
         epsilon,
         accepting,
     )
@@ -365,16 +363,3 @@ def hom_to_hyperderivor(
         dict(mapping),
     )
 
-
-def pattern_op_symbols(h: Hyperderivor, opname: str) -> int:
-    """Number of target operation nodes in a pattern (used by harnesses that
-    need size-nondecreasing hyperderivors)."""
-    body = dict(h.patterns)[opname]
-    count = 0
-    stack = [body]
-    while stack:
-        t = stack.pop()
-        if isinstance(t, Node):
-            count += 1
-            stack.extend(t.children)
-    return count

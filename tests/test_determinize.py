@@ -1,0 +1,165 @@
+"""The bitmask subset construction against the frozenset one it replaced.
+
+``reference_determinize`` is that earlier construction: it rescans every
+argument tuple each round and unions the rules of every member tuple.  The
+bitmask ``determinize`` must number the subsets exactly as it does, because
+closure results are printed unminimized, so the two are compared field by
+field rather than as languages.
+"""
+
+from __future__ import annotations
+
+import itertools
+import random
+
+import pytest
+
+from treelang.algebra import finite_algebra
+from treelang.core import ValidationError, signature, sorted_vars
+from treelang.recognizer import NTA, Recognizer, determinize, nta, recognizer
+
+
+def reference_determinize(machine: NTA, cap: int = 1 << 20) -> Recognizer:
+    """Subset construction per sort, pruned to reachable subsets during
+    construction; the result is deterministic and complete on the reachable
+    subset carriers."""
+    sig = machine.signature
+    closures = machine.eps_closure_maps()
+    leaf = dict(machine.leaf)
+    rules = dict(machine.rules)
+    eps = {sort: closures[sort] for sort in sig.sorts}
+
+    def close(sort: str, states: frozenset[int]) -> frozenset[int]:
+        out: set[int] = set()
+        for q in states:
+            out.update(eps[sort][q])
+        return frozenset(out)
+
+    subsets: dict[str, list[frozenset[int]]] = {s: [] for s in sig.sorts}
+    index: dict[str, dict[frozenset[int], int]] = {s: {} for s in sig.sorts}
+
+    def intern(sort: str, subset: frozenset[int]) -> int:
+        got = index[sort].get(subset)
+        if got is not None:
+            return got
+        i = len(subsets[sort])
+        subsets[sort].append(subset)
+        index[sort][subset] = i
+        if sum(len(v) for v in subsets.values()) > cap:
+            raise ValidationError("determinization state-space guard exceeded")
+        return i
+
+    # leaves first: constants in declaration order, then variables
+    assignment: dict[str, int] = {}
+    tables: dict[str, dict[tuple[int, ...], int]] = {op.name: {} for op in sig.ops}
+    for op in sig.ops:
+        if not op.arity:
+            subset = close(op.result, frozenset(rules.get((op.name, ()), frozenset())))
+            tables[op.name][()] = intern(op.result, subset)
+    for sort, names in machine.vars.by_sort:
+        for x in names:
+            assignment[x] = intern(sort, close(sort, leaf.get(x, frozenset())))
+
+    changed = True
+    while changed:
+        changed = False
+        for op in sig.ops:
+            if not op.arity:
+                continue
+            pools = [range(len(subsets[s])) for s in op.arity]
+            for args in itertools.product(*pools):
+                if args in tables[op.name]:
+                    continue
+                member_pools = [subsets[s][i] for s, i in zip(op.arity, args)]
+                gathered: set[int] = set()
+                for members in itertools.product(*member_pools):
+                    hit = rules.get((op.name, members))
+                    if hit:
+                        gathered.update(hit)
+                subset = close(op.result, frozenset(gathered))
+                tables[op.name][args] = intern(op.result, subset)
+                changed = True
+
+    carriers = {s: len(subsets[s]) for s in sig.sorts}
+    dense = {}
+    for op in sig.ops:
+        entries = []
+        for args in itertools.product(*[range(carriers[s]) for s in op.arity]):
+            entries.append(tables[op.name][args])
+        dense[op.name] = tuple(entries)
+    alg = finite_algebra(sig, carriers, dense)
+    nta_accepting = dict(machine.accepting)
+    accepting = {
+        s: [
+            i
+            for i, subset in enumerate(subsets[s])
+            if subset.intersection(nta_accepting.get(s, frozenset()))
+        ]
+        for s in sig.sorts
+    }
+    return recognizer(machine.vars, alg, assignment, accepting)
+
+
+def random_nta(rng: random.Random) -> NTA:
+    """A random NTA over sorts ``a``, ``b`` and ``u``: constants, a unary, a
+    binary and a ternary operation with random argument sorts, epsilon
+    edges, and a sort ``u`` that no constant or variable reaches, so its
+    carrier stays empty and every table taking it is empty."""
+    ab = "ab"
+    sig = signature(
+        ["a", "b", "u"],
+        [
+            ("c", [], "a"),
+            ("d", [], rng.choice(ab)),
+            ("f", [rng.choice(ab)], rng.choice(ab)),
+            ("p", [rng.choice(ab), rng.choice(ab)], rng.choice(ab)),
+            ("t", [rng.choice(ab) for _ in range(3)], rng.choice(ab)),
+            ("h", ["u", rng.choice(ab)], "u"),
+            ("e", ["u"], "a"),
+        ],
+    )
+    vars = sorted_vars(sig, {"a": ["x"], "b": rng.choice([[], ["y"]])})
+    states = {"a": rng.randint(1, 4), "b": rng.randint(0, 3), "u": rng.randint(0, 2)}
+
+    def some(sort: str, p: float) -> set[int]:
+        return {q for q in range(states[sort]) if rng.random() < p}
+
+    density = rng.choice([0.3, 0.6, 1.0])
+    rules = {}
+    for op in sig.ops:
+        for args in itertools.product(*(range(states[s]) for s in op.arity)):
+            if rng.random() < density:
+                rules[(op.name, args)] = some(op.result, 0.4)
+    leaf = {x: some(s, 0.5) for s, names in vars.by_sort for x in names}
+    epsilon = {
+        s: [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 3))]
+        for s, n in states.items()
+        if n
+    }
+    accepting = {s: some(s, 0.4) for s in sig.sorts}
+    return nta(sig, vars, states, leaf, rules, epsilon, accepting)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_matches_reference_bit_exact(seed):
+    machine = random_nta(random.Random(seed))
+    got = determinize(machine)
+    want = reference_determinize(machine)
+    assert got.algebra.carriers == want.algebra.carriers
+    assert got.algebra.tables == want.algebra.tables
+    assert got.assignment == want.assignment
+    assert got.accepting == want.accepting
+
+
+def test_generator_covers_the_hard_cases():
+    """The seeds above include epsilon edges, an empty carrier, nonempty
+    ternary tables and subsets interned across several rounds."""
+    seen = {"epsilon": 0, "empty": 0, "ternary": 0, "big": 0}
+    for seed in range(40):
+        machine = random_nta(random.Random(seed))
+        rec = determinize(machine)
+        seen["epsilon"] += any(edges for _, edges in machine.epsilon)
+        seen["empty"] += rec.algebra.size("u") == 0
+        seen["ternary"] += len(rec.algebra.table("t")) > 1
+        seen["big"] += rec.algebra.size("a") + rec.algebra.size("b") >= 6
+    assert all(seen.values()), seen

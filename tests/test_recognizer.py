@@ -189,6 +189,14 @@ class TestDeterminize:
         with pytest.raises(ValidationError):
             determinize(machine, cap=1)
 
+    def test_guard_counts_table_entries(self, f1, x1):
+        # subsets {} (c), {0} (x), {1} (z): the tables of c, g and sigma then
+        # hold 1 + 3 + 3*3 = 13 entries
+        machine = nta(f1, x1, {"s": 2}, {"x": {0}, "z": {1}}, {}, {}, {"s": {0}})
+        assert determinize(machine, cap=13).algebra.size("s") == 3
+        with pytest.raises(ValidationError, match=r"budget exceeded: 13 .* > 12"):
+            determinize(machine, cap=12)
+
 
 class TestRecognizeBasic:
     @pytest.mark.parametrize(
