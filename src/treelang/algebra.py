@@ -53,22 +53,26 @@ class FiniteAlgebra:
                     f"table for {op.name!r} has {len(table)} entries, expected {space}"
                 )
             bound = sizes[op.result]
-            if any(not (0 <= v < bound) for v in table):
+            if table and (min(table) < 0 or max(table) >= bound):
                 raise ValidationError(f"table for {op.name!r} has out-of-range entries")
+        # lookups for size/table/apply; not fields, so equality and hashing
+        # see only the declared data
+        object.__setattr__(self, "_sizes", sizes)
+        object.__setattr__(self, "_tables", tables)
 
     def size(self, sort: str) -> int:
-        return dict(self.carriers)[sort]
+        return self._sizes[sort]
 
     def table(self, opname: str) -> tuple[int, ...]:
-        return dict(self.tables)[opname]
+        return self._tables[opname]
 
     def apply(self, opname: str, args: Sequence[int]) -> int:
         op = self.signature.operation(opname)
-        sizes = dict(self.carriers)
+        sizes = self._sizes
         index = 0
         for a, s in zip(args, op.arity):
             index = index * sizes[s] + a
-        return dict(self.tables)[opname][index]
+        return self._tables[opname][index]
 
 
 def finite_algebra(

@@ -1,18 +1,24 @@
 """Sorted partitions, congruence testing, cogenerated (syntactic) congruences,
 and saturation.
 
-The refinement loop is Moore-style: split classes until every operation table
-maps classwise-related argument tuples to related results.  Class ids are
-renumbered by first occurrence so outputs are reproducible.
+The cogenerated congruence is computed by signature refinement, in pure
+Python.  For each sort in declaration order, every operation table that takes
+the sort is mapped once through the current classes of its result sort.  An
+element's signature is its current class plus, for each argument position of
+that sort, the mapped entries where the element sits at that position (the
+co-arguments range over the whole carriers).  Elements with equal signatures
+stay together; the new classes are numbered by first occurrence and replace
+the old ones at once, so later sorts of the same round see them.  Rounds
+repeat until no sort splits.  Class ids are numbered by first occurrence
+everywhere, so outputs are reproducible.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
-
-import numpy as np
 
 from .algebra import FiniteAlgebra
 from .core import ValidationError
@@ -156,15 +162,6 @@ def is_congruence(alg: FiniteAlgebra, phi: SortedPartition):
     return True, None
 
 
-def _table_arrays(alg: FiniteAlgebra):
-    sizes = dict(alg.carriers)
-    arrays = {}
-    for op in alg.signature.ops:
-        shape = tuple(sizes[s] for s in op.arity)
-        arrays[op.name] = np.asarray(alg.table(op.name), dtype=np.int64).reshape(shape)
-    return arrays
-
-
 def cogenerated_congruence(alg: FiniteAlgebra, phi: SortedPartition) -> SortedPartition:
     """The coarsest congruence refining the given equivalence.
 
@@ -174,37 +171,46 @@ def cogenerated_congruence(alg: FiniteAlgebra, phi: SortedPartition) -> SortedPa
     contained in the input.
     """
     sizes = dict(alg.carriers)
-    tables = _table_arrays(alg)
-    cls: dict[str, np.ndarray] = {
-        sort: np.asarray(ids, dtype=np.int64) for sort, ids in phi.classes
-    }
+    cls: dict[str, list[int]] = {sort: list(ids) for sort, ids in phi.classes}
     while True:
         changed = False
         for sort in alg.signature.sorts:
             n = sizes[sort]
             if n <= 1:
                 continue
-            cols = [cls[sort].reshape(n, 1)]
+            columns = [cls[sort]]
             for op in alg.signature.ops:
-                if not op.arity:
+                if sort not in op.arity:
                     continue
-                result_classes = cls[op.result][tables[op.name]]
+                mapped = tuple(map(cls[op.result].__getitem__, alg.table(op.name)))
                 for i, arg_sort in enumerate(op.arity):
                     if arg_sort != sort:
                         continue
-                    # rows indexed by the sort-t element, columns by every
-                    # co-argument tuple
-                    moved = np.moveaxis(result_classes, i, 0).reshape(n, -1)
-                    cols.append(moved)
-            stacked = np.column_stack(cols)
-            _, inverse = np.unique(stacked, axis=0, return_inverse=True)
-            new_ids, _ = _canonical(np.ravel(inverse).tolist())
-            if list(new_ids) != cls[sort].tolist():
+                    stride = math.prod(sizes[s] for s in op.arity[i + 1 :])
+                    columns.append(_positional_slices(mapped, n, stride))
+            ids: dict[tuple, int] = {}
+            new_ids = [ids.setdefault(key, len(ids)) for key in zip(*columns)]
+            if new_ids != cls[sort]:
                 changed = True
-                cls[sort] = np.asarray(new_ids, dtype=np.int64)
+                cls[sort] = new_ids
         if not changed:
             break
-    return partition(alg.signature.sorts, {s: cls[s].tolist() for s in alg.signature.sorts})
+    return partition(alg.signature.sorts, cls)
+
+
+def _positional_slices(mapped: tuple[int, ...], n: int, stride: int) -> list[tuple]:
+    """For each element e of an argument position with ``n`` values and the
+    given stride, the entries of a flat table whose argument there is e, as
+    contiguous runs of ``stride`` entries in table order."""
+    if not mapped:  # an empty carrier at another position
+        return [()] * n
+    if stride == 1:
+        return [mapped[e::n] for e in range(n)]
+    block = n * stride
+    return [
+        tuple(mapped[b : b + stride] for b in range(e * stride, len(mapped), block))
+        for e in range(n)
+    ]
 
 
 def syntactic_congruence(

@@ -59,16 +59,15 @@ class Signature:
             for s in (*op.arity, op.result):
                 if s not in self.sorts:
                     raise ValidationError(f"operation {op.name!r} uses unknown sort {s!r}")
-
-    @property
-    def op_by_name(self) -> dict[str, Operation]:
-        return {op.name: op for op in self.ops}
+        # name -> operation, built once; not a field, so equality and hashing
+        # see only sorts and ops.  Callers must not mutate it.
+        object.__setattr__(self, "op_by_name", {op.name: op for op in self.ops})
 
     def operation(self, name: str) -> Operation:
-        for op in self.ops:
-            if op.name == name:
-                return op
-        raise ValidationError(f"unknown operation symbol {name!r}")
+        try:
+            return self.op_by_name[name]
+        except KeyError:
+            raise ValidationError(f"unknown operation symbol {name!r}") from None
 
     def op_index(self, name: str) -> int:
         for i, op in enumerate(self.ops):

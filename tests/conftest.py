@@ -201,8 +201,12 @@ def random_rich_signature(rng: random.Random):
     return sig, sorted_vars(sig, by_sort)
 
 
-def random_algebra(rng: random.Random, sig: Signature, max_carrier: int = 3):
-    carriers = {s: rng.randint(1, max_carrier) for s in sig.sorts}
+def random_algebra(
+    rng: random.Random, sig: Signature, max_carrier: int = 3, carriers=None
+):
+    """Random tables; carrier sizes are drawn from 1..max_carrier unless given."""
+    if carriers is None:
+        carriers = {s: rng.randint(1, max_carrier) for s in sig.sorts}
     tables = {}
     for op in sig.ops:
         space = 1

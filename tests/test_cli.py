@@ -1,5 +1,8 @@
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -8,6 +11,7 @@ from treelang.formats import load_recognizer, recognizer_to_doc, dump_document
 from treelang.recognizer import equivalent
 
 GOLDEN = Path(__file__).parent / "golden"
+SRC = Path(__file__).parent.parent / "src"
 
 
 def run(*argv):
@@ -55,6 +59,14 @@ class TestBasicCommands:
             "member", GOLDEN / "rpar.rec", "g(g(c))", "--oracle", "--max-nodes", "4"
         )
         assert code == 0 and out == "true\n"
+
+
+def test_import_loads_no_numpy():
+    # every CLI command pays for its imports; numpy alone once took about
+    # half of a short command's wall time
+    code = 'import sys, treelang, treelang.cli; assert "numpy" not in sys.modules'
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 class TestTransforms:

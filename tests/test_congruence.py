@@ -77,10 +77,29 @@ class TestCogenerated:
         # brute force: the output must be a congruence, refine the input, and
         # be refined by every congruence refining the input
         rng = random.Random(23)
+        cases = []
         for _ in range(20):
             sig, _ = random_signature(rng)
             alg = random_algebra(rng, sig, max_carrier=3)
-            phi = random_partition(rng, alg)
+            cases.append((alg, random_partition(rng, alg)))
+        # a ternary operation whose middle sort has runs of 3 entries, 9 apart,
+        # and whose outer sorts differ in size; and an empty carrier, which
+        # empties the tables of the operations taking it
+        sig = signature(
+            ["a", "b", "c", "e"],
+            [
+                ("k", [], "a"),
+                ("j", [], "b"),
+                ("l", [], "c"),
+                ("m", ["b", "a", "c"], "a"),
+                ("w", ["a", "e"], "a"),
+                ("v", ["e"], "e"),
+            ],
+        )
+        for _ in range(40):
+            alg = random_algebra(rng, sig, carriers={"a": 3, "b": 2, "c": 3, "e": 0})
+            cases.append((alg, random_partition(rng, alg)))
+        for alg, phi in cases:
             omega = cogenerated_congruence(alg, phi)
             assert is_congruence(alg, omega)[0]
             assert refines(omega, phi)
