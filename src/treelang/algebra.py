@@ -13,12 +13,14 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .core import (
+    HOLE,
     Context,
     Hole,
     Signature,
     Term,
     ValidationError,
     Var,
+    apply_context,
 )
 
 
@@ -101,8 +103,8 @@ def check_assignment(alg: FiniteAlgebra, vars, assignment: Mapping[str, int]) ->
 def evaluate(alg: FiniteAlgebra, assignment: Mapping[str, int], term: Term) -> int:
     """The homomorphic extension of the assignment: variables through the
     assignment, nodes through operation tables."""
-    sizes = dict(alg.carriers)
-    tables = dict(alg.tables)
+    sizes = alg._sizes
+    tables = alg._tables
     opmap = alg.signature.op_by_name
 
     def walk(t: Term) -> int:
@@ -122,40 +124,6 @@ def evaluate(alg: FiniteAlgebra, assignment: Mapping[str, int], term: Term) -> i
         return tables[t.symbol][index]
 
     return walk(term)
-
-
-def evaluate_many(
-    alg: FiniteAlgebra, assignment: Mapping[str, int], terms
-) -> dict[int, int]:
-    """Evaluate a batch of terms, sharing work across common subterm objects.
-
-    Returns a mapping from ``id(term)`` to value; terms produced by the
-    enumerator share children, which makes this much faster than one
-    evaluation per term.
-    """
-    sizes = dict(alg.carriers)
-    tables = dict(alg.tables)
-    opmap = alg.signature.op_by_name
-    memo: dict[int, int] = {}
-
-    def walk(t: Term) -> int:
-        got = memo.get(id(t))
-        if got is not None:
-            return got
-        if isinstance(t, Var):
-            v = assignment[t.name]
-        else:
-            op = opmap[t.symbol]
-            index = 0
-            for child, s in zip(t.children, op.arity):
-                index = index * sizes[s] + walk(child)
-            v = tables[t.symbol][index]
-        memo[id(t)] = v
-        return v
-
-    for t in terms:
-        walk(t)
-    return memo
 
 
 # ---------------------------------------------------------------------------
@@ -378,20 +346,12 @@ def translation_table(
     alg: FiniteAlgebra, assignment: Mapping[str, int], ctx: Context
 ) -> tuple[int, ...]:
     """The unary function induced by a one-hole context: hole-sort carrier ->
-    root-sort carrier."""
-    sizes = dict(alg.carriers)
-    tables = dict(alg.tables)
-    opmap = alg.signature.op_by_name
-
-    def walk(t: Term, hole_value: int) -> int:
-        if isinstance(t, Hole):
-            return hole_value
-        if isinstance(t, Var):
-            return assignment[t.name]
-        op = opmap[t.symbol]
-        index = 0
-        for child, s in zip(t.children, op.arity):
-            index = index * sizes[s] + walk(child, hole_value)
-        return tables[t.symbol][index]
-
-    return tuple(walk(ctx.body, q) for q in range(sizes[ctx.hole_sort]))
+    root-sort carrier.  The hole is read as a variable named ``@``, which no
+    variable name can equal."""
+    term = apply_context(ctx, Var(HOLE, ctx.hole_sort))
+    env = dict(assignment)
+    values = []
+    for q in range(alg.size(ctx.hole_sort)):
+        env[HOLE] = q
+        values.append(evaluate(alg, env, term))
+    return tuple(values)

@@ -32,8 +32,6 @@ from .recognizer import (
     is_empty,
     minimize,
 )
-from .congruence import syntactic_congruence
-from .algebra import closure_elements, restrict_algebra
 
 
 class UndecidableAtBound(Exception):
@@ -151,23 +149,12 @@ def cmd_empty(args) -> int:
 
 def cmd_syncong(args) -> int:
     rec = _load_rec(args.recognizer)
-    reached = closure_elements(rec.algebra, _reachable_seed(rec))
-    small, index = restrict_algebra(rec.algebra, reached)
-    acc = {
-        s: frozenset(index[s][e] for e in rec.accepting_at(s) if e in index[s])
-        for s in rec.signature.sorts
-    }
-    omega = syntactic_congruence(small, acc)
-    payload = {s: n for s, n in omega.counts}
-    lines = [f"{s}: {n}" for s, n in omega.counts]
+    # minimize's per-sort state counts are the syntactic congruence's indices
+    counts = minimize(rec).algebra.carriers
+    payload = {s: n for s, n in counts}
+    lines = [f"{s}: {n}" for s, n in counts]
     _emit(args, payload, "\n".join(lines))
     return 0
-
-
-def _reachable_seed(rec):
-    from .recognizer import _seed
-
-    return _seed(rec)
 
 
 def _require(args, *names) -> None:

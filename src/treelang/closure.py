@@ -11,10 +11,12 @@ from __future__ import annotations
 
 from typing import Mapping
 
-from .algebra import closure_elements, product_algebra
+from .algebra import closure_elements
 from .core import ValidationError, Var
 from .recognizer import (
     Recognizer,
+    _seed,
+    combine,
     determinize,
     minimize,
     nta,
@@ -88,7 +90,7 @@ def substitute_language(
         sig,
         vars,
         counts,
-        {y: frozenset(states) for y, states in leaf.items()},
+        leaf,
         rules,
         epsilon,
         accepting,
@@ -125,7 +127,7 @@ def iterate_language(l: Recognizer, z: str) -> Recognizer:
         sig,
         vars,
         counts,
-        {y: frozenset(v) for y, v in leaf.items()},
+        leaf,
         {key: {v} for key, v in table_rules(lm.algebra)},
         epsilon,
         {sort: frozenset({top})},
@@ -141,26 +143,12 @@ def quotient_seed_values(l: Recognizer, k: Recognizer, z: str) -> frozenset[int]
     sort = l.vars.sort_of(z)
     if sort is None:
         raise ValidationError(f"unknown variable {z!r}")
-    prod, projs = product_algebra([k.algebra, l.algebra])
-    ka = dict(k.assignment)
-    la = dict(l.assignment)
-    n_l = dict(l.algebra.carriers)
-    seed: dict[str, list[int]] = {s: [] for s in l.signature.sorts}
-    for op in l.signature.ops:
-        if not op.arity:
-            v = prod.apply(op.name, [])
-            if v not in seed[op.result]:
-                seed[op.result].append(v)
-    for s, names in l.vars.by_sort:
-        for x in names:
-            v = ka[x] * n_l[s] + la[x]
-            if v not in seed[s]:
-                seed[s].append(v)
-    reached = closure_elements(prod, seed)
+    # product elements pair a k value with an l value, l fastest
+    prod = combine("intersection", k, l)
+    n_l = l.algebra.size(sort)
+    reached = closure_elements(prod.algebra, _seed(prod))
     acc = k.accepting_at(sort)
-    return frozenset(
-        projs[1][sort][e] for e in reached[sort] if projs[0][sort][e] in acc
-    )
+    return frozenset(e % n_l for e in reached[sort] if e // n_l in acc)
 
 
 def quotient_language(l: Recognizer, k: Recognizer, z: str) -> Recognizer:
@@ -176,18 +164,13 @@ def quotient_language(l: Recognizer, k: Recognizer, z: str) -> Recognizer:
     lm = minimize(l)
     values = quotient_seed_values(lm, k, z)
 
-    asg = dict(lm.assignment)
-    leaf: dict[str, set[int]] = {}
-    for y in vars.all_names():
-        if y == z:
-            leaf[y] = set(values)
-        else:
-            leaf[y] = {asg[y]}
+    leaf = {y: {v} for y, v in lm.assignment}
+    leaf[z] = values
     machine = nta(
         sig,
         vars,
         {s: lm.algebra.size(s) for s in sig.sorts},
-        {y: frozenset(v) for y, v in leaf.items()},
+        leaf,
         {key: {v} for key, v in table_rules(lm.algebra)},
         {},
         {s: lm.accepting_at(s) for s in sig.sorts},

@@ -161,6 +161,21 @@ class Node(Term):
         return f"Node({print_term(self)})"
 
 
+HOLE = "@"
+
+
+@dataclass(frozen=True)
+class Hole(Term):
+    sort: str
+
+    @property
+    def size(self) -> int:
+        return 1
+
+    def __repr__(self):
+        return f"Hole({self.sort})"
+
+
 def node(op: Operation, children: Sequence[Term]) -> Node:
     """Build a well-sorted operation node, checking child count and sorts."""
     children = tuple(children)
@@ -208,12 +223,21 @@ def _tokenize(text: str) -> list[str]:
 
 
 class _Parser:
-    def __init__(self, tokens: list[str], sig: Signature, vars: SortedVars):
-        self.tokens = tokens
+    """Recursive descent over the token list, for terms and contexts alike.
+
+    Each argument position passes its expected sort down, so a hole ``@``
+    takes the sort of the position it fills; only a context parser
+    (``holes=True``) accepts it.
+    """
+
+    def __init__(self, text: str, sig: Signature, vars: SortedVars, holes: bool):
+        _check_disjoint(sig, vars)
+        self.tokens = _tokenize(text)
         self.pos = 0
         self.sig = sig
         self.vars = vars
         self.opmap = sig.op_by_name
+        self.holes = holes
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -225,8 +249,18 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def parse_term(self) -> Term:
+    def parse(self, expected: str | None) -> Term:
+        """One term or context body; ``expected`` is the sort its position
+        demands, or None at the root."""
         tok = self.take()
+        if tok == HOLE:
+            if not self.holes:
+                raise ParseError("a term cannot contain the hole '@'")
+            if expected is None:
+                if len(self.sig.sorts) != 1:
+                    raise ParseError("bare hole is ambiguous over a multi-sorted signature")
+                expected = self.sig.sorts[0]
+            return Hole(expected)
         if not NAME_RE.fullmatch(tok):
             raise ParseError(f"expected a name, got {tok!r}")
         if tok in self.opmap:
@@ -235,10 +269,13 @@ class _Parser:
             if self.peek() == "(":
                 self.take()
                 if self.peek() != ")":
-                    args.append(self.parse_term())
-                    while self.peek() == ",":
+                    while True:
+                        if len(args) == len(op.arity):
+                            raise ParseError(f"too many arguments for {tok!r}")
+                        args.append(self.parse(op.arity[len(args)]))
+                        if self.peek() != ",":
+                            break
                         self.take()
-                        args.append(self.parse_term())
                 if self.take() != ")":
                     raise ParseError("expected ')'")
             return node(op, args)
@@ -249,21 +286,24 @@ class _Parser:
             raise ParseError(f"variable {tok!r} cannot take arguments")
         return Var(tok, sort)
 
+    def parse_all(self) -> Term:
+        body = self.parse(None)
+        if self.peek() is not None:
+            raise ParseError(f"trailing input at token {self.peek()!r}")
+        return body
+
 
 def parse_term(text: str, sig: Signature, vars: SortedVars) -> Term:
     """Parse prefix syntax ``name`` / ``name(t1,...,tn)`` into a well-sorted term."""
-    _check_disjoint(sig, vars)
-    p = _Parser(_tokenize(text), sig, vars)
-    term = p.parse_term()
-    if p.peek() is not None:
-        raise ParseError(f"trailing input at token {p.peek()!r}")
-    return term
+    return _Parser(text, sig, vars, holes=False).parse_all()
 
 
 def print_term(term: Term) -> str:
+    """Prefix syntax; a context hole prints as ``@``."""
     if isinstance(term, Var):
         return term.name
-    assert isinstance(term, Node)
+    if isinstance(term, Hole):
+        return HOLE
     if not term.children:
         return term.symbol
     return f"{term.symbol}({','.join(print_term(c) for c in term.children)})"
@@ -306,13 +346,7 @@ def count_occurrences(term: Term, name: str, vars: SortedVars) -> int:
     """Number of occurrences of the variable in the term (preorder leaves)."""
     if vars.sort_of(name) is None:
         raise ValidationError(f"unknown variable {name!r}")
-    return _count(term, name)
-
-
-def _count(term: Term, name: str) -> int:
-    if isinstance(term, Var):
-        return 1 if term.name == name else 0
-    return sum(_count(c, name) for c in term.children)
+    return occurrence_counts(term).get(name, 0)
 
 
 def occurrence_counts(term: Term) -> dict[str, int]:
@@ -371,16 +405,7 @@ def substitute_occurrences(
     occurrence count.
     """
     counts = occurrence_counts(term)
-    sorts_of_vars = {}
-
-    def var_sorts(t: Term):
-        if isinstance(t, Var):
-            sorts_of_vars[t.name] = t.sort
-        else:
-            for c in t.children:
-                var_sorts(c)
-
-    var_sorts(term)
+    sorts_of_vars = {x: s for s, names in variables_of(term).items() for x in names}
     for name, seq in replacements.items():
         want = counts.get(name, 0)
         if len(seq) != want:
@@ -424,21 +449,6 @@ def substitute_uniform(term: Term, mapping: Mapping[str, Term]) -> Term:
 # contexts
 
 
-HOLE = "@"
-
-
-@dataclass(frozen=True)
-class Hole(Term):
-    sort: str
-
-    @property
-    def size(self) -> int:
-        return 1
-
-    def __repr__(self):
-        return f"Hole({self.sort})"
-
-
 @dataclass(frozen=True)
 class Context:
     """A term with exactly one hole of a declared sort.
@@ -452,17 +462,9 @@ class Context:
     root_sort: str
 
     def __post_init__(self):
-        n = _hole_count(self.body)
+        n = len(_collect_holes(self.body))
         if n != 1:
             raise ValidationError(f"context must have exactly one hole, found {n}")
-
-
-def _hole_count(t: Term) -> int:
-    if isinstance(t, Hole):
-        return 1
-    if isinstance(t, Var):
-        return 0
-    return sum(_hole_count(c) for c in t.children)
 
 
 def context(body: Term) -> Context:
@@ -519,66 +521,11 @@ def parse_context(text: str, sig: Signature, vars: SortedVars) -> Context:
     A bare ``@`` needs the signature to have a single sort; elsewhere the hole
     sort is fixed by the argument position it fills.
     """
-    _check_disjoint(sig, vars)
-    tokens = _tokenize(text)
-
-    def parse_at(expected: str | None) -> Term:
-        nonlocal pos
-        if pos >= len(tokens):
-            raise ParseError("unexpected end of input")
-        tok = tokens[pos]
-        pos += 1
-        if tok == HOLE:
-            if expected is None:
-                if len(sig.sorts) != 1:
-                    raise ParseError("bare hole is ambiguous over a multi-sorted signature")
-                expected = sig.sorts[0]
-            return Hole(expected)
-        if not NAME_RE.fullmatch(tok):
-            raise ParseError(f"expected a name, got {tok!r}")
-        if tok in sig.op_by_name:
-            op = sig.op_by_name[tok]
-            args: list[Term] = []
-            if pos < len(tokens) and tokens[pos] == "(":
-                pos += 1
-                i = 0
-                if pos < len(tokens) and tokens[pos] != ")":
-                    while True:
-                        if i >= len(op.arity):
-                            raise ParseError(f"too many arguments for {tok!r}")
-                        args.append(parse_at(op.arity[i]))
-                        i += 1
-                        if pos < len(tokens) and tokens[pos] == ",":
-                            pos += 1
-                            continue
-                        break
-                if pos >= len(tokens) or tokens[pos] != ")":
-                    raise ParseError("expected ')'")
-                pos += 1
-            return node(op, args)
-        sort = vars.sort_of(tok)
-        if sort is None:
-            raise ParseError(f"unknown symbol {tok!r}")
-        return Var(tok, sort)
-
-    pos = 0
-    body = parse_at(None)
-    if pos != len(tokens):
-        raise ParseError("trailing input")
-    return context(body)
+    return context(_Parser(text, sig, vars, holes=True).parse_all())
 
 
 def print_context(ctx: Context) -> str:
-    def walk(t: Term) -> str:
-        if isinstance(t, Hole):
-            return HOLE
-        if isinstance(t, Var):
-            return t.name
-        if not t.children:
-            return t.symbol
-        return f"{t.symbol}({','.join(walk(c) for c in t.children)})"
-
-    return walk(ctx.body)
+    return print_term(ctx.body)
 
 
 # ---------------------------------------------------------------------------

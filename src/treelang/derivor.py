@@ -9,11 +9,10 @@ by term-operation evaluation.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .algebra import FiniteAlgebra, evaluate, finite_algebra
+from .algebra import FiniteAlgebra
 from .core import (
     Node,
     Signature,
@@ -22,9 +21,16 @@ from .core import (
     ValidationError,
     Var,
     occurrence_counts,
+    sorted_vars,
     substitute_uniform,
 )
-from .treehom import Hyperderivor, hyperderivor, placeholder, placeholder_index
+from .treehom import (
+    Hyperderivor,
+    derived_algebra,
+    hyperderivor,
+    placeholder,
+    placeholder_index,
+)
 
 
 @dataclass(frozen=True)
@@ -121,12 +127,16 @@ class Derivor:
 
     def __post_init__(self):
         smap = dict(self.sort_map)
+        patterns = dict(self.patterns)
+        # lookups for sort_image/pattern; not fields, so equality and
+        # hashing see only the declared data
+        object.__setattr__(self, "_sort_map", smap)
+        object.__setattr__(self, "_patterns", patterns)
         if set(smap) != set(self.source.sorts):
             raise ValidationError("sort map must cover every source sort")
         for t in smap.values():
             if t not in self.target.sorts:
                 raise ValidationError(f"sort map hits unknown target sort {t!r}")
-        patterns = dict(self.patterns)
         if set(patterns) != {op.name for op in self.source.ops}:
             raise ValidationError("patterns must cover every source operation")
         for op in self.source.ops:
@@ -140,14 +150,14 @@ class Derivor:
             _check_target_ops(ht.term, self.target)
 
     def sort_image(self, sort: str) -> str:
-        return dict(self.sort_map)[sort]
+        return self._sort_map[sort]
 
     def pattern(self, opname: str) -> HallTerm:
-        return dict(self.patterns)[opname]
+        return self._patterns[opname]
 
     @property
     def is_linear(self) -> bool:
-        for _, ht in self.patterns:
+        for ht in self._patterns.values():
             for name, n in occurrence_counts(ht.term).items():
                 if n > 1:
                     return False
@@ -223,20 +233,12 @@ def compose_derivors(e: Derivor, d: Derivor) -> Derivor:
 
 def derived_algebra_derivor(d: Derivor, b: FiniteAlgebra) -> FiniteAlgebra:
     """Pull a target algebra back along the derivor: every source operation
-    acts as the term operation of its pattern."""
+    acts as the term operation of its pattern.  This is ``derived_algebra``
+    of the derivor read as a hyperderivor without variables."""
     if b.signature != d.target:
         raise ValidationError("algebra is not over the derivor's target signature")
-    sizes = dict(b.carriers)
-    carriers = {s: sizes[d.sort_image(s)] for s in d.source.sorts}
-    tables = {}
-    for op in d.source.ops:
-        ht = d.pattern(op.name)
-        entries = []
-        for args in itertools.product(*[range(carriers[s]) for s in op.arity]):
-            env = {f"v{i}": a for i, a in enumerate(args)}
-            entries.append(evaluate(b, env, ht.term))
-        tables[op.name] = tuple(entries)
-    return finite_algebra(d.source, carriers, tables)
+    h = derivor_to_hyperderivor(d, sorted_vars(d.source, {}), sorted_vars(d.target, {}), {})
+    return derived_algebra(h, b, {})[0]
 
 
 def derivor_to_hyperderivor(

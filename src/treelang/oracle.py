@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, Mapping, Sequence
 
-from .algebra import evaluate_many
+from .algebra import FiniteAlgebra
 from .core import (
     Signature,
     SortedVars,
@@ -23,7 +23,53 @@ from .core import (
     substitute_occurrences,
     term_sort_key,
 )
-from .recognizer import Recognizer, membership_fn
+from .recognizer import Recognizer
+
+
+def evaluate_many(
+    alg: FiniteAlgebra, assignment: Mapping[str, int], terms
+) -> dict[int, int]:
+    """Evaluate a batch of terms, sharing work across common subterm objects.
+
+    Returns a mapping from ``id(term)`` to value; terms produced by the
+    enumerator share children, which makes this much faster than one
+    evaluation per term.  The walk reads the declared tables directly and
+    shares no code with ``algebra.evaluate``, which it checks.
+    """
+    sizes = dict(alg.carriers)
+    tables = dict(alg.tables)
+    opmap = alg.signature.op_by_name
+    memo: dict[int, int] = {}
+
+    def walk(t: Term) -> int:
+        got = memo.get(id(t))
+        if got is not None:
+            return got
+        if isinstance(t, Var):
+            v = assignment[t.name]
+        else:
+            op = opmap[t.symbol]
+            index = 0
+            for child, s in zip(t.children, op.arity):
+                index = index * sizes[s] + walk(child)
+            v = tables[t.symbol][index]
+        memo[id(t)] = v
+        return v
+
+    for t in terms:
+        walk(t)
+    return memo
+
+
+def membership_fn(rec: Recognizer):
+    """A membership test for one term at a time, evaluated by ``evaluate_many``."""
+    asg = dict(rec.assignment)
+    acc = {s: rec.accepting_at(s) for s in rec.signature.sorts}
+
+    def member(t: Term) -> bool:
+        return evaluate_many(rec.algebra, asg, [t])[id(t)] in acc[t.sort]
+
+    return member
 
 
 def enumerate_language(rec: Recognizer, max_nodes: int) -> dict[str, list[Term]]:

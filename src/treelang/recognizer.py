@@ -85,29 +85,6 @@ def accepts(rec: Recognizer, term: Term) -> bool:
     return value in rec.accepting_at(term.sort)
 
 
-def membership_fn(rec: Recognizer):
-    """A compiled membership test, faster than repeated ``accepts`` calls."""
-    sizes = dict(rec.algebra.carriers)
-    tables = dict(rec.algebra.tables)
-    opmap = rec.signature.op_by_name
-    asg = dict(rec.assignment)
-    acc = {s: rec.accepting_at(s) for s in rec.signature.sorts}
-
-    def value(t: Term) -> int:
-        if isinstance(t, Var):
-            return asg[t.name]
-        op = opmap[t.symbol]
-        index = 0
-        for child, s in zip(t.children, op.arity):
-            index = index * sizes[s] + value(child)
-        return tables[t.symbol][index]
-
-    def member(t: Term) -> bool:
-        return value(t) in acc[t.sort]
-
-    return member
-
-
 def empty_recognizer(sig: Signature, vars: SortedVars) -> Recognizer:
     alg = finite_algebra(
         sig,

@@ -58,6 +58,13 @@ class Hyperderivor:
 
     def __post_init__(self):
         smap = dict(self.sort_map)
+        patterns = dict(self.patterns)
+        images = dict(self.var_images)
+        # lookups for sort_image/pattern/var_image; not fields, so equality
+        # and hashing see only the declared data
+        object.__setattr__(self, "_sort_map", smap)
+        object.__setattr__(self, "_patterns", patterns)
+        object.__setattr__(self, "_var_images", images)
         if set(smap) != set(self.source.sorts):
             raise ValidationError("sort map must cover every source sort")
         for t in smap.values():
@@ -68,7 +75,6 @@ class Hyperderivor:
                 raise ValidationError(
                     f"target variable {y!r} collides with reserved placeholders"
                 )
-        patterns = dict(self.patterns)
         if set(patterns) != {op.name for op in self.source.ops}:
             raise ValidationError("patterns must cover every source operation")
         for op in self.source.ops:
@@ -79,7 +85,6 @@ class Hyperderivor:
                     f"pattern for {op.name!r} has sort {body.sort!r}, "
                     f"expected {smap[op.result]!r}"
                 )
-        images = dict(self.var_images)
         if set(images) != set(self.source_vars.all_names()):
             raise ValidationError("variable images must cover every source variable")
         for sort, names in self.source_vars.by_sort:
@@ -92,7 +97,6 @@ class Hyperderivor:
                     )
 
     def _check_pattern_term(self, op, t: Term) -> None:
-        smap = dict(self.sort_map)
         if isinstance(t, Var):
             idx = placeholder_index(t.name)
             if idx is not None:
@@ -100,7 +104,7 @@ class Hyperderivor:
                     raise ValidationError(
                         f"pattern for {op.name!r} uses placeholder v{idx} beyond its arity"
                     )
-                want = smap[op.arity[idx]]
+                want = self._sort_map[op.arity[idx]]
                 if t.sort != want:
                     raise ValidationError(
                         f"placeholder v{idx} in pattern for {op.name!r} must have "
@@ -130,19 +134,19 @@ class Hyperderivor:
             self._check_ground_term(c, what)
 
     def sort_image(self, sort: str) -> str:
-        return dict(self.sort_map)[sort]
+        return self._sort_map[sort]
 
     def pattern(self, opname: str) -> Term:
-        return dict(self.patterns)[opname]
+        return self._patterns[opname]
 
     def var_image(self, name: str) -> Term:
-        return dict(self.var_images)[name]
+        return self._var_images[name]
 
     @property
     def is_linear(self) -> bool:
         """No placeholder occurs more than once in any pattern."""
-        for op in self.source.ops:
-            counts = occurrence_counts(dict(self.patterns)[op.name])
+        for body in self._patterns.values():
+            counts = occurrence_counts(body)
             for name, n in counts.items():
                 if placeholder_index(name) is not None and n > 1:
                     return False
@@ -187,7 +191,7 @@ def pattern_environment(
 
 def pattern_vars(h: Hyperderivor, opname: str) -> SortedVars:
     return pattern_environment(
-        h.target, h.target_vars, dict(h.sort_map), h.source.operation(opname)
+        h.target, h.target_vars, h._sort_map, h.source.operation(opname)
     )
 
 
@@ -216,21 +220,22 @@ def derived_algebra(
     """
     if b.signature != h.target:
         raise ValidationError("algebra is not over the hyperderivor's target signature")
-    sizes = dict(b.carriers)
-    carriers = {s: sizes[h.sort_image(s)] for s in h.source.sorts}
+    carriers = {s: b.size(h.sort_image(s)) for s in h.source.sorts}
+    # one environment for every entry: placeholders are rebound per entry,
+    # and no target variable can be named like one
+    env = dict(b_assignment)
     tables = {}
     for op in h.source.ops:
         body = h.pattern(op.name)
+        names = [f"v{i}" for i in range(len(op.arity))]
         entries = []
         for args in itertools.product(*[range(carriers[s]) for s in op.arity]):
-            env = dict(b_assignment)
-            for i, a in enumerate(args):
-                env[f"v{i}"] = a
+            env.update(zip(names, args))
             entries.append(evaluate(b, env, body))
         tables[op.name] = tuple(entries)
     alg = finite_algebra(h.source, carriers, tables)
     assignment = {
-        x: evaluate(b, dict(b_assignment), h.var_image(x))
+        x: evaluate(b, b_assignment, h.var_image(x))
         for x in h.source_vars.all_names()
     }
     return alg, assignment
@@ -303,13 +308,12 @@ def direct_image(h: Hyperderivor, l: Recognizer, sort: str) -> Recognizer:
         return state
 
     source_ops = h.source.op_by_name
-    patterns = dict(h.patterns)
     for (name, args), result in table_rules(lm.algebra):
         op = source_ops[name]
         env = {
             f"v{i}": nonterminal[(w, a)] for i, (w, a) in enumerate(zip(op.arity, args))
         }
-        root = compile_rhs(patterns[name], env)
+        root = compile_rhs(h.pattern(name), env)
         head = nonterminal[(op.result, result)]
         if root != head:
             epsilon[h.sort_image(op.result)].append((root, head))
@@ -331,7 +335,7 @@ def direct_image(h: Hyperderivor, l: Recognizer, sort: str) -> Recognizer:
         sig,
         vars,
         counts,
-        {y: frozenset(v) for y, v in leaf.items()},
+        leaf,
         rules,
         epsilon,
         accepting,

@@ -8,7 +8,7 @@ import random
 
 import pytest
 
-from treelang.algebra import evaluate_many, finite_algebra
+from treelang.algebra import finite_algebra
 from treelang.core import (
     Context,
     Hole,
@@ -25,6 +25,7 @@ from treelang.core import (
     sorted_vars,
 )
 from treelang.derivor import Derivor, HallTerm, derivor, hall_term
+from treelang.oracle import evaluate_many
 from treelang.recognizer import Recognizer, recognizer
 from treelang.treehom import Hyperderivor, hyperderivor, placeholder
 
@@ -256,26 +257,24 @@ def random_context(
     body = random_term(rng, sig, vars, sort, max_nodes)
     if body is None:
         return None
-    leaves = _leaf_count(body)
-    target = rng.randrange(leaves)
-
-    counter = [0]
-
-    def carve(t: Term) -> Term:
-        if isinstance(t, Var) or (isinstance(t, Node) and not t.children):
-            i = counter[0]
-            counter[0] += 1
-            return Hole(t.sort) if i == target else t
-        children = tuple(carve(c) for c in t.children)
-        return Node(t.symbol, children, t.sort, 1 + sum(c.size for c in children))
-
-    return context(carve(body))
+    return rng.choice(leaf_contexts(body))[0]
 
 
-def _leaf_count(t: Term) -> int:
+def leaf_contexts(term: Term) -> list[tuple[Context, Term]]:
+    """Every one-hole context carved from the term by replacing one leaf with
+    the hole, paired with the leaf it replaced; leaves in preorder."""
+    return [(context(body), leaf) for body, leaf in _carvings(term)]
+
+
+def _carvings(t: Term) -> list[tuple[Term, Term]]:
     if isinstance(t, Var) or not t.children:
-        return 1
-    return sum(_leaf_count(c) for c in t.children)
+        return [(Hole(t.sort), t)]
+    out = []
+    for i, child in enumerate(t.children):
+        for body, leaf in _carvings(child):
+            children = t.children[:i] + (body,) + t.children[i + 1 :]
+            out.append((Node(t.symbol, children, t.sort, t.size), leaf))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,7 @@ from treelang.derivor import (
     xi_substitute,
 )
 from treelang.oracle import (
+    membership_fn,
     semantic_iteration_bounded,
     semantic_quotient_bounded,
     semantic_substitution_sets,
@@ -44,7 +45,6 @@ from treelang.recognizer import (
     combine,
     equivalent,
     inverse_translation,
-    membership_fn,
     minimize,
     recognize_basic,
     recognize_finite,

@@ -5,7 +5,6 @@ import pytest
 
 from treelang.algebra import (
     evaluate,
-    evaluate_many,
     finite_algebra,
     generated_subalgebra,
     product_algebra,
@@ -17,13 +16,15 @@ from treelang.algebra import (
 from treelang.congruence import all_in_one_partition, identity_partition, partition
 from treelang.core import (
     ValidationError,
+    enumerate_all_terms,
     enumerate_terms,
     parse_context,
     parse_term,
     signature,
 )
+from treelang.oracle import evaluate_many
 
-from conftest import random_algebra, random_signature
+from conftest import leaf_contexts, random_algebra, random_recognizer, random_signature
 
 
 ASG = {"x": 0, "z": 1}
@@ -199,6 +200,22 @@ class TestTranslationTable:
         t_inner = translation_table(rpar_algebra, ASG, inner)
         t_both = translation_table(rpar_algebra, ASG, compose_contexts(outer, inner))
         assert t_both == tuple(t_outer[v] for v in t_inner)
+
+    def test_matches_oracle_on_carved_contexts(self, f1, x1, f2, x2, rpar_algebra):
+        # a context's table at the removed leaf's value is the whole term's
+        # value, for every context carved from a term of at most 5 nodes
+        two_sorted = random_recognizer(random.Random(12), f2, x2, max_carrier=4)
+        cases = [
+            (f1, x1, rpar_algebra, ASG),
+            (f2, x2, two_sorted.algebra, dict(two_sorted.assignment)),
+        ]
+        for sig, vars, alg, asg in cases:
+            for terms in enumerate_all_terms(sig, vars, 5).values():
+                values = evaluate_many(alg, asg, terms)
+                for term in terms:
+                    for ctx, leaf in leaf_contexts(term):
+                        table = translation_table(alg, asg, ctx)
+                        assert table[values[id(leaf)]] == values[id(term)]
 
 
 class TestValidation:

@@ -1,8 +1,10 @@
 import random
+import re
 
 import pytest
 
 from treelang.core import (
+    HOLE,
     ParseError,
     SortError,
     ValidationError,
@@ -24,6 +26,8 @@ from treelang.core import (
     typecheck,
     variables_of,
 )
+
+from conftest import leaf_contexts
 
 
 def p1(f1, x1, text):
@@ -193,9 +197,36 @@ class TestContexts:
         with pytest.raises(SortError):
             apply_context(ctx, parse_term("iszero(zero)", f2, x2))
 
-    def test_print_roundtrip(self, f1, x1):
-        text = "sigma(g(@),z)"
-        assert print_context(parse_context(text, f1, x1)) == text
+    def test_print_roundtrip(self, f1, x1, f2, x2):
+        # every context carved from a term of at most 5 nodes, with the hole
+        # at each leaf in turn, over both signatures; the text comes from the
+        # term's tokens, not from the context printer
+        for sig, vars in ((f1, x1), (f2, x2)):
+            for terms in enumerate_all_terms(sig, vars, 5).values():
+                for term in terms:
+                    self._check_carved(sig, vars, term)
+
+    def _check_carved(self, sig, vars, term):
+        tokens = re.findall(r"\w+|[(),]", print_term(term))
+        spots = [
+            i
+            for i, tok in enumerate(tokens)
+            if tok not in "()," and tokens[i + 1 : i + 2] != ["("]
+        ]
+        carved = leaf_contexts(term)
+        assert len(carved) == len(spots)
+        for i, (ctx, leaf) in zip(spots, carved):
+            text = "".join(tokens[:i] + [HOLE] + tokens[i + 1 :])
+            with pytest.raises(ParseError):
+                parse_term(text, sig, vars)
+            if text == HOLE and len(sig.sorts) > 1:
+                with pytest.raises(ParseError):  # a bare hole has no sort
+                    parse_context(text, sig, vars)
+                continue
+            parsed = parse_context(text, sig, vars)
+            assert parsed == ctx, text
+            assert print_context(parsed) == text
+            assert apply_context(parsed, leaf) == term
 
 
 class TestEnumeration:
