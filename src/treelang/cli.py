@@ -34,10 +34,6 @@ from .recognizer import (
 )
 
 
-class UndecidableAtBound(Exception):
-    pass
-
-
 def _emit(args, payload_json, payload_text: str) -> None:
     if getattr(args, "json", False):
         print(json.dumps(payload_json, sort_keys=False))
@@ -206,10 +202,7 @@ def cmd_derivor(args) -> int:
         target_sig, _ = formats.load_signature(args.target)
         d = formats.derivor_from_doc(formats.load_document(args.drv), source_sig, target_sig)
         arity = tuple(a for a in args.arity.split(",") if a)
-        env = formats.sorted_vars(
-            source_sig, formats._placeholder_vars(source_sig, arity)
-        )
-        body = parse_term(args.term, source_sig, env)
+        body = parse_term(args.term, source_sig, treehom.placeholder_vars(source_sig, arity))
         ht = hall_term(body, arity, body.sort)
         out = apply_derivor_term(d, ht)
         payload = {

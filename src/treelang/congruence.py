@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Hashable, Mapping, Sequence
 
 from .algebra import FiniteAlgebra
 from .core import ValidationError
@@ -40,16 +40,13 @@ class SortedPartition:
             if set(ids) != set(range(n)):
                 raise ValidationError(f"class ids not contiguous at sort {sort!r}")
 
-    def class_of(self, sort: str, element: int) -> int:
-        return dict(self.classes)[sort][element]
-
     def index(self, sort: str) -> int:
         return dict(self.counts)[sort]
 
 
-def _canonical(ids: Sequence[int]) -> tuple[tuple[int, ...], int]:
-    """Renumber class ids by first occurrence."""
-    remap: dict[int, int] = {}
+def _canonical(ids: Sequence[Hashable]) -> tuple[tuple[int, ...], int]:
+    """Renumber class ids, which may be any hashable values, by first occurrence."""
+    remap: dict[Hashable, int] = {}
     out = []
     for c in ids:
         if c not in remap:
@@ -58,7 +55,9 @@ def _canonical(ids: Sequence[int]) -> tuple[tuple[int, ...], int]:
     return tuple(out), len(remap)
 
 
-def partition(sig_sorts: Sequence[str], classes: Mapping[str, Sequence[int]]) -> SortedPartition:
+def partition(
+    sig_sorts: Sequence[str], classes: Mapping[str, Sequence[Hashable]]
+) -> SortedPartition:
     """Build a canonical partition from per-sort class-id arrays."""
     cls = []
     counts = []
@@ -111,14 +110,9 @@ def meet_partitions(phi: SortedPartition, psi: SortedPartition) -> SortedPartiti
     for sort in a:
         if len(a[sort]) != len(b[sort]):
             raise ValidationError(f"carrier size mismatch at sort {sort!r}")
-        pairs = list(zip(a[sort], b[sort]))
-        remap: dict[tuple[int, int], int] = {}
-        ids = []
-        for p in pairs:
-            if p not in remap:
-                remap[p] = len(remap)
-            ids.append(remap[p])
-        classes[sort] = ids
+        # the class of an element is its pair of classes; partition
+        # renumbers the pairs by first occurrence
+        classes[sort] = list(zip(a[sort], b[sort]))
     return partition([s for s, _ in phi.classes], classes)
 
 

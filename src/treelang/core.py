@@ -69,12 +69,6 @@ class Signature:
         except KeyError:
             raise ValidationError(f"unknown operation symbol {name!r}") from None
 
-    def op_index(self, name: str) -> int:
-        for i, op in enumerate(self.ops):
-            if op.name == name:
-                return i
-        raise ValidationError(f"unknown operation symbol {name!r}")
-
 
 def signature(sorts: Sequence[str], ops: Iterable[tuple[str, Sequence[str], str]]) -> Signature:
     """Convenience builder: ``signature(["s"], [("c", [], "s"), ("g", ["s"], "s")])``."""
@@ -106,12 +100,6 @@ class SortedVars:
 
     def all_names(self) -> tuple[str, ...]:
         return tuple(x for _, xs in self.by_sort for x in xs)
-
-    def var_index(self, name: str) -> int:
-        for i, x in enumerate(self.all_names()):
-            if x == name:
-                return i
-        raise ValidationError(f"unknown variable {name!r}")
 
 
 def sorted_vars(signature: Signature, by_sort: Mapping[str, Sequence[str]]) -> SortedVars:
@@ -321,7 +309,8 @@ def typecheck(term: Term, sig: Signature, vars: SortedVars) -> str:
             if sort != t.sort:
                 raise SortError(f"variable {t.name!r} tagged with wrong sort {t.sort!r}")
             return sort
-        assert isinstance(t, Node)
+        if isinstance(t, Hole):
+            raise SortError("a term cannot contain the hole '@'")
         op = sig.operation(t.symbol)
         if len(t.children) != len(op.arity):
             raise SortError(f"{t.symbol!r} arity mismatch")
@@ -352,45 +341,38 @@ def count_occurrences(term: Term, name: str, vars: SortedVars) -> int:
 def occurrence_counts(term: Term) -> dict[str, int]:
     """Per-variable occurrence counts, keyed by variable name."""
     counts: dict[str, int] = {}
-
-    def walk(t: Term):
+    for t in _preorder(term):
         if isinstance(t, Var):
             counts[t.name] = counts.get(t.name, 0) + 1
-        else:
-            for c in t.children:
-                walk(c)
-
-    walk(term)
     return counts
 
 
 def variables_of(term: Term) -> dict[str, set[str]]:
     """The sorted variable set of the term: sort -> set of names."""
     out: dict[str, set[str]] = {}
-
-    def walk(t: Term):
+    for t in _preorder(term):
         if isinstance(t, Var):
             out.setdefault(t.sort, set()).add(t.name)
-        else:
-            for c in t.children:
-                walk(c)
-
-    walk(term)
     return out
 
 
 def subterms_of(term: Term) -> dict[str, set[Term]]:
     """All subterms, grouped by sort (the set is downward closed under children)."""
     out: dict[str, set[Term]] = {}
-
-    def walk(t: Term):
+    for t in _preorder(term):
         out.setdefault(t.sort, set()).add(t)
-        if isinstance(t, Node):
-            for c in t.children:
-                walk(c)
-
-    walk(term)
     return out
+
+
+def _preorder(term: Term):
+    """Every subterm occurrence in preorder.  The stack is explicit, so a
+    deep term does not exhaust the interpreter's recursion limit."""
+    stack = [term]
+    while stack:
+        t = stack.pop()
+        yield t
+        if isinstance(t, Node):
+            stack.extend(reversed(t.children))
 
 
 def substitute_occurrences(
@@ -475,11 +457,7 @@ def context(body: Term) -> Context:
 
 
 def _collect_holes(t: Term) -> list[Hole]:
-    if isinstance(t, Hole):
-        return [t]
-    if isinstance(t, Var):
-        return []
-    return [h for c in t.children for h in _collect_holes(c)]
+    return [h for h in _preorder(t) if isinstance(h, Hole)]
 
 
 def hole_context(sort: str) -> Context:

@@ -20,16 +20,21 @@ from .core import (
     Term,
     ValidationError,
     Var,
+    _preorder,
     occurrence_counts,
+    print_term,
     sorted_vars,
     substitute_uniform,
 )
 from .treehom import (
     Hyperderivor,
+    _extend,
+    _typecheck_as,
     derived_algebra,
     hyperderivor,
+    identity_pattern,
     placeholder,
-    placeholder_index,
+    placeholder_vars,
 )
 
 
@@ -46,23 +51,13 @@ class HallTerm:
             raise ValidationError(
                 f"hall term has sort {self.term.sort!r}, rank says {self.sort!r}"
             )
-        _check_placeholders(self.term, self.arity)
-
-
-def _check_placeholders(t: Term, arity: Sequence[str]) -> None:
-    if isinstance(t, Var):
-        idx = placeholder_index(t.name)
-        if idx is None:
-            raise ValidationError(f"hall terms may only use placeholders, got {t.name!r}")
-        if idx >= len(arity):
-            raise ValidationError(f"placeholder v{idx} outside rank of length {len(arity)}")
-        if t.sort != arity[idx]:
-            raise ValidationError(
-                f"placeholder v{idx} has sort {t.sort!r}, rank says {arity[idx]!r}"
-            )
-        return
-    for c in t.children:
-        _check_placeholders(c, arity)
+        sorts = {f"v{i}": w for i, w in enumerate(self.arity)}
+        for t in _preorder(self.term):
+            if not isinstance(t, Node) and (not isinstance(t, Var) or sorts.get(t.name) != t.sort):
+                raise ValidationError(
+                    f"hall term leaves must be placeholders of the arity word {self.arity}, "
+                    f"got {print_term(t)!r} of sort {t.sort!r}"
+                )
 
 
 def hall_term(term: Term, arity: Sequence[str], sort: str) -> HallTerm:
@@ -111,9 +106,7 @@ def xi_substitute(
 
 def identity_hall_term(sig: Signature, opname: str) -> HallTerm:
     op = sig.operation(opname)
-    children = tuple(placeholder(i, w) for i, w in enumerate(op.arity))
-    term: Term = Node(op.name, children, op.result, 1 + len(children))
-    return HallTerm(term, op.arity, op.result)
+    return HallTerm(identity_pattern(op), op.arity, op.result)
 
 
 @dataclass(frozen=True)
@@ -147,7 +140,8 @@ class Derivor:
                     f"pattern for {op.name!r} has rank ({ht.arity}, {ht.sort!r}), "
                     f"expected ({want_arity}, {smap[op.result]!r})"
                 )
-            _check_target_ops(ht.term, self.target)
+            env = placeholder_vars(self.target, ht.arity)
+            _typecheck_as(f"pattern for {op.name!r}", ht.term, self.target, env, ht.sort)
 
     def sort_image(self, sort: str) -> str:
         return self._sort_map[sort]
@@ -162,16 +156,6 @@ class Derivor:
                 if n > 1:
                     return False
         return True
-
-
-def _check_target_ops(t: Term, sig: Signature) -> None:
-    if isinstance(t, Var):
-        return
-    op = sig.operation(t.symbol)
-    if len(t.children) != len(op.arity):
-        raise ValidationError(f"arity mismatch at {t.symbol!r} in derivor pattern")
-    for c in t.children:
-        _check_target_ops(c, sig)
 
 
 def derivor(
@@ -201,22 +185,17 @@ def apply_derivor_term(d: Derivor, p: HallTerm) -> HallTerm:
     """The homomorphic extension of the derivor to Hall terms: placeholders
     stay in place (re-sorted along the sort map) and each node becomes its
     pattern xi-substituted with the children's images.  Commutes with
-    xi_substitute."""
+    xi_substitute.
+
+    The image is built as a plain term and checked as a Hall term once: a
+    HallTerm per node would re-walk each subterm, quadratic in depth."""
     target_arity = tuple(d.sort_image(w) for w in p.arity)
 
-    def walk(t: Term) -> HallTerm:
-        if isinstance(t, Var):
-            idx = placeholder_index(t.name)
-            if idx is None:
-                raise ValidationError(f"stray variable {t.name!r} in hall term")
-            return HallTerm(
-                placeholder(idx, target_arity[idx]), target_arity, target_arity[idx]
-            )
-        images = [walk(c) for c in t.children]
-        return xi_substitute(d.pattern(t.symbol), images, target_arity)
+    def leaf(v: Var) -> Term:
+        return Var(v.name, d.sort_image(v.sort))
 
-    body = walk(p.term)
-    return HallTerm(body.term, target_arity, d.sort_image(p.sort))
+    body = _extend(p.term, leaf, lambda name: d.pattern(name).term)
+    return HallTerm(body, target_arity, d.sort_image(p.sort))
 
 
 def compose_derivors(e: Derivor, d: Derivor) -> Derivor:

@@ -25,7 +25,7 @@ from .core import (
 )
 from .derivor import Derivor, derivor, hall_term
 from .recognizer import Recognizer, recognizer
-from .treehom import Hyperderivor, hyperderivor, pattern_environment
+from .treehom import Hyperderivor, hyperderivor, placeholder_vars
 
 
 def load_document(path: str | Path) -> dict:
@@ -155,7 +155,8 @@ def hyperderivor_from_doc(
     for op in source.ops:
         if op.name not in raw_patterns:
             raise ValidationError(f"hyperderivor document lacks a pattern for {op.name!r}")
-        env = pattern_environment(target, target_vars, sort_map, op)
+        arity = tuple(sort_map[w] for w in op.arity)
+        env = placeholder_vars(target, arity, target_vars)
         patterns[op.name] = parse_term(str(raw_patterns[op.name]), target, env)
     var_images = {}
     for x in source_vars.all_names():
@@ -188,20 +189,9 @@ def derivor_from_doc(
         if op.name not in raw_patterns:
             raise ValidationError(f"derivor document lacks a pattern for {op.name!r}")
         arity = tuple(sort_map[w] for w in op.arity)
-        env = sorted_vars(
-            target,
-            _placeholder_vars(target, arity),
-        )
-        body = parse_term(str(raw_patterns[op.name]), target, env)
+        body = parse_term(str(raw_patterns[op.name]), target, placeholder_vars(target, arity))
         patterns[op.name] = hall_term(body, arity, sort_map[op.result])
     return derivor(source, target, sort_map, patterns)
-
-
-def _placeholder_vars(target: Signature, arity: tuple[str, ...]) -> dict[str, list[str]]:
-    out: dict[str, list[str]] = {}
-    for i, w in enumerate(arity):
-        out.setdefault(w, []).append(f"v{i}")
-    return out
 
 
 def derivor_to_doc(d: Derivor) -> dict:

@@ -11,19 +11,23 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Callable, Mapping, Sequence
 
 from .algebra import FiniteAlgebra, evaluate, finite_algebra
 from .core import (
     Node,
+    Operation,
     Signature,
     SortedVars,
     SortError,
     Term,
     ValidationError,
     Var,
+    node,
     occurrence_counts,
+    sorted_vars,
     substitute_uniform,
+    typecheck,
 )
 from .recognizer import (
     Recognizer,
@@ -39,6 +43,11 @@ PLACEHOLDER_RE = re.compile(r"v(\d+)")
 
 def placeholder(i: int, sort: str) -> Var:
     return Var(f"v{i}", sort)
+
+
+def identity_pattern(op: Operation) -> Node:
+    """The pattern ``op(v0,...,vn-1)`` that maps the operation to itself."""
+    return node(op, [placeholder(i, w) for i, w in enumerate(op.arity)])
 
 
 def placeholder_index(name: str) -> int | None:
@@ -78,60 +87,20 @@ class Hyperderivor:
         if set(patterns) != {op.name for op in self.source.ops}:
             raise ValidationError("patterns must cover every source operation")
         for op in self.source.ops:
-            body = patterns[op.name]
-            self._check_pattern_term(op, body)
-            if body.sort != smap[op.result]:
-                raise ValidationError(
-                    f"pattern for {op.name!r} has sort {body.sort!r}, "
-                    f"expected {smap[op.result]!r}"
-                )
+            arity = tuple(smap[w] for w in op.arity)
+            env = placeholder_vars(self.target, arity, self.target_vars)
+            _typecheck_as(
+                f"pattern for {op.name!r}", patterns[op.name], self.target, env, smap[op.result]
+            )
         if set(images) != set(self.source_vars.all_names()):
             raise ValidationError("variable images must cover every source variable")
+        # an image is written in the target variables alone: a placeholder
+        # in it is an unknown variable
         for sort, names in self.source_vars.by_sort:
             for x in names:
-                img = images[x]
-                self._check_ground_term(img, f"image of {x!r}")
-                if img.sort != smap[sort]:
-                    raise ValidationError(
-                        f"image of {x!r} has sort {img.sort!r}, expected {smap[sort]!r}"
-                    )
-
-    def _check_pattern_term(self, op, t: Term) -> None:
-        if isinstance(t, Var):
-            idx = placeholder_index(t.name)
-            if idx is not None:
-                if idx >= len(op.arity):
-                    raise ValidationError(
-                        f"pattern for {op.name!r} uses placeholder v{idx} beyond its arity"
-                    )
-                want = self._sort_map[op.arity[idx]]
-                if t.sort != want:
-                    raise ValidationError(
-                        f"placeholder v{idx} in pattern for {op.name!r} must have "
-                        f"sort {want!r}"
-                    )
-            elif self.target_vars.sort_of(t.name) != t.sort:
-                raise ValidationError(f"unknown target variable {t.name!r} in pattern")
-            return
-        if not isinstance(t, Node):
-            raise ValidationError("patterns must be plain terms")
-        top = self.target.operation(t.symbol)
-        if len(t.children) != len(top.arity):
-            raise ValidationError(f"pattern arity mismatch at {t.symbol!r}")
-        for child, want in zip(t.children, top.arity):
-            if child.sort != want:
-                raise ValidationError(f"ill-sorted pattern child under {t.symbol!r}")
-            self._check_pattern_term(op, child)
-
-    def _check_ground_term(self, t: Term, what: str) -> None:
-        if isinstance(t, Var):
-            if placeholder_index(t.name) is not None:
-                raise ValidationError(f"{what} may not contain placeholders")
-            if self.target_vars.sort_of(t.name) != t.sort:
-                raise ValidationError(f"unknown target variable {t.name!r} in {what}")
-            return
-        for c in t.children:
-            self._check_ground_term(c, what)
+                _typecheck_as(
+                    f"image of {x!r}", images[x], self.target, self.target_vars, smap[sort]
+                )
 
     def sort_image(self, sort: str) -> str:
         return self._sort_map[sort]
@@ -173,40 +142,50 @@ def hyperderivor(
     )
 
 
-def pattern_environment(
-    target: Signature,
-    target_vars: SortedVars,
-    sort_map: Mapping[str, str],
-    op,
+def placeholder_vars(
+    sig: Signature, arity: Sequence[str], base: SortedVars | None = None
 ) -> SortedVars:
-    """The variable set a pattern for this operation is parsed against: the
-    target variables extended with the operation's placeholders."""
-    by_sort: dict[str, list[str]] = {s: list(names) for s, names in target_vars.by_sort}
-    for i, w in enumerate(op.arity):
-        by_sort.setdefault(sort_map[w], []).append(f"v{i}")
-    from .core import sorted_vars
+    """The variables a pattern of this arity word is written in: the
+    variables of ``base`` plus the placeholders ``v0..v(n-1)`` at the sorts
+    of the word."""
+    by_sort: dict[str, list[str]] = {s: list(xs) for s, xs in base.by_sort} if base else {}
+    for i, w in enumerate(arity):
+        by_sort.setdefault(w, []).append(f"v{i}")
+    return sorted_vars(sig, by_sort)
 
-    return sorted_vars(target, by_sort)
+
+def _typecheck_as(what: str, term: Term, sig: Signature, vars: SortedVars, sort: str) -> None:
+    """Check with ``typecheck`` that the term has the sort; errors name ``what``."""
+    try:
+        got = typecheck(term, sig, vars)
+    except ValidationError as err:
+        raise ValidationError(f"{what}: {err}") from None
+    if got != sort:
+        raise ValidationError(f"{what} has sort {got!r}, expected {sort!r}")
 
 
-def pattern_vars(h: Hyperderivor, opname: str) -> SortedVars:
-    return pattern_environment(
-        h.target, h.target_vars, h._sort_map, h.source.operation(opname)
-    )
+def _extend(term: Term, leaf: Callable[[Var], Term], pattern: Callable[[str], Term]) -> Term:
+    """The homomorphic extension of a leaf map: a variable becomes
+    ``leaf(var)``, and a node becomes ``pattern(symbol)`` with each ``vi``
+    replaced by the image of child i."""
+    if isinstance(term, Var):
+        return leaf(term)
+    if not isinstance(term, Node):
+        raise SortError("cannot apply a tree homomorphism to a context hole")
+    images = {f"v{i}": _extend(c, leaf, pattern) for i, c in enumerate(term.children)}
+    return substitute_uniform(pattern(term.symbol), images)
 
 
 def apply_treehom(h: Hyperderivor, term: Term) -> Term:
     """The tree homomorphism: variables through their images, nodes by
     substituting the children's images for the placeholders of the pattern."""
-    if isinstance(term, Var):
-        if h.source_vars.sort_of(term.name) != term.sort:
-            raise SortError(f"unknown source variable {term.name!r}")
-        return h.var_image(term.name)
-    if not isinstance(term, Node):
-        raise SortError("cannot apply a tree homomorphism to a context hole")
-    images = [apply_treehom(h, c) for c in term.children]
-    mapping = {f"v{i}": img for i, img in enumerate(images)}
-    return substitute_uniform(h.pattern(term.symbol), mapping)
+
+    def leaf(v: Var) -> Term:
+        if h.source_vars.sort_of(v.name) != v.sort:
+            raise SortError(f"unknown source variable {v.name!r}")
+        return h.var_image(v.name)
+
+    return _extend(term, leaf, h.pattern)
 
 
 def derived_algebra(
@@ -351,19 +330,13 @@ def hom_to_hyperderivor(
 ) -> Hyperderivor:
     """The hyperderivor of a plain free-algebra homomorphism: identity sort
     map, patterns ``op(v0,...,vn-1)``, and the given variable images."""
-    patterns = {}
-    for op in sig.ops:
-        children = tuple(placeholder(i, w) for i, w in enumerate(op.arity))
-        patterns[op.name] = Node(
-            op.name, children, op.result, 1 + len(children)
-        )
     return hyperderivor(
         sig,
         x_vars,
         sig,
         y_vars,
         {s: s for s in sig.sorts},
-        patterns,
+        {op.name: identity_pattern(op) for op in sig.ops},
         dict(mapping),
     )
 

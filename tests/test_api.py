@@ -1,4 +1,8 @@
-"""The public ``treelang`` names stay importable while code is removed."""
+"""The public ``treelang`` names stay importable while code is removed, and
+no module keeps an import it no longer uses."""
+
+import ast
+from pathlib import Path
 
 import treelang
 
@@ -32,3 +36,26 @@ def test_public_names_still_import():
     namespace: dict = {}
     exec("from treelang import *", namespace)
     assert [name for name in PUBLIC_NAMES if name not in namespace] == []
+
+
+def test_no_unused_imports():
+    """Each module uses every name it imports (``__init__`` re-exports)."""
+    package = Path(treelang.__file__).parent
+    unused = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {}
+        for stmt in ast.walk(tree):
+            if isinstance(stmt, (ast.Import, ast.ImportFrom)):
+                if isinstance(stmt, ast.ImportFrom) and stmt.module == "__future__":
+                    continue
+                for alias in stmt.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    imported[bound] = stmt.lineno
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        unused += [
+            f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used
+        ]
+    assert unused == []

@@ -5,12 +5,15 @@ import pytest
 
 from treelang.core import (
     HOLE,
+    Hole,
+    Node,
     ParseError,
     SortError,
     ValidationError,
     Var,
     apply_context,
     compose_contexts,
+    context,
     count_occurrences,
     enumerate_all_terms,
     enumerate_terms,
@@ -26,6 +29,7 @@ from treelang.core import (
     typecheck,
     variables_of,
 )
+from treelang.derivor import hall_term
 
 from conftest import leaf_contexts
 
@@ -71,6 +75,10 @@ class TestTypecheck:
     def test_sort_error(self, f2, x2):
         with pytest.raises(SortError):
             parse_term("succ(iszero(zero))", f2, x2)
+
+    def test_hole_rejected(self, f1, x1):
+        with pytest.raises(SortError, match="hole"):
+            typecheck(parse_context("g(@)", f1, x1).body, f1, x1)
 
 
 class TestOccurrences:
@@ -118,6 +126,22 @@ class TestVariablesAndSubterms:
 
     def test_subterm_of_variable(self, f1, x1):
         assert subterms_of(parse_term("x", f1, x1)) == {"s": {Var("x", "s")}}
+
+
+class TestDeepTerms:
+    def test_collection_walks(self, f1):
+        def chain(leaf, depth=10**5):
+            t = leaf
+            for _ in range(depth):
+                t = Node("g", (t,), "s", t.size + 1)
+            return t
+
+        vars = sorted_vars(f1, {"s": ["v0"]})
+        deep = chain(Var("v0", "s"))
+        assert count_occurrences(deep, "v0", vars) == 1
+        assert variables_of(deep) == {"s": {"v0"}}
+        assert hall_term(deep, ["s"], "s").term is deep
+        assert context(chain(Hole("s"))).hole_sort == "s"
 
 
 class TestSubstitution:

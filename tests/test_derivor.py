@@ -2,11 +2,12 @@ import random
 
 import pytest
 
-from treelang.core import Node, ValidationError, parse_term, print_term
+from treelang.core import Node, ValidationError, parse_term, print_term, signature
 from treelang.derivor import (
     apply_derivor_term,
     compose_derivors,
     derived_algebra_derivor,
+    derivor,
     derivor_to_hyperderivor,
     hall_term,
     identity_derivor,
@@ -105,6 +106,26 @@ class TestHallAxioms:
         const = hall_term(parse_term("g(c)", f1, x1), [], "s")
         lifted = xi_substitute(const, [], ["s", "s"])
         assert lifted.term == const.term and lifted.arity == ("s", "s")
+
+
+class TestDerivorChecks:
+    def test_ill_sorted_child_rejected(self, f1):
+        target = signature(
+            ["e", "b"], [("zero", [], "e"), ("succ", ["e"], "e"), ("t", [], "b")]
+        )
+        zero = Node("zero", (), "e", 1)
+        succ_t = Node("succ", (Node("t", (), "b", 1),), "e", 2)
+        with pytest.raises(ValidationError, match="pattern for 'g'"):
+            derivor(
+                f1,
+                target,
+                {"s": "e"},
+                {
+                    "c": hall_term(zero, [], "e"),
+                    "g": hall_term(succ_t, ["e"], "e"),
+                    "sigma": hall_term(zero, ["e", "e"], "e"),
+                },
+            )
 
 
 class TestApplyDerivorTerm:

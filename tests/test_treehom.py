@@ -4,6 +4,7 @@ import pytest
 
 from treelang.algebra import evaluate
 from treelang.core import (
+    Hole,
     Node,
     ValidationError,
     Var,
@@ -61,6 +62,44 @@ class TestApply:
         out = apply_treehom(h, parse_term("sigma(x,x)", f1, x1))
         assert print_term(out) == "sigma(g(y),g(y))"
         assert h.is_linear
+
+
+V0 = placeholder(0, "e")
+Y = Var("y", "e")
+
+
+class TestChecks:
+    @pytest.mark.parametrize(
+        "key, term, message",
+        [
+            ("succ", Node("succ", (placeholder(1, "e"),), "e", 2), "unknown variable 'v1'"),
+            ("succ", Node("succ", (Var("v0", "b"),), "e", 2), "wrong sort 'b'"),
+            ("succ", Node("pred", (V0,), "e", 2), "unknown operation symbol 'pred'"),
+            ("succ", Node("succ", (V0, V0), "e", 3), "arity mismatch"),
+            ("succ", Node("succ", (Node("iszero", (V0,), "b", 2),), "e", 3), "has sort 'b'"),
+            ("succ", Node("succ", (Hole("e"),), "e", 2), "hole"),
+            ("x", V0, "unknown variable 'v0'"),
+            ("x", Node("iszero", (Y,), "b", 2), "has sort 'b', expected 'e'"),
+        ],
+        ids=[
+            "placeholder-beyond-arity", "wrong-sorted-placeholder", "unknown-op",
+            "arity-mismatch", "ill-sorted-child", "hole", "placeholder-in-image",
+            "image-of-wrong-sort",
+        ],
+    )
+    def test_rejected(self, f2, x2, key, term, message):
+        y2 = sorted_vars(f2, {"e": ["y"]})
+        patterns = {
+            "zero": Node("zero", (), "e", 1),
+            "succ": Node("succ", (V0,), "e", 2),
+            "iszero": Node("iszero", (V0,), "b", 2),
+        }
+        images = {"x": Y}
+        what = f"pattern for {key!r}" if key in patterns else f"image of {key!r}"
+        (patterns if key in patterns else images)[key] = term
+        identity = {"e": "e", "b": "b"}
+        with pytest.raises(ValidationError, match=f"{what}.*{message}"):
+            hyperderivor(f2, x2, f2, y2, identity, patterns, images)
 
 
 class TestDerivedAlgebra:
