@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Collection, Mapping, Sequence
 
 from .core import (
     HOLE,
@@ -85,6 +85,22 @@ def finite_algebra(
         tuple((s, carriers[s]) for s in sig.sorts),
         tuple((op.name, tuple(tables[op.name])) for op in sig.ops),
     )
+
+
+def _indices(radices: Sequence[int], pools: Sequence[Collection[int]]) -> list[int]:
+    """The mixed-radix index of every tuple of the per-position pools, last
+    position fastest, folded one position at a time."""
+    index = [0]
+    for n, pool in zip(radices, pools):
+        index = [i * n + e for i in index for e in pool]
+    return index
+
+
+def _entries(alg: FiniteAlgebra, opname: str, pools: Sequence[Collection[int]]) -> list[int]:
+    """The table entries at every tuple of the per-position pools, in table
+    order, with no argument tuple built."""
+    radices = [alg._sizes[s] for s in alg.signature.operation(opname).arity]
+    return list(map(alg._tables[opname].__getitem__, _indices(radices, pools)))
 
 
 Assignment = dict  # variable name -> carrier element
@@ -197,29 +213,17 @@ def closure_elements(
     """Least subset containing the seed and closed under all tables, with
     elements listed in first-reached order (seed order first, then discovery
     in operation declaration order)."""
-    reached: dict[str, list[int]] = {s: [] for s in alg.signature.sorts}
-    member: dict[str, set[int]] = {s: set() for s in alg.signature.sorts}
-
-    def add(sort: str, e: int) -> bool:
-        if e in member[sort]:
-            return False
-        member[sort].add(e)
-        reached[sort].append(e)
-        return True
-
-    for s in alg.signature.sorts:
-        for e in seed.get(s, ()):  # seed order is caller-controlled
-            add(s, e)
+    # insertion-ordered dicts: membership and first-reached order in one
+    reached = {s: dict.fromkeys(seed.get(s, ())) for s in alg.signature.sorts}
     changed = True
     while changed:
-        changed = False
+        before = sum(map(len, reached.values()))
         for op in alg.signature.ops:
-            pools = [list(reached[s]) for s in op.arity]
-            for args in itertools.product(*pools):
-                v = alg.apply(op.name, args)
-                if add(op.result, v):
-                    changed = True
-    return reached
+            # each pass reads the elements reached before it started
+            values = _entries(alg, op.name, [reached[s] for s in op.arity])
+            reached[op.result].update(dict.fromkeys(values))
+        changed = sum(map(len, reached.values())) != before
+    return {s: list(es) for s, es in reached.items()}
 
 
 def generated_subalgebra(alg: FiniteAlgebra, seed: Mapping[str, Sequence[int]]):
@@ -245,14 +249,13 @@ def restrict_algebra(alg: FiniteAlgebra, elements: Mapping[str, Sequence[int]]):
     carriers = {s: len(elements.get(s, ())) for s in alg.signature.sorts}
     tables = {}
     for op in alg.signature.ops:
-        entries = []
         pools = [elements.get(s, ()) for s in op.arity]
-        for args in itertools.product(*pools):
-            v = alg.apply(op.name, args)
-            if v not in index[op.result]:
-                raise ValidationError("element set is not closed under the tables")
-            entries.append(index[op.result][v])
-        tables[op.name] = tuple(entries)
+        try:
+            tables[op.name] = tuple(
+                map(index[op.result].__getitem__, _entries(alg, op.name, pools))
+            )
+        except KeyError:
+            raise ValidationError("element set is not closed under the tables") from None
     return finite_algebra(alg.signature, carriers, tables), index
 
 
@@ -267,32 +270,14 @@ def quotient_algebra(alg: FiniteAlgebra, partition):
     ids, one per original element).  Raises if the partition is not a
     congruence.
     """
-    from .congruence import is_congruence
+    from .congruence import _quotient_tables
 
-    ok, witness = is_congruence(alg, partition)
-    if not ok:
+    tables, witness = _quotient_tables(alg, partition)
+    if witness is not None:
         raise ValidationError(f"partition is not a congruence: witness {witness}")
-    classes = dict(partition.classes)
-    counts = dict(partition.counts)
-    carriers = {s: counts[s] for s in alg.signature.sorts}
-    # representative = least element of each class; sound because the tables
-    # respect the congruence
-    reps = {}
-    for s in alg.signature.sorts:
-        rep = [None] * counts[s]
-        for e, c in enumerate(classes[s]):
-            if rep[c] is None:
-                rep[c] = e
-        reps[s] = rep
-    tables = {}
-    for op in alg.signature.ops:
-        entries = []
-        for key in itertools.product(*[range(carriers[s]) for s in op.arity]):
-            args = [reps[s][k] for s, k in zip(op.arity, key)]
-            entries.append(classes[op.result][alg.apply(op.name, args)])
-        tables[op.name] = tuple(entries)
-    projection = {s: tuple(classes[s]) for s in alg.signature.sorts}
-    return finite_algebra(alg.signature, carriers, tables), projection
+    classes = partition._classes
+    projection = {s: classes[s] for s in alg.signature.sorts}
+    return finite_algebra(alg.signature, partition._counts, tables), projection
 
 
 # ---------------------------------------------------------------------------

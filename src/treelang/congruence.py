@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from typing import Hashable, Mapping, Sequence
 
-from .algebra import FiniteAlgebra
+from .algebra import FiniteAlgebra, _indices
 from .core import ValidationError
 
 
@@ -39,9 +39,13 @@ class SortedPartition:
                 raise ValidationError(f"class ids out of range at sort {sort!r}")
             if set(ids) != set(range(n)):
                 raise ValidationError(f"class ids not contiguous at sort {sort!r}")
+        # per-sort lookups; not fields, so equality and hashing see only the
+        # declared data
+        object.__setattr__(self, "_classes", dict(self.classes))
+        object.__setattr__(self, "_counts", counts)
 
     def index(self, sort: str) -> int:
-        return dict(self.counts)[sort]
+        return self._counts[sort]
 
 
 def _canonical(ids: Sequence[Hashable]) -> tuple[tuple[int, ...], int]:
@@ -87,7 +91,7 @@ def kernel_of_subset(alg: FiniteAlgebra, subset: Mapping[str, frozenset[int]]) -
 
 def refines(finer: SortedPartition, coarser: SortedPartition) -> bool:
     """True when every class of ``finer`` is contained in a class of ``coarser``."""
-    coarse = dict(coarser.classes)
+    coarse = coarser._classes
     for sort, ids in finer.classes:
         seen: dict[int, int] = {}
         for e, c in enumerate(ids):
@@ -102,8 +106,8 @@ def refines(finer: SortedPartition, coarser: SortedPartition) -> bool:
 
 def meet_partitions(phi: SortedPartition, psi: SortedPartition) -> SortedPartition:
     """Pairwise class intersection; the meet of two congruences is a congruence."""
-    a = dict(phi.classes)
-    b = dict(psi.classes)
+    a = phi._classes
+    b = psi._classes
     if set(a) != set(b):
         raise ValidationError("partitions are over different sort sets")
     classes = {}
@@ -131,29 +135,39 @@ def is_congruence(alg: FiniteAlgebra, phi: SortedPartition):
     """Check compatibility with every table.
 
     Returns ``(True, None)`` or ``(False, (opname, args, args2))`` where the two
-    argument tuples are classwise related but map to unrelated results.
+    argument tuples are classwise related but map to unrelated results:
+    ``args2`` is the first such tuple in table order and ``args`` the earliest
+    tuple with the same argument classes.
     """
-    classes = dict(phi.classes)
+    _, witness = _quotient_tables(alg, phi)
+    return witness is None, witness
+
+
+def _quotient_tables(alg: FiniteAlgebra, phi: SortedPartition):
+    """One pass over every table that builds the quotient tables and checks
+    the partition on the way.
+
+    Each entry's result class is written at the mixed-radix index of its
+    argument classes.  Returns ``(tables, None)``, or ``(None, witness)`` with
+    the witness of ``is_congruence`` at the first conflict.
+    """
+    classes, counts = phi._classes, phi._counts
     for sort, ids in phi.classes:
         if len(ids) != alg.size(sort):
             raise ValidationError(f"partition size mismatch at sort {sort!r}")
+    tables = {}
     for op in alg.signature.ops:
-        if not op.arity:
-            continue
-        # group argument tuples by their class-id key; all members of a group
-        # must land in one result class
-        seen: dict[tuple[int, ...], tuple[int, tuple[int, ...]]] = {}
-        pools = [range(alg.size(s)) for s in op.arity]
-        for args in itertools.product(*pools):
-            key = tuple(classes[s][a] for s, a in zip(op.arity, args))
-            cls = classes[op.result][alg.apply(op.name, args)]
-            if key in seen:
-                prev_cls, prev_args = seen[key]
-                if prev_cls != cls:
-                    return False, (op.name, prev_args, args)
-            else:
-                seen[key] = (cls, args)
-    return True, None
+        keys = _indices([counts[s] for s in op.arity], [classes[s] for s in op.arity])
+        results = list(map(classes[op.result].__getitem__, alg.table(op.name)))
+        # written in reverse, so each class key keeps its earliest tuple's class
+        first = dict(zip(reversed(keys), reversed(results)))
+        if list(map(first.__getitem__, keys)) != results:
+            pos = next(i for i, (k, c) in enumerate(zip(keys, results)) if first[k] != c)
+            tuples = list(itertools.product(*(range(alg.size(s)) for s in op.arity)))
+            return None, (op.name, tuples[keys.index(keys[pos])], tuples[pos])
+        # every class is nonempty, so every class key occurs
+        tables[op.name] = tuple(map(first.__getitem__, range(len(first))))
+    return tables, None
 
 
 def cogenerated_congruence(alg: FiniteAlgebra, phi: SortedPartition) -> SortedPartition:

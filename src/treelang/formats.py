@@ -44,6 +44,13 @@ def dump_document(data: Mapping[str, Any], path: str | Path | None = None) -> st
     return text
 
 
+def _require(found: Mapping[str, Any], keys, what: str) -> None:
+    """Reject a document mapping that lacks one of the keys."""
+    for key in keys:
+        if key not in found:
+            raise ValidationError(f"{what} {key!r}")
+
+
 # ---------------------------------------------------------------------------
 # signatures
 
@@ -54,10 +61,13 @@ def signature_from_doc(doc: Mapping[str, Any]) -> tuple[Signature, SortedVars]:
         ops = doc["ops"]
     except KeyError as missing:
         raise ValidationError(f"signature document missing key {missing}") from None
-    sig = signature(
-        [str(s) for s in sorts],
-        [(str(o["name"]), [str(a) for a in o.get("arity", [])], str(o["result"])) for o in ops],
-    )
+    try:
+        specs = [
+            (str(o["name"]), [str(a) for a in o.get("arity", [])], str(o["result"])) for o in ops
+        ]
+    except KeyError as missing:
+        raise ValidationError(f"signature document: an op is missing key {missing}") from None
+    sig = signature([str(s) for s in sorts], specs)
     vars_doc = doc.get("vars", {}) or {}
     vars = sorted_vars(sig, {str(s): [str(x) for x in xs] for s, xs in vars_doc.items()})
     return sig, vars
@@ -90,11 +100,11 @@ def algebra_from_doc(
         tables = doc["tables"]
     except KeyError as missing:
         raise ValidationError(f"algebra document missing key {missing}") from None
-    alg = finite_algebra(
-        sig,
-        {str(s): int(n) for s, n in carriers.items()},
-        {str(o): [int(v) for v in t] for o, t in tables.items()},
-    )
+    carriers = {str(s): int(n) for s, n in carriers.items()}
+    tables = {str(o): [int(v) for v in t] for o, t in tables.items()}
+    _require(carriers, sig.sorts, "algebra document: carriers lack sort")
+    _require(tables, [op.name for op in sig.ops], "algebra document: tables lack operation")
+    alg = finite_algebra(sig, carriers, tables)
     assignment = {str(x): int(v) for x, v in (doc.get("assignment", {}) or {}).items()}
     return alg, assignment
 
@@ -114,6 +124,9 @@ def recognizer_from_doc(doc: Mapping[str, Any]) -> Recognizer:
         str(s): [int(e) for e in elems]
         for s, elems in (doc.get("accepting", {}) or {}).items()
     }
+    for s in accepting:
+        if s not in sig.sorts:
+            raise ValidationError(f"recognizer document: accepting set at unknown sort {s!r}")
     return recognizer(vars, alg, assignment, accepting)
 
 
@@ -151,6 +164,7 @@ def hyperderivor_from_doc(
         raw_images = doc["var_images"]
     except KeyError as missing:
         raise ValidationError(f"hyperderivor document missing key {missing}") from None
+    _require(sort_map, source.sorts, "hyperderivor document: sort_map lacks source sort")
     patterns = {}
     for op in source.ops:
         if op.name not in raw_patterns:
@@ -184,6 +198,7 @@ def derivor_from_doc(
         raw_patterns = doc["patterns"]
     except KeyError as missing:
         raise ValidationError(f"derivor document missing key {missing}") from None
+    _require(sort_map, source.sorts, "derivor document: sort_map lacks source sort")
     patterns = {}
     for op in source.ops:
         if op.name not in raw_patterns:

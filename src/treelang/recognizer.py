@@ -20,6 +20,7 @@ from .algebra import (
     evaluate,
     finite_algebra,
     product_algebra,
+    quotient_algebra,
     restrict_algebra,
     translation_table,
 )
@@ -86,28 +87,14 @@ def accepts(rec: Recognizer, term: Term) -> bool:
 
 
 def empty_recognizer(sig: Signature, vars: SortedVars) -> Recognizer:
-    alg = finite_algebra(
-        sig,
-        {s: 1 for s in sig.sorts},
-        {op.name: [0] * _space(sig, op, {s: 1 for s in sig.sorts}) for op in sig.ops},
-    )
+    # one state per sort, so every table has one entry
+    alg = finite_algebra(sig, {s: 1 for s in sig.sorts}, {op.name: [0] for op in sig.ops})
     return recognizer(vars, alg, {x: 0 for x in vars.all_names()}, {})
 
 
 def universal_recognizer(sig: Signature, vars: SortedVars) -> Recognizer:
-    alg = finite_algebra(
-        sig,
-        {s: 1 for s in sig.sorts},
-        {op.name: [0] * _space(sig, op, {s: 1 for s in sig.sorts}) for op in sig.ops},
-    )
-    return recognizer(vars, alg, {x: 0 for x in vars.all_names()}, {s: [0] for s in sig.sorts})
-
-
-def _space(sig: Signature, op, sizes) -> int:
-    n = 1
-    for s in op.arity:
-        n *= sizes[s]
-    return n
+    empty = empty_recognizer(sig, vars)
+    return recognizer(vars, empty.algebra, dict(empty.assignment), {s: [0] for s in sig.sorts})
 
 
 def restrict_to_sort(rec: Recognizer, sort: str) -> Recognizer:
@@ -165,7 +152,7 @@ def _seed(rec: Recognizer) -> dict[str, list[int]]:
     seed: dict[str, list[int]] = {s: [] for s in rec.signature.sorts}
     for op in rec.signature.ops:
         if not op.arity:
-            v = rec.algebra.apply(op.name, [])
+            v = rec.algebra.table(op.name)[0]
             if v not in seed[op.result]:
                 seed[op.result].append(v)
     asg = dict(rec.assignment)
@@ -208,8 +195,6 @@ def minimize(rec: Recognizer) -> Recognizer:
         for s in rec.signature.sorts
     }
     omega = syntactic_congruence(small, acc)
-    from .algebra import quotient_algebra
-
     quotient, projection = quotient_algebra(small, omega)
     asg = dict(rec.assignment)
     assignment = {
@@ -492,27 +477,18 @@ def recognize_basic(sig: Signature, vars: SortedVars, pattern: Term) -> Recogniz
     ``k_t + 1`` (``k_s + 2`` at the root sort) with a single table entry
     detecting the coded argument tuple.
     """
-    if isinstance(pattern, Var):
-        sizes = {s: 2 for s in sig.sorts}
-        tables = {op.name: [0] * _space(sig, op, sizes) for op in sig.ops}
-        alg = finite_algebra(sig, sizes, tables)
-        assignment = {x: 0 for x in vars.all_names()}
-        assignment[pattern.name] = 1
-        return recognizer(vars, alg, assignment, {pattern.sort: [1]})
-    if not isinstance(pattern, Node):
+    if not isinstance(pattern, (Var, Node)):
         raise ValidationError("pattern must be a variable, constant, or flat term")
-    if not pattern.children:
+    if isinstance(pattern, Var) or not pattern.children:
         sizes = {s: 2 for s in sig.sorts}
-        tables = {}
-        for op in sig.ops:
-            if op.name == pattern.symbol:
-                tables[op.name] = [1]
-            else:
-                tables[op.name] = [0] * _space(sig, op, sizes)
+        tables = {op.name: [0] * math.prod(sizes[s] for s in op.arity) for op in sig.ops}
+        assignment = {x: 0 for x in vars.all_names()}
+        if isinstance(pattern, Var):
+            assignment[pattern.name] = 1
+        else:
+            tables[pattern.symbol] = [1]
         alg = finite_algebra(sig, sizes, tables)
-        return recognizer(
-            vars, alg, {x: 0 for x in vars.all_names()}, {pattern.sort: [1]}
-        )
+        return recognizer(vars, alg, assignment, {pattern.sort: [1]})
     for child in pattern.children:
         if not isinstance(child, Var):
             raise ValidationError("flat pattern arguments must be variables")
@@ -537,7 +513,7 @@ def recognize_basic(sig: Signature, vars: SortedVars, pattern: Term) -> Recogniz
                 entries.append(hit if args == wanted else junk[root])
             tables[o.name] = entries
         else:
-            tables[o.name] = [junk[o.result]] * _space(sig, o, sizes)
+            tables[o.name] = [junk[o.result]] * math.prod(sizes[s] for s in o.arity)
     alg = finite_algebra(sig, sizes, tables)
     assignment = {}
     for sort, names in vars.by_sort:

@@ -290,3 +290,57 @@ class TestGolden:
         (tmp_path / "g" / "member_even.expected").unlink()
         code, _ = run("golden", tmp_path / "g")
         assert code == 1
+
+
+def edited(tmp_path, name, edit):
+    """A copy of a golden document with ``edit`` applied to its parsed form."""
+    import yaml
+
+    doc = yaml.safe_load((GOLDEN / name).read_text())
+    edit(doc)
+    path = tmp_path / name
+    path.write_text(yaml.safe_dump(doc, sort_keys=False))
+    return path
+
+
+class TestHostileInput:
+    """Malformed documents end with exit 1 and an ``error:`` line naming the
+    missing key or unknown sort, never with a traceback."""
+
+    def fails_with(self, capsys, message, *argv):
+        code, out = run(*argv)
+        err = capsys.readouterr().err
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and message in err
+
+    def test_hyp_sort_map_missing_source_sort(self, tmp_path, capsys):
+        hyp = edited(tmp_path, "h1.hyp", lambda d: d["sort_map"].pop("b"))
+        self.fails_with(
+            capsys, "sort_map lacks source sort 'b'",
+            "treehom", "apply", "--hyp", hyp, "--source", GOLDEN / "f2.sig",
+            "--target", GOLDEN / "f1.sig", "--term", "iszero(succ(zero))",
+        )
+
+    def test_drv_sort_map_missing_source_sort(self, tmp_path, capsys):
+        drv = edited(tmp_path, "d1.drv", lambda d: d["sort_map"].pop("b"))
+        self.fails_with(
+            capsys, "sort_map lacks source sort 'b'",
+            "derivor", "apply", "--drv", drv, "--source", GOLDEN / "f2.sig",
+            "--target", GOLDEN / "f1.sig", "--arity", "e", "--term", "iszero(succ(v0))",
+        )
+
+    def test_rec_op_without_name(self, tmp_path, capsys):
+        rec = edited(tmp_path, "rpar.rec", lambda d: d["ops"][1].pop("name"))
+        self.fails_with(capsys, "missing key 'name'", "member", rec, "g(c)")
+
+    def test_rec_carriers_missing_sort(self, tmp_path, capsys):
+        rec = edited(tmp_path, "rpar.rec", lambda d: d["carriers"].pop("s"))
+        self.fails_with(capsys, "carriers lack sort 's'", "member", rec, "g(c)")
+
+    def test_rec_tables_missing_operation(self, tmp_path, capsys):
+        rec = edited(tmp_path, "rpar.rec", lambda d: d["tables"].pop("g"))
+        self.fails_with(capsys, "tables lack operation 'g'", "member", rec, "g(c)")
+
+    def test_rec_accepting_at_undeclared_sort(self, tmp_path, capsys):
+        rec = edited(tmp_path, "rpar.rec", lambda d: d["accepting"].update(t=[0]))
+        self.fails_with(capsys, "accepting set at unknown sort 't'", "member", rec, "g(c)")
