@@ -9,6 +9,7 @@ order is normative for serialized files.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Collection, Mapping, Sequence
 
@@ -159,48 +160,25 @@ def product_algebra(algebras: Sequence[FiniteAlgebra]):
     for a in algebras[1:]:
         if a.signature != sig:
             raise ValidationError("product components must share a signature")
-    sizes = [dict(a.carriers) for a in algebras]
-    carriers = {}
+    carriers = {s: math.prod(a._sizes[s] for a in algebras) for s in sig.sorts}
+    # component i of element e at a sort is e // stride % n, where stride is
+    # the product of the later components' sizes at that sort
+    projections = [{} for _ in algebras]
     for s in sig.sorts:
-        n = 1
-        for sz in sizes:
-            n *= sz[s]
-        carriers[s] = n
-
-    def decode(sort: str, e: int) -> tuple[int, ...]:
-        comps = []
-        for sz in reversed(sizes):
-            n = sz[sort]
-            comps.append(e % n if n else 0)
-            e //= n if n else 1
-        return tuple(reversed(comps))
-
-    def encode(sort: str, comps: Sequence[int]) -> int:
-        e = 0
-        for comp, sz in zip(comps, sizes):
-            e = e * sz[sort] + comp
-        return e
-
+        stride = 1
+        for a, proj in zip(reversed(algebras), reversed(projections)):
+            n = a._sizes[s]
+            proj[s] = tuple(e // stride % n for e in range(carriers[s]))
+            stride *= n
     tables = {}
     for op in sig.ops:
-        entries = []
-        spaces = [range(carriers[s]) for s in op.arity]
-        for args in itertools.product(*spaces):
-            decoded = [decode(s, a) for s, a in zip(op.arity, args)]
-            comps = [
-                algebras[i].apply(op.name, [d[i] for d in decoded])
-                for i in range(len(algebras))
-            ]
-            entries.append(encode(op.result, comps))
-        tables[op.name] = tuple(entries)
-    product = finite_algebra(sig, carriers, tables)
-    projections = []
-    for i in range(len(algebras)):
-        proj = {
-            s: tuple(decode(s, e)[i] for e in range(carriers[s])) for s in sig.sorts
-        }
-        projections.append(proj)
-    return product, projections
+        entries = [0] * math.prod(carriers[s] for s in op.arity)
+        for a, proj in zip(algebras, projections):
+            n = a._sizes[op.result]
+            values = _entries(a, op.name, [proj[s] for s in op.arity])
+            entries = [e * n + v for e, v in zip(entries, values)]
+        tables[op.name] = entries
+    return finite_algebra(sig, carriers, tables), projections
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +266,7 @@ SUBSET_GUARD = 12
 
 
 def subset_algebra(alg: FiniteAlgebra) -> FiniteAlgebra:
-    """The powerset algebra: carriers are all subsets (encoded as bitmasks) and
+    """The powerset algebra: carriers are all subsets, as bitmasks, and
     operations act elementwise on member tuples.
 
     Exists for oracle cross-checks; guarded to carriers of at most
@@ -301,20 +279,16 @@ def subset_algebra(alg: FiniteAlgebra) -> FiniteAlgebra:
                 f"subset algebra guard exceeded at sort {s!r} ({n} > {SUBSET_GUARD})"
             )
     carriers = {s: 1 << n for s, n in sizes.items()}
+    members = {
+        s: [[i for i in range(n) if mask >> i & 1] for mask in range(1 << n)]
+        for s, n in sizes.items()
+    }
     tables = {}
     for op in alg.signature.ops:
-        entries = []
-        spaces = [range(carriers[s]) for s in op.arity]
-        for masks in itertools.product(*spaces):
-            members = [
-                [i for i in range(sizes[s]) if mask >> i & 1]
-                for s, mask in zip(op.arity, masks)
-            ]
-            out = 0
-            for args in itertools.product(*members):
-                out |= 1 << alg.apply(op.name, args)
-            entries.append(out)
-        tables[op.name] = tuple(entries)
+        tables[op.name] = [
+            sum(1 << v for v in set(_entries(alg, op.name, pools)))
+            for pools in itertools.product(*[members[s] for s in op.arity])
+        ]
     return finite_algebra(alg.signature, carriers, tables)
 
 

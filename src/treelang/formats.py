@@ -30,7 +30,11 @@ from .treehom import Hyperderivor, hyperderivor, placeholder_vars
 
 def load_document(path: str | Path) -> dict:
     with open(path, "r", encoding="utf-8") as handle:
-        doc = yaml.safe_load(handle)
+        try:
+            doc = yaml.safe_load(handle)
+        except yaml.YAMLError as err:
+            problem = " ".join(str(err).split())
+            raise ValidationError(f"{path}: malformed YAML: {problem}") from None
     if not isinstance(doc, dict):
         raise ValidationError(f"{path}: expected a mapping at top level")
     return doc
@@ -44,11 +48,19 @@ def dump_document(data: Mapping[str, Any], path: str | Path | None = None) -> st
     return text
 
 
-def _require(found: Mapping[str, Any], keys, what: str) -> None:
-    """Reject a document mapping that lacks one of the keys."""
+def _require(found, keys, what: str) -> None:
+    """Reject the first of the keys that ``found`` lacks: a document mapping
+    lacking a declared key, or a declared set lacking a document key."""
     for key in keys:
         if key not in found:
             raise ValidationError(f"{what} {key!r}")
+
+
+def _mapping(value: Any, what: str) -> Mapping[str, Any]:
+    """Reject a document value that is not a mapping."""
+    if not isinstance(value, Mapping):
+        raise ValidationError(f"{what} must be a mapping, got {type(value).__name__}")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -61,6 +73,7 @@ def signature_from_doc(doc: Mapping[str, Any]) -> tuple[Signature, SortedVars]:
         ops = doc["ops"]
     except KeyError as missing:
         raise ValidationError(f"signature document missing key {missing}") from None
+    ops = [_mapping(o, "signature document: each 'ops' entry") for o in ops]
     try:
         specs = [
             (str(o["name"]), [str(a) for a in o.get("arity", [])], str(o["result"])) for o in ops
@@ -100,10 +113,13 @@ def algebra_from_doc(
         tables = doc["tables"]
     except KeyError as missing:
         raise ValidationError(f"algebra document missing key {missing}") from None
+    carriers = _mapping(carriers, "algebra document: 'carriers'")
+    tables = _mapping(tables, "algebra document: 'tables'")
     carriers = {str(s): int(n) for s, n in carriers.items()}
     tables = {str(o): [int(v) for v in t] for o, t in tables.items()}
     _require(carriers, sig.sorts, "algebra document: carriers lack sort")
-    _require(tables, [op.name for op in sig.ops], "algebra document: tables lack operation")
+    _require(tables, sig.op_by_name, "algebra document: tables lack operation")
+    _require(sig.op_by_name, tables, "algebra document: table for undeclared operation")
     alg = finite_algebra(sig, carriers, tables)
     assignment = {str(x): int(v) for x, v in (doc.get("assignment", {}) or {}).items()}
     return alg, assignment
@@ -124,9 +140,7 @@ def recognizer_from_doc(doc: Mapping[str, Any]) -> Recognizer:
         str(s): [int(e) for e in elems]
         for s, elems in (doc.get("accepting", {}) or {}).items()
     }
-    for s in accepting:
-        if s not in sig.sorts:
-            raise ValidationError(f"recognizer document: accepting set at unknown sort {s!r}")
+    _require(sig.sorts, accepting, "recognizer document: accepting set at unknown sort")
     return recognizer(vars, alg, assignment, accepting)
 
 

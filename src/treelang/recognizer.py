@@ -114,10 +114,19 @@ def _check_compatible(r1: Recognizer, r2: Recognizer) -> None:
         raise ValidationError("recognizers have different variable sets")
 
 
+# whether a product element accepts, given whether each component accepts
+_KEEP = {
+    "union": lambda in1, in2: in1 or in2,
+    "intersection": lambda in1, in2: in1 and in2,
+    "difference": lambda in1, in2: in1 and not in2,
+}
+
+
 def combine(kind: str, r1: Recognizer, r2: Recognizer) -> Recognizer:
     """Product construction for union, intersection, and difference."""
     _check_compatible(r1, r2)
-    if kind not in ("union", "intersection", "difference"):
+    keep = _KEEP.get(kind)
+    if keep is None:
         raise ValidationError(f"unknown combination kind {kind!r}")
     prod, projs = product_algebra([r1.algebra, r2.algebra])
     a1 = dict(r1.assignment)
@@ -128,18 +137,11 @@ def combine(kind: str, r1: Recognizer, r2: Recognizer) -> Recognizer:
     for s in r1.signature.sorts:
         m1 = r1.accepting_at(s)
         m2 = r2.accepting_at(s)
-        elems = []
-        for e in range(prod.size(s)):
-            in1 = projs[0][s][e] in m1
-            in2 = projs[1][s][e] in m2
-            keep = (
-                (in1 or in2)
-                if kind == "union"
-                else (in1 and in2) if kind == "intersection" else (in1 and not in2)
-            )
-            if keep:
-                elems.append(e)
-        accepting[s] = elems
+        accepting[s] = [
+            e
+            for e, (c1, c2) in enumerate(zip(projs[0][s], projs[1][s]))
+            if keep(c1 in m1, c2 in m2)
+        ]
     return recognizer(r1.vars, prod, assignment, accepting)
 
 

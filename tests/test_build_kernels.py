@@ -1,12 +1,15 @@
 """The table-indexed build kernels against the per-entry loops they replaced.
 
+``reference_product_algebra``, ``reference_subset_algebra``,
 ``reference_closure_elements``, ``reference_restrict_algebra``,
 ``reference_is_congruence`` and ``reference_quotient_algebra`` are those
-loops: they read every table entry through ``FiniteAlgebra.apply`` and
-quotient in two passes (check, then one representative per class).  The
-kernels must reproduce them exactly, because the first-reached order and the
-class numbering fix every state numbering the library prints, so the two are
-compared field by field rather than as languages.
+loops: they read every table entry through ``FiniteAlgebra.apply`` (the
+product decodes each argument tuple into component tuples and encodes the
+result back) and quotient in two passes (check, then one representative per
+class).  The kernels must reproduce them exactly, because the product
+numbering, the first-reached order and the class numbering fix every state
+numbering the library prints, so the two are compared field by field rather
+than as languages.
 """
 
 from __future__ import annotations
@@ -20,8 +23,10 @@ from treelang.algebra import (
     FiniteAlgebra,
     closure_elements,
     finite_algebra,
+    product_algebra,
     quotient_algebra,
     restrict_algebra,
+    subset_algebra,
 )
 from treelang.congruence import (
     all_in_one_partition,
@@ -32,9 +37,75 @@ from treelang.congruence import (
     syntactic_congruence,
 )
 from treelang.core import ValidationError, signature, sorted_vars
-from treelang.recognizer import is_empty, minimize, recognizer
+from treelang.recognizer import combine, equivalent, is_empty, minimize, recognizer
 
 from conftest import random_algebra
+
+
+def reference_product_algebra(algebras):
+    sig = algebras[0].signature
+    sizes = [dict(a.carriers) for a in algebras]
+    carriers = {}
+    for s in sig.sorts:
+        n = 1
+        for sz in sizes:
+            n *= sz[s]
+        carriers[s] = n
+
+    def decode(sort, e):
+        comps = []
+        for sz in reversed(sizes):
+            n = sz[sort]
+            comps.append(e % n if n else 0)
+            e //= n if n else 1
+        return tuple(reversed(comps))
+
+    def encode(sort, comps):
+        e = 0
+        for comp, sz in zip(comps, sizes):
+            e = e * sz[sort] + comp
+        return e
+
+    tables = {}
+    for op in sig.ops:
+        entries = []
+        spaces = [range(carriers[s]) for s in op.arity]
+        for args in itertools.product(*spaces):
+            decoded = [decode(s, a) for s, a in zip(op.arity, args)]
+            comps = [
+                algebras[i].apply(op.name, [d[i] for d in decoded])
+                for i in range(len(algebras))
+            ]
+            entries.append(encode(op.result, comps))
+        tables[op.name] = tuple(entries)
+    product = finite_algebra(sig, carriers, tables)
+    projections = []
+    for i in range(len(algebras)):
+        proj = {
+            s: tuple(decode(s, e)[i] for e in range(carriers[s])) for s in sig.sorts
+        }
+        projections.append(proj)
+    return product, projections
+
+
+def reference_subset_algebra(alg):
+    sizes = dict(alg.carriers)
+    carriers = {s: 1 << n for s, n in sizes.items()}
+    tables = {}
+    for op in alg.signature.ops:
+        entries = []
+        spaces = [range(carriers[s]) for s in op.arity]
+        for masks in itertools.product(*spaces):
+            members = [
+                [i for i in range(sizes[s]) if mask >> i & 1]
+                for s, mask in zip(op.arity, masks)
+            ]
+            out = 0
+            for args in itertools.product(*members):
+                out |= 1 << alg.apply(op.name, args)
+            entries.append(out)
+        tables[op.name] = tuple(entries)
+    return finite_algebra(alg.signature, carriers, tables)
 
 
 def reference_closure_elements(alg, seed):
@@ -149,6 +220,19 @@ def random_instance(rng):
     return random_algebra(rng, SIG, carriers=carriers)
 
 
+def random_family(rng):
+    """One to three components, with smaller carriers than ``random_instance``
+    so that the ternary table of a three-fold product stays small."""
+    return [
+        random_algebra(
+            rng,
+            SIG,
+            carriers={"a": rng.randint(1, 3), "b": rng.randint(1, 3), "e": rng.choice([0, 1, 2])},
+        )
+        for _ in range(rng.randint(1, 3))
+    ]
+
+
 def random_seed(rng, alg):
     return {s: rng.sample(range(n), rng.randint(0, n)) for s, n in alg.carriers}
 
@@ -171,6 +255,31 @@ def partitions_for(rng, alg):
 
 
 INSTANCES = 40
+
+
+def test_product_algebra_matches_reference():
+    rng = random.Random(606)
+    lengths, empty_e = set(), set()
+    for _ in range(INSTANCES):
+        family = random_family(rng)
+        got, projections = product_algebra(family)
+        want, want_projections = reference_product_algebra(family)
+        assert got.carriers == want.carriers
+        assert got.tables == want.tables
+        assert projections == want_projections
+        lengths.add(len(family))
+        empty_e.add(got.size("e") == 0)
+    assert lengths == {1, 2, 3} and empty_e == {True, False}
+
+
+def test_subset_algebra_matches_reference():
+    rng = random.Random(607)
+    for _ in range(INSTANCES):
+        alg = random_instance(rng)
+        got = subset_algebra(alg)
+        want = reference_subset_algebra(alg)
+        assert got.carriers == want.carriers
+        assert got.tables == want.tables
 
 
 def test_closure_elements_matches_reference():
@@ -253,6 +362,10 @@ def test_build_kernels_never_call_apply(monkeypatch, r_par):
     ]
     cases = [(alg, partitions_for(rng, alg)) for alg in algebras]
     want = [reference_is_congruence(alg, phi) for alg, phis in cases for phi in phis]
+    families = [random_family(rng) for _ in range(10)]
+    want_products = [reference_product_algebra(family) for family in families]
+    want_subsets = [reference_subset_algebra(alg) for alg in algebras]
+    pairs = list(zip(recognizers[1:], recognizers[2:])) + [(r_par, r_par)]
 
     def refuse(self, opname, args):
         raise AssertionError("FiniteAlgebra.apply called")
@@ -261,6 +374,14 @@ def test_build_kernels_never_call_apply(monkeypatch, r_par):
     for rec in recognizers:
         minimize(rec)
         is_empty(rec)
+    for r1, r2 in pairs:
+        for kind in ("union", "intersection", "difference"):
+            combine(kind, r1, r2)
+        equivalent(r1, r2)
+    for family, (want_product, want_projections) in zip(families, want_products):
+        product, projections = product_algebra(family)
+        assert product == want_product and projections == want_projections
+    assert [subset_algebra(alg) for alg in algebras] == want_subsets
     got = []
     for alg, phis in cases:
         for phi in phis:

@@ -304,8 +304,8 @@ def edited(tmp_path, name, edit):
 
 
 class TestHostileInput:
-    """Malformed documents end with exit 1 and an ``error:`` line naming the
-    missing key or unknown sort, never with a traceback."""
+    """Malformed or mistyped documents end with exit 1 and an ``error:`` line
+    naming the file, key, sort or operation at fault, never with a traceback."""
 
     def fails_with(self, capsys, message, *argv):
         code, out = run(*argv)
@@ -344,3 +344,26 @@ class TestHostileInput:
     def test_rec_accepting_at_undeclared_sort(self, tmp_path, capsys):
         rec = edited(tmp_path, "rpar.rec", lambda d: d["accepting"].update(t=[0]))
         self.fails_with(capsys, "accepting set at unknown sort 't'", "member", rec, "g(c)")
+
+    def test_rec_malformed_yaml(self, tmp_path, capsys):
+        rec = tmp_path / "bad.rec"
+        rec.write_text("sorts: [s\nops: ]\n")
+        self.fails_with(capsys, f"{rec}: malformed YAML", "member", rec, "c")
+
+    def test_rec_op_not_a_mapping(self, tmp_path, capsys):
+        rec = edited(tmp_path, "rpar.rec", lambda d: d.update(ops=["c"]))
+        self.fails_with(capsys, "each 'ops' entry must be a mapping", "member", rec, "c")
+
+    def test_rec_carriers_not_a_mapping(self, tmp_path, capsys):
+        rec = edited(tmp_path, "rpar.rec", lambda d: d.update(carriers=[2]))
+        self.fails_with(capsys, "'carriers' must be a mapping", "member", rec, "g(c)")
+
+    def test_rec_tables_not_a_mapping(self, tmp_path, capsys):
+        rec = edited(tmp_path, "rpar.rec", lambda d: d.update(tables=[[0]]))
+        self.fails_with(capsys, "'tables' must be a mapping", "member", rec, "g(c)")
+
+    def test_rec_table_for_undeclared_operation(self, tmp_path, capsys):
+        rec = edited(tmp_path, "rpar.rec", lambda d: d["tables"].update(f=[0]))
+        self.fails_with(
+            capsys, "table for undeclared operation 'f'", "member", rec, "g(c)"
+        )
