@@ -97,6 +97,15 @@ def _indices(radices: Sequence[int], pools: Sequence[Collection[int]]) -> list[i
     return index
 
 
+def _projection(n: int, stride: int, space: int) -> list[int]:
+    """``e // stride % n`` for every ``e`` below ``space``, a multiple of
+    ``n * stride``: each value repeated ``stride`` times, and that run
+    repeated."""
+    if not space:
+        return []
+    return [e for e in range(n) for _ in range(stride)] * (space // (n * stride))
+
+
 def _entries(alg: FiniteAlgebra, opname: str, pools: Sequence[Collection[int]]) -> list[int]:
     """The table entries at every tuple of the per-position pools, in table
     order, with no argument tuple built."""
@@ -120,12 +129,39 @@ def check_assignment(alg: FiniteAlgebra, vars, assignment: Mapping[str, int]) ->
 def evaluate(alg: FiniteAlgebra, assignment: Mapping[str, int], term: Term) -> int:
     """The homomorphic extension of the assignment: variables through the
     assignment, nodes through operation tables."""
+    return _values(alg, assignment, term, ())[0]
+
+
+def _values(
+    alg: FiniteAlgebra, assignment: Mapping[str, int], term: Term, free: Sequence[Var]
+) -> tuple[int, ...]:
+    """The term's value at every tuple of values of the ``free`` variables, in
+    table order (mixed radix, last variable fastest), from one walk of the term.
+
+    A free variable's values are its projection, a subterm without free
+    variables is one ``int``, and a node reads its table at the index list its
+    children's values fold to.  Other variables are read from the assignment.
+    An empty space returns ``()`` without walking the term.
+    """
     sizes = alg._sizes
     tables = alg._tables
     opmap = alg.signature.op_by_name
+    space = math.prod(sizes[v.sort] for v in free)
+    if not space:
+        return ()
+    # a variable's stride is the product of the later variables' sizes
+    columns = {}
+    stride = space
+    for v in free:
+        n = sizes[v.sort]
+        stride //= n
+        columns[v.name] = _projection(n, stride, space)
 
-    def walk(t: Term) -> int:
+    def walk(t: Term):
         if isinstance(t, Var):
+            values = columns.get(t.name)
+            if values is not None:
+                return values
             try:
                 return assignment[t.name]
             except KeyError:
@@ -137,10 +173,24 @@ def evaluate(alg: FiniteAlgebra, assignment: Mapping[str, int], term: Term) -> i
             raise ValidationError(f"unknown operation {t.symbol!r}")
         index = 0
         for child, s in zip(t.children, op.arity):
-            index = index * sizes[s] + walk(child)
-        return tables[t.symbol][index]
+            n = sizes[s]
+            value = walk(child)
+            if type(index) is not list:
+                if type(value) is not list:
+                    index = index * n + value
+                else:
+                    index = [index * n + v for v in value]
+            elif type(value) is not list:
+                index = [i * n + value for i in index]
+            else:
+                index = [i * n + v for i, v in zip(index, value)]
+        table = tables[t.symbol]
+        if type(index) is not list:
+            return table[index]
+        return list(map(table.__getitem__, index))
 
-    return walk(term)
+    value = walk(term)
+    return tuple(value) if type(value) is list else (value,) * space
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +218,7 @@ def product_algebra(algebras: Sequence[FiniteAlgebra]):
         stride = 1
         for a, proj in zip(reversed(algebras), reversed(projections)):
             n = a._sizes[s]
-            proj[s] = tuple(e // stride % n for e in range(carriers[s]))
+            proj[s] = tuple(_projection(n, stride, carriers[s]))
             stride *= n
     tables = {}
     for op in sig.ops:
@@ -307,10 +357,5 @@ def translation_table(
     """The unary function induced by a one-hole context: hole-sort carrier ->
     root-sort carrier.  The hole is read as a variable named ``@``, which no
     variable name can equal."""
-    term = apply_context(ctx, Var(HOLE, ctx.hole_sort))
-    env = dict(assignment)
-    values = []
-    for q in range(alg.size(ctx.hole_sort)):
-        env[HOLE] = q
-        values.append(evaluate(alg, env, term))
-    return tuple(values)
+    hole = Var(HOLE, ctx.hole_sort)
+    return _values(alg, assignment, apply_context(ctx, hole), [hole])

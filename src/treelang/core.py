@@ -145,6 +145,27 @@ class Node(Term):
     sort: str
     size: int
 
+    def __hash__(self):
+        """The hash a frozen dataclass generates, kept on the node once
+        computed (not a field, so equality sees only the declared data).
+        Subterms not yet hashed are hashed bottom-up with an explicit stack,
+        so hashing a children tuple never recurses.  Computing it on first
+        use, not at construction, keeps terms that are never hashed small."""
+        cached = self.__dict__.get("_hash")
+        if cached is not None:
+            return cached
+        stack = [self]
+        while stack:
+            t = stack[-1]
+            pending = [c for c in t.children if isinstance(c, Node) and "_hash" not in c.__dict__]
+            if pending:
+                stack.extend(pending)
+                continue
+            stack.pop()
+            if "_hash" not in t.__dict__:  # a shared subterm may be stacked twice
+                object.__setattr__(t, "_hash", hash((t.symbol, t.children, t.sort, t.size)))
+        return self._hash
+
     def __repr__(self):
         return f"Node({print_term(self)})"
 
@@ -190,23 +211,15 @@ def _check_disjoint(sig: Signature, vars: SortedVars) -> None:
 # parsing and printing
 
 
+# a token, or any other visible character, which ``findall`` reports as ""
+_TOKEN_RE = re.compile(r"([(),@]|[A-Za-z_][A-Za-z0-9_]*)|\S")
+
+
 def _tokenize(text: str) -> list[str]:
-    tokens = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in "(),@":
-            tokens.append(ch)
-            i += 1
-            continue
-        m = NAME_RE.match(text, i)
-        if not m:
-            raise ParseError(f"unexpected character {ch!r} at offset {i}")
-        tokens.append(m.group())
-        i = m.end()
+    tokens = _TOKEN_RE.findall(text)
+    if "" in tokens:
+        bad = next(m for m in _TOKEN_RE.finditer(text) if m.group(1) is None)
+        raise ParseError(f"unexpected character {bad.group()!r} at offset {bad.start()}")
     return tokens
 
 
@@ -220,7 +233,8 @@ class _Parser:
 
     def __init__(self, text: str, sig: Signature, vars: SortedVars, holes: bool):
         _check_disjoint(sig, vars)
-        self.tokens = _tokenize(text)
+        # a None sentinel ends the tokens, so a read never runs off the end
+        self.tokens = _tokenize(text) + [None]
         self.pos = 0
         self.sig = sig
         self.vars = vars
@@ -228,10 +242,10 @@ class _Parser:
         self.holes = holes
 
     def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+        return self.tokens[self.pos]
 
     def take(self):
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if tok is None:
             raise ParseError("unexpected end of input")
         self.pos += 1

@@ -8,7 +8,7 @@ normative: serialization is deterministic so golden files compare bit-exact.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Mapping, Sequence
 
 import yaml
 
@@ -63,6 +63,30 @@ def _mapping(value: Any, what: str) -> Mapping[str, Any]:
     return value
 
 
+def _list(value: Any, what: str) -> Sequence[Any]:
+    """Reject a document value that is not a list."""
+    if not isinstance(value, (list, tuple)):
+        raise ValidationError(f"{what} must be a list, got {type(value).__name__}")
+    return value
+
+
+def _int(value: Any, what: str) -> int:
+    """Read a document value as an integer, or reject it."""
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{what} must be an integer, got {value!r}") from None
+
+
+def _ints(value: Any, what: str) -> list[int]:
+    """Read a document list of integers, or reject it."""
+    values = _list(value, what)
+    try:
+        return [int(v) for v in values]
+    except (TypeError, ValueError):
+        raise ValidationError(f"{what} must list integers") from None
+
+
 # ---------------------------------------------------------------------------
 # signatures
 
@@ -73,6 +97,8 @@ def signature_from_doc(doc: Mapping[str, Any]) -> tuple[Signature, SortedVars]:
         ops = doc["ops"]
     except KeyError as missing:
         raise ValidationError(f"signature document missing key {missing}") from None
+    sorts = _list(sorts, "signature document: 'sorts'")
+    ops = _list(ops, "signature document: 'ops'")
     ops = [_mapping(o, "signature document: each 'ops' entry") for o in ops]
     try:
         specs = [
@@ -115,13 +141,19 @@ def algebra_from_doc(
         raise ValidationError(f"algebra document missing key {missing}") from None
     carriers = _mapping(carriers, "algebra document: 'carriers'")
     tables = _mapping(tables, "algebra document: 'tables'")
-    carriers = {str(s): int(n) for s, n in carriers.items()}
-    tables = {str(o): [int(v) for v in t] for o, t in tables.items()}
+    carriers = {
+        str(s): _int(n, f"algebra document: carrier size of {s!r}") for s, n in carriers.items()
+    }
+    tables = {str(o): _ints(t, f"algebra document: table for {o!r}") for o, t in tables.items()}
     _require(carriers, sig.sorts, "algebra document: carriers lack sort")
+    _require(sig.sorts, carriers, "algebra document: carrier for undeclared sort")
     _require(tables, sig.op_by_name, "algebra document: tables lack operation")
     _require(sig.op_by_name, tables, "algebra document: table for undeclared operation")
     alg = finite_algebra(sig, carriers, tables)
-    assignment = {str(x): int(v) for x, v in (doc.get("assignment", {}) or {}).items()}
+    assignment = _mapping(doc.get("assignment", {}) or {}, "algebra document: 'assignment'")
+    assignment = {
+        str(x): _int(v, f"algebra document: assignment of {x!r}") for x, v in assignment.items()
+    }
     return alg, assignment
 
 
@@ -136,9 +168,10 @@ def algebra_to_doc(alg: FiniteAlgebra, assignment: Mapping[str, int]) -> dict:
 def recognizer_from_doc(doc: Mapping[str, Any]) -> Recognizer:
     sig, vars = signature_from_doc(doc)
     alg, assignment = algebra_from_doc(doc, sig)
+    accepting = _mapping(doc.get("accepting", {}) or {}, "recognizer document: 'accepting'")
     accepting = {
-        str(s): [int(e) for e in elems]
-        for s, elems in (doc.get("accepting", {}) or {}).items()
+        str(s): _ints(elems, f"recognizer document: accepting set at {s!r}")
+        for s, elems in accepting.items()
     }
     _require(sig.sorts, accepting, "recognizer document: accepting set at unknown sort")
     return recognizer(vars, alg, assignment, accepting)

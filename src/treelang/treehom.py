@@ -8,12 +8,11 @@ placeholders ``v0, v1, ...``, and a target term per source variable.
 
 from __future__ import annotations
 
-import itertools
 import re
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
-from .algebra import FiniteAlgebra, evaluate, finite_algebra
+from .algebra import FiniteAlgebra, _values, evaluate, finite_algebra
 from .core import (
     Node,
     Operation,
@@ -200,18 +199,17 @@ def derived_algebra(
     if b.signature != h.target:
         raise ValidationError("algebra is not over the hyperderivor's target signature")
     carriers = {s: b.size(h.sort_image(s)) for s in h.source.sorts}
-    # one environment for every entry: placeholders are rebound per entry,
-    # and no target variable can be named like one
-    env = dict(b_assignment)
-    tables = {}
-    for op in h.source.ops:
-        body = h.pattern(op.name)
-        names = [f"v{i}" for i in range(len(op.arity))]
-        entries = []
-        for args in itertools.product(*[range(carriers[s]) for s in op.arity]):
-            env.update(zip(names, args))
-            entries.append(evaluate(b, env, body))
-        tables[op.name] = tuple(entries)
+    # a pattern's table is its value over the whole placeholder space; no
+    # target variable can be named like a placeholder
+    tables = {
+        op.name: _values(
+            b,
+            b_assignment,
+            h.pattern(op.name),
+            [placeholder(i, h.sort_image(w)) for i, w in enumerate(op.arity)],
+        )
+        for op in h.source.ops
+    }
     alg = finite_algebra(h.source, carriers, tables)
     assignment = {
         x: evaluate(b, b_assignment, h.var_image(x))

@@ -6,10 +6,12 @@
 loops: they read every table entry through ``FiniteAlgebra.apply`` (the
 product decodes each argument tuple into component tuples and encodes the
 result back) and quotient in two passes (check, then one representative per
-class).  The kernels must reproduce them exactly, because the product
-numbering, the first-reached order and the class numbering fix every state
-numbering the library prints, so the two are compared field by field rather
-than as languages.
+class).  ``reference_derived_algebra`` and ``reference_translation_table``
+evaluate a pattern or context once per table entry, where the library
+evaluates it once over the whole placeholder space.  The kernels must
+reproduce them exactly, because the product numbering, the first-reached
+order and the class numbering fix every state numbering the library prints,
+so the two are compared field by field rather than as languages.
 """
 
 from __future__ import annotations
@@ -22,11 +24,13 @@ import pytest
 from treelang.algebra import (
     FiniteAlgebra,
     closure_elements,
+    evaluate,
     finite_algebra,
     product_algebra,
     quotient_algebra,
     restrict_algebra,
     subset_algebra,
+    translation_table,
 )
 from treelang.congruence import (
     all_in_one_partition,
@@ -36,10 +40,21 @@ from treelang.congruence import (
     partition,
     syntactic_congruence,
 )
-from treelang.core import ValidationError, signature, sorted_vars
+from treelang.core import (
+    HOLE,
+    ValidationError,
+    Var,
+    apply_context,
+    node,
+    occurrence_counts,
+    signature,
+    sorted_vars,
+)
+from treelang.oracle import evaluate_many
 from treelang.recognizer import combine, equivalent, is_empty, minimize, recognizer
+from treelang.treehom import derived_algebra, hyperderivor, placeholder, placeholder_index
 
-from conftest import random_algebra
+from conftest import random_algebra, random_context, random_recognizer
 
 
 def reference_product_algebra(algebras):
@@ -198,6 +213,35 @@ def reference_quotient_algebra(alg, phi):
     projection = {s: tuple(classes[s]) for s in alg.signature.sorts}
     return finite_algebra(alg.signature, carriers, tables), projection
 
+
+
+def reference_derived_algebra(h, b, b_assignment):
+    carriers = {s: b.size(h.sort_image(s)) for s in h.source.sorts}
+    env = dict(b_assignment)
+    tables = {}
+    for op in h.source.ops:
+        body = h.pattern(op.name)
+        names = [f"v{i}" for i in range(len(op.arity))]
+        entries = []
+        for args in itertools.product(*[range(carriers[s]) for s in op.arity]):
+            env.update(zip(names, args))
+            entries.append(evaluate(b, env, body))
+        tables[op.name] = tuple(entries)
+    alg = finite_algebra(h.source, carriers, tables)
+    assignment = {
+        x: evaluate(b, b_assignment, h.var_image(x)) for x in h.source_vars.all_names()
+    }
+    return alg, assignment
+
+
+def reference_translation_table(alg, assignment, ctx):
+    term = apply_context(ctx, Var(HOLE, ctx.hole_sort))
+    env = dict(assignment)
+    values = []
+    for q in range(alg.size(ctx.hole_sort)):
+        env[HOLE] = q
+        values.append(evaluate(alg, env, term))
+    return tuple(values)
 
 # Three sorts: a ternary operation, constants at two sorts, and a sort ``e``
 # that is often empty, so some tables and pools are empty.
@@ -393,3 +437,158 @@ def test_build_kernels_never_call_apply(monkeypatch, r_par):
                 with pytest.raises(ValidationError):
                     quotient_algebra(alg, phi)
     assert got == want
+
+
+# Patterns are written over SIG's target variables: ``w`` sits at the often
+# empty sort ``e``, so an assignment to it can be missing.
+TARGET_VARS = sorted_vars(SIG, {"a": ["y"], "b": ["z"], "e": ["w"]})
+SOURCE_VARS = sorted_vars(SIG, {"a": ["x"], "b": ["xb"]})
+
+
+def random_pattern(rng, sig, leaves, sort, depth=3):
+    """A random term of the sort whose leaves come from ``leaves`` (variables)
+    and the constants; None when the sort has no such term within the depth.
+    A leaf may repeat or be left out."""
+    candidates = [v for v in leaves if v.sort == sort]
+    candidates += [op for op in sig.ops if op.result == sort and (depth > 0 or not op.arity)]
+    rng.shuffle(candidates)
+    for c in candidates:
+        if isinstance(c, Var):
+            return c
+        children = [random_pattern(rng, sig, leaves, w, depth - 1) for w in c.arity]
+        if None not in children:
+            return node(c, children)
+    return None
+
+
+def random_hyperderivor_over_sig(rng, b, b_assignment):
+    """A hyperderivor from SIG to itself whose patterns are drawn over the
+    placeholders and target variables, or over none of them (ground).
+
+    A pattern over a nonempty placeholder space mostly uses only the target
+    variables that ``b_assignment`` binds, so that most pulls along it succeed;
+    a pattern over an empty space may use any of them."""
+    sort_map = {s: rng.choice(SIG.sorts) for s in SIG.sorts}
+    targets = [Var(y, s) for s, ys in TARGET_VARS.by_sort for y in ys]
+    bound = [v for v in targets if v.name in b_assignment]
+    patterns = {}
+    for op in SIG.ops:
+        places = [placeholder(i, sort_map[w]) for i, w in enumerate(op.arity)]
+        empty = 0 in [b.size(v.sort) for v in places]
+        leaves = places + (targets if empty or rng.random() < 0.05 else bound)
+        body = None
+        if rng.random() < 0.2:
+            body = random_pattern(rng, SIG, [], sort_map[op.result])
+        while body is None:
+            body = random_pattern(rng, SIG, leaves, sort_map[op.result])
+            # a sort may have no term over the bound variables alone
+            leaves = places + targets
+        patterns[op.name] = body
+    images = {}
+    for s, xs in SOURCE_VARS.by_sort:
+        for x in xs:
+            images[x] = random_pattern(rng, SIG, bound, sort_map[s]) or random_pattern(
+                rng, SIG, targets, sort_map[s]
+            )
+    return hyperderivor(SIG, SOURCE_VARS, SIG, TARGET_VARS, sort_map, patterns, images)
+
+
+def outcome(f, *args):
+    """The result of the call, or the type and text of the error it raised."""
+    try:
+        return f(*args)
+    except ValidationError as err:
+        return type(err), str(err)
+
+
+def test_derived_algebra_matches_reference():
+    rng = random.Random(608)
+    kinds = set()
+    compared = errors = empty_unassigned = 0
+    for _ in range(INSTANCES):
+        b = random_instance(rng)
+        # a variable at an empty sort has no value; now and then drop another
+        b_assignment = {
+            y: rng.randrange(b.size(s))
+            for s, ys in TARGET_VARS.by_sort
+            for y in ys
+            if b.size(s) and rng.random() < 0.9
+        }
+        h = random_hyperderivor_over_sig(rng, b, b_assignment)
+        got = outcome(derived_algebra, h, b, b_assignment)
+        want = outcome(reference_derived_algebra, h, b, b_assignment)
+        if isinstance(want[0], type):
+            assert got == want
+            errors += 1
+        else:
+            assert not isinstance(got[0], type), got
+            (alg, assignment), (want_alg, want_assignment) = got, want
+            assert alg.carriers == want_alg.carriers
+            assert alg.tables == want_alg.tables
+            assert assignment == want_assignment
+            compared += 1
+        for op in SIG.ops:
+            body = h.pattern(op.name)
+            counts = occurrence_counts(body)
+            places = {x: n for x, n in counts.items() if placeholder_index(x) is not None}
+            kinds.add("ground" if not counts else "open")
+            if len(places) < len(op.arity):
+                kinds.add("erasing")
+            if any(n > 1 for n in places.values()):
+                kinds.add("nonlinear")
+            if len(places) < len(counts):
+                kinds.add("target")
+            space = [b.size(h.sort_image(w)) for w in op.arity]
+            if 0 in space and set(counts) - set(places) - set(b_assignment):
+                empty_unassigned += 1
+    assert kinds == {"ground", "open", "erasing", "nonlinear", "target"}
+    assert compared >= INSTANCES // 2 and errors and empty_unassigned
+
+
+# SIG without the sort ``e``
+TWO = signature(
+    ["a", "b"],
+    [
+        ("k", [], "a"),
+        ("j", [], "b"),
+        ("u", ["a"], "b"),
+        ("t", ["a", "b", "a"], "a"),
+        ("m", ["b", "b"], "b"),
+    ],
+)
+TWO_VARS = sorted_vars(TWO, {"a": ["y"], "b": ["z"]})
+
+
+@pytest.mark.parametrize("two_sorted", [False, True])
+def test_translation_table_matches_reference(two_sorted, r_par):
+    rng = random.Random(609)
+    hole_sorts = set()
+    for _ in range(INSTANCES):
+        if two_sorted:
+            rec = random_recognizer(rng, TWO, TWO_VARS, max_carrier=4)
+            ctx = random_context(rng, TWO, TWO_VARS, max_nodes=6)
+        else:
+            rec = r_par
+            ctx = random_context(rng, r_par.signature, r_par.vars, max_nodes=6)
+        assignment = dict(rec.assignment)
+        got = translation_table(rec.algebra, assignment, ctx)
+        assert got == reference_translation_table(rec.algebra, assignment, ctx)
+        hole_sorts.add(ctx.hole_sort)
+    assert len(hole_sorts) == (2 if two_sorted else 1)
+
+
+def test_evaluate_matches_plain_evaluator():
+    rng = random.Random(610)
+    leaves = [Var(y, s) for s, ys in TARGET_VARS.by_sort for y in ys]
+    sizes = set()
+    for _ in range(INSTANCES):
+        alg = random_instance(rng)
+        assignment = {v.name: rng.randrange(alg.size(v.sort)) for v in leaves if alg.size(v.sort)}
+        usable = [v for v in leaves if v.name in assignment]
+        for sort in ("a", "b"):
+            term = random_pattern(rng, SIG, usable, sort, depth=5)
+            if term is None:
+                continue
+            assert evaluate(alg, assignment, term) == evaluate_many(alg, assignment, [term])[id(term)]
+            sizes.add(term.size)
+    assert max(sizes) >= 20

@@ -367,3 +367,29 @@ class TestHostileInput:
         self.fails_with(
             capsys, "table for undeclared operation 'f'", "member", rec, "g(c)"
         )
+
+    def test_rec_ops_null(self, tmp_path, capsys):
+        rec = edited(tmp_path, "rpar.rec", lambda d: d.update(ops=None))
+        self.fails_with(capsys, "'ops' must be a list, got NoneType", "member", rec, "g(c)")
+
+    def test_rec_carrier_size_not_an_integer(self, tmp_path, capsys):
+        rec = edited(tmp_path, "rpar.rec", lambda d: d["carriers"].update(s="two"))
+        self.fails_with(
+            capsys, "carrier size of 's' must be an integer, got 'two'", "member", rec, "g(c)"
+        )
+
+    def test_rec_table_not_a_list(self, tmp_path, capsys):
+        rec = edited(tmp_path, "rpar.rec", lambda d: d["tables"].update(g=5))
+        self.fails_with(capsys, "table for 'g' must be a list, got int", "member", rec, "g(c)")
+
+    def test_rec_accepting_not_a_mapping(self, tmp_path, capsys):
+        rec = edited(tmp_path, "rpar.rec", lambda d: d.update(accepting=[0]))
+        self.fails_with(capsys, "'accepting' must be a mapping, got list", "member", rec, "g(c)")
+
+    def test_rec_assignment_not_a_mapping(self, tmp_path, capsys):
+        rec = edited(tmp_path, "rpar.rec", lambda d: d.update(assignment=[0]))
+        self.fails_with(capsys, "'assignment' must be a mapping, got list", "member", rec, "g(c)")
+
+    def test_rec_carrier_for_undeclared_sort(self, tmp_path, capsys):
+        rec = edited(tmp_path, "rpar.rec", lambda d: d["carriers"].update(t=3))
+        self.fails_with(capsys, "carrier for undeclared sort 't'", "member", rec, "g(c)")

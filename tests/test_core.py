@@ -64,6 +64,15 @@ class TestParse:
         with pytest.raises(ParseError):
             parse_term("c c", f1, x1)
 
+    @pytest.mark.parametrize(
+        "text, char, offset",
+        [("g(c) $", "$", 5), ("sigma(x,1)", "1", 8), ("1x", "1", 0), ("g(\tc-)", "-", 4), ("é", "é", 0)],
+    )
+    def test_unexpected_character(self, f1, x1, text, char, offset):
+        message = f"unexpected character {char!r} at offset {offset}"
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+            parse_term(text, f1, x1)
+
 
 class TestTypecheck:
     def test_f1(self, f1, x1):
@@ -140,6 +149,9 @@ class TestDeepTerms:
         deep = chain(Var("v0", "s"))
         assert count_occurrences(deep, "v0", vars) == 1
         assert variables_of(deep) == {"s": {"v0"}}
+        assert len(subterms_of(deep)["s"]) == 10**5 + 1
+        # the hash the generated dataclass hash gave, so set orders stay put
+        assert hash(deep) == hash((deep.symbol, deep.children, deep.sort, deep.size))
         assert hall_term(deep, ["s"], "s").term is deep
         assert context(chain(Hole("s"))).hole_sort == "s"
 
