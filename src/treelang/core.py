@@ -166,6 +166,30 @@ class Node(Term):
                 object.__setattr__(t, "_hash", hash((t.symbol, t.children, t.sort, t.size)))
         return self._hash
 
+    def __eq__(self, other):
+        """The equality a frozen dataclass generates (same class, symbol,
+        children, sort and size), walked with an explicit stack, so comparing
+        deep terms never recurses.  Shared subterms compare by identity."""
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is b:
+                continue
+            if a.__class__ is not b.__class__:
+                return False
+            if not isinstance(a, Node):
+                if a != b:
+                    return False
+            elif (a.symbol, a.sort, a.size, len(a.children)) != (
+                b.symbol, b.sort, b.size, len(b.children)
+            ):
+                return False
+            else:
+                stack.extend(zip(a.children, b.children))
+        return True
+
     def __repr__(self):
         return f"Node({print_term(self)})"
 

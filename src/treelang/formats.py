@@ -107,8 +107,14 @@ def signature_from_doc(doc: Mapping[str, Any]) -> tuple[Signature, SortedVars]:
     except KeyError as missing:
         raise ValidationError(f"signature document: an op is missing key {missing}") from None
     sig = signature([str(s) for s in sorts], specs)
-    vars_doc = doc.get("vars", {}) or {}
-    vars = sorted_vars(sig, {str(s): [str(x) for x in xs] for s, xs in vars_doc.items()})
+    vars_doc = _mapping(doc.get("vars", {}) or {}, "signature document: 'vars'")
+    vars = sorted_vars(
+        sig,
+        {
+            str(s): [str(x) for x in _list(xs, f"signature document: 'vars' at {s!r}")]
+            for s, xs in vars_doc.items()
+        },
+    )
     return sig, vars
 
 
@@ -206,11 +212,15 @@ def hyperderivor_from_doc(
     target_vars: SortedVars,
 ) -> Hyperderivor:
     try:
-        sort_map = {str(a): str(b) for a, b in doc["sort_map"].items()}
+        sort_map = doc["sort_map"]
         raw_patterns = doc["patterns"]
         raw_images = doc["var_images"]
     except KeyError as missing:
         raise ValidationError(f"hyperderivor document missing key {missing}") from None
+    sort_map = _mapping(sort_map, "hyperderivor document: 'sort_map'")
+    sort_map = {str(a): str(b) for a, b in sort_map.items()}
+    raw_patterns = _mapping(raw_patterns, "hyperderivor document: 'patterns'")
+    raw_images = _mapping(raw_images, "hyperderivor document: 'var_images'")
     _require(sort_map, source.sorts, "hyperderivor document: sort_map lacks source sort")
     patterns = {}
     for op in source.ops:
@@ -241,10 +251,13 @@ def derivor_from_doc(
     doc: Mapping[str, Any], source: Signature, target: Signature
 ) -> Derivor:
     try:
-        sort_map = {str(a): str(b) for a, b in doc["sort_map"].items()}
+        sort_map = doc["sort_map"]
         raw_patterns = doc["patterns"]
     except KeyError as missing:
         raise ValidationError(f"derivor document missing key {missing}") from None
+    sort_map = _mapping(sort_map, "derivor document: 'sort_map'")
+    sort_map = {str(a): str(b) for a, b in sort_map.items()}
+    raw_patterns = _mapping(raw_patterns, "derivor document: 'patterns'")
     _require(sort_map, source.sorts, "derivor document: sort_map lacks source sort")
     patterns = {}
     for op in source.ops:

@@ -154,15 +154,11 @@ def _seed(rec: Recognizer) -> dict[str, list[int]]:
     seed: dict[str, list[int]] = {s: [] for s in rec.signature.sorts}
     for op in rec.signature.ops:
         if not op.arity:
-            v = rec.algebra.table(op.name)[0]
-            if v not in seed[op.result]:
-                seed[op.result].append(v)
+            seed[op.result].append(rec.algebra.table(op.name)[0])
     asg = dict(rec.assignment)
     for sort, names in rec.vars.by_sort:
-        for x in names:
-            if asg[x] not in seed[sort]:
-                seed[sort].append(asg[x])
-    return seed
+        seed[sort].extend(asg[x] for x in names)
+    return {s: list(dict.fromkeys(values)) for s, values in seed.items()}
 
 
 def is_empty(rec: Recognizer) -> bool:
@@ -170,17 +166,15 @@ def is_empty(rec: Recognizer) -> bool:
     generated subalgebra of the seed, and every reachable value is some term's
     value."""
     reached = closure_elements(rec.algebra, _seed(rec))
-    for s in rec.signature.sorts:
-        if rec.accepting_at(s).intersection(reached[s]):
-            return False
-    return True
+    return not any(rec.accepting_at(s).intersection(reached[s]) for s in rec.signature.sorts)
 
 
 def equivalent(r1: Recognizer, r2: Recognizer) -> bool:
+    """Language equality, decided by comparing the minimal recognizers:
+    ``minimize`` numbers its states canonically, so two recognizers of one
+    language minimize to equal recognizers.  No product is built."""
     _check_compatible(r1, r2)
-    return is_empty(combine("difference", r1, r2)) and is_empty(
-        combine("difference", r2, r1)
-    )
+    return minimize(r1) == minimize(r2)
 
 
 def minimize(rec: Recognizer) -> Recognizer:
@@ -188,7 +182,14 @@ def minimize(rec: Recognizer) -> Recognizer:
     congruence of the accepting set there.
 
     The result's per-sort state counts are the per-sort indices of the
-    syntactic congruence of the language on reachable values.
+    syntactic congruence of the language on reachable values.  It is
+    canonical, a function of the language alone, whatever the input's state
+    names or duplicate states: classes are numbered by first occurrence in
+    ``closure_elements``'s first-reached order (seed constants, then
+    variables, then argument tuples over the reached lists in that order), in
+    which each class first appears at a step fixed by the language.
+    ``equivalent`` relies on this, so any other ``closure_elements``, a
+    frontier worklist too, must keep that order.
     """
     reached = closure_elements(rec.algebra, _seed(rec))
     small, index = restrict_algebra(rec.algebra, reached)
@@ -231,28 +232,6 @@ class NTA:
     epsilon: tuple[tuple[str, tuple[tuple[int, int], ...]], ...]
     accepting: tuple[tuple[str, frozenset[int]], ...]
 
-    def eps_closure_maps(self) -> dict[str, list[frozenset[int]]]:
-        """Per sort: state -> reflexive-transitive epsilon closure."""
-        out = {}
-        eps = dict(self.epsilon)
-        for sort, n in self.states:
-            adj: list[set[int]] = [set() for _ in range(n)]
-            for a, b in eps.get(sort, ()):
-                adj[a].add(b)
-            closures = []
-            for q in range(n):
-                seen = {q}
-                stack = [q]
-                while stack:
-                    cur = stack.pop()
-                    for nxt in adj[cur]:
-                        if nxt not in seen:
-                            seen.add(nxt)
-                            stack.append(nxt)
-                closures.append(frozenset(seen))
-            out[sort] = closures
-        return out
-
 
 def nta(
     sig: Signature,
@@ -285,12 +264,7 @@ def _mask(states) -> int:
 
 
 def _members(mask: int) -> tuple[int, ...]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return tuple(out)
+    return tuple(q for q in range(mask.bit_length()) if mask >> q & 1)
 
 
 def determinize(machine: NTA, cap: int = DETERMINIZE_BUDGET) -> Recognizer:
@@ -318,7 +292,19 @@ def determinize(machine: NTA, cap: int = DETERMINIZE_BUDGET) -> Recognizer:
     the tables past it raises ``ValidationError``.
     """
     sig = machine.signature
-    closure = {s: [_mask(c) for c in cs] for s, cs in machine.eps_closure_maps().items()}
+    # per sort: state -> mask of its reflexive-transitive epsilon closure,
+    # the least masks with closure[a] >= closure[b] on every edge a -> b
+    epsilon = dict(machine.epsilon)
+    closure = {}
+    for sort, n in machine.states:
+        masks = closure[sort] = [1 << q for q in range(n)]
+        changed = True
+        while changed:
+            changed = False
+            for a, b in epsilon.get(sort, ()):
+                if masks[b] & ~masks[a]:
+                    masks[a] |= masks[b]
+                    changed = True
 
     def close(sort: str, states) -> int:
         m = 0
@@ -468,6 +454,22 @@ def evaluator_nta(rec: Recognizer) -> NTA:
 # basic languages
 
 
+def _sparse_algebra(
+    sig: Signature, sizes: Mapping[str, int], default: Mapping[str, int], hits
+) -> FiniteAlgebra:
+    """Tables that map everything to ``default[result sort]`` except at the
+    ``(opname, args, value)`` hits."""
+    tables = {
+        op.name: [default[op.result]] * math.prod(sizes[s] for s in op.arity) for op in sig.ops
+    }
+    for name, args, value in hits:
+        at = 0
+        for a, s in zip(args, sig.operation(name).arity):
+            at = at * sizes[s] + a
+        tables[name][at] = value
+    return finite_algebra(sig, sizes, tables)
+
+
 def recognize_basic(sig: Signature, vars: SortedVars, pattern: Term) -> Recognizer:
     """A recognizer for the singleton of a basic pattern: a variable, a
     constant, or a flat term ``op(x_0,...,x_{n-1})`` over variables (repeats
@@ -482,14 +484,13 @@ def recognize_basic(sig: Signature, vars: SortedVars, pattern: Term) -> Recogniz
     if not isinstance(pattern, (Var, Node)):
         raise ValidationError("pattern must be a variable, constant, or flat term")
     if isinstance(pattern, Var) or not pattern.children:
-        sizes = {s: 2 for s in sig.sorts}
-        tables = {op.name: [0] * math.prod(sizes[s] for s in op.arity) for op in sig.ops}
         assignment = {x: 0 for x in vars.all_names()}
+        hits = []
         if isinstance(pattern, Var):
             assignment[pattern.name] = 1
         else:
-            tables[pattern.symbol] = [1]
-        alg = finite_algebra(sig, sizes, tables)
+            hits = [(pattern.symbol, (), 1)]
+        alg = _sparse_algebra(sig, {s: 2 for s in sig.sorts}, {s: 0 for s in sig.sorts}, hits)
         return recognizer(vars, alg, assignment, {pattern.sort: [1]})
     for child in pattern.children:
         if not isinstance(child, Var):
@@ -507,16 +508,7 @@ def recognize_basic(sig: Signature, vars: SortedVars, pattern: Term) -> Recogniz
     junk = {s: k[s] for s in sig.sorts}
     hit = k[root] + 1
     wanted = tuple(codes[c.sort][c.name] for c in pattern.children)
-    tables = {}
-    for o in sig.ops:
-        if o.name == op.name:
-            entries = []
-            for args in itertools.product(*[range(sizes[s]) for s in o.arity]):
-                entries.append(hit if args == wanted else junk[root])
-            tables[o.name] = entries
-        else:
-            tables[o.name] = [junk[o.result]] * math.prod(sizes[s] for s in o.arity)
-    alg = finite_algebra(sig, sizes, tables)
+    alg = _sparse_algebra(sig, sizes, junk, [(op.name, wanted, hit)])
     assignment = {}
     for sort, names in vars.by_sort:
         for x in names:
@@ -524,43 +516,48 @@ def recognize_basic(sig: Signature, vars: SortedVars, pattern: Term) -> Recogniz
     return recognizer(vars, alg, assignment, {root: [hit]})
 
 
-def recognize_singleton(sig: Signature, vars: SortedVars, term: Term) -> Recognizer:
-    """A recognizer for the singleton of an arbitrary term, via the subterm
-    automaton: one state per distinct subterm plus a junk sink per sort."""
-    by_sort = subterms_of(term)
+def _subterm_recognizer(sig: Signature, vars: SortedVars, terms: Sequence[Term]) -> Recognizer:
+    """The subterm automaton of a term list: one state per distinct subterm
+    plus a junk sink per sort, accepting each term at its own sort."""
+    by_sort: dict[str, set[Term]] = {}
+    for term in terms:
+        for s, found in subterms_of(term).items():
+            by_sort.setdefault(s, set()).update(found)
     key = term_sort_key(sig, vars)
     ordered = {s: sorted(by_sort.get(s, ()), key=key) for s in sig.sorts}
     index = {s: {t: i for i, t in enumerate(ordered[s])} for s in sig.sorts}
     junk = {s: len(ordered[s]) for s in sig.sorts}
     sizes = {s: junk[s] + 1 for s in sig.sorts}
-    tables = {}
-    for op in sig.ops:
-        entries = []
-        for args in itertools.product(*[range(sizes[s]) for s in op.arity]):
-            target = junk[op.result]
-            if all(a < junk[s] for a, s in zip(args, op.arity)):
-                children = tuple(ordered[s][a] for a, s in zip(args, op.arity))
-                candidate = Node(
-                    op.name, children, op.result, 1 + sum(c.size for c in children)
-                )
-                target = index[op.result].get(candidate, junk[op.result])
-            entries.append(target)
-        tables[op.name] = entries
-    alg = finite_algebra(sig, sizes, tables)
+    hits = [
+        (t.symbol, [index[c.sort][c] for c in t.children], i)
+        for s in sig.sorts
+        for t, i in index[s].items()
+        if isinstance(t, Node)
+    ]
+    alg = _sparse_algebra(sig, sizes, junk, hits)
     assignment = {}
     for sort, names in vars.by_sort:
         for x in names:
             assignment[x] = index[sort].get(Var(x, sort), junk[sort])
-    return recognizer(vars, alg, assignment, {term.sort: [index[term.sort][term]]})
+    accepting: dict[str, list[int]] = {}
+    for term in terms:
+        accepting.setdefault(term.sort, []).append(index[term.sort][term])
+    return recognizer(vars, alg, assignment, accepting)
+
+
+def recognize_singleton(sig: Signature, vars: SortedVars, term: Term) -> Recognizer:
+    """A recognizer for the singleton of an arbitrary term, via the subterm
+    automaton: one state per distinct subterm plus a junk sink per sort."""
+    return _subterm_recognizer(sig, vars, [term])
 
 
 def recognize_finite(sig: Signature, vars: SortedVars, terms: Sequence[Term]) -> Recognizer:
-    """A recognizer for a finite term set, by unioning singletons."""
-    out = empty_recognizer(sig, vars)
-    for t in terms:
-        out = combine("union", out, recognize_singleton(sig, vars, t))
-        out = minimize(out)
-    return out
+    """A recognizer for a finite term set: the minimized subterm automaton of
+    all the terms.  The empty set gives ``empty_recognizer``, unminimized."""
+    terms = list(terms)
+    if not terms:
+        return empty_recognizer(sig, vars)
+    return minimize(_subterm_recognizer(sig, vars, terms))
 
 
 # ---------------------------------------------------------------------------

@@ -8,10 +8,13 @@ product decodes each argument tuple into component tuples and encodes the
 result back) and quotient in two passes (check, then one representative per
 class).  ``reference_derived_algebra`` and ``reference_translation_table``
 evaluate a pattern or context once per table entry, where the library
-evaluates it once over the whole placeholder space.  The kernels must
-reproduce them exactly, because the product numbering, the first-reached
-order and the class numbering fix every state numbering the library prints,
-so the two are compared field by field rather than as languages.
+evaluates it once over the whole placeholder space.
+``reference_recognize_finite`` unions singleton recognizers one term at a
+time and minimizes after each union, where the library minimizes one subterm
+automaton of all the terms.  The kernels must reproduce them exactly,
+because the product numbering, the first-reached order and the class
+numbering fix every state numbering the library prints, so the two are
+compared field by field rather than as languages.
 """
 
 from __future__ import annotations
@@ -45,13 +48,23 @@ from treelang.core import (
     ValidationError,
     Var,
     apply_context,
+    enumerate_all_terms,
     node,
     occurrence_counts,
     signature,
     sorted_vars,
 )
 from treelang.oracle import evaluate_many
-from treelang.recognizer import combine, equivalent, is_empty, minimize, recognizer
+from treelang.recognizer import (
+    combine,
+    empty_recognizer,
+    equivalent,
+    is_empty,
+    minimize,
+    recognize_finite,
+    recognize_singleton,
+    recognizer,
+)
 from treelang.treehom import derived_algebra, hyperderivor, placeholder, placeholder_index
 
 from conftest import random_algebra, random_context, random_recognizer
@@ -257,6 +270,14 @@ SIG = signature(
         ("p", ["a", "e"], "a"),
     ],
 )
+
+
+def reference_recognize_finite(sig, vars, terms):
+    out = empty_recognizer(sig, vars)
+    for t in terms:
+        out = combine("union", out, recognize_singleton(sig, vars, t))
+        out = minimize(out)
+    return out
 
 
 def random_instance(rng):
@@ -592,3 +613,29 @@ def test_evaluate_matches_plain_evaluator():
             assert evaluate(alg, assignment, term) == evaluate_many(alg, assignment, [term])[id(term)]
             sizes.add(term.size)
     assert max(sizes) >= 20
+
+
+def test_recognize_finite_matches_reference(f1, x1, f2, x2):
+    rng = random.Random(611)
+    duplicates = mixed = 0
+    for sig, vars in ((f1, x1), (f2, x2)):
+        universe = enumerate_all_terms(sig, vars, 5)
+        pool = [t for s in sig.sorts for t in universe[s]]
+        for _ in range(INSTANCES):
+            terms = [rng.choice(pool) for _ in range(rng.randint(1, 5))]
+            if rng.random() < 0.3:
+                terms.append(rng.choice(terms))
+            assert recognize_finite(sig, vars, terms) == reference_recognize_finite(
+                sig, vars, terms
+            )
+            duplicates += len(set(terms)) < len(terms)
+            mixed += len({t.sort for t in terms}) > 1
+    assert duplicates and mixed
+
+
+def test_recognize_finite_of_nothing_is_not_minimized():
+    # no term has sort ``e`` here, so minimizing would leave it no state
+    vars = sorted_vars(SIG, {"a": ["x"]})
+    got = recognize_finite(SIG, vars, [])
+    assert got == empty_recognizer(SIG, vars) == reference_recognize_finite(SIG, vars, [])
+    assert got.algebra.size("e") == 1 and minimize(got).algebra.size("e") == 0

@@ -393,3 +393,35 @@ class TestHostileInput:
     def test_rec_carrier_for_undeclared_sort(self, tmp_path, capsys):
         rec = edited(tmp_path, "rpar.rec", lambda d: d["carriers"].update(t=3))
         self.fails_with(capsys, "carrier for undeclared sort 't'", "member", rec, "g(c)")
+
+    def test_rec_vars_entry_not_a_list(self, tmp_path, capsys):
+        rec = edited(tmp_path, "rpar.rec", lambda d: d["vars"].update(s=5))
+        self.fails_with(capsys, "'vars' at 's' must be a list, got int", "member", rec, "g(c)")
+
+    def test_rec_vars_not_a_mapping(self, tmp_path, capsys):
+        rec = edited(tmp_path, "rpar.rec", lambda d: d.update(vars=["x"]))
+        self.fails_with(capsys, "'vars' must be a mapping, got list", "member", rec, "g(c)")
+
+    def test_hyp_patterns_null(self, tmp_path, capsys):
+        hyp = edited(tmp_path, "h1.hyp", lambda d: d.update(patterns=None))
+        self.fails_with(
+            capsys, "'patterns' must be a mapping, got NoneType",
+            "treehom", "apply", "--hyp", hyp, "--source", GOLDEN / "f2.sig",
+            "--target", GOLDEN / "f1.sig", "--term", "iszero(succ(zero))",
+        )
+
+    def test_hyp_sort_map_not_a_mapping(self, tmp_path, capsys):
+        hyp = edited(tmp_path, "h1.hyp", lambda d: d.update(sort_map=["e"]))
+        self.fails_with(
+            capsys, "'sort_map' must be a mapping, got list",
+            "treehom", "apply", "--hyp", hyp, "--source", GOLDEN / "f2.sig",
+            "--target", GOLDEN / "f1.sig", "--term", "iszero(succ(zero))",
+        )
+
+    def test_drv_patterns_null(self, tmp_path, capsys):
+        drv = edited(tmp_path, "d1.drv", lambda d: d.update(patterns=None))
+        self.fails_with(
+            capsys, "'patterns' must be a mapping, got NoneType",
+            "derivor", "apply", "--drv", drv, "--source", GOLDEN / "f2.sig",
+            "--target", GOLDEN / "f1.sig", "--arity", "e", "--term", "iszero(succ(v0))",
+        )

@@ -155,6 +155,22 @@ class TestDeepTerms:
         assert hall_term(deep, ["s"], "s").term is deep
         assert context(chain(Hole("s"))).hole_sort == "s"
 
+    def test_equality(self):
+        def chain(leaf, depth=10**5):
+            t = leaf
+            for _ in range(depth):
+                t = Node("g", (t,), "s", t.size + 1)
+            return t
+
+        # built separately, so equality must walk both chains
+        a, b = chain(Var("v0", "s")), chain(Var("v0", "s"))
+        other = chain(Var("v1", "s"))
+        assert a == b and not a != b
+        assert a != other and not a == other
+        assert len({a, b}) == 1 and b in {a}
+        assert len({a, other}) == 2
+        assert a != a.children[0]
+
 
 class TestSubstitution:
     def test_occurrence_indexed(self, f1, x1):

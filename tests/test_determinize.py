@@ -19,12 +19,35 @@ from treelang.core import ValidationError, signature, sorted_vars
 from treelang.recognizer import NTA, Recognizer, determinize, nta, recognizer
 
 
+def reference_eps_closures(machine: NTA) -> dict[str, list[frozenset[int]]]:
+    """Per sort: state -> reflexive-transitive epsilon closure, by search."""
+    out = {}
+    eps = dict(machine.epsilon)
+    for sort, n in machine.states:
+        adj: list[set[int]] = [set() for _ in range(n)]
+        for a, b in eps.get(sort, ()):
+            adj[a].add(b)
+        closures = []
+        for q in range(n):
+            seen = {q}
+            stack = [q]
+            while stack:
+                cur = stack.pop()
+                for nxt in adj[cur]:
+                    if nxt not in seen:
+                        seen.add(nxt)
+                        stack.append(nxt)
+            closures.append(frozenset(seen))
+        out[sort] = closures
+    return out
+
+
 def reference_determinize(machine: NTA, cap: int = 1 << 20) -> Recognizer:
     """Subset construction per sort, pruned to reachable subsets during
     construction; the result is deterministic and complete on the reachable
     subset carriers."""
     sig = machine.signature
-    closures = machine.eps_closure_maps()
+    closures = reference_eps_closures(machine)
     leaf = dict(machine.leaf)
     rules = dict(machine.rules)
     eps = {sort: closures[sort] for sort in sig.sorts}

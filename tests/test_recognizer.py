@@ -1,4 +1,6 @@
+import itertools
 import random
+from importlib import import_module
 
 import pytest
 
@@ -10,6 +12,8 @@ from treelang.core import (
     parse_context,
     parse_term,
     print_term,
+    signature,
+    sorted_vars,
 )
 from treelang.recognizer import (
     accepts,
@@ -33,6 +37,36 @@ from treelang.algebra import finite_algebra
 from treelang.oracle import enumerate_language
 
 from conftest import accepted_sets, random_recognizer, same_language
+
+# the module itself: the package's ``recognizer`` attribute is the function
+RECOGNIZER_MODULE = import_module("treelang.recognizer")
+
+
+# ``u`` has no constant and no variable, so no term has sort ``u``
+U_SIG = signature(
+    ["s", "u"],
+    [("c", [], "s"), ("g", ["s"], "s"), ("h", ["u", "s"], "s"), ("k", ["u", "s"], "u")],
+)
+U_VARS = sorted_vars(U_SIG, {"s": ["x"]})
+
+
+def permuted(rng, rec):
+    """The recognizer with its states renamed by a random permutation per
+    sort: the same language, with other state numbers."""
+    sig = rec.signature
+    perm = {s: rng.sample(range(n), n) for s, n in rec.algebra.carriers}
+    inverse = {s: {new: old for old, new in enumerate(p)} for s, p in perm.items()}
+    tables = {}
+    for op in sig.ops:
+        tables[op.name] = []
+        for args in itertools.product(*[range(rec.algebra.size(s)) for s in op.arity]):
+            old = [inverse[s][a] for s, a in zip(op.arity, args)]
+            tables[op.name].append(perm[op.result][rec.algebra.apply(op.name, old)])
+    alg = finite_algebra(sig, dict(rec.algebra.carriers), tables)
+    sort_of = {x: s for s, names in rec.vars.by_sort for x in names}
+    assignment = {x: perm[sort_of[x]][q] for x, q in rec.assignment}
+    accepting = {s: [perm[s][q] for q in qs] for s, qs in rec.accepting}
+    return recognizer(rec.vars, alg, assignment, accepting)
 
 
 class TestAccepts:
@@ -131,6 +165,29 @@ class TestEquivalence:
         )
         assert not equivalent(r_par, flipped)
 
+    def test_builds_no_product(self, monkeypatch, f1, x1, f2, x2, r_par):
+        rng = random.Random(31)
+        pairs = [(r_par, r_par), (r_par, permuted(rng, r_par))]
+        pairs.append((r_par, recognizer(x1, r_par.algebra, dict(r_par.assignment), {"s": [1]})))
+        for sig, vars in ((f1, x1), (f2, x2), (U_SIG, U_VARS)):
+            for _ in range(15):
+                rec = random_recognizer(rng, sig, vars, max_carrier=6)
+                pairs.append((rec, permuted(rng, rec)))
+                pairs.append((rec, random_recognizer(rng, sig, vars, max_carrier=6)))
+        # the verdicts of the difference-product check
+        want = [
+            is_empty(combine("difference", a, b)) and is_empty(combine("difference", b, a))
+            for a, b in pairs
+        ]
+        assert True in want and False in want
+
+        def refuse(*args):
+            raise AssertionError("equivalent built a product")
+
+        monkeypatch.setattr(RECOGNIZER_MODULE, "product_algebra", refuse)
+        monkeypatch.setattr(RECOGNIZER_MODULE, "combine", refuse)
+        assert [equivalent(a, b) for a, b in pairs] == want
+
 
 class TestMinimize:
     def test_diagonal_product(self, f1, x1, r_par):
@@ -160,6 +217,21 @@ class TestMinimize:
             for _ in range(10):
                 m = minimize(random_recognizer(rng, sig, vars))
                 assert minimize(m).algebra.carriers == m.algebra.carriers
+
+    def test_canonical_form(self, f1, x1, f2, x2):
+        """Recognizers of one language minimize to equal recognizers, however
+        their states are named and however many equivalent states they keep."""
+        rng = random.Random(23)
+        shrunk = 0
+        for sig, vars in ((f1, x1), (f2, x2), (U_SIG, U_VARS)):
+            for _ in range(70):
+                rec = random_recognizer(rng, sig, vars, max_carrier=6)
+                m = minimize(rec)
+                assert minimize(permuted(rng, rec)) == m
+                assert minimize(m) == m
+                assert minimize(combine("union", rec, permuted(rng, rec))) == m
+                shrunk += sig is U_SIG and m.algebra.size("u") == 0
+        assert shrunk == 70
 
 
 class TestDeterminize:
