@@ -220,13 +220,42 @@ def product_algebra(algebras: Sequence[FiniteAlgebra]):
             n = a._sizes[s]
             proj[s] = tuple(_projection(n, stride, carriers[s]))
             stride *= n
+    # Per later component and sort, codes[x][y] = x * n + y folds a value x
+    # of the earlier components with a value y of this one; reading it from
+    # these lists gives each product element one int object, shared by
+    # every table entry that holds it.
+    codes, folded = [], dict(algebras[0]._sizes)
+    for a in algebras[1:]:
+        codes.append({})
+        for s, m in folded.items():
+            n = a._sizes[s]
+            codes[-1][s] = [list(range(x * n, x * n + n)) for x in range(m)]
+            folded[s] = m * n
+    # With the last argument fastest, a component's entries at one argument
+    # prefix are one row of its table, and the product's entries at a prefix
+    # fold the components' rows at the projected prefixes, last component
+    # fastest.  A constant's table is one row of one entry.
     tables = {}
     for op in sig.ops:
-        entries = [0] * math.prod(carriers[s] for s in op.arity)
-        for a, proj in zip(algebras, projections):
-            n = a._sizes[op.result]
-            values = _entries(a, op.name, [proj[s] for s in op.arity])
-            entries = [e * n + v for e, v in zip(entries, values)]
+        head = op.arity[:-1]
+        widths = [a._sizes[op.arity[-1]] if op.arity else 1 for a in algebras]
+        # per component: its row start at every product prefix, in order
+        starts = [
+            [b * m for b in _indices([a._sizes[s] for s in head], [proj[s] for s in head])]
+            for a, proj, m in zip(algebras, projections, widths)
+        ]
+        first = algebras[0]._tables[op.name]
+        later = [
+            (a._tables[op.name], m, c[op.result])
+            for a, m, c in zip(algebras[1:], widths[1:], codes)
+        ]
+        entries = []
+        for at in zip(*starts):
+            row = first[at[0] : at[0] + widths[0]]
+            for (table, m, code), b in zip(later, at[1:]):
+                seg = table[b : b + m]
+                row = [c[y] for c in map(code.__getitem__, row) for y in seg]
+            entries += row
         tables[op.name] = entries
     return finite_algebra(sig, carriers, tables), projections
 
@@ -240,18 +269,56 @@ def closure_elements(
 ) -> dict[str, list[int]]:
     """Least subset containing the seed and closed under all tables, with
     elements listed in first-reached order (seed order first, then discovery
-    in operation declaration order)."""
-    # insertion-ordered dicts: membership and first-reached order in one
-    reached = {s: dict.fromkeys(seed.get(s, ())) for s in alg.signature.sorts}
+    in operation declaration order).
+
+    Rounds pass over the operations in declaration order until one reaches
+    nothing.  A pass visits, in lexicographic order, only the argument tuples
+    over the reached elements that hold an element reached since the
+    operation's last pass: for each prefix of the first k-1 positions, the
+    new last-position elements if every prefix element is old, else all of
+    them.  Each table entry is read once, and the first-reached order is
+    that of passes over all tuples, which visit the old ones to no effect.
+    """
+    sizes, tables = alg._sizes, alg._tables
+    reached = {s: list(dict.fromkeys(seed.get(s, ()))) for s in alg.signature.sorts}
+    member = {s: set(es) for s, es in reached.items()}
+    # per operation: the reached-list lengths at its argument sorts at its
+    # last pass, None before the first
+    done = {op.name: None for op in alg.signature.ops}
     changed = True
     while changed:
-        before = sum(map(len, reached.values()))
+        changed = False
         for op in alg.signature.ops:
-            # each pass reads the elements reached before it started
-            values = _entries(alg, op.name, [reached[s] for s in op.arity])
-            reached[op.result].update(dict.fromkeys(values))
-        changed = sum(map(len, reached.values())) != before
-    return {s: list(es) for s, es in reached.items()}
+            now = tuple(len(reached[s]) for s in op.arity)
+            prev = done[op.name]
+            if now == prev:
+                continue
+            done[op.name] = now
+            table = tables[op.name]
+            if not op.arity:
+                values = [table[0]]
+            else:
+                prev = prev or (0,) * len(now)
+                # per prefix: its table offset and whether all of it is old
+                bases, old = [0], [True]
+                for s, k, p in zip(op.arity, now[:-1], prev):
+                    n, pool = sizes[s], reached[s][:k]
+                    bases = [b * n + e for b in bases for e in pool]
+                    old = [o and i < p for o in old for i in range(k)]
+                last = reached[op.arity[-1]]
+                new, every = last[prev[-1] : now[-1]], last[: now[-1]]
+                width = sizes[op.arity[-1]]
+                values = []
+                for b, o in zip(bases, old):
+                    b *= width
+                    values += [table[b + e] for e in (new if o else every)]
+            found = member[op.result]
+            fresh = [v for v in dict.fromkeys(values) if v not in found]
+            if fresh:
+                found.update(fresh)
+                reached[op.result] += fresh
+                changed = True
+    return reached
 
 
 def generated_subalgebra(alg: FiniteAlgebra, seed: Mapping[str, Sequence[int]]):
@@ -296,7 +363,7 @@ def quotient_algebra(alg: FiniteAlgebra, partition):
 
     Returns the quotient algebra and the projection (sort -> tuple of class
     ids, one per original element).  Raises if the partition is not a
-    congruence.
+    congruence.  The identity partition returns the algebra itself.
     """
     from .congruence import _quotient_tables
 
@@ -305,6 +372,8 @@ def quotient_algebra(alg: FiniteAlgebra, partition):
         raise ValidationError(f"partition is not a congruence: witness {witness}")
     classes = partition._classes
     projection = {s: classes[s] for s in alg.signature.sorts}
+    if tables is alg._tables:  # the identity partition
+        return alg, projection
     return finite_algebra(alg.signature, partition._counts, tables), projection
 
 

@@ -149,12 +149,17 @@ def _quotient_tables(alg: FiniteAlgebra, phi: SortedPartition):
 
     Each entry's result class is written at the mixed-radix index of its
     argument classes.  Returns ``(tables, None)``, or ``(None, witness)`` with
-    the witness of ``is_congruence`` at the first conflict.
+    the witness of ``is_congruence`` at the first conflict.  The identity
+    partition (class ids ``range(n)`` at every sort) reads no table and
+    returns the algebra's own tables.
     """
     classes, counts = phi._classes, phi._counts
     for sort, ids in phi.classes:
         if len(ids) != alg.size(sort):
             raise ValidationError(f"partition size mismatch at sort {sort!r}")
+    if all(counts[s] == len(ids) and ids == tuple(range(len(ids))) for s, ids in phi.classes):
+        # the identity partition: the quotient tables are the algebra's own
+        return alg._tables, None
     tables = {}
     for op in alg.signature.ops:
         keys = _indices([counts[s] for s in op.arity], [classes[s] for s in op.arity])

@@ -36,6 +36,7 @@ from .core import (
     Var,
     subterms_of,
     term_sort_key,
+    typecheck,
 )
 
 
@@ -188,8 +189,8 @@ def minimize(rec: Recognizer) -> Recognizer:
     ``closure_elements``'s first-reached order (seed constants, then
     variables, then argument tuples over the reached lists in that order), in
     which each class first appears at a step fixed by the language.
-    ``equivalent`` relies on this, so any other ``closure_elements``, a
-    frontier worklist too, must keep that order.
+    ``equivalent`` relies on this, so ``closure_elements``, a frontier
+    worklist, keeps the order of full passes over all argument tuples.
     """
     reached = closure_elements(rec.algebra, _seed(rec))
     small, index = restrict_algebra(rec.algebra, reached)
@@ -518,9 +519,11 @@ def recognize_basic(sig: Signature, vars: SortedVars, pattern: Term) -> Recogniz
 
 def _subterm_recognizer(sig: Signature, vars: SortedVars, terms: Sequence[Term]) -> Recognizer:
     """The subterm automaton of a term list: one state per distinct subterm
-    plus a junk sink per sort, accepting each term at its own sort."""
+    plus a junk sink per sort, accepting each term at its own sort.  Each
+    term is typechecked first, so an unknown variable or operation raises."""
     by_sort: dict[str, set[Term]] = {}
     for term in terms:
+        typecheck(term, sig, vars)
         for s, found in subterms_of(term).items():
             by_sort.setdefault(s, set()).update(found)
     key = term_sort_key(sig, vars)

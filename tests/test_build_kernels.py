@@ -20,6 +20,7 @@ compared field by field rather than as languages.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 
 import pytest
@@ -36,6 +37,7 @@ from treelang.algebra import (
     translation_table,
 )
 from treelang.congruence import (
+    SortedPartition,
     all_in_one_partition,
     cogenerated_congruence,
     identity_partition,
@@ -309,8 +311,14 @@ def partitions_for(rng, alg):
         {s: [rng.randrange(n // 2 + 1) for _ in range(n)] for s, n in alg.carriers},
     )
     subset = {s: frozenset(e for e in range(n) if rng.random() < 0.5) for s, n in alg.carriers}
+    # discrete, but with singleton ids out of order: not the identity
+    # partition, which ``partition`` would renumber it to
+    permuted = SortedPartition(
+        tuple((s, tuple(rng.sample(range(n), n))) for s, n in alg.carriers), alg.carriers
+    )
     return [
         identity_partition(alg),
+        permuted,
         all_in_one_partition(alg),
         rough,
         cogenerated_congruence(alg, rough),
@@ -355,6 +363,48 @@ def test_closure_elements_matches_reference():
             seed = random_seed(rng, alg)
             # lists, not sets: the first-reached order must agree
             assert closure_elements(alg, seed) == reference_closure_elements(alg, seed)
+
+
+def counting_tables(alg, reads):
+    """The algebra with each table wrapped to add the number of entries read
+    from it to ``reads[0]``; a slice counts its length."""
+
+    class Table(tuple):
+        def __getitem__(self, i):
+            got = tuple.__getitem__(self, i)
+            reads[0] += len(got) if isinstance(i, slice) else 1
+            return got
+
+    return FiniteAlgebra(
+        alg.signature, alg.carriers, tuple((name, Table(t)) for name, t in alg.tables)
+    )
+
+
+def test_closure_elements_reads_each_reached_entry_once():
+    rng = random.Random(612)
+    for _ in range(INSTANCES):
+        alg = random_instance(rng)
+        seed = random_seed(rng, alg)
+        reads = [0]
+        counted = counting_tables(alg, reads)
+        reads[0] = 0
+        reached = closure_elements(counted, seed)
+        assert reached == reference_closure_elements(alg, seed)
+        # every tuple over the reached elements, once: a constant is one
+        assert reads[0] == sum(
+            math.prod(len(reached[s]) for s in op.arity) for op in SIG.ops
+        )
+
+
+def test_identity_partition_quotients_to_the_algebra():
+    rng = random.Random(613)
+    for _ in range(INSTANCES):
+        alg = random_instance(rng)
+        phi = identity_partition(alg)
+        assert is_congruence(alg, phi) == (True, None)
+        q, projection = quotient_algebra(alg, phi)
+        assert q is alg
+        assert projection == reference_quotient_algebra(alg, phi)[1]
 
 
 def test_restrict_algebra_matches_reference():

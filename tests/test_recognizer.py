@@ -5,6 +5,8 @@ from importlib import import_module
 import pytest
 
 from treelang.core import (
+    Node,
+    SortError,
     ValidationError,
     Var,
     enumerate_all_terms,
@@ -322,6 +324,21 @@ class TestRecognizeSingleton:
             if accepts(rec, t)
         }
         assert got == {term}
+
+
+    def test_unknown_variable_or_operation_rejected(self, f1, x1):
+        # x1 declares x and z only, and f1 has no operation h
+        stray = Node("g", (Var("y", "s"),), "s", 2)
+        unknown = Node("h", (), "s", 1)
+        good = parse_term("g(x)", f1, x1)
+        for build in (
+            lambda t: recognize_singleton(f1, x1, t),
+            lambda t: recognize_finite(f1, x1, [good, t]),
+        ):
+            with pytest.raises(SortError, match="unknown variable 'y'"):
+                build(stray)
+            with pytest.raises(ValidationError, match="unknown operation symbol 'h'"):
+                build(unknown)
 
 
 class TestInverseTranslation:
