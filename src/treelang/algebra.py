@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Collection, Mapping, Sequence
+from typing import Collection, Iterator, Mapping, Sequence
 
 from .core import (
     HOLE,
@@ -63,6 +63,19 @@ class FiniteAlgebra:
         object.__setattr__(self, "_sizes", sizes)
         object.__setattr__(self, "_tables", tables)
 
+    @classmethod
+    def _built(cls, sig: Signature, carriers: Mapping[str, int], tables: Mapping[str, Sequence]):
+        """An algebra over tables the library built of the right lengths and in
+        range, without ``__post_init__``'s checks.  Tables are stored as tuples
+        (a list is copied once), as ``equivalent`` compares algebras by ``==``."""
+        sizes = {s: carriers[s] for s in sig.sorts}
+        by_name = {op.name: tuple(tables[op.name]) for op in sig.ops}
+        alg = object.__new__(cls)
+        # a frozen dataclass keeps its fields in the instance dict
+        alg.__dict__.update(signature=sig, carriers=tuple(sizes.items()), _sizes=sizes)
+        alg.__dict__.update(tables=tuple(by_name.items()), _tables=by_name)
+        return alg
+
     def size(self, sort: str) -> int:
         return self._sizes[sort]
 
@@ -106,11 +119,27 @@ def _projection(n: int, stride: int, space: int) -> list[int]:
     return [e for e in range(n) for _ in range(stride)] * (space // (n * stride))
 
 
+def _rows(alg: FiniteAlgebra, opname: str, pools: Sequence[Collection[int]]) -> Iterator:
+    """The table's rows at every tuple of the per-position pools of all
+    positions but the last, in table order: with the last argument fastest,
+    the entries at one such prefix are one contiguous slice.  A constant's
+    table is one row of one entry."""
+    arity = alg.signature.operation(opname).arity
+    width = alg._sizes[arity[-1]] if arity else 1
+    table = alg._tables[opname]
+    radices = [alg._sizes[s] for s in arity[:-1]]
+    return (table[b * width : b * width + width] for b in _indices(radices, pools))
+
+
 def _entries(alg: FiniteAlgebra, opname: str, pools: Sequence[Collection[int]]) -> list[int]:
-    """The table entries at every tuple of the per-position pools, in table
-    order, with no argument tuple built."""
-    radices = [alg._sizes[s] for s in alg.signature.operation(opname).arity]
-    return list(map(alg._tables[opname].__getitem__, _indices(radices, pools)))
+    """The table entries at every tuple of the per-position pools (elements
+    in range), in table order: each prefix's row is read once, at the last
+    pool, and no index list or argument tuple is built."""
+    last = pools[-1] if pools else (0,)  # a constant's one entry
+    out: list[int] = []
+    for row in _rows(alg, opname, pools[:-1]):
+        out += map(row.__getitem__, last)
+    return out
 
 
 Assignment = dict  # variable name -> carrier element
@@ -231,33 +260,20 @@ def product_algebra(algebras: Sequence[FiniteAlgebra]):
             n = a._sizes[s]
             codes[-1][s] = [list(range(x * n, x * n + n)) for x in range(m)]
             folded[s] = m * n
-    # With the last argument fastest, a component's entries at one argument
-    # prefix are one row of its table, and the product's entries at a prefix
-    # fold the components' rows at the projected prefixes, last component
-    # fastest.  A constant's table is one row of one entry.
+    # The product's entries at an argument prefix fold the components' rows
+    # at the projected prefixes, last component fastest.
     tables = {}
     for op in sig.ops:
         head = op.arity[:-1]
-        widths = [a._sizes[op.arity[-1]] if op.arity else 1 for a in algebras]
-        # per component: its row start at every product prefix, in order
-        starts = [
-            [b * m for b in _indices([a._sizes[s] for s in head], [proj[s] for s in head])]
-            for a, proj, m in zip(algebras, projections, widths)
-        ]
-        first = algebras[0]._tables[op.name]
-        later = [
-            (a._tables[op.name], m, c[op.result])
-            for a, m, c in zip(algebras[1:], widths[1:], codes)
-        ]
+        rows = [_rows(a, op.name, [p[s] for s in head]) for a, p in zip(algebras, projections)]
+        later = [c[op.result] for c in codes]
         entries = []
-        for at in zip(*starts):
-            row = first[at[0] : at[0] + widths[0]]
-            for (table, m, code), b in zip(later, at[1:]):
-                seg = table[b : b + m]
+        for row, *segs in zip(*rows):
+            for code, seg in zip(later, segs):
                 row = [c[y] for c in map(code.__getitem__, row) for y in seg]
             entries += row
         tables[op.name] = entries
-    return finite_algebra(sig, carriers, tables), projections
+    return FiniteAlgebra._built(sig, carriers, tables), projections
 
 
 # ---------------------------------------------------------------------------
@@ -323,35 +339,39 @@ def closure_elements(
 
 def generated_subalgebra(alg: FiniteAlgebra, seed: Mapping[str, Sequence[int]]):
     """The subalgebra generating operator: sort -> frozenset of elements."""
-    sizes = dict(alg.carriers)
-    for s, elems in seed.items():
-        for e in elems:
-            if not (0 <= e < sizes[s]):
-                raise ValidationError(f"seed element {e} out of range at sort {s!r}")
+    _check_elements(alg, seed, "seed element")
     reached = closure_elements(alg, seed)
     return {s: frozenset(es) for s, es in reached.items()}
+
+
+def _check_elements(alg: FiniteAlgebra, elements: Mapping[str, Sequence[int]], what: str):
+    """Reject an element outside its sort's carrier, reading each element once."""
+    for s, es in elements.items():
+        n = alg._sizes[s]
+        if es and (min(es) < 0 or max(es) >= n):
+            bad = next(e for e in es if not 0 <= e < n)
+            raise ValidationError(f"{what} {bad} out of range at sort {s!r}")
 
 
 def restrict_algebra(alg: FiniteAlgebra, elements: Mapping[str, Sequence[int]]):
     """Restrict to a subuniverse; elements are renumbered in the given order.
 
     Returns the restricted algebra and the per-sort old->new index maps.
-    The element lists must be closed under the tables.
+    The element lists must be in range and closed under the tables.
     """
+    _check_elements(alg, elements, "element")
     index: dict[str, dict[int, int]] = {
         s: {e: i for i, e in enumerate(elements.get(s, ()))} for s in alg.signature.sorts
     }
     carriers = {s: len(elements.get(s, ())) for s in alg.signature.sorts}
     tables = {}
     for op in alg.signature.ops:
-        pools = [elements.get(s, ()) for s in op.arity]
+        entries = _entries(alg, op.name, [elements.get(s, ()) for s in op.arity])
         try:
-            tables[op.name] = tuple(
-                map(index[op.result].__getitem__, _entries(alg, op.name, pools))
-            )
+            tables[op.name] = tuple(map(index[op.result].__getitem__, entries))
         except KeyError:
             raise ValidationError("element set is not closed under the tables") from None
-    return finite_algebra(alg.signature, carriers, tables), index
+    return FiniteAlgebra._built(alg.signature, carriers, tables), index
 
 
 # ---------------------------------------------------------------------------
@@ -374,7 +394,7 @@ def quotient_algebra(alg: FiniteAlgebra, partition):
     projection = {s: classes[s] for s in alg.signature.sorts}
     if tables is alg._tables:  # the identity partition
         return alg, projection
-    return finite_algebra(alg.signature, partition._counts, tables), projection
+    return FiniteAlgebra._built(alg.signature, partition._counts, tables), projection
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,11 @@ element's signature is its current class plus, for each argument position of
 that sort, the mapped entries where the element sits at that position (the
 co-arguments range over the whole carriers).  Elements with equal signatures
 stay together; the new classes are numbered by first occurrence and replace
-the old ones at once, so later sorts of the same round see them.  Rounds
-repeat until no sort splits.  Class ids are numbered by first occurrence
-everywhere, so outputs are reproducible.
+the old ones at once, so later sorts of the same round see them.  A discrete
+sort (all classes singletons) cannot split and is not re-signed; rounds
+repeat until no sort that can still split does split, so a discrete input
+reads no table.  Class ids are numbered by first occurrence everywhere, so
+outputs are reproducible.
 """
 
 from __future__ import annotations
@@ -91,6 +93,7 @@ def kernel_of_subset(alg: FiniteAlgebra, subset: Mapping[str, frozenset[int]]) -
 
 def refines(finer: SortedPartition, coarser: SortedPartition) -> bool:
     """True when every class of ``finer`` is contained in a class of ``coarser``."""
+    _check_sizes(finer, {s: len(ids) for s, ids in coarser.classes})
     coarse = coarser._classes
     for sort, ids in finer.classes:
         seen: dict[int, int] = {}
@@ -143,6 +146,12 @@ def is_congruence(alg: FiniteAlgebra, phi: SortedPartition):
     return witness is None, witness
 
 
+def _check_sizes(phi: SortedPartition, sizes: Mapping[str, int]) -> None:
+    for sort, ids in phi.classes:
+        if len(ids) != sizes[sort]:
+            raise ValidationError(f"partition size mismatch at sort {sort!r}")
+
+
 def _quotient_tables(alg: FiniteAlgebra, phi: SortedPartition):
     """One pass over every table that builds the quotient tables and checks
     the partition on the way.
@@ -154,9 +163,7 @@ def _quotient_tables(alg: FiniteAlgebra, phi: SortedPartition):
     returns the algebra's own tables.
     """
     classes, counts = phi._classes, phi._counts
-    for sort, ids in phi.classes:
-        if len(ids) != alg.size(sort):
-            raise ValidationError(f"partition size mismatch at sort {sort!r}")
+    _check_sizes(phi, alg._sizes)
     if all(counts[s] == len(ids) and ids == tuple(range(len(ids))) for s, ids in phi.classes):
         # the identity partition: the quotient tables are the algebra's own
         return alg._tables, None
@@ -183,13 +190,16 @@ def cogenerated_congruence(alg: FiniteAlgebra, phi: SortedPartition) -> SortedPa
     them in one current class.  Stops when stable; the result is a congruence
     contained in the input.
     """
-    sizes = dict(alg.carriers)
+    sizes = alg._sizes
+    _check_sizes(phi, sizes)
     cls: dict[str, list[int]] = {sort: list(ids) for sort, ids in phi.classes}
-    while True:
+    count = dict(phi._counts)  # a sort is discrete when its count is its size
+    changed = True
+    while changed:
         changed = False
         for sort in alg.signature.sorts:
             n = sizes[sort]
-            if n <= 1:
+            if count[sort] == n:
                 continue
             columns = [cls[sort]]
             for op in alg.signature.ops:
@@ -203,11 +213,10 @@ def cogenerated_congruence(alg: FiniteAlgebra, phi: SortedPartition) -> SortedPa
                     columns.append(_positional_slices(mapped, n, stride))
             ids: dict[tuple, int] = {}
             new_ids = [ids.setdefault(key, len(ids)) for key in zip(*columns)]
-            if new_ids != cls[sort]:
+            # the current class leads every signature, so classes only split
+            if len(ids) > count[sort]:
                 changed = True
-                cls[sort] = new_ids
-        if not changed:
-            break
+                cls[sort], count[sort] = new_ids, len(ids)
     return partition(alg.signature.sorts, cls)
 
 

@@ -15,6 +15,7 @@ from typing import Mapping, Sequence
 
 from .algebra import (
     FiniteAlgebra,
+    _check_elements,
     check_assignment,
     closure_elements,
     evaluate,
@@ -49,13 +50,11 @@ class Recognizer:
 
     def __post_init__(self):
         check_assignment(self.algebra, self.vars, dict(self.assignment))
-        sizes = dict(self.algebra.carriers)
         acc = dict(self.accepting)
         if set(acc) != set(self.algebra.signature.sorts):
             raise ValidationError("accepting sets must cover every sort")
+        _check_elements(self.algebra, acc, "accepting element")
         for s, elems in acc.items():
-            if any(not (0 <= e < sizes[s]) for e in elems):
-                raise ValidationError(f"accepting element out of range at sort {s!r}")
             if tuple(sorted(set(elems))) != elems:
                 raise ValidationError(f"accepting set at {s!r} must be sorted and duplicate-free")
 
@@ -412,7 +411,8 @@ def determinize(machine: NTA, cap: int = DETERMINIZE_BUDGET) -> Recognizer:
         ]
         for op in sig.ops
     }
-    alg = finite_algebra(sig, sizes, dense)
+    # every entry is an interned subset id, in range by construction
+    alg = FiniteAlgebra._built(sig, sizes, dense)
     nta_accepting = {s: _mask(states) for s, states in machine.accepting}
     accepting = {
         s: [i for m, i in index[s].items() if m & nta_accepting[s]] for s in sig.sorts

@@ -6,9 +6,11 @@
 loops: they read every table entry through ``FiniteAlgebra.apply`` (the
 product decodes each argument tuple into component tuples and encodes the
 result back) and quotient in two passes (check, then one representative per
-class).  ``reference_derived_algebra`` and ``reference_translation_table``
-evaluate a pattern or context once per table entry, where the library
-evaluates it once over the whole placeholder space.
+class).  ``reference_cogenerated_congruence`` refines straight from the
+definition, re-signing every sort every round, where the library skips
+discrete sorts.  ``reference_derived_algebra`` and
+``reference_translation_table`` evaluate a pattern or context once per table
+entry, where the library evaluates it once over the whole placeholder space.
 ``reference_recognize_finite`` unions singleton recognizers one term at a
 time and minimizes after each union, where the library minimizes one subterm
 automaton of all the terms.  The kernels must reproduce them exactly,
@@ -42,6 +44,7 @@ from treelang.congruence import (
     cogenerated_congruence,
     identity_partition,
     is_congruence,
+    kernel_of_subset,
     partition,
     syntactic_congruence,
 )
@@ -229,6 +232,33 @@ def reference_quotient_algebra(alg, phi):
     return finite_algebra(alg.signature, carriers, tables), projection
 
 
+def reference_cogenerated_congruence(alg, phi):
+    """Two elements stay related while they are related and every operation,
+    with them at one argument position and the other arguments anywhere,
+    takes them to related results; every sort is re-signed every round until
+    a round splits nothing."""
+    sorts = alg.signature.sorts
+    current = partition(sorts, dict(phi.classes))
+    while True:
+        cls = dict(current.classes)
+        keys = {s: [] for s in sorts}
+        for sort in sorts:
+            for e in range(alg.size(sort)):
+                key = [cls[sort][e]]
+                for op in alg.signature.ops:
+                    for i, w in enumerate(op.arity):
+                        if w != sort:
+                            continue
+                        others = op.arity[:i] + op.arity[i + 1 :]
+                        for rest in itertools.product(*[range(alg.size(s)) for s in others]):
+                            args = rest[:i] + (e,) + rest[i:]
+                            key.append(cls[op.result][alg.apply(op.name, args)])
+                keys[sort].append(tuple(key))
+        refined = partition(sorts, keys)
+        if refined == current:
+            return current
+        current = refined
+
 
 def reference_derived_algebra(h, b, b_assignment):
     carriers = {s: b.size(h.sort_image(s)) for s in h.source.sorts}
@@ -367,13 +397,17 @@ def test_closure_elements_matches_reference():
 
 def counting_tables(alg, reads):
     """The algebra with each table wrapped to add the number of entries read
-    from it to ``reads[0]``; a slice counts its length."""
+    from it to ``reads[0]``; a slice or an iteration counts its length."""
 
     class Table(tuple):
         def __getitem__(self, i):
             got = tuple.__getitem__(self, i)
             reads[0] += len(got) if isinstance(i, slice) else 1
             return got
+
+        def __iter__(self):
+            reads[0] += len(self)
+            return tuple.__iter__(self)
 
     return FiniteAlgebra(
         alg.signature, alg.carriers, tuple((name, Table(t)) for name, t in alg.tables)
@@ -394,6 +428,18 @@ def test_closure_elements_reads_each_reached_entry_once():
         assert reads[0] == sum(
             math.prod(len(reached[s]) for s in op.arity) for op in SIG.ops
         )
+
+
+def test_cogenerated_congruence_of_a_discrete_input_reads_no_table():
+    rng = random.Random(614)
+    for _ in range(INSTANCES):
+        alg = random_instance(rng)
+        reads = [0]
+        counted = counting_tables(alg, reads)
+        reads[0] = 0
+        delta = identity_partition(alg)
+        assert cogenerated_congruence(counted, delta) == delta
+        assert reads[0] == 0
 
 
 def test_identity_partition_quotients_to_the_algebra():
@@ -437,6 +483,17 @@ def test_restrict_algebra_rejects_open_sets_like_reference():
             got = restrict_algebra(alg, elements)
             assert got[0].tables == want[0].tables and got[1] == want[1]
     assert rejected >= INSTANCES // 4
+
+
+def test_restrict_algebra_rejects_elements_out_of_range():
+    alg = random_instance(random.Random(616))
+    n = alg.size("a")
+    # every element, so the set is closed; -1 would read the last entry
+    for bad in (-1, n):
+        elements = {s: list(range(m)) for s, m in alg.carriers}
+        elements["a"].append(bad)
+        with pytest.raises(ValidationError, match=f"element {bad} out of range at sort 'a'"):
+            restrict_algebra(alg, elements)
 
 
 def test_is_congruence_and_quotient_match_reference():
@@ -616,6 +673,9 @@ def test_derived_algebra_matches_reference():
     assert compared >= INSTANCES // 2 and errors and empty_unassigned
 
 
+# SIG with one sort: a constant, a unary and a binary operation
+ONE = signature(["s"], [("c", [], "s"), ("g", ["s"], "s"), ("sigma", ["s", "s"], "s")])
+
 # SIG without the sort ``e``
 TWO = signature(
     ["a", "b"],
@@ -646,6 +706,36 @@ def test_translation_table_matches_reference(two_sorted, r_par):
         assert got == reference_translation_table(rec.algebra, assignment, ctx)
         hole_sorts.add(ctx.hole_sort)
     assert len(hole_sorts) == (2 if two_sorted else 1)
+
+
+@pytest.mark.parametrize("sorts", [1, 2, 3])
+def test_cogenerated_congruence_matches_reference(sorts):
+    rng = random.Random(615 + sorts)
+    sig = {1: ONE, 2: TWO, 3: SIG}[sorts]
+    kinds = set()
+    for _ in range(INSTANCES):
+        # up to 6 elements per sort; the sort ``e`` of SIG may be empty
+        carriers = {s: rng.randint(0 if s == "e" else 1, 6) for s in sig.sorts}
+        alg = random_algebra(rng, sig, carriers=carriers)
+        subset = {s: frozenset(e for e in range(n) if rng.random() < 0.5) for s, n in alg.carriers}
+        permuted = SortedPartition(
+            tuple((s, tuple(rng.sample(range(n), n))) for s, n in alg.carriers), alg.carriers
+        )
+        rough = {s: [rng.randrange(n // 2 + 1) for _ in range(n)] for s, n in alg.carriers}
+        for phi in (
+            kernel_of_subset(alg, subset),
+            partition(sig.sorts, rough),
+            identity_partition(alg),
+            permuted,
+            all_in_one_partition(alg),
+        ):
+            got = cogenerated_congruence(alg, phi)
+            want = reference_cogenerated_congruence(alg, phi)
+            assert got.classes == want.classes and got.counts == want.counts
+            discrete = got.counts == alg.carriers
+            kinds.add("discrete" if discrete else "coarse")
+            kinds.add("kept" if got == partition(sig.sorts, dict(phi.classes)) else "split")
+    assert kinds == {"discrete", "coarse", "split", "kept"}
 
 
 def test_evaluate_matches_plain_evaluator():

@@ -16,7 +16,7 @@ from treelang.congruence import (
     saturate,
     syntactic_congruence,
 )
-from treelang.core import signature
+from treelang.core import ValidationError, signature
 
 from conftest import random_algebra, random_signature
 
@@ -106,6 +106,18 @@ class TestCogenerated:
             for psi in all_sorted_partitions(alg):
                 if refines(psi, phi) and is_congruence(alg, psi)[0]:
                     assert refines(psi, omega)
+
+
+class TestPartitionSize:
+    def test_mismatch_rejected_everywhere(self, alg3):
+        # too long and too short for the 3-element carrier
+        for ids in ([0, 1, 2, 3], [0, 1]):
+            phi = partition(["s"], {"s": ids})
+            for check in (cogenerated_congruence, is_congruence):
+                with pytest.raises(ValidationError, match="partition size mismatch at sort 's'"):
+                    check(alg3, phi)
+            with pytest.raises(ValidationError, match="partition size mismatch at sort 's'"):
+                refines(phi, partition(["s"], {"s": [0, 0, 1]}))
 
 
 class TestSyntactic:
