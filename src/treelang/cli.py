@@ -13,17 +13,14 @@ cannot decide within its bound.
 from __future__ import annotations
 
 import argparse
-import io
-import json
 import sys
-from contextlib import redirect_stdout
 from pathlib import Path
 
-import yaml
-
-from . import closure, formats, oracle, treehom
+# the closure, treehom, derivor and oracle modules, and json, are imported by
+# the commands that use them: a process runs one command and pays for what
+# it imports
+from . import formats
 from .core import ValidationError, parse_context, parse_term, print_term
-from .derivor import apply_derivor_term, compose_derivors, derived_algebra_derivor, hall_term
 from .recognizer import (
     accepts,
     combine,
@@ -34,22 +31,29 @@ from .recognizer import (
 )
 
 
+def _print_json(payload) -> None:
+    import json
+
+    print(json.dumps(payload, sort_keys=False))
+
+
 def _emit(args, payload_json, payload_text: str) -> None:
     if getattr(args, "json", False):
-        print(json.dumps(payload_json, sort_keys=False))
+        _print_json(payload_json)
     else:
         print(payload_text)
 
 
 def _emit_doc(args, doc: dict) -> None:
+    """Print the document and write the same text to ``-o``, dumped once."""
     text = formats.dump_document(doc)
     if getattr(args, "json", False):
-        print(json.dumps(doc, sort_keys=False))
+        _print_json(doc)
     else:
         sys.stdout.write(text)
     out = getattr(args, "output", None)
     if out:
-        formats.dump_document(doc, out)
+        Path(out).write_text(text, encoding="utf-8")
 
 
 def _load_rec(path: str):
@@ -60,6 +64,8 @@ def cmd_member(args) -> int:
     rec = _load_rec(args.recognizer)
     term = parse_term(args.term, rec.signature, rec.vars)
     if args.oracle:
+        from . import oracle
+
         if term.size > args.max_nodes:
             print(
                 f"undecidable at bound: term has {term.size} nodes > {args.max_nodes}",
@@ -75,6 +81,8 @@ def cmd_member(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
+    from . import oracle
+
     rec = _load_rec(args.recognizer)
     langs = oracle.enumerate_language(rec, args.max_nodes)
     payload = {s: [print_term(t) for t in ts] for s, ts in langs.items()}
@@ -97,6 +105,8 @@ def cmd_combine(args) -> int:
 
 
 def cmd_substitute(args) -> int:
+    from .closure import substitute_language
+
     rec = _load_rec(args.recognizer)
     family = {}
     for item in args.with_ or []:
@@ -104,20 +114,24 @@ def cmd_substitute(args) -> int:
             raise ValidationError(f"--with expects var=FILE, got {item!r}")
         name, path = item.split("=", 1)
         family[name] = _load_rec(path)
-    _emit_doc(args, formats.recognizer_to_doc(closure.substitute_language(rec, family)))
+    _emit_doc(args, formats.recognizer_to_doc(substitute_language(rec, family)))
     return 0
 
 
 def cmd_iterate(args) -> int:
+    from .closure import iterate_language
+
     rec = _load_rec(args.recognizer)
-    _emit_doc(args, formats.recognizer_to_doc(closure.iterate_language(rec, args.var)))
+    _emit_doc(args, formats.recognizer_to_doc(iterate_language(rec, args.var)))
     return 0
 
 
 def cmd_quotient(args) -> int:
+    from .closure import quotient_language
+
     l = _load_rec(args.recognizer)
     k = _load_rec(args.by)
-    _emit_doc(args, formats.recognizer_to_doc(closure.quotient_language(l, k, args.var)))
+    _emit_doc(args, formats.recognizer_to_doc(quotient_language(l, k, args.var)))
     return 0
 
 
@@ -160,6 +174,8 @@ def _require(args, *names) -> None:
 
 
 def cmd_treehom(args) -> int:
+    from . import treehom
+
     if args.mode in ("apply", "inverse"):
         _require(args, "source")
         source_sig, source_vars = formats.load_signature(args.source)
@@ -196,13 +212,16 @@ def cmd_treehom(args) -> int:
 
 
 def cmd_derivor(args) -> int:
+    from .derivor import apply_derivor_term, compose_derivors, derived_algebra_derivor, hall_term
+    from .treehom import placeholder_vars
+
     if args.mode == "apply":
         _require(args, "drv", "source", "target", "term")
         source_sig, _ = formats.load_signature(args.source)
         target_sig, _ = formats.load_signature(args.target)
         d = formats.derivor_from_doc(formats.load_document(args.drv), source_sig, target_sig)
         arity = tuple(a for a in args.arity.split(",") if a)
-        body = parse_term(args.term, source_sig, treehom.placeholder_vars(source_sig, arity))
+        body = parse_term(args.term, source_sig, placeholder_vars(source_sig, arity))
         ht = hall_term(body, arity, body.sort)
         out = apply_derivor_term(d, ht)
         payload = {
@@ -240,6 +259,9 @@ def cmd_derivor(args) -> int:
 
 
 def cmd_golden(args) -> int:
+    from contextlib import redirect_stdout
+    from io import StringIO
+
     directory = Path(args.directory)
     if not directory.is_dir():
         raise ValidationError(f"{directory} is not a directory")
@@ -248,13 +270,13 @@ def cmd_golden(args) -> int:
         raise ValidationError(f"no .case files in {directory}")
     failures = 0
     for case_path in cases:
-        case = yaml.safe_load(case_path.read_text(encoding="utf-8"))
-        argv = [_resolve_token(directory, str(a)) for a in case["argv"]]
-        expect_path = directory / case["expect"]
+        argv, expect = _read_case(case_path)
+        argv = [_resolve_token(directory, str(a)) for a in argv]
+        expect_path = directory / expect
         if not expect_path.is_file():
             raise ValidationError(f"missing expected-output file {expect_path}")
         expected = expect_path.read_text(encoding="utf-8")
-        buffer = io.StringIO()
+        buffer = StringIO()
         with redirect_stdout(buffer):
             code = main(argv)
         got = buffer.getvalue()
@@ -268,6 +290,19 @@ def cmd_golden(args) -> int:
         else:
             print(f"PASS {case_path.name}")
     return 1 if failures else 0
+
+
+def _read_case(path: Path) -> tuple[list, str]:
+    """A case file's ``argv`` list and ``expect`` file name, or a
+    ValidationError naming the file and the key at fault."""
+    case = formats.load_document(path)
+    for key, kind in (("argv", list), ("expect", str)):
+        if key not in case:
+            raise ValidationError(f"{path}: case lacks key {key!r}")
+        if not isinstance(case[key], kind):
+            got = type(case[key]).__name__
+            raise ValidationError(f"{path}: {key!r} must be a {kind.__name__}, got {got}")
+    return case["argv"], case["expect"]
 
 
 def _resolve_token(directory: Path, token: str) -> str:

@@ -8,7 +8,7 @@ normative: serialization is deterministic so golden files compare bit-exact.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
 import yaml
 
@@ -23,15 +23,25 @@ from .core import (
     signature,
     sorted_vars,
 )
-from .derivor import Derivor, derivor, hall_term
 from .recognizer import Recognizer, recognizer
-from .treehom import Hyperderivor, hyperderivor, placeholder_vars
+
+if TYPE_CHECKING:
+    # the hyperderivor and derivor readers import these modules on first use
+    from .derivor import Derivor
+    from .treehom import Hyperderivor
+
+# libyaml's loader and dumper when PyYAML was built with it, else the pure ones;
+# both read the same documents and write the same bytes
+try:
+    from yaml import CSafeDumper as _DUMPER, CSafeLoader as _LOADER
+except ImportError:
+    from yaml import SafeDumper as _DUMPER, SafeLoader as _LOADER
 
 
 def load_document(path: str | Path) -> dict:
     with open(path, "r", encoding="utf-8") as handle:
         try:
-            doc = yaml.safe_load(handle)
+            doc = yaml.load(handle, Loader=_LOADER)
         except yaml.YAMLError as err:
             problem = " ".join(str(err).split())
             raise ValidationError(f"{path}: malformed YAML: {problem}") from None
@@ -41,7 +51,7 @@ def load_document(path: str | Path) -> dict:
 
 
 def dump_document(data: Mapping[str, Any], path: str | Path | None = None) -> str:
-    text = yaml.safe_dump(dict(data), sort_keys=False, default_flow_style=None)
+    text = yaml.dump(dict(data), Dumper=_DUMPER, sort_keys=False, default_flow_style=None)
     if path is not None:
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(text)
@@ -211,6 +221,8 @@ def hyperderivor_from_doc(
     target: Signature,
     target_vars: SortedVars,
 ) -> Hyperderivor:
+    from .treehom import hyperderivor, placeholder_vars
+
     try:
         sort_map = doc["sort_map"]
         raw_patterns = doc["patterns"]
@@ -250,6 +262,9 @@ def hyperderivor_to_doc(h: Hyperderivor) -> dict:
 def derivor_from_doc(
     doc: Mapping[str, Any], source: Signature, target: Signature
 ) -> Derivor:
+    from .derivor import derivor, hall_term
+    from .treehom import placeholder_vars
+
     try:
         sort_map = doc["sort_map"]
         raw_patterns = doc["patterns"]

@@ -6,6 +6,8 @@ import sys
 from contextlib import redirect_stdout
 from pathlib import Path
 
+import pytest
+
 from treelang.cli import main
 from treelang.formats import load_recognizer, recognizer_to_doc, dump_document
 from treelang.recognizer import equivalent
@@ -119,6 +121,12 @@ class TestTransforms:
         q = load_recognizer(tmp_path / "q.rec")
         code, out = run("member", tmp_path / "q.rec", "sigma(z,c)")
         assert out == "true\n"
+
+    def test_output_file_matches_stdout(self, tmp_path):
+        out_path = tmp_path / "i.rec"
+        code, out = run("invtrans", GOLDEN / "rpar.rec", "--context", "g(@)", "-o", out_path)
+        assert code == 0 and out
+        assert out_path.read_bytes() == out.encode("utf-8")
 
     def test_syncong_matches_minimize_counts(self, tmp_path):
         code, out = run("syncong", GOLDEN / "rpar.rec")
@@ -425,3 +433,17 @@ class TestHostileInput:
             "derivor", "apply", "--drv", drv, "--source", GOLDEN / "f2.sig",
             "--target", GOLDEN / "f1.sig", "--arity", "e", "--term", "iszero(succ(v0))",
         )
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("argv: [member, rpar.rec\nexpect: x\n", "malformed YAML"),
+            ("expect: member_even.expected\n", "case lacks key 'argv'"),
+            ("argv: member rpar.rec\nexpect: x\n", "'argv' must be a list, got str"),
+            ("argv: [empty, rpar.rec]\nexpect: [a, b]\n", "'expect' must be a str, got list"),
+        ],
+    )
+    def test_golden_case_malformed(self, tmp_path, capsys, text, message):
+        case = tmp_path / "bad.case"
+        case.write_text(text)
+        self.fails_with(capsys, f"{case}: {message}", "golden", tmp_path)
