@@ -56,12 +56,8 @@ def _emit_doc(args, doc: dict) -> None:
         Path(out).write_text(text, encoding="utf-8")
 
 
-def _load_rec(path: str):
-    return formats.load_recognizer(path)
-
-
 def cmd_member(args) -> int:
-    rec = _load_rec(args.recognizer)
+    rec = formats.load_recognizer(args.recognizer)
     term = parse_term(args.term, rec.signature, rec.vars)
     if args.oracle:
         from . import oracle
@@ -83,7 +79,7 @@ def cmd_member(args) -> int:
 def cmd_enumerate(args) -> int:
     from . import oracle
 
-    rec = _load_rec(args.recognizer)
+    rec = formats.load_recognizer(args.recognizer)
     langs = oracle.enumerate_language(rec, args.max_nodes)
     payload = {s: [print_term(t) for t in ts] for s, ts in langs.items()}
     lines = [f"{s}: {print_term(t)}" for s in rec.signature.sorts for t in langs[s]]
@@ -92,14 +88,14 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_minimize(args) -> int:
-    rec = _load_rec(args.recognizer)
+    rec = formats.load_recognizer(args.recognizer)
     _emit_doc(args, formats.recognizer_to_doc(minimize(rec)))
     return 0
 
 
 def cmd_combine(args) -> int:
-    r1 = _load_rec(args.left)
-    r2 = _load_rec(args.right)
+    r1 = formats.load_recognizer(args.left)
+    r2 = formats.load_recognizer(args.right)
     _emit_doc(args, formats.recognizer_to_doc(combine(args.kind, r1, r2)))
     return 0
 
@@ -107,13 +103,13 @@ def cmd_combine(args) -> int:
 def cmd_substitute(args) -> int:
     from .closure import substitute_language
 
-    rec = _load_rec(args.recognizer)
+    rec = formats.load_recognizer(args.recognizer)
     family = {}
     for item in args.with_ or []:
         if "=" not in item:
             raise ValidationError(f"--with expects var=FILE, got {item!r}")
         name, path = item.split("=", 1)
-        family[name] = _load_rec(path)
+        family[name] = formats.load_recognizer(path)
     _emit_doc(args, formats.recognizer_to_doc(substitute_language(rec, family)))
     return 0
 
@@ -121,7 +117,7 @@ def cmd_substitute(args) -> int:
 def cmd_iterate(args) -> int:
     from .closure import iterate_language
 
-    rec = _load_rec(args.recognizer)
+    rec = formats.load_recognizer(args.recognizer)
     _emit_doc(args, formats.recognizer_to_doc(iterate_language(rec, args.var)))
     return 0
 
@@ -129,36 +125,36 @@ def cmd_iterate(args) -> int:
 def cmd_quotient(args) -> int:
     from .closure import quotient_language
 
-    l = _load_rec(args.recognizer)
-    k = _load_rec(args.by)
+    l = formats.load_recognizer(args.recognizer)
+    k = formats.load_recognizer(args.by)
     _emit_doc(args, formats.recognizer_to_doc(quotient_language(l, k, args.var)))
     return 0
 
 
 def cmd_invtrans(args) -> int:
-    rec = _load_rec(args.recognizer)
+    rec = formats.load_recognizer(args.recognizer)
     ctx = parse_context(args.context, rec.signature, rec.vars)
     _emit_doc(args, formats.recognizer_to_doc(inverse_translation(rec, ctx)))
     return 0
 
 
 def cmd_equal(args) -> int:
-    r1 = _load_rec(args.left)
-    r2 = _load_rec(args.right)
+    r1 = formats.load_recognizer(args.left)
+    r2 = formats.load_recognizer(args.right)
     result = equivalent(r1, r2)
     _emit(args, {"equal": result}, "true" if result else "false")
     return 0
 
 
 def cmd_empty(args) -> int:
-    rec = _load_rec(args.recognizer)
+    rec = formats.load_recognizer(args.recognizer)
     result = is_empty(rec)
     _emit(args, {"empty": result}, "true" if result else "false")
     return 0
 
 
 def cmd_syncong(args) -> int:
-    rec = _load_rec(args.recognizer)
+    rec = formats.load_recognizer(args.recognizer)
     # minimize's per-sort state counts are the syntactic congruence's indices
     counts = minimize(rec).algebra.carriers
     payload = {s: n for s, n in counts}
@@ -191,7 +187,7 @@ def cmd_treehom(args) -> int:
         return 0
     if args.mode == "inverse":
         _require(args, "recognizer", "sort")
-        rec = _load_rec(args.recognizer)  # over the target
+        rec = formats.load_recognizer(args.recognizer)  # over the target
         h = formats.hyperderivor_from_doc(
             formats.load_document(args.hyp), source_sig, source_vars, rec.signature, rec.vars
         )
@@ -201,7 +197,7 @@ def cmd_treehom(args) -> int:
     if args.mode == "image":
         _require(args, "target", "recognizer", "sort")
         target_sig, target_vars = formats.load_signature(args.target)
-        rec = _load_rec(args.recognizer)  # over the source
+        rec = formats.load_recognizer(args.recognizer)  # over the source
         h = formats.hyperderivor_from_doc(
             formats.load_document(args.hyp), rec.signature, rec.vars, target_sig, target_vars
         )
@@ -270,9 +266,13 @@ def cmd_golden(args) -> int:
         raise ValidationError(f"no .case files in {directory}")
     failures = 0
     for case_path in cases:
-        argv, expect = _read_case(case_path)
-        argv = [_resolve_token(directory, str(a)) for a in argv]
-        expect_path = directory / expect
+        case = formats.load_document(case_path)
+        try:
+            formats.check(case, {"argv": [str], "expect": str})
+        except ValidationError as err:
+            raise ValidationError(f"{case_path}: {err}") from None
+        argv = [_resolve_token(directory, a) for a in case["argv"]]
+        expect_path = directory / case["expect"]
         if not expect_path.is_file():
             raise ValidationError(f"missing expected-output file {expect_path}")
         expected = expect_path.read_text(encoding="utf-8")
@@ -290,19 +290,6 @@ def cmd_golden(args) -> int:
         else:
             print(f"PASS {case_path.name}")
     return 1 if failures else 0
-
-
-def _read_case(path: Path) -> tuple[list, str]:
-    """A case file's ``argv`` list and ``expect`` file name, or a
-    ValidationError naming the file and the key at fault."""
-    case = formats.load_document(path)
-    for key, kind in (("argv", list), ("expect", str)):
-        if key not in case:
-            raise ValidationError(f"{path}: case lacks key {key!r}")
-        if not isinstance(case[key], kind):
-            got = type(case[key]).__name__
-            raise ValidationError(f"{path}: {key!r} must be a {kind.__name__}, got {got}")
-    return case["argv"], case["expect"]
 
 
 def _resolve_token(directory: Path, token: str) -> str:
@@ -422,10 +409,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except ValidationError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as err:
+    except (ValidationError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

@@ -8,7 +8,7 @@ normative: serialization is deterministic so golden files compare bit-exact.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Mapping
 
 import yaml
 
@@ -39,12 +39,14 @@ except ImportError:
 
 
 def load_document(path: str | Path) -> dict:
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
             doc = yaml.load(handle, Loader=_LOADER)
-        except yaml.YAMLError as err:
-            problem = " ".join(str(err).split())
-            raise ValidationError(f"{path}: malformed YAML: {problem}") from None
+    except UnicodeDecodeError:
+        raise ValidationError(f"{path}: not UTF-8 text") from None
+    except yaml.YAMLError as err:
+        problem = " ".join(str(err).split())
+        raise ValidationError(f"{path}: malformed YAML: {problem}") from None
     if not isinstance(doc, dict):
         raise ValidationError(f"{path}: expected a mapping at top level")
     return doc
@@ -58,74 +60,75 @@ def dump_document(data: Mapping[str, Any], path: str | Path | None = None) -> st
     return text
 
 
-def _require(found, keys, what: str) -> None:
-    """Reject the first of the keys that ``found`` lacks: a document mapping
-    lacking a declared key, or a declared set lacking a document key."""
-    for key in keys:
-        if key not in found:
-            raise ValidationError(f"{what} {key!r}")
+# ---------------------------------------------------------------------------
+# document shapes
+#
+# ``int`` and ``str`` are leaves matched by exact type, so a bool is not an
+# int; ``object`` matches anything (a part a later pass checks).  ``[shape]``
+# is a list of that shape and ``{str: shape}`` a mapping from any names.  Any
+# other dict maps field names to shapes: a trailing ``?`` marks an optional
+# field, and any other key is rejected.
+
+_LEAVES = {int: "an integer", str: "a string"}
 
 
-def _mapping(value: Any, what: str) -> Mapping[str, Any]:
-    """Reject a document value that is not a mapping."""
-    if not isinstance(value, Mapping):
-        raise ValidationError(f"{what} must be a mapping, got {type(value).__name__}")
-    return value
-
-
-def _list(value: Any, what: str) -> Sequence[Any]:
-    """Reject a document value that is not a list."""
-    if not isinstance(value, (list, tuple)):
-        raise ValidationError(f"{what} must be a list, got {type(value).__name__}")
-    return value
-
-
-def _int(value: Any, what: str) -> int:
-    """Read a document value as an integer, or reject it."""
-    try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise ValidationError(f"{what} must be an integer, got {value!r}") from None
-
-
-def _ints(value: Any, what: str) -> list[int]:
-    """Read a document list of integers, or reject it."""
-    values = _list(value, what)
-    try:
-        return [int(v) for v in values]
-    except (TypeError, ValueError):
-        raise ValidationError(f"{what} must list integers") from None
+def check(value: Any, shape: Any, where: str = "") -> None:
+    """Reject ``value`` unless it has ``shape``, naming the document path of
+    the first part that does not (``tables.sigma[3]``)."""
+    at = where or "document"
+    if shape is int or shape is str:
+        if type(value) is not shape:
+            raise ValidationError(f"{at} must be {_LEAVES[shape]}, got {value!r}")
+    elif type(shape) is list:
+        if not isinstance(value, list):
+            raise ValidationError(f"{at} must be a list, got {type(value).__name__}")
+        item = shape[0]
+        # one pass over a list of leaves; walk it only to name the bad entry
+        if not ((item is int or item is str) and all(type(v) is item for v in value)):
+            for i, v in enumerate(value):
+                check(v, item, f"{where}[{i}]")
+    elif shape is not object:
+        if not isinstance(value, dict):
+            raise ValidationError(f"{at} must be a mapping, got {type(value).__name__}")
+        prefix = f"{where}." if where else ""
+        if str in shape:
+            for key, v in value.items():
+                if type(key) is not str:
+                    raise ValidationError(f"{at} has a key that is not a string: {key!r}")
+                check(v, shape[str], prefix + key)
+            return
+        for key in value:
+            if key not in shape and f"{key}?" not in shape:
+                raise ValidationError(f"{at} has unknown key {key!r}")
+        for field, sub in shape.items():
+            key = field.removesuffix("?")
+            if key in value:
+                check(value[key], sub, prefix + key)
+            elif key == field:
+                raise ValidationError(f"{at} lacks key {key!r}")
 
 
 # ---------------------------------------------------------------------------
 # signatures
 
+_SIGNATURE = {
+    "sorts": [str],
+    "ops": [{"name": str, "arity?": [str], "result": str}],
+    "vars?": {str: [str]},
+}
+
 
 def signature_from_doc(doc: Mapping[str, Any]) -> tuple[Signature, SortedVars]:
-    try:
-        sorts = doc["sorts"]
-        ops = doc["ops"]
-    except KeyError as missing:
-        raise ValidationError(f"signature document missing key {missing}") from None
-    sorts = _list(sorts, "signature document: 'sorts'")
-    ops = _list(ops, "signature document: 'ops'")
-    ops = [_mapping(o, "signature document: each 'ops' entry") for o in ops]
-    try:
-        specs = [
-            (str(o["name"]), [str(a) for a in o.get("arity", [])], str(o["result"])) for o in ops
-        ]
-    except KeyError as missing:
-        raise ValidationError(f"signature document: an op is missing key {missing}") from None
-    sig = signature([str(s) for s in sorts], specs)
-    vars_doc = _mapping(doc.get("vars", {}) or {}, "signature document: 'vars'")
-    vars = sorted_vars(
-        sig,
-        {
-            str(s): [str(x) for x in _list(xs, f"signature document: 'vars' at {s!r}")]
-            for s, xs in vars_doc.items()
-        },
-    )
-    return sig, vars
+    check(doc, _SIGNATURE)
+    return _signature(doc)
+
+
+def _signature(doc: Mapping[str, Any]) -> tuple[Signature, SortedVars]:
+    """The signature and variables of a document whose signature keys have
+    been checked."""
+    ops = [(o["name"], o.get("arity", ()), o["result"]) for o in doc["ops"]]
+    sig = signature(doc["sorts"], ops)
+    return sig, sorted_vars(sig, doc.get("vars", {}))
 
 
 def signature_to_doc(sig: Signature, vars: SortedVars) -> dict:
@@ -147,30 +150,15 @@ def load_signature(path: str | Path) -> tuple[Signature, SortedVars]:
 # algebras and recognizers
 
 
+def _algebra_shape(sig: Signature) -> dict:
+    return {"carriers": {s: int for s in sig.sorts}, "tables": {op.name: [int] for op in sig.ops}}
+
+
 def algebra_from_doc(
     doc: Mapping[str, Any], sig: Signature
 ) -> tuple[FiniteAlgebra, dict[str, int]]:
-    try:
-        carriers = doc["carriers"]
-        tables = doc["tables"]
-    except KeyError as missing:
-        raise ValidationError(f"algebra document missing key {missing}") from None
-    carriers = _mapping(carriers, "algebra document: 'carriers'")
-    tables = _mapping(tables, "algebra document: 'tables'")
-    carriers = {
-        str(s): _int(n, f"algebra document: carrier size of {s!r}") for s, n in carriers.items()
-    }
-    tables = {str(o): _ints(t, f"algebra document: table for {o!r}") for o, t in tables.items()}
-    _require(carriers, sig.sorts, "algebra document: carriers lack sort")
-    _require(sig.sorts, carriers, "algebra document: carrier for undeclared sort")
-    _require(tables, sig.op_by_name, "algebra document: tables lack operation")
-    _require(sig.op_by_name, tables, "algebra document: table for undeclared operation")
-    alg = finite_algebra(sig, carriers, tables)
-    assignment = _mapping(doc.get("assignment", {}) or {}, "algebra document: 'assignment'")
-    assignment = {
-        str(x): _int(v, f"algebra document: assignment of {x!r}") for x, v in assignment.items()
-    }
-    return alg, assignment
+    check(doc, {**_algebra_shape(sig), "assignment?": {str: int}})
+    return finite_algebra(sig, doc["carriers"], doc["tables"]), doc.get("assignment", {})
 
 
 def algebra_to_doc(alg: FiniteAlgebra, assignment: Mapping[str, int]) -> dict:
@@ -182,15 +170,20 @@ def algebra_to_doc(alg: FiniteAlgebra, assignment: Mapping[str, int]) -> dict:
 
 
 def recognizer_from_doc(doc: Mapping[str, Any]) -> Recognizer:
-    sig, vars = signature_from_doc(doc)
-    alg, assignment = algebra_from_doc(doc, sig)
-    accepting = _mapping(doc.get("accepting", {}) or {}, "recognizer document: 'accepting'")
-    accepting = {
-        str(s): _ints(elems, f"recognizer document: accepting set at {s!r}")
-        for s, elems in accepting.items()
+    # the signature keys first: the shape of the rest is built from them
+    later = ("carriers", "tables", "assignment?", "accepting?")
+    check(doc, {**_SIGNATURE, **dict.fromkeys(later, object)})
+    sig, vars = _signature(doc)
+    names = vars.all_names()
+    shape = {
+        **dict.fromkeys(_SIGNATURE, object),
+        **_algebra_shape(sig),
+        "assignment" if names else "assignment?": {x: int for x in names},
+        "accepting?": {f"{s}?": [int] for s in sig.sorts},
     }
-    _require(sig.sorts, accepting, "recognizer document: accepting set at unknown sort")
-    return recognizer(vars, alg, assignment, accepting)
+    check(doc, shape)
+    alg = finite_algebra(sig, doc["carriers"], doc["tables"])
+    return recognizer(vars, alg, doc.get("assignment", {}), doc.get("accepting", {}))
 
 
 def recognizer_to_doc(rec: Recognizer) -> dict:
@@ -214,6 +207,13 @@ def save_recognizer(rec: Recognizer, path: str | Path) -> None:
 # hyperderivors and derivors
 
 
+def _morphism_shape(source: Signature) -> dict:
+    return {
+        "sort_map": {s: str for s in source.sorts},
+        "patterns": {op.name: str for op in source.ops},
+    }
+
+
 def hyperderivor_from_doc(
     doc: Mapping[str, Any],
     source: Signature,
@@ -223,29 +223,14 @@ def hyperderivor_from_doc(
 ) -> Hyperderivor:
     from .treehom import hyperderivor, placeholder_vars
 
-    try:
-        sort_map = doc["sort_map"]
-        raw_patterns = doc["patterns"]
-        raw_images = doc["var_images"]
-    except KeyError as missing:
-        raise ValidationError(f"hyperderivor document missing key {missing}") from None
-    sort_map = _mapping(sort_map, "hyperderivor document: 'sort_map'")
-    sort_map = {str(a): str(b) for a, b in sort_map.items()}
-    raw_patterns = _mapping(raw_patterns, "hyperderivor document: 'patterns'")
-    raw_images = _mapping(raw_images, "hyperderivor document: 'var_images'")
-    _require(sort_map, source.sorts, "hyperderivor document: sort_map lacks source sort")
+    images = {x: str for x in source_vars.all_names()}
+    check(doc, {**_morphism_shape(source), "var_images": images})
+    sort_map = doc["sort_map"]
     patterns = {}
     for op in source.ops:
-        if op.name not in raw_patterns:
-            raise ValidationError(f"hyperderivor document lacks a pattern for {op.name!r}")
-        arity = tuple(sort_map[w] for w in op.arity)
-        env = placeholder_vars(target, arity, target_vars)
-        patterns[op.name] = parse_term(str(raw_patterns[op.name]), target, env)
-    var_images = {}
-    for x in source_vars.all_names():
-        if x not in raw_images:
-            raise ValidationError(f"hyperderivor document lacks an image for {x!r}")
-        var_images[x] = parse_term(str(raw_images[x]), target, target_vars)
+        env = placeholder_vars(target, tuple(sort_map[w] for w in op.arity), target_vars)
+        patterns[op.name] = parse_term(doc["patterns"][op.name], target, env)
+    var_images = {x: parse_term(t, target, target_vars) for x, t in doc["var_images"].items()}
     return hyperderivor(
         source, source_vars, target, target_vars, sort_map, patterns, var_images
     )
@@ -265,21 +250,12 @@ def derivor_from_doc(
     from .derivor import derivor, hall_term
     from .treehom import placeholder_vars
 
-    try:
-        sort_map = doc["sort_map"]
-        raw_patterns = doc["patterns"]
-    except KeyError as missing:
-        raise ValidationError(f"derivor document missing key {missing}") from None
-    sort_map = _mapping(sort_map, "derivor document: 'sort_map'")
-    sort_map = {str(a): str(b) for a, b in sort_map.items()}
-    raw_patterns = _mapping(raw_patterns, "derivor document: 'patterns'")
-    _require(sort_map, source.sorts, "derivor document: sort_map lacks source sort")
+    check(doc, _morphism_shape(source))
+    sort_map = doc["sort_map"]
     patterns = {}
     for op in source.ops:
-        if op.name not in raw_patterns:
-            raise ValidationError(f"derivor document lacks a pattern for {op.name!r}")
         arity = tuple(sort_map[w] for w in op.arity)
-        body = parse_term(str(raw_patterns[op.name]), target, placeholder_vars(target, arity))
+        body = parse_term(doc["patterns"][op.name], target, placeholder_vars(target, arity))
         patterns[op.name] = hall_term(body, arity, sort_map[op.result])
     return derivor(source, target, sort_map, patterns)
 
@@ -300,4 +276,5 @@ def partition_to_doc(p: SortedPartition) -> dict:
 
 
 def partition_from_doc(doc: Mapping[str, Any], sorts) -> SortedPartition:
-    return partition(sorts, {str(s): [int(c) for c in ids] for s, ids in doc.items()})
+    check(doc, {f"{s}?": [int] for s in sorts})
+    return partition(sorts, doc)

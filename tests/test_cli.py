@@ -3,10 +3,12 @@ import json
 import os
 import subprocess
 import sys
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+import yaml
+from hypothesis import given, settings, strategies as st
 
 from treelang.cli import main
 from treelang.formats import load_recognizer, recognizer_to_doc, dump_document
@@ -21,6 +23,28 @@ def run(*argv):
     with redirect_stdout(buffer):
         code = main([str(a) for a in argv])
     return code, buffer.getvalue()
+
+
+# a command that reads each golden document kind, given the document's path
+READERS = {
+    "rpar.rec": lambda path: ["member", path, "g(c)"],
+    "f1.sig": lambda path: [
+        "treehom", "apply", "--hyp", GOLDEN / "h1.hyp", "--source", GOLDEN / "f2.sig",
+        "--target", path, "--term", "iszero(succ(zero))",
+    ],
+    "f2.sig": lambda path: [
+        "treehom", "apply", "--hyp", GOLDEN / "h1.hyp", "--source", path,
+        "--target", GOLDEN / "f1.sig", "--term", "iszero(succ(zero))",
+    ],
+    "h1.hyp": lambda path: [
+        "treehom", "apply", "--hyp", path, "--source", GOLDEN / "f2.sig",
+        "--target", GOLDEN / "f1.sig", "--term", "iszero(succ(zero))",
+    ],
+    "d1.drv": lambda path: [
+        "derivor", "apply", "--drv", path, "--source", GOLDEN / "f2.sig",
+        "--target", GOLDEN / "f1.sig", "--arity", "e", "--term", "iszero(succ(v0))",
+    ],
+}
 
 
 class TestBasicCommands:
@@ -324,7 +348,7 @@ class TestHostileInput:
     def test_hyp_sort_map_missing_source_sort(self, tmp_path, capsys):
         hyp = edited(tmp_path, "h1.hyp", lambda d: d["sort_map"].pop("b"))
         self.fails_with(
-            capsys, "sort_map lacks source sort 'b'",
+            capsys, "sort_map lacks key 'b'",
             "treehom", "apply", "--hyp", hyp, "--source", GOLDEN / "f2.sig",
             "--target", GOLDEN / "f1.sig", "--term", "iszero(succ(zero))",
         )
@@ -332,26 +356,26 @@ class TestHostileInput:
     def test_drv_sort_map_missing_source_sort(self, tmp_path, capsys):
         drv = edited(tmp_path, "d1.drv", lambda d: d["sort_map"].pop("b"))
         self.fails_with(
-            capsys, "sort_map lacks source sort 'b'",
+            capsys, "sort_map lacks key 'b'",
             "derivor", "apply", "--drv", drv, "--source", GOLDEN / "f2.sig",
             "--target", GOLDEN / "f1.sig", "--arity", "e", "--term", "iszero(succ(v0))",
         )
 
     def test_rec_op_without_name(self, tmp_path, capsys):
         rec = edited(tmp_path, "rpar.rec", lambda d: d["ops"][1].pop("name"))
-        self.fails_with(capsys, "missing key 'name'", "member", rec, "g(c)")
+        self.fails_with(capsys, "ops[1] lacks key 'name'", "member", rec, "g(c)")
 
     def test_rec_carriers_missing_sort(self, tmp_path, capsys):
         rec = edited(tmp_path, "rpar.rec", lambda d: d["carriers"].pop("s"))
-        self.fails_with(capsys, "carriers lack sort 's'", "member", rec, "g(c)")
+        self.fails_with(capsys, "carriers lacks key 's'", "member", rec, "g(c)")
 
     def test_rec_tables_missing_operation(self, tmp_path, capsys):
         rec = edited(tmp_path, "rpar.rec", lambda d: d["tables"].pop("g"))
-        self.fails_with(capsys, "tables lack operation 'g'", "member", rec, "g(c)")
+        self.fails_with(capsys, "tables lacks key 'g'", "member", rec, "g(c)")
 
     def test_rec_accepting_at_undeclared_sort(self, tmp_path, capsys):
         rec = edited(tmp_path, "rpar.rec", lambda d: d["accepting"].update(t=[0]))
-        self.fails_with(capsys, "accepting set at unknown sort 't'", "member", rec, "g(c)")
+        self.fails_with(capsys, "accepting has unknown key 't'", "member", rec, "g(c)")
 
     def test_rec_malformed_yaml(self, tmp_path, capsys):
         rec = tmp_path / "bad.rec"
@@ -360,60 +384,60 @@ class TestHostileInput:
 
     def test_rec_op_not_a_mapping(self, tmp_path, capsys):
         rec = edited(tmp_path, "rpar.rec", lambda d: d.update(ops=["c"]))
-        self.fails_with(capsys, "each 'ops' entry must be a mapping", "member", rec, "c")
+        self.fails_with(capsys, "ops[0] must be a mapping, got str", "member", rec, "c")
 
     def test_rec_carriers_not_a_mapping(self, tmp_path, capsys):
         rec = edited(tmp_path, "rpar.rec", lambda d: d.update(carriers=[2]))
-        self.fails_with(capsys, "'carriers' must be a mapping", "member", rec, "g(c)")
+        self.fails_with(capsys, "carriers must be a mapping, got list", "member", rec, "g(c)")
 
     def test_rec_tables_not_a_mapping(self, tmp_path, capsys):
         rec = edited(tmp_path, "rpar.rec", lambda d: d.update(tables=[[0]]))
-        self.fails_with(capsys, "'tables' must be a mapping", "member", rec, "g(c)")
+        self.fails_with(capsys, "tables must be a mapping, got list", "member", rec, "g(c)")
 
     def test_rec_table_for_undeclared_operation(self, tmp_path, capsys):
         rec = edited(tmp_path, "rpar.rec", lambda d: d["tables"].update(f=[0]))
         self.fails_with(
-            capsys, "table for undeclared operation 'f'", "member", rec, "g(c)"
+            capsys, "tables has unknown key 'f'", "member", rec, "g(c)"
         )
 
     def test_rec_ops_null(self, tmp_path, capsys):
         rec = edited(tmp_path, "rpar.rec", lambda d: d.update(ops=None))
-        self.fails_with(capsys, "'ops' must be a list, got NoneType", "member", rec, "g(c)")
+        self.fails_with(capsys, "ops must be a list, got NoneType", "member", rec, "g(c)")
 
     def test_rec_carrier_size_not_an_integer(self, tmp_path, capsys):
         rec = edited(tmp_path, "rpar.rec", lambda d: d["carriers"].update(s="two"))
         self.fails_with(
-            capsys, "carrier size of 's' must be an integer, got 'two'", "member", rec, "g(c)"
+            capsys, "carriers.s must be an integer, got 'two'", "member", rec, "g(c)"
         )
 
     def test_rec_table_not_a_list(self, tmp_path, capsys):
         rec = edited(tmp_path, "rpar.rec", lambda d: d["tables"].update(g=5))
-        self.fails_with(capsys, "table for 'g' must be a list, got int", "member", rec, "g(c)")
+        self.fails_with(capsys, "tables.g must be a list, got int", "member", rec, "g(c)")
 
     def test_rec_accepting_not_a_mapping(self, tmp_path, capsys):
         rec = edited(tmp_path, "rpar.rec", lambda d: d.update(accepting=[0]))
-        self.fails_with(capsys, "'accepting' must be a mapping, got list", "member", rec, "g(c)")
+        self.fails_with(capsys, "accepting must be a mapping, got list", "member", rec, "g(c)")
 
     def test_rec_assignment_not_a_mapping(self, tmp_path, capsys):
         rec = edited(tmp_path, "rpar.rec", lambda d: d.update(assignment=[0]))
-        self.fails_with(capsys, "'assignment' must be a mapping, got list", "member", rec, "g(c)")
+        self.fails_with(capsys, "assignment must be a mapping, got list", "member", rec, "g(c)")
 
     def test_rec_carrier_for_undeclared_sort(self, tmp_path, capsys):
         rec = edited(tmp_path, "rpar.rec", lambda d: d["carriers"].update(t=3))
-        self.fails_with(capsys, "carrier for undeclared sort 't'", "member", rec, "g(c)")
+        self.fails_with(capsys, "carriers has unknown key 't'", "member", rec, "g(c)")
 
     def test_rec_vars_entry_not_a_list(self, tmp_path, capsys):
         rec = edited(tmp_path, "rpar.rec", lambda d: d["vars"].update(s=5))
-        self.fails_with(capsys, "'vars' at 's' must be a list, got int", "member", rec, "g(c)")
+        self.fails_with(capsys, "vars.s must be a list, got int", "member", rec, "g(c)")
 
     def test_rec_vars_not_a_mapping(self, tmp_path, capsys):
         rec = edited(tmp_path, "rpar.rec", lambda d: d.update(vars=["x"]))
-        self.fails_with(capsys, "'vars' must be a mapping, got list", "member", rec, "g(c)")
+        self.fails_with(capsys, "vars must be a mapping, got list", "member", rec, "g(c)")
 
     def test_hyp_patterns_null(self, tmp_path, capsys):
         hyp = edited(tmp_path, "h1.hyp", lambda d: d.update(patterns=None))
         self.fails_with(
-            capsys, "'patterns' must be a mapping, got NoneType",
+            capsys, "patterns must be a mapping, got NoneType",
             "treehom", "apply", "--hyp", hyp, "--source", GOLDEN / "f2.sig",
             "--target", GOLDEN / "f1.sig", "--term", "iszero(succ(zero))",
         )
@@ -421,7 +445,7 @@ class TestHostileInput:
     def test_hyp_sort_map_not_a_mapping(self, tmp_path, capsys):
         hyp = edited(tmp_path, "h1.hyp", lambda d: d.update(sort_map=["e"]))
         self.fails_with(
-            capsys, "'sort_map' must be a mapping, got list",
+            capsys, "sort_map must be a mapping, got list",
             "treehom", "apply", "--hyp", hyp, "--source", GOLDEN / "f2.sig",
             "--target", GOLDEN / "f1.sig", "--term", "iszero(succ(zero))",
         )
@@ -429,21 +453,97 @@ class TestHostileInput:
     def test_drv_patterns_null(self, tmp_path, capsys):
         drv = edited(tmp_path, "d1.drv", lambda d: d.update(patterns=None))
         self.fails_with(
-            capsys, "'patterns' must be a mapping, got NoneType",
+            capsys, "patterns must be a mapping, got NoneType",
             "derivor", "apply", "--drv", drv, "--source", GOLDEN / "f2.sig",
             "--target", GOLDEN / "f1.sig", "--arity", "e", "--term", "iszero(succ(v0))",
         )
+
+    def test_rec_not_utf8(self, tmp_path, capsys):
+        rec = tmp_path / "bad.rec"
+        rec.write_bytes(b"sorts: [\xff\xfe]\n")
+        self.fails_with(capsys, f"{rec}: not UTF-8 text", "member", rec, "c")
+
+    def test_rec_is_a_directory(self, tmp_path, capsys):
+        self.fails_with(capsys, f"Is a directory: '{tmp_path}'", "member", tmp_path, "c")
+
+    @pytest.mark.parametrize(
+        "name, edit, message",
+        [
+            ("rpar.rec", lambda d: d["tables"].update(c=[1.7]), "tables.c[0] must be an integer, got 1.7"),
+            ("rpar.rec", lambda d: d["carriers"].update(s=True), "carriers.s must be an integer, got True"),
+            ("rpar.rec", lambda d: d["carriers"].update(s="2"), "carriers.s must be an integer, got '2'"),
+            ("rpar.rec", lambda d: d.update(extra=5), "document has unknown key 'extra'"),
+            ("h1.hyp", lambda d: d["patterns"].update(nope="c"), "patterns has unknown key 'nope'"),
+            ("d1.drv", lambda d: d["patterns"].update(nope="c"), "patterns has unknown key 'nope'"),
+        ],
+    )
+    def test_values_once_coerced_or_ignored(self, tmp_path, capsys, name, edit, message):
+        self.fails_with(capsys, message, *READERS[name](edited(tmp_path, name, edit)))
 
     @pytest.mark.parametrize(
         "text, message",
         [
             ("argv: [member, rpar.rec\nexpect: x\n", "malformed YAML"),
-            ("expect: member_even.expected\n", "case lacks key 'argv'"),
-            ("argv: member rpar.rec\nexpect: x\n", "'argv' must be a list, got str"),
-            ("argv: [empty, rpar.rec]\nexpect: [a, b]\n", "'expect' must be a str, got list"),
+            ("expect: member_even.expected\n", "document lacks key 'argv'"),
+            ("argv: member rpar.rec\nexpect: x\n", "argv must be a list, got str"),
+            ("argv: [empty, rpar.rec]\nexpect: [a, b]\n", "expect must be a string, got ['a', 'b']"),
         ],
     )
     def test_golden_case_malformed(self, tmp_path, capsys, text, message):
         case = tmp_path / "bad.case"
         case.write_text(text)
         self.fails_with(capsys, f"{case}: {message}", "golden", tmp_path)
+
+
+def locations(node, found):
+    """Every (container, key) pair below a parsed document."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, child in list(items):
+        found.append((node, key))
+        if isinstance(child, (dict, list)):
+            locations(child, found)
+    return found
+
+
+VALUES = st.one_of(
+    st.none(),
+    st.integers(-2, 5),
+    st.sampled_from([1.5, -0.0, 1e9]),
+    st.booleans(),
+    st.text(alphabet="cgxzsbe(),@v0", max_size=8),
+    st.lists(st.one_of(st.integers(-1, 3), st.text(alphabet="sxv0", max_size=2)), max_size=4),
+)
+KEYS = st.one_of(st.sampled_from(["extra", "s", "t", "e", "x", "g", "name", "arity"]), st.integers(0, 2))
+
+
+class TestMutatedDocuments:
+    """A golden document with one key dropped or added or one value replaced
+    is read to exit 0 or to exit 1 with an ``error:`` line and no output,
+    never to a traceback."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_exit_zero_or_one(self, data):
+        import tempfile
+
+        name = data.draw(st.sampled_from(sorted(READERS)))
+        doc = yaml.safe_load((GOLDEN / name).read_text())
+        kind = data.draw(st.sampled_from(["drop", "add", "replace"]))
+        if kind == "add":
+            mappings = [doc] + [c[k] for c, k in locations(doc, []) if isinstance(c[k], dict)]
+            data.draw(st.sampled_from(mappings))[data.draw(KEYS)] = data.draw(VALUES)
+        else:
+            container, key = data.draw(st.sampled_from(locations(doc, [])))
+            if kind == "drop":
+                del container[key]
+            else:
+                container[key] = data.draw(VALUES)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / name
+            path.write_text(yaml.safe_dump(doc, sort_keys=False))
+            err = io.StringIO()
+            with redirect_stderr(err):
+                code, out = run(*READERS[name](path))
+        assert code in (0, 1)
+        if code == 1:
+            assert out == "" and err.getvalue().startswith("error: ")

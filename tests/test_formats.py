@@ -1,7 +1,13 @@
-import pytest
+import random
 
+import pytest
+import yaml
+from hypothesis import given, settings, strategies as st
+
+from treelang import formats
 from treelang.core import ValidationError
 from treelang.formats import (
+    check,
     derivor_from_doc,
     derivor_to_doc,
     dump_document,
@@ -15,7 +21,19 @@ from treelang.formats import (
     signature_to_doc,
 )
 from treelang.congruence import partition
-from treelang.recognizer import equivalent
+from treelang.recognizer import equivalent, recognizer
+
+from conftest import (
+    random_derivor,
+    random_hyperderivor,
+    random_recognizer,
+    random_rich_signature,
+    random_signature,
+    retrying,
+)
+
+# bounded and seeded so tier-1 stays fast and repeatable
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
 
 class TestSignatureDocs:
@@ -89,6 +107,19 @@ class TestPartitionDocs:
         assert doc == {"s": [0, 0, 1], "t": [0]}
         assert partition_from_doc(doc, ["s", "t"]) == p
 
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({"s": [0, 1.5]}, "s[1] must be an integer, got 1.5"),
+            ({"s": [0], "u": [0]}, "document has unknown key 'u'"),
+            ({"s": 0}, "s must be a list, got int"),
+            ([0, 1], "document must be a mapping, got list"),
+        ],
+    )
+    def test_rejected(self, doc, message):
+        with pytest.raises(ValidationError, match=message.replace("[", r"\[")):
+            partition_from_doc(doc, ["s", "t"])
+
 
 class TestFileRoundtrip:
     def test_recognizer_file(self, tmp_path, r_par):
@@ -101,3 +132,57 @@ class TestFileRoundtrip:
         assert dump_document(recognizer_to_doc(again)) == dump_document(
             recognizer_to_doc(r_par)
         )
+
+
+class TestShapeCheck:
+    def test_mapping_from_names_rejects_other_keys(self):
+        with pytest.raises(ValidationError, match="vars has a key that is not a string: 1"):
+            check({"vars": {1: ["x"]}}, {"vars": {str: [str]}})
+
+    def test_optional_field_may_be_absent(self):
+        check({"a": 1}, {"a": int, "b?": [str]})
+        check({"a": 1, "b": []}, {"a": int, "b?": [str]})
+
+
+def reloaded(doc):
+    """The document as the library writes it to text and reads it back."""
+    return yaml.load(dump_document(doc), Loader=formats._LOADER)
+
+
+class TestRoundTripProperties:
+    """``*_from_doc(*_to_doc(x)) == x``, directly and through YAML text: every
+    document the library writes passes the shape check for its kind."""
+
+    @PROPERTY
+    @given(st.integers(0, 2**32), st.booleans())
+    def test_recognizer(self, seed, accept_nothing):
+        rng = random.Random(seed)
+        sig, vars = random_signature(rng)
+        rec = random_recognizer(rng, sig, vars)
+        if accept_nothing:
+            rec = recognizer(vars, rec.algebra, dict(rec.assignment), {})
+        doc = recognizer_to_doc(rec)
+        assert recognizer_from_doc(doc) == rec
+        assert recognizer_from_doc(reloaded(doc)) == rec
+        assert signature_from_doc(reloaded(signature_to_doc(sig, vars))) == (sig, vars)
+
+    @PROPERTY
+    @given(st.integers(0, 2**32))
+    def test_hyperderivor_and_derivor(self, seed):
+        rng = random.Random(seed)
+        src, srcv = random_signature(rng)
+        tgt, tgtv = random_rich_signature(rng)
+        h = retrying(lambda: random_hyperderivor(rng, src, srcv, tgt, tgtv), rng)
+        assert hyperderivor_from_doc(reloaded(hyperderivor_to_doc(h)), src, srcv, tgt, tgtv) == h
+        d = retrying(lambda: random_derivor(rng, src, tgt), rng)
+        assert derivor_from_doc(reloaded(derivor_to_doc(d)), src, tgt) == d
+
+    def test_golden_hyperderivor_and_derivor(self, h1, d1, f1, x1, f2, x2):
+        assert hyperderivor_from_doc(reloaded(hyperderivor_to_doc(h1)), f2, x2, f1, x1) == h1
+        assert derivor_from_doc(reloaded(derivor_to_doc(d1)), f2, f1) == d1
+
+    @PROPERTY
+    @given(st.dictionaries(st.sampled_from(["s", "t"]), st.lists(st.integers(0, 3), max_size=5)))
+    def test_partition(self, classes):
+        p = partition(["s", "t"], classes)
+        assert partition_from_doc(reloaded(partition_to_doc(p)), ["s", "t"]) == p
