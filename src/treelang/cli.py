@@ -178,8 +178,9 @@ def cmd_treehom(args) -> int:
     if args.mode == "apply":
         _require(args, "target", "term")
         target_sig, target_vars = formats.load_signature(args.target)
-        h = formats.hyperderivor_from_doc(
-            formats.load_document(args.hyp), source_sig, source_vars, target_sig, target_vars
+        h = formats.read(
+            args.hyp, formats.hyperderivor_from_doc,
+            source_sig, source_vars, target_sig, target_vars,
         )
         term = parse_term(args.term, source_sig, source_vars)
         image = treehom.apply_treehom(h, term)
@@ -188,8 +189,9 @@ def cmd_treehom(args) -> int:
     if args.mode == "inverse":
         _require(args, "recognizer", "sort")
         rec = formats.load_recognizer(args.recognizer)  # over the target
-        h = formats.hyperderivor_from_doc(
-            formats.load_document(args.hyp), source_sig, source_vars, rec.signature, rec.vars
+        h = formats.read(
+            args.hyp, formats.hyperderivor_from_doc,
+            source_sig, source_vars, rec.signature, rec.vars,
         )
         out = treehom.inverse_image(h, rec, args.sort)
         _emit_doc(args, formats.recognizer_to_doc(out))
@@ -198,8 +200,9 @@ def cmd_treehom(args) -> int:
         _require(args, "target", "recognizer", "sort")
         target_sig, target_vars = formats.load_signature(args.target)
         rec = formats.load_recognizer(args.recognizer)  # over the source
-        h = formats.hyperderivor_from_doc(
-            formats.load_document(args.hyp), rec.signature, rec.vars, target_sig, target_vars
+        h = formats.read(
+            args.hyp, formats.hyperderivor_from_doc,
+            rec.signature, rec.vars, target_sig, target_vars,
         )
         out = treehom.direct_image(h, rec, args.sort)
         _emit_doc(args, formats.recognizer_to_doc(out))
@@ -215,7 +218,7 @@ def cmd_derivor(args) -> int:
         _require(args, "drv", "source", "target", "term")
         source_sig, _ = formats.load_signature(args.source)
         target_sig, _ = formats.load_signature(args.target)
-        d = formats.derivor_from_doc(formats.load_document(args.drv), source_sig, target_sig)
+        d = formats.read(args.drv, formats.derivor_from_doc, source_sig, target_sig)
         arity = tuple(a for a in args.arity.split(",") if a)
         body = parse_term(args.term, source_sig, placeholder_vars(source_sig, arity))
         ht = hall_term(body, arity, body.sort)
@@ -236,8 +239,8 @@ def cmd_derivor(args) -> int:
         source_sig, _ = formats.load_signature(args.source)
         middle_sig, _ = formats.load_signature(args.middle)
         target_sig, _ = formats.load_signature(args.target)
-        inner = formats.derivor_from_doc(formats.load_document(args.inner), source_sig, middle_sig)
-        outer = formats.derivor_from_doc(formats.load_document(args.outer), middle_sig, target_sig)
+        inner = formats.read(args.inner, formats.derivor_from_doc, source_sig, middle_sig)
+        outer = formats.read(args.outer, formats.derivor_from_doc, middle_sig, target_sig)
         composed = compose_derivors(outer, inner)
         _emit_doc(args, formats.derivor_to_doc(composed))
         return 0
@@ -245,13 +248,17 @@ def cmd_derivor(args) -> int:
         _require(args, "drv", "source", "target", "algebra")
         source_sig, _ = formats.load_signature(args.source)
         target_sig, _ = formats.load_signature(args.target)
-        d = formats.derivor_from_doc(formats.load_document(args.drv), source_sig, target_sig)
-        doc = formats.load_document(args.algebra)
-        alg, assignment = formats.algebra_from_doc(doc, target_sig)
+        d = formats.read(args.drv, formats.derivor_from_doc, source_sig, target_sig)
+        alg, assignment = formats.read(args.algebra, formats.algebra_from_doc, target_sig)
         derived = derived_algebra_derivor(d, alg)
         _emit_doc(args, formats.algebra_to_doc(derived, {}))
         return 0
     raise ValidationError(f"unknown derivor mode {args.mode!r}")
+
+
+def _checked_case(doc: dict) -> dict:
+    formats.check(doc, {"argv": [str], "expect": str})
+    return doc
 
 
 def cmd_golden(args) -> int:
@@ -266,11 +273,7 @@ def cmd_golden(args) -> int:
         raise ValidationError(f"no .case files in {directory}")
     failures = 0
     for case_path in cases:
-        case = formats.load_document(case_path)
-        try:
-            formats.check(case, {"argv": [str], "expect": str})
-        except ValidationError as err:
-            raise ValidationError(f"{case_path}: {err}") from None
+        case = formats.read(case_path, _checked_case)
         argv = [_resolve_token(directory, a) for a in case["argv"]]
         expect_path = directory / case["expect"]
         if not expect_path.is_file():

@@ -194,6 +194,27 @@ class Node(Term):
         return f"Node({print_term(self)})"
 
 
+_new = object.__new__
+
+
+def _new_node(symbol: str, children: tuple[Term, ...], sort: str, size: int) -> Node:
+    """A ``Node`` from data the caller vouches for, without ``node``'s checks.
+    A frozen dataclass keeps its fields in the instance dict; filling it
+    directly, in field order, costs about half of the generated
+    ``__init__``, which sets each field through ``object.__setattr__``.
+    The price is a real dict where ``__init__`` would leave the fields
+    inline: on CPython 3.11 a node takes 63 more bytes and reads a field
+    about twice as slowly.  On the read path, where a node is built once and
+    read a few times, the cheaper build wins."""
+    t = _new(Node)
+    d = t.__dict__
+    d["symbol"] = symbol
+    d["children"] = children
+    d["sort"] = sort
+    d["size"] = size
+    return t
+
+
 HOLE = "@"
 
 
@@ -212,16 +233,21 @@ class Hole(Term):
 def node(op: Operation, children: Sequence[Term]) -> Node:
     """Build a well-sorted operation node, checking child count and sorts."""
     children = tuple(children)
-    if len(children) != len(op.arity):
+    arity = op.arity
+    if len(children) != len(arity):
         raise SortError(
-            f"{op.name!r} expects {len(op.arity)} arguments, got {len(children)}"
+            f"{op.name!r} expects {len(arity)} arguments, got {len(children)}"
         )
-    for i, (child, want) in enumerate(zip(children, op.arity)):
+    size = 1
+    for child, want in zip(children, arity):
         if child.sort != want:
+            i = next(i for i, c in enumerate(children) if c.sort != arity[i])
             raise SortError(
-                f"argument {i} of {op.name!r} must have sort {want!r}, got {child.sort!r}"
+                f"argument {i} of {op.name!r} must have sort {arity[i]!r}, "
+                f"got {children[i].sort!r}"
             )
-    return Node(op.name, children, op.result, 1 + sum(c.size for c in children))
+        size += child.size
+    return _new_node(op.name, children, op.result, size)
 
 
 def _check_disjoint(sig: Signature, vars: SortedVars) -> None:
@@ -237,6 +263,7 @@ def _check_disjoint(sig: Signature, vars: SortedVars) -> None:
 
 # a token, or any other visible character, which ``findall`` reports as ""
 _TOKEN_RE = re.compile(r"([(),@]|[A-Za-z_][A-Za-z0-9_]*)|\S")
+_PUNCTUATION = frozenset("(),@")
 
 
 def _tokenize(text: str) -> list[str]:
@@ -261,24 +288,45 @@ class _Parser:
         self.tokens = _tokenize(text) + [None]
         self.pos = 0
         self.sig = sig
-        self.vars = vars
-        self.opmap = sig.op_by_name
+        # a name is looked up as an operation first; operation names are not
+        # checked, so one named like a punctuation token is left out here and
+        # that token still gets its own error
+        opmap = sig.op_by_name
+        if not opmap.keys().isdisjoint(_PUNCTUATION):
+            opmap = {name: op for name, op in opmap.items() if name not in _PUNCTUATION}
+        self.opmap = opmap
+        # one leaf per variable, shared by its occurrences
+        self.leaves = {x: Var(x, sort) for sort, xs in vars.by_sort for x in xs}
         self.holes = holes
-
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def take(self):
-        tok = self.tokens[self.pos]
-        if tok is None:
-            raise ParseError("unexpected end of input")
-        self.pos += 1
-        return tok
 
     def parse(self, expected: str | None) -> Term:
         """One term or context body; ``expected`` is the sort its position
         demands, or None at the root."""
-        tok = self.take()
+        tokens = self.tokens
+        tok = tokens[self.pos]
+        self.pos += 1
+        op = self.opmap.get(tok)
+        if op is not None:
+            args: list[Term] = []
+            if tokens[self.pos] == "(":
+                self.pos += 1
+                if tokens[self.pos] != ")":
+                    for want in op.arity:
+                        args.append(self.parse(want))
+                        if tokens[self.pos] != ",":
+                            break
+                        self.pos += 1
+                    else:  # a comma after the last argument
+                        raise ParseError(f"too many arguments for {tok!r}")
+                close = tokens[self.pos]
+                if close is None:
+                    raise ParseError("unexpected end of input")
+                if close != ")":
+                    raise ParseError("expected ')'")
+                self.pos += 1
+            return node(op, args)
+        if tok is None:
+            raise ParseError("unexpected end of input")
         if tok == HOLE:
             if not self.holes:
                 raise ParseError("a term cannot contain the hole '@'")
@@ -287,35 +335,20 @@ class _Parser:
                     raise ParseError("bare hole is ambiguous over a multi-sorted signature")
                 expected = self.sig.sorts[0]
             return Hole(expected)
-        if not NAME_RE.fullmatch(tok):
+        if tok in _PUNCTUATION:  # every other token is a name
             raise ParseError(f"expected a name, got {tok!r}")
-        if tok in self.opmap:
-            op = self.opmap[tok]
-            args: list[Term] = []
-            if self.peek() == "(":
-                self.take()
-                if self.peek() != ")":
-                    while True:
-                        if len(args) == len(op.arity):
-                            raise ParseError(f"too many arguments for {tok!r}")
-                        args.append(self.parse(op.arity[len(args)]))
-                        if self.peek() != ",":
-                            break
-                        self.take()
-                if self.take() != ")":
-                    raise ParseError("expected ')'")
-            return node(op, args)
-        sort = self.vars.sort_of(tok)
-        if sort is None:
+        var = self.leaves.get(tok)
+        if var is None:
             raise ParseError(f"unknown symbol {tok!r}")
-        if self.peek() == "(":
+        if tokens[self.pos] == "(":
             raise ParseError(f"variable {tok!r} cannot take arguments")
-        return Var(tok, sort)
+        return var
 
     def parse_all(self) -> Term:
         body = self.parse(None)
-        if self.peek() is not None:
-            raise ParseError(f"trailing input at token {self.peek()!r}")
+        trailing = self.tokens[self.pos]
+        if trailing is not None:
+            raise ParseError(f"trailing input at token {trailing!r}")
         return body
 
 
@@ -450,7 +483,7 @@ def substitute_occurrences(
                 return replacements[t.name][i]
             return t
         children = tuple(walk(c) for c in t.children)
-        return Node(t.symbol, children, t.sort, 1 + sum(c.size for c in children))
+        return _new_node(t.symbol, children, t.sort, 1 + sum(c.size for c in children))
 
     return walk(term)
 
@@ -462,7 +495,7 @@ def substitute_uniform(term: Term, mapping: Mapping[str, Term]) -> Term:
     if isinstance(term, Var):
         return mapping.get(term.name, term)
     children = tuple(substitute_uniform(c, mapping) for c in term.children)
-    return Node(term.symbol, children, term.sort, 1 + sum(c.size for c in children))
+    return _new_node(term.symbol, children, term.sort, 1 + sum(c.size for c in children))
 
 
 # ---------------------------------------------------------------------------
@@ -517,7 +550,7 @@ def _plug(t: Term, q: Term) -> Term:
     if isinstance(t, Var):
         return t
     children = tuple(_plug(c, q) for c in t.children)
-    return Node(t.symbol, children, t.sort, 1 + sum(c.size for c in children))
+    return _new_node(t.symbol, children, t.sort, 1 + sum(c.size for c in children))
 
 
 def compose_contexts(outer: Context, inner: Context) -> Context:
@@ -579,7 +612,7 @@ def enumerate_all_terms(
     leaves: dict[str, list[Term]] = {s: [] for s in sig.sorts}
     for op in sig.ops:
         if not op.arity:
-            leaves[op.result].append(Node(op.name, (), op.result, 1))
+            leaves[op.result].append(_new_node(op.name, (), op.result, 1))
     for s in sig.sorts:
         for x in vars.names(s):
             leaves[s].append(Var(x, s))
@@ -595,9 +628,7 @@ def enumerate_all_terms(
                 if any(not p for p in pools):
                     continue
                 for children in itertools.product(*pools):
-                    layer[op.result].append(
-                        Node(op.name, children, op.result, n)
-                    )
+                    layer[op.result].append(_new_node(op.name, children, op.result, n))
         by_size.append(layer)
     key = term_sort_key(sig, vars)
     out: dict[str, list[Term]] = {}

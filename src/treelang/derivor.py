@@ -29,7 +29,9 @@ from .core import (
 from .treehom import (
     Hyperderivor,
     _extend,
+    _templates,
     _typecheck_as,
+    _without_templates,
     derived_algebra,
     hyperderivor,
     identity_pattern,
@@ -143,6 +145,8 @@ class Derivor:
             env = placeholder_vars(self.target, ht.arity)
             _typecheck_as(f"pattern for {op.name!r}", ht.term, self.target, env, ht.sort)
 
+    __getstate__ = _without_templates
+
     def sort_image(self, sort: str) -> str:
         return self._sort_map[sort]
 
@@ -190,11 +194,10 @@ def apply_derivor_term(d: Derivor, p: HallTerm) -> HallTerm:
     The image is built as a plain term and checked as a Hall term once: a
     HallTerm per node would re-walk each subterm, quadratic in depth."""
     target_arity = tuple(d.sort_image(w) for w in p.arity)
-
-    def leaf(v: Var) -> Term:
-        return Var(v.name, d.sort_image(v.sort))
-
-    body = _extend(p.term, leaf, lambda name: d.pattern(name).term)
+    # a leaf of a Hall term is a placeholder at its sort in the arity word
+    images = {v.name: v for v in map(placeholder, range(len(target_arity)), target_arity)}
+    templates = _templates(d, lambda name: d.pattern(name).term)
+    body = _extend(p.term, lambda v: images[v.name], templates)
     return HallTerm(body, target_arity, d.sort_image(p.sort))
 
 

@@ -8,7 +8,7 @@ normative: serialization is deterministic so golden files compare bit-exact.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Mapping
+from typing import TYPE_CHECKING, Any, Callable, Mapping, TypeVar
 
 import yaml
 
@@ -30,6 +30,8 @@ if TYPE_CHECKING:
     from .derivor import Derivor
     from .treehom import Hyperderivor
 
+T = TypeVar("T")
+
 # libyaml's loader and dumper when PyYAML was built with it, else the pure ones;
 # both read the same documents and write the same bytes
 try:
@@ -50,6 +52,17 @@ def load_document(path: str | Path) -> dict:
     if not isinstance(doc, dict):
         raise ValidationError(f"{path}: expected a mapping at top level")
     return doc
+
+
+def read(path: str | Path, reader: Callable[..., T], *args: Any) -> T:
+    """``reader(document, *args)`` on the document in the file.  Its errors
+    name the file first, as YAML errors do, so a command reading several
+    documents says which one is at fault."""
+    doc = load_document(path)
+    try:
+        return reader(doc, *args)
+    except ValidationError as err:
+        raise type(err)(f"{path}: {err}") from None
 
 
 def dump_document(data: Mapping[str, Any], path: str | Path | None = None) -> str:
@@ -143,7 +156,7 @@ def signature_to_doc(sig: Signature, vars: SortedVars) -> dict:
 
 
 def load_signature(path: str | Path) -> tuple[Signature, SortedVars]:
-    return signature_from_doc(load_document(path))
+    return read(path, signature_from_doc)
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +209,7 @@ def recognizer_to_doc(rec: Recognizer) -> dict:
 
 
 def load_recognizer(path: str | Path) -> Recognizer:
-    return recognizer_from_doc(load_document(path))
+    return read(path, recognizer_from_doc)
 
 
 def save_recognizer(rec: Recognizer, path: str | Path) -> None:

@@ -73,6 +73,8 @@ def recognizer(
     accepting: Mapping[str, Sequence[int]],
 ) -> Recognizer:
     sig = algebra.signature
+    # before the assignment is read, so a missing variable is a validation error
+    check_assignment(algebra, vars, assignment)
     return Recognizer(
         vars,
         algebra,

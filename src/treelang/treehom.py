@@ -22,10 +22,10 @@ from .core import (
     Term,
     ValidationError,
     Var,
+    _new_node,
     node,
     occurrence_counts,
     sorted_vars,
-    substitute_uniform,
     typecheck,
 )
 from .recognizer import (
@@ -52,6 +52,13 @@ def identity_pattern(op: Operation) -> Node:
 def placeholder_index(name: str) -> int | None:
     m = PLACEHOLDER_RE.fullmatch(name)
     return int(m.group(1)) if m else None
+
+
+def _without_templates(m) -> dict:
+    """The pickled state of a hyperderivor or derivor.  Its compiled
+    templates are functions, which do not pickle; a copy compiles its own
+    when it is first applied."""
+    return {key: value for key, value in m.__dict__.items() if key != "_templates"}
 
 
 @dataclass(frozen=True)
@@ -100,6 +107,8 @@ class Hyperderivor:
                 _typecheck_as(
                     f"image of {x!r}", images[x], self.target, self.target_vars, smap[sort]
                 )
+
+    __getstate__ = _without_templates
 
     def sort_image(self, sort: str) -> str:
         return self._sort_map[sort]
@@ -163,16 +172,72 @@ def _typecheck_as(what: str, term: Term, sig: Signature, vars: SortedVars, sort:
         raise ValidationError(f"{what} has sort {got!r}, expected {sort!r}")
 
 
-def _extend(term: Term, leaf: Callable[[Var], Term], pattern: Callable[[str], Term]) -> Term:
+def _template(pattern: Term, arity: int) -> Callable[..., Term]:
+    """Compile a pattern into a function of the images of ``v0..v(arity-1)``
+    that returns the instantiated pattern: one statement builds each node
+    above a placeholder from its children, in post-order, and a subterm
+    without placeholders is the pattern's own, shared by every image.
+    Only generated names and ``repr``s of symbols and sorts enter the source.
+
+    ``sigma(g(c), v0)`` at arity 1 compiles to::
+
+        def template(v0):
+            n0 = new_node('sigma', (t0, v0,), 's', 3 + v0.size)
+            return n0
+    """
+    consts: dict[str, object] = {"new_node": _new_node}
+    lines: list[str] = []
+
+    def const(t: Term) -> str:
+        name = f"t{len(consts) - 1}"
+        consts[name] = t
+        return name
+
+    def emit(t: Term) -> str | None:
+        """The expression of t's image, or None when t holds no placeholder."""
+        if isinstance(t, Var):
+            return t.name if placeholder_index(t.name) is not None else None
+        children = [emit(c) for c in t.children]
+        if all(c is None for c in children):
+            return None
+        args = [const(u) if c is None else c for c, u in zip(children, t.children)]
+        fixed = 1 + sum(u.size for c, u in zip(children, t.children) if c is None)
+        name = f"n{len(lines)}"
+        size = " + ".join([str(fixed)] + [f"{c}.size" for c in children if c is not None])
+        call = f"new_node({t.symbol!r}, ({', '.join(args)},), {t.sort!r}, {size})"
+        lines.append(f"    {name} = {call}")
+        return name
+
+    root = emit(pattern) or const(pattern)
+    params = ", ".join(f"v{i}" for i in range(arity))
+    exec("\n".join([f"def template({params}):", *lines, f"    return {root}"]), consts)
+    return consts["template"]
+
+
+def _templates(m, body: Callable[[str], Term]) -> dict[str, Callable[..., Term]]:
+    """The templates of a hyperderivor's or derivor's patterns (``body`` reads
+    one as a term), compiled when it is first applied and kept on it.  They
+    are not a field, so equality and hashing see only the declared data.
+    Compiling at construction instead would cost memory for the many maps
+    that are built and never applied."""
+    templates = m.__dict__.get("_templates")
+    if templates is None:
+        templates = {op.name: _template(body(op.name), len(op.arity)) for op in m.source.ops}
+        object.__setattr__(m, "_templates", templates)
+    return templates
+
+
+def _extend(
+    term: Term, leaf: Callable[[Var], Term], templates: Mapping[str, Callable[..., Term]]
+) -> Term:
     """The homomorphic extension of a leaf map: a variable becomes
-    ``leaf(var)``, and a node becomes ``pattern(symbol)`` with each ``vi``
-    replaced by the image of child i."""
+    ``leaf(var)``, and a node becomes its symbol's template instantiated
+    at the images of its children."""
     if isinstance(term, Var):
         return leaf(term)
     if not isinstance(term, Node):
         raise SortError("cannot apply a tree homomorphism to a context hole")
-    images = {f"v{i}": _extend(c, leaf, pattern) for i, c in enumerate(term.children)}
-    return substitute_uniform(pattern(term.symbol), images)
+    return templates[term.symbol](*[_extend(c, leaf, templates) for c in term.children])
 
 
 def apply_treehom(h: Hyperderivor, term: Term) -> Term:
@@ -184,7 +249,7 @@ def apply_treehom(h: Hyperderivor, term: Term) -> Term:
             raise SortError(f"unknown source variable {v.name!r}")
         return h.var_image(v.name)
 
-    return _extend(term, leaf, h.pattern)
+    return _extend(term, leaf, _templates(h, h.pattern))
 
 
 def derived_algebra(

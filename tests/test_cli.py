@@ -480,6 +480,27 @@ class TestHostileInput:
     def test_values_once_coerced_or_ignored(self, tmp_path, capsys, name, edit, message):
         self.fails_with(capsys, message, *READERS[name](edited(tmp_path, name, edit)))
 
+    def test_combine_names_the_broken_second_document(self, tmp_path, capsys):
+        rec = edited(tmp_path, "rpar.rec", lambda d: d["tables"].update(c=[1.7]))
+        self.fails_with(
+            capsys, f"error: {rec}: tables.c[0] must be an integer, got 1.7",
+            "combine", "union", GOLDEN / "rpar.rec", rec,
+        )
+
+    @pytest.mark.parametrize("name", sorted(READERS))
+    def test_error_names_the_document(self, tmp_path, capsys, name):
+        path = edited(tmp_path, name, lambda d: d.update(extra=5))
+        self.fails_with(capsys, f"error: {path}: document has unknown key 'extra'", *READERS[name](path))
+
+    def test_error_names_the_algebra_document(self, tmp_path, capsys):
+        path = tmp_path / "par.alg"
+        path.write_text("carriers: {s: 2}\ntables: {c: [0], g: [1, 0]}\n")
+        self.fails_with(
+            capsys, f"error: {path}: tables lacks key 'sigma'",
+            "derivor", "derive", "--drv", GOLDEN / "d1.drv", "--source", GOLDEN / "f2.sig",
+            "--target", GOLDEN / "f1.sig", "--algebra", path,
+        )
+
     @pytest.mark.parametrize(
         "text, message",
         [

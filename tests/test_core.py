@@ -1,5 +1,6 @@
 import random
 import re
+from dataclasses import FrozenInstanceError
 
 import pytest
 
@@ -10,7 +11,9 @@ from treelang.core import (
     ParseError,
     SortError,
     ValidationError,
+    Operation,
     Var,
+    _new_node,
     apply_context,
     compose_contexts,
     context,
@@ -18,6 +21,7 @@ from treelang.core import (
     enumerate_all_terms,
     enumerate_terms,
     hole_context,
+    node,
     parse_context,
     parse_term,
     print_context,
@@ -32,6 +36,8 @@ from treelang.core import (
 from treelang.derivor import hall_term
 
 from conftest import leaf_contexts
+
+F1_G = Operation("g", ("s",), "s")
 
 
 def p1(f1, x1, text):
@@ -72,6 +78,68 @@ class TestParse:
         message = f"unexpected character {char!r} at offset {offset}"
         with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
             parse_term(text, f1, x1)
+
+
+# every parse error, by the exact message it gives: (text, context?, message)
+PARSE_ERRORS = [
+    ("", False, "unexpected end of input"),
+    ("g(", False, "unexpected end of input"),
+    ("g(c", False, "unexpected end of input"),
+    ("sigma(c,", False, "unexpected end of input"),
+    ("g(c c)", False, "expected ')'"),
+    ("sigma(c x)", True, "expected ')'"),
+    ("g(c,c)", False, "too many arguments for 'g'"),
+    ("sigma(@,c,x)", True, "too many arguments for 'sigma'"),
+    ("x(c)", False, "variable 'x' cannot take arguments"),
+    ("g(z())", True, "variable 'z' cannot take arguments"),
+    ("nope(c)", False, "unknown symbol 'nope'"),
+    ("g(y)", True, "unknown symbol 'y'"),
+    ("g(@)", False, "a term cannot contain the hole '@'"),
+    ("(c)", False, "expected a name, got '('"),
+    ("g(,c)", True, "expected a name, got ','"),
+    ("sigma(c,))", False, "expected a name, got ')'"),
+    ("c c", False, "trailing input at token 'c'"),
+    ("g(@) x", True, "trailing input at token 'x'"),
+]
+
+
+class TestParseErrors:
+    @pytest.mark.parametrize("text, holes, message", PARSE_ERRORS)
+    def test_message(self, f1, x1, text, holes, message):
+        parse = parse_context if holes else parse_term
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+            parse(text, f1, x1)
+
+    def test_bare_hole_over_two_sorts(self, f2, x2):
+        message = "bare hole is ambiguous over a multi-sorted signature"
+        with pytest.raises(ParseError, match=f"^{message}$"):
+            parse_context("@", f2, x2)
+
+    def test_operation_named_like_punctuation_is_never_parsed(self):
+        # operation names are not checked against the name syntax, but the
+        # parser only reads names as operations
+        sig = signature(["s"], [("c", [], "s"), ("@", [], "s"), ("(", [], "s")])
+        none = sorted_vars(sig, {})
+        with pytest.raises(ParseError, match="^a term cannot contain the hole '@'$"):
+            parse_term("@", sig, none)
+        with pytest.raises(ParseError, match=r"^expected a name, got '\('$"):
+            parse_term("(", sig, none)
+        assert parse_context("@", sig, none).body == Hole("s")
+
+
+class TestNodeConstructor:
+    def test_same_as_dataclass_init(self):
+        c = Node("c", (), "s", 1)
+        built, made = _new_node("g", (c,), "s", 2), Node("g", (c,), "s", 2)
+        assert built == made and made == built
+        assert hash(built) == hash(made)
+        assert vars(built) == vars(made) and list(vars(built)) == list(vars(made))
+        assert node(F1_G, [c]) == made
+
+    def test_frozen(self):
+        built = _new_node("c", (), "s", 1)
+        with pytest.raises(FrozenInstanceError):
+            built.size = 2
 
 
 class TestTypecheck:

@@ -78,6 +78,12 @@ class TestAccepts:
         assert accepts(r_par, parse_term("sigma(z,z)", f1, x1))
 
 
+class TestBuild:
+    def test_missing_variable_is_a_validation_error(self, x1, rpar_algebra):
+        with pytest.raises(ValidationError, match="^assignment missing variable 'z'$"):
+            recognizer(x1, rpar_algebra, {"x": 0}, {"s": [0]})
+
+
 class TestCombine:
     def test_union_with_empty(self, f1, x1, r_par):
         assert equivalent(combine("union", r_par, empty_recognizer(f1, x1)), r_par)

@@ -1,6 +1,9 @@
+import pickle
 import random
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from treelang.algebra import evaluate
 from treelang.core import (
@@ -13,7 +16,9 @@ from treelang.core import (
     parse_term,
     print_term,
     sorted_vars,
+    substitute_uniform,
 )
+from treelang.derivor import apply_derivor_term, compose_derivors, hall_term
 from treelang.recognizer import (
     accepts,
     empty_recognizer,
@@ -33,10 +38,13 @@ from treelang.treehom import (
 
 from conftest import (
     accepted_sets,
+    random_derivor,
+    random_hall_term,
     random_hyperderivor,
     random_recognizer,
     random_rich_signature,
     random_signature,
+    random_term,
     retrying,
 )
 
@@ -62,6 +70,83 @@ class TestApply:
         out = apply_treehom(h, parse_term("sigma(x,x)", f1, x1))
         assert print_term(out) == "sigma(g(y),g(y))"
         assert h.is_linear
+
+
+def reference_extend(term, leaf, pattern):
+    """The homomorphic extension by substitution: each node substitutes its
+    children's images into its pattern with ``substitute_uniform``."""
+    if isinstance(term, Var):
+        return leaf(term)
+    images = {f"v{i}": reference_extend(c, leaf, pattern) for i, c in enumerate(term.children)}
+    return substitute_uniform(pattern(term.symbol), images)
+
+
+class TestTemplates:
+    """Application instantiates patterns compiled on first use; it must
+    build exactly the terms substitution builds."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(st.integers(0, 2**32), st.booleans())
+    def test_apply_treehom_is_substitution(self, seed, linear):
+        # random patterns drop placeholders (erasing), repeat them unless
+        # linear, and hold target variables and ground subterms
+        rng = random.Random(seed)
+        source, source_vars = random_signature(rng)
+        target, target_vars = random_rich_signature(rng)
+        h = retrying(
+            lambda: random_hyperderivor(rng, source, source_vars, target, target_vars, linear=linear),
+            rng,
+        )
+        for sort in source.sorts:
+            for _ in range(4):
+                t = random_term(rng, source, source_vars, sort, 7)
+                if t is None:
+                    break
+                want = reference_extend(t, lambda v: h.var_image(v.name), h.pattern)
+                got = apply_treehom(h, t)
+                assert got == want and print_term(got) == print_term(want)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(st.integers(0, 2**32))
+    def test_apply_derivor_term_and_compose_are_substitution(self, seed):
+        rng = random.Random(seed)
+        a, _ = random_signature(rng)
+        b, _ = random_rich_signature(rng)
+        c, _ = random_rich_signature(rng)
+        inner, outer = random_derivor(rng, a, b), random_derivor(rng, b, c)
+
+        def want(p):
+            leaf = lambda v: Var(v.name, outer.sort_image(v.sort))
+            return reference_extend(p.term, leaf, lambda name: outer.pattern(name).term)
+
+        composed = compose_derivors(outer, inner)
+        for op in a.ops:
+            p = inner.pattern(op.name)
+            assert apply_derivor_term(outer, p).term == want(p)
+            assert composed.pattern(op.name).term == want(p)
+        # Hall terms whose placeholders repeat or are dropped
+        for _ in range(4):
+            arity = [rng.choice(b.sorts) for _ in range(rng.randint(0, 3))]
+            p = retrying(lambda: random_hall_term(rng, b, arity, rng.choice(b.sorts)), rng)
+            assert apply_derivor_term(outer, p).term == want(p)
+
+    def test_applied_maps_keep_equality_hash_and_pickling(self, h1, d1, f2, x2):
+        term = parse_term("iszero(succ(succ(x)))", f2, x2)
+        p = hall_term(Node("iszero", (Node("succ", (placeholder(0, "e"),), "e", 2),), "b", 3), ["e"], "b")
+        fresh_h, fresh_d = replace(h1), replace(d1)
+        image, p_image = apply_treehom(h1, term), apply_derivor_term(d1, p)
+        for applied, fresh in ((h1, fresh_h), (d1, fresh_d)):
+            assert "_templates" in vars(applied) and "_templates" not in vars(fresh)
+            assert applied == fresh and hash(applied) == hash(fresh)
+            copy = pickle.loads(pickle.dumps(applied))
+            assert copy == applied and "_templates" not in vars(copy)
+        assert apply_treehom(pickle.loads(pickle.dumps(h1)), term) == image
+        assert apply_derivor_term(pickle.loads(pickle.dumps(d1)), p) == p_image
+
+    def test_building_and_deriving_compile_nothing(self, f1, x1, rpar_algebra):
+        h = hom_to_hyperderivor(f1, x1, x1, {"x": Var("x", "s"), "z": Var("z", "s")})
+        derived_algebra(h, rpar_algebra, {"x": 0, "z": 1})
+        assert "_templates" not in vars(h)
 
 
 V0 = placeholder(0, "e")
