@@ -21,22 +21,18 @@ from .core import (
     ValidationError,
     Var,
     _preorder,
-    occurrence_counts,
     print_term,
     sorted_vars,
     substitute_uniform,
 )
 from .treehom import (
     Hyperderivor,
-    _extend,
-    _templates,
-    _typecheck_as,
-    _without_templates,
+    _checked_sort_map,
+    _image,
     derived_algebra,
     hyperderivor,
     identity_pattern,
     placeholder,
-    placeholder_vars,
 )
 
 
@@ -113,7 +109,9 @@ def identity_hall_term(sig: Signature, opname: str) -> HallTerm:
 
 @dataclass(frozen=True)
 class Derivor:
-    """A signature morphism: sort map plus a target Hall term per operation."""
+    """A signature morphism: sort map plus a target Hall term per operation.
+    It is checked, applied and pulled back as the hyperderivor without
+    variables that it holds."""
 
     source: Signature
     target: Signature
@@ -121,45 +119,33 @@ class Derivor:
     patterns: tuple[tuple[str, HallTerm], ...]
 
     def __post_init__(self):
-        smap = dict(self.sort_map)
         patterns = dict(self.patterns)
-        # lookups for sort_image/pattern; not fields, so equality and
-        # hashing see only the declared data
-        object.__setattr__(self, "_sort_map", smap)
+        # lookups, not fields, so equality and hashing see only the declared data
         object.__setattr__(self, "_patterns", patterns)
-        if set(smap) != set(self.source.sorts):
-            raise ValidationError("sort map must cover every source sort")
-        for t in smap.values():
-            if t not in self.target.sorts:
-                raise ValidationError(f"sort map hits unknown target sort {t!r}")
-        if set(patterns) != {op.name for op in self.source.ops}:
-            raise ValidationError("patterns must cover every source operation")
+        smap = _checked_sort_map(self.source, self.target, self.sort_map)
+        # a Hall term may leave a placeholder unused, so typing its term
+        # cannot catch a wrong rank; the hyperderivor checks the rest
         for op in self.source.ops:
-            ht = patterns[op.name]
-            want_arity = tuple(smap[w] for w in op.arity)
-            if ht.arity != want_arity or ht.sort != smap[op.result]:
+            ht = patterns.get(op.name)
+            want = (tuple(smap[w] for w in op.arity), smap[op.result])
+            if ht is not None and (ht.arity, ht.sort) != want:
                 raise ValidationError(
-                    f"pattern for {op.name!r} has rank ({ht.arity}, {ht.sort!r}), "
-                    f"expected ({want_arity}, {smap[op.result]!r})"
+                    f"pattern for {op.name!r} has rank {(ht.arity, ht.sort)}, expected {want}"
                 )
-            env = placeholder_vars(self.target, ht.arity)
-            _typecheck_as(f"pattern for {op.name!r}", ht.term, self.target, env, ht.sort)
-
-    __getstate__ = _without_templates
+        bodies = tuple((name, ht.term) for name, ht in self.patterns)
+        x, y = sorted_vars(self.source, {}), sorted_vars(self.target, {})
+        h = Hyperderivor(self.source, x, self.target, y, self.sort_map, bodies, ())
+        object.__setattr__(self, "_hyperderivor", h)
 
     def sort_image(self, sort: str) -> str:
-        return self._sort_map[sort]
+        return self._hyperderivor.sort_image(sort)
 
     def pattern(self, opname: str) -> HallTerm:
         return self._patterns[opname]
 
     @property
     def is_linear(self) -> bool:
-        for ht in self._patterns.values():
-            for name, n in occurrence_counts(ht.term).items():
-                if n > 1:
-                    return False
-        return True
+        return self._hyperderivor.is_linear
 
 
 def derivor(
@@ -189,16 +175,23 @@ def apply_derivor_term(d: Derivor, p: HallTerm) -> HallTerm:
     """The homomorphic extension of the derivor to Hall terms: placeholders
     stay in place (re-sorted along the sort map) and each node becomes its
     pattern xi-substituted with the children's images.  Commutes with
-    xi_substitute.
-
-    The image is built as a plain term and checked as a Hall term once: a
-    HallTerm per node would re-walk each subterm, quadratic in depth."""
-    target_arity = tuple(d.sort_image(w) for w in p.arity)
-    # a leaf of a Hall term is a placeholder at its sort in the arity word
+    xi_substitute."""
+    h = d._hyperderivor
+    try:
+        target_arity = tuple(map(h.sort_image, p.arity))
+        sort = h.sort_image(p.sort)
+    except KeyError as err:
+        raise ValidationError(f"unknown source sort {err.args[0]!r}") from None
     images = {v.name: v for v in map(placeholder, range(len(target_arity)), target_arity)}
-    templates = _templates(d, lambda name: d.pattern(name).term)
-    body = _extend(p.term, lambda v: images[v.name], templates)
-    return HallTerm(body, target_arity, d.sort_image(p.sort))
+    body = _image(h, p.term, lambda v: images[v.name])
+    # every variable of the image is a placeholder at its sort in the target
+    # arity word by construction, so of the Hall-term checks only the root
+    # sort can fail, and the image is not walked again
+    if body.sort != sort:
+        raise ValidationError(f"hall term has sort {body.sort!r}, rank says {sort!r}")
+    image = object.__new__(HallTerm)
+    image.__dict__.update(term=body, arity=target_arity, sort=sort)  # the frozen fields
+    return image
 
 
 def compose_derivors(e: Derivor, d: Derivor) -> Derivor:
@@ -219,8 +212,7 @@ def derived_algebra_derivor(d: Derivor, b: FiniteAlgebra) -> FiniteAlgebra:
     of the derivor read as a hyperderivor without variables."""
     if b.signature != d.target:
         raise ValidationError("algebra is not over the derivor's target signature")
-    h = derivor_to_hyperderivor(d, sorted_vars(d.source, {}), sorted_vars(d.target, {}), {})
-    return derived_algebra(h, b, {})[0]
+    return derived_algebra(d._hyperderivor, b, {})[0]
 
 
 def derivor_to_hyperderivor(
@@ -232,12 +224,5 @@ def derivor_to_hyperderivor(
     """Read the derivor's patterns as target terms over variables-plus-
     placeholders and attach variable images; linearity carries over, and
     inverse/direct images then reduce to the tree-homomorphism operators."""
-    return hyperderivor(
-        d.source,
-        x_vars,
-        d.target,
-        y_vars,
-        {s: d.sort_image(s) for s in d.source.sorts},
-        {op.name: d.pattern(op.name).term for op in d.source.ops},
-        dict(var_images),
-    )
+    h = d._hyperderivor
+    return hyperderivor(d.source, x_vars, d.target, y_vars, h._sort_map, h._patterns, var_images)

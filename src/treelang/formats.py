@@ -227,6 +227,20 @@ def _morphism_shape(source: Signature) -> dict:
     }
 
 
+def _patterns(doc: Mapping[str, Any], source: Signature, target: Signature, target_vars=None):
+    """Each source operation of a checked hyperderivor or derivor document,
+    its mapped arity word, and its pattern parsed over the target variables
+    plus the placeholders of that word.  The sort map is checked first, so
+    an unknown target sort is named as such."""
+    from .treehom import _checked_sort_map, placeholder_vars
+
+    sort_map = _checked_sort_map(source, target, doc["sort_map"].items())
+    for op in source.ops:
+        arity = tuple(sort_map[w] for w in op.arity)
+        env = placeholder_vars(target, arity, target_vars)
+        yield op, arity, parse_term(doc["patterns"][op.name], target, env)
+
+
 def hyperderivor_from_doc(
     doc: Mapping[str, Any],
     source: Signature,
@@ -234,18 +248,14 @@ def hyperderivor_from_doc(
     target: Signature,
     target_vars: SortedVars,
 ) -> Hyperderivor:
-    from .treehom import hyperderivor, placeholder_vars
+    from .treehom import hyperderivor
 
     images = {x: str for x in source_vars.all_names()}
     check(doc, {**_morphism_shape(source), "var_images": images})
-    sort_map = doc["sort_map"]
-    patterns = {}
-    for op in source.ops:
-        env = placeholder_vars(target, tuple(sort_map[w] for w in op.arity), target_vars)
-        patterns[op.name] = parse_term(doc["patterns"][op.name], target, env)
+    patterns = {op.name: body for op, _, body in _patterns(doc, source, target, target_vars)}
     var_images = {x: parse_term(t, target, target_vars) for x, t in doc["var_images"].items()}
     return hyperderivor(
-        source, source_vars, target, target_vars, sort_map, patterns, var_images
+        source, source_vars, target, target_vars, doc["sort_map"], patterns, var_images
     )
 
 
@@ -261,15 +271,13 @@ def derivor_from_doc(
     doc: Mapping[str, Any], source: Signature, target: Signature
 ) -> Derivor:
     from .derivor import derivor, hall_term
-    from .treehom import placeholder_vars
 
     check(doc, _morphism_shape(source))
     sort_map = doc["sort_map"]
-    patterns = {}
-    for op in source.ops:
-        arity = tuple(sort_map[w] for w in op.arity)
-        body = parse_term(doc["patterns"][op.name], target, placeholder_vars(target, arity))
-        patterns[op.name] = hall_term(body, arity, sort_map[op.result])
+    patterns = {
+        op.name: hall_term(body, arity, sort_map[op.result])
+        for op, arity, body in _patterns(doc, source, target)
+    }
     return derivor(source, target, sort_map, patterns)
 
 

@@ -73,12 +73,12 @@ def recognizer(
     accepting: Mapping[str, Sequence[int]],
 ) -> Recognizer:
     sig = algebra.signature
-    # before the assignment is read, so a missing variable is a validation error
-    check_assignment(algebra, vars, assignment)
+    # a missing variable is left out, for __post_init__ to report
+    pairs = [(x, assignment[x]) for s in sig.sorts for x in vars.names(s) if x in assignment]
     return Recognizer(
         vars,
         algebra,
-        tuple((x, assignment[x]) for s in sig.sorts for x in vars.names(s)),
+        tuple(pairs),
         tuple((s, tuple(sorted(set(accepting.get(s, ()))))) for s in sig.sorts),
     )
 

@@ -54,11 +54,15 @@ def placeholder_index(name: str) -> int | None:
     return int(m.group(1)) if m else None
 
 
-def _without_templates(m) -> dict:
-    """The pickled state of a hyperderivor or derivor.  Its compiled
-    templates are functions, which do not pickle; a copy compiles its own
-    when it is first applied."""
-    return {key: value for key, value in m.__dict__.items() if key != "_templates"}
+def _checked_sort_map(source: Signature, target: Signature, sort_map) -> dict[str, str]:
+    """The sort map as a dict, checked to send each source sort to a target sort."""
+    smap = dict(sort_map)
+    if set(smap) != set(source.sorts):
+        raise ValidationError("sort map must cover every source sort")
+    for t in smap.values():
+        if t not in target.sorts:
+            raise ValidationError(f"sort map hits unknown target sort {t!r}")
+    return smap
 
 
 @dataclass(frozen=True)
@@ -72,7 +76,7 @@ class Hyperderivor:
     var_images: tuple[tuple[str, Term], ...]  # source variable -> target term
 
     def __post_init__(self):
-        smap = dict(self.sort_map)
+        smap = _checked_sort_map(self.source, self.target, self.sort_map)
         patterns = dict(self.patterns)
         images = dict(self.var_images)
         # lookups for sort_image/pattern/var_image; not fields, so equality
@@ -80,11 +84,6 @@ class Hyperderivor:
         object.__setattr__(self, "_sort_map", smap)
         object.__setattr__(self, "_patterns", patterns)
         object.__setattr__(self, "_var_images", images)
-        if set(smap) != set(self.source.sorts):
-            raise ValidationError("sort map must cover every source sort")
-        for t in smap.values():
-            if t not in self.target.sorts:
-                raise ValidationError(f"sort map hits unknown target sort {t!r}")
         for y in self.target_vars.all_names():
             if placeholder_index(y) is not None:
                 raise ValidationError(
@@ -108,7 +107,10 @@ class Hyperderivor:
                     f"image of {x!r}", images[x], self.target, self.target_vars, smap[sort]
                 )
 
-    __getstate__ = _without_templates
+    def __getstate__(self) -> dict:
+        # compiled templates are functions, which do not pickle; a copy
+        # compiles its own when it is first applied
+        return {key: value for key, value in self.__dict__.items() if key != "_templates"}
 
     def sort_image(self, sort: str) -> str:
         return self._sort_map[sort]
@@ -214,19 +216,6 @@ def _template(pattern: Term, arity: int) -> Callable[..., Term]:
     return consts["template"]
 
 
-def _templates(m, body: Callable[[str], Term]) -> dict[str, Callable[..., Term]]:
-    """The templates of a hyperderivor's or derivor's patterns (``body`` reads
-    one as a term), compiled when it is first applied and kept on it.  They
-    are not a field, so equality and hashing see only the declared data.
-    Compiling at construction instead would cost memory for the many maps
-    that are built and never applied."""
-    templates = m.__dict__.get("_templates")
-    if templates is None:
-        templates = {op.name: _template(body(op.name), len(op.arity)) for op in m.source.ops}
-        object.__setattr__(m, "_templates", templates)
-    return templates
-
-
 def _extend(
     term: Term, leaf: Callable[[Var], Term], templates: Mapping[str, Callable[..., Term]]
 ) -> Term:
@@ -240,6 +229,21 @@ def _extend(
     return templates[term.symbol](*[_extend(c, leaf, templates) for c in term.children])
 
 
+def _image(h: Hyperderivor, term: Term, leaf: Callable[[Var], Term]) -> Term:
+    """``_extend`` through the templates of the hyperderivor's patterns, kept
+    on it outside its fields from its first application on (compiling them
+    at construction costs memory for the many maps never applied).  A symbol
+    outside the source signature has no template; that fails once, here."""
+    templates = h.__dict__.get("_templates")
+    if templates is None:
+        templates = {op.name: _template(h.pattern(op.name), len(op.arity)) for op in h.source.ops}
+        object.__setattr__(h, "_templates", templates)
+    try:
+        return _extend(term, leaf, templates)
+    except KeyError as err:
+        raise ValidationError(f"unknown source operation symbol {err.args[0]!r}") from None
+
+
 def apply_treehom(h: Hyperderivor, term: Term) -> Term:
     """The tree homomorphism: variables through their images, nodes by
     substituting the children's images for the placeholders of the pattern."""
@@ -249,7 +253,7 @@ def apply_treehom(h: Hyperderivor, term: Term) -> Term:
             raise SortError(f"unknown source variable {v.name!r}")
         return h.var_image(v.name)
 
-    return _extend(term, leaf, _templates(h, h.pattern))
+    return _image(h, term, leaf)
 
 
 def derived_algebra(

@@ -2,6 +2,8 @@
 no module keeps an import it no longer uses."""
 
 import ast
+import importlib
+import inspect
 from pathlib import Path
 
 import treelang
@@ -59,3 +61,26 @@ def test_no_unused_imports():
             f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used
         ]
     assert unused == []
+
+
+def test_traced_functions_exist():
+    """Each function the benchmark traces per layer is a function of its home
+    module, so a refactor cannot drop a layer metric unnoticed.  The table is
+    read from the source, so no benchmark code runs."""
+    source = Path(__file__).parents[1] / "perfbench" / "tracing.py"
+    tree = ast.parse(source.read_text(encoding="utf-8"))
+    (table,) = [
+        stmt.value
+        for stmt in tree.body
+        if isinstance(stmt, ast.Assign) and [getattr(t, "id", None) for t in stmt.targets] == ["TRACED"]
+    ]
+    missing = []
+    for module, names in ast.literal_eval(table).items():
+        home = importlib.import_module(f"treelang.{module}")
+        missing += [
+            f"{module}.{name}"
+            for name in names
+            if not inspect.isfunction(getattr(home, name, None))
+            or getattr(home, name).__module__ != home.__name__
+        ]
+    assert missing == []

@@ -2,8 +2,9 @@ import random
 
 import pytest
 
-from treelang.core import Node, ValidationError, parse_term, print_term, signature
+from treelang.core import Node, ValidationError, parse_term, print_term, signature, sorted_vars
 from treelang.derivor import (
+    Derivor,
     apply_derivor_term,
     compose_derivors,
     derived_algebra_derivor,
@@ -14,9 +15,15 @@ from treelang.derivor import (
     projection,
     xi_substitute,
 )
-from treelang.treehom import placeholder
+from treelang.treehom import Hyperderivor, placeholder
 
-from conftest import random_derivor, random_hall_term, random_rich_signature, random_signature
+from conftest import (
+    PatternImpossible,
+    random_derivor,
+    random_hall_term,
+    random_rich_signature,
+    random_signature,
+)
 
 
 class TestProjection:
@@ -241,3 +248,130 @@ class TestToHyperderivor:
         assert equivalent(
             inverse_image(built, r_par, "e"), inverse_image(h1, r_par, "e")
         )
+
+
+V0 = placeholder(0, "s")
+C = Node("c", (), "s", 1)
+K = Node("k", (), "t", 1)
+D1_SORT_MAP = {"e": "s", "b": "s"}
+D1_PATTERNS = {
+    "zero": hall_term(C, [], "s"),
+    "succ": hall_term(Node("g", (V0,), "s", 2), ["s"], "s"),
+    "iszero": hall_term(Node("sigma", (V0, C), "s", 3), ["s"], "s"),
+}
+
+
+class TestDerivorFaults:
+    """A derivor with one fault is refused in the same words, whichever
+    check catches it."""
+
+    # f1 with a second sort, so a pattern can be ill-sorted or ranked at t
+    @pytest.fixture
+    def target(self):
+        return signature(
+            ["s", "t"], [("c", [], "s"), ("g", ["s"], "s"), ("sigma", ["s", "s"], "s"), ("k", [], "t")]
+        )
+
+    @pytest.mark.parametrize(
+        "sort_map, message",
+        [
+            ({"e": "s"}, "sort map must cover every source sort"),
+            ({**D1_SORT_MAP, "n": "s"}, "sort map must cover every source sort"),
+            ({"e": "s", "b": "u"}, "sort map hits unknown target sort 'u'"),
+        ],
+        ids=["missing-sort", "extra-sort", "unknown-target-sort"],
+    )
+    def test_sort_map(self, f2, target, sort_map, message):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            Derivor(f2, target, tuple(sort_map.items()), tuple(D1_PATTERNS.items()))
+
+    @pytest.mark.parametrize(
+        "names", [("zero", "iszero"), ("zero", "succ", "iszero", "pred")], ids=["missing", "extra"]
+    )
+    def test_patterns_not_one_per_operation(self, f2, target, names):
+        patterns = tuple((name, D1_PATTERNS.get(name, D1_PATTERNS["zero"])) for name in names)
+        with pytest.raises(ValidationError, match="^patterns must cover every source operation$"):
+            Derivor(f2, target, tuple(D1_SORT_MAP.items()), patterns)
+
+    @pytest.mark.parametrize(
+        "succ, rank",
+        [
+            (hall_term(Node("g", (V0,), "s", 2), ["s", "s"], "s"), "(('s', 's'), 's')"),
+            (hall_term(C, [], "s"), "((), 's')"),
+            (hall_term(K, ["s"], "t"), "(('s',), 't')"),
+        ],
+        ids=["unused-trailing-placeholder", "short-arity", "wrong-result-sort"],
+    )
+    def test_rank_mismatch(self, f2, target, succ, rank):
+        message = f"pattern for 'succ' has rank {rank}, expected (('s',), 's')"
+        with pytest.raises(ValidationError) as err:
+            derivor(f2, target, D1_SORT_MAP, {**D1_PATTERNS, "succ": succ})
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize(
+        "succ, message",
+        [
+            (Node("g", (K,), "s", 2), "pattern for 'succ': child of 'g' has sort 't', expected 's'"),
+            (Node("h", (V0,), "s", 2), "pattern for 'succ': unknown operation symbol 'h'"),
+        ],
+        ids=["ill-sorted-child", "unknown-operation"],
+    )
+    def test_ill_typed_pattern(self, f2, target, succ, message):
+        with pytest.raises(ValidationError) as err:
+            derivor(f2, target, D1_SORT_MAP, {**D1_PATTERNS, "succ": hall_term(succ, ["s"], "s")})
+        assert str(err.value) == message
+
+
+class TestApplyDerivorTermChecks:
+    def test_root_tag_disagreeing_with_its_symbol(self):
+        # k has result sort w, but this Hall term tags its root u; the
+        # derivor keeps u and w apart, so the image's root has sort w
+        sig = signature(["u", "w"], [("a", [], "u"), ("h", ["u"], "u"), ("k", ["u"], "w")])
+        d = identity_derivor(sig)
+        bad = hall_term(Node("k", (placeholder(0, "u"),), "u", 2), ["u"], "u")
+        with pytest.raises(ValidationError, match="^hall term has sort 'w', rank says 'u'$"):
+            apply_derivor_term(d, bad)
+
+    def test_sort_outside_the_source(self, d1):
+        p = hall_term(Node("g", (placeholder(0, "s"),), "s", 2), ["s"], "s")
+        with pytest.raises(ValidationError, match="^unknown source sort 's'$"):
+            apply_derivor_term(d1, p)
+
+    def test_operation_outside_the_source(self, d1):
+        p = hall_term(Node("g", (placeholder(0, "e"),), "e", 2), ["e"], "e")
+        with pytest.raises(ValidationError, match="^unknown source operation symbol 'g'$"):
+            apply_derivor_term(d1, p)
+
+    def test_images_are_hall_terms(self):
+        # the image is not re-checked when built; checking it again must pass
+        rng = random.Random(17)
+        for _ in range(30):
+            a, _ = random_signature(rng)
+            b, _ = random_rich_signature(rng)
+            d = random_derivor(rng, a, b)
+            arity = [rng.choice(a.sorts) for _ in range(rng.randint(0, 3))]
+            try:
+                p = random_hall_term(rng, a, arity, rng.choice(a.sorts))
+            except PatternImpossible:
+                continue
+            out = apply_derivor_term(d, p)
+            assert hall_term(out.term, out.arity, out.sort) == out
+
+
+class TestHeldHyperderivor:
+    def test_deriving_builds_no_hyperderivor(self, d1, rpar_algebra, monkeypatch):
+        built = []
+        check = Hyperderivor.__post_init__
+        monkeypatch.setattr(Hyperderivor, "__post_init__", lambda h: built.append(h) or check(h))
+        first = derived_algebra_derivor(d1, rpar_algebra)
+        assert derived_algebra_derivor(d1, rpar_algebra) == first
+        assert built == []
+
+    def test_deriving_compiles_nothing(self, d2, rpar_algebra):
+        d = compose_derivors(d2, d2)
+        derived_algebra_derivor(d, rpar_algebra)
+        assert "_templates" not in vars(d._hyperderivor)
+
+    def test_it_is_the_derivor_without_variables(self, d1, f1, f2):
+        empty = derivor_to_hyperderivor(d1, sorted_vars(f2, {}), sorted_vars(f1, {}), {})
+        assert d1._hyperderivor == empty

@@ -100,6 +100,21 @@ class TestDerivorDocs:
         assert set(doc) == {"sort_map", "patterns"}
 
 
+class TestMorphismDocFaults:
+    """A document's sort map is checked before its patterns are read, so a
+    sort map naming an unknown target sort says so, whichever sort it maps."""
+
+    @pytest.mark.parametrize("source_sort", ["e", "b"])
+    def test_unknown_target_sort(self, h1, d1, f1, x1, f2, x2, source_sort):
+        for doc, read in (
+            (hyperderivor_to_doc(h1), lambda doc: hyperderivor_from_doc(doc, f2, x2, f1, x1)),
+            (derivor_to_doc(d1), lambda doc: derivor_from_doc(doc, f2, f1)),
+        ):
+            doc["sort_map"][source_sort] = "t"
+            with pytest.raises(ValidationError, match="^sort map hits unknown target sort 't'$"):
+                read(doc)
+
+
 class TestPartitionDocs:
     def test_roundtrip(self):
         p = partition(["s", "t"], {"s": [0, 0, 1], "t": [0]})

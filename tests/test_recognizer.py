@@ -83,6 +83,15 @@ class TestBuild:
         with pytest.raises(ValidationError, match="^assignment missing variable 'z'$"):
             recognizer(x1, rpar_algebra, {"x": 0}, {"s": [0]})
 
+    def test_assignment_is_checked_once(self, x1, rpar_algebra, monkeypatch):
+        calls = []
+        check = RECOGNIZER_MODULE.check_assignment
+        monkeypatch.setattr(
+            RECOGNIZER_MODULE, "check_assignment", lambda *args: calls.append(args) or check(*args)
+        )
+        recognizer(x1, rpar_algebra, {"x": 0, "z": 1}, {"s": [0]})
+        assert len(calls) == 1
+
 
 class TestCombine:
     def test_union_with_empty(self, f1, x1, r_par):
