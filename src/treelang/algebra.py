@@ -280,54 +280,55 @@ def product_algebra(algebras: Sequence[FiniteAlgebra]):
 # generated subalgebras
 
 
-def closure_elements(
-    alg: FiniteAlgebra, seed: Mapping[str, Sequence[int]]
-) -> dict[str, list[int]]:
-    """Least subset containing the seed and closed under all tables, with
-    elements listed in first-reached order (seed order first, then discovery
-    in operation declaration order).
+def _closure(sig: Signature, seed: Mapping[str, Sequence[int]], rows) -> dict[str, list[int]]:
+    """The frontier worklist behind every generated subalgebra: the least
+    sets holding the seed and closed under the operations, each in
+    first-reached order.  That order numbers ``minimize``'s classes and
+    ``determinize``'s subsets: the seed (duplicates dropped), then what each
+    round reaches, operations in declaration order, each over its argument
+    tuples in lexicographic order.  A pass visits only the tuples that hold
+    an element reached since the operation's last pass: per prefix of the
+    first k-1 positions, the new last elements if the prefix is all old,
+    else all of them; the old tuples would reach nothing new.
 
-    Rounds pass over the operations in declaration order until one reaches
-    nothing.  A pass visits, in lexicographic order, only the argument tuples
-    over the reached elements that hold an element reached since the
-    operation's last pass: for each prefix of the first k-1 positions, the
-    new last-position elements if every prefix element is old, else all of
-    them.  Each table entry is read once, and the first-reached order is
-    that of passes over all tuples, which visit the old ones to no effect.
+    ``rows(op, heads, n)`` reads values, given the reached elements at the
+    first k-1 positions and the number reached at the last.  It returns one
+    row and each prefix's offset, or one row per prefix and ``None`` (offset
+    0), prefixes in lexicographic order; the value at a last element ``e``
+    is ``row[offset + e]``.
     """
-    sizes, tables = alg._sizes, alg._tables
-    reached = {s: list(dict.fromkeys(seed.get(s, ()))) for s in alg.signature.sorts}
+    reached = {s: list(dict.fromkeys(seed.get(s, ()))) for s in sig.sorts}
     member = {s: set(es) for s, es in reached.items()}
-    # per operation: the reached-list lengths at its argument sorts at its
-    # last pass, None before the first
-    done = {op.name: None for op in alg.signature.ops}
+    # per operation: the reached lists at its argument sorts (a constant
+    # reads one last element, 0), and their lengths at its last pass, None
+    # before the first
+    ops = [[op, [reached[s] for s in op.arity] or [[0]], None] for op in sig.ops]
     changed = True
     while changed:
         changed = False
-        for op in alg.signature.ops:
-            now = tuple(len(reached[s]) for s in op.arity)
-            prev = done[op.name]
+        for entry in ops:
+            op, args, prev = entry
+            now = tuple(map(len, args))
             if now == prev:
                 continue
-            done[op.name] = now
-            table = tables[op.name]
-            if not op.arity:
-                values = [table[0]]
-            else:
-                prev = prev or (0,) * len(now)
-                # per prefix: its table offset and whether all of it is old
-                bases, old = [0], [True]
-                for s, k, p in zip(op.arity, now[:-1], prev):
-                    n, pool = sizes[s], reached[s][:k]
-                    bases = [b * n + e for b in bases for e in pool]
-                    old = [o and i < p for o in old for i in range(k)]
-                last = reached[op.arity[-1]]
-                new, every = last[prev[-1] : now[-1]], last[: now[-1]]
-                width = sizes[op.arity[-1]]
-                values = []
-                for b, o in zip(bases, old):
-                    b *= width
-                    values += [table[b + e] for e in (new if o else every)]
+            entry[2] = now
+            prev = prev or (0,) * len(now)
+            # the reached elements at each prefix position, and per prefix
+            # whether all of it is old
+            heads, old = [], [True]
+            for es, k, p in zip(args, now[:-1], prev):
+                heads.append(es[:k])
+                old = [o and i < p for o in old for i in range(k)]
+            n = now[-1]
+            new, every = args[-1][prev[-1] : n], args[-1][:n]
+            values = []
+            data, offsets = rows(op, heads, n)
+            if offsets is None:  # one row per prefix
+                for row, o in zip(data, old):
+                    values += map(row.__getitem__, new if o else every)
+            else:  # one row, read at each prefix's offset
+                for b, o in zip(offsets, old):
+                    values += [data[b + e] for e in (new if o else every)]
             found = member[op.result]
             fresh = [v for v in dict.fromkeys(values) if v not in found]
             if fresh:
@@ -337,17 +338,39 @@ def closure_elements(
     return reached
 
 
+def closure_elements(
+    alg: FiniteAlgebra, seed: Mapping[str, Sequence[int]]
+) -> dict[str, list[int]]:
+    """Least subset containing the seed and closed under all tables, in
+    ``_closure``'s first-reached order; each reached table entry is read
+    once, at its prefix's mixed-radix offset."""
+    sizes, tables = alg._sizes, alg._tables
+
+    def rows(op, heads, n):
+        if not heads:  # a constant or unary table: one prefix, at offset 0
+            return [tables[op.name]], None
+        # a prefix's offset is its mixed-radix index times the last size
+        offsets = [0]
+        for pool, s in zip(heads, op.arity[1:]):
+            k = sizes[s]
+            offsets = [(b + e) * k for b in offsets for e in pool]
+        return tables[op.name], offsets
+
+    return _closure(alg.signature, seed, rows)
+
+
 def generated_subalgebra(alg: FiniteAlgebra, seed: Mapping[str, Sequence[int]]):
     """The subalgebra generating operator: sort -> frozenset of elements."""
-    _check_elements(alg, seed, "seed element")
+    _check_elements(alg._sizes, seed, "seed element")
     reached = closure_elements(alg, seed)
     return {s: frozenset(es) for s, es in reached.items()}
 
 
-def _check_elements(alg: FiniteAlgebra, elements: Mapping[str, Sequence[int]], what: str):
-    """Reject an element outside its sort's carrier, reading each element once."""
+def _check_elements(sizes: Mapping[str, int], elements: Mapping[str, Collection[int]], what: str):
+    """Reject an element outside its sort's ``range(sizes[sort])``, reading
+    each element once."""
     for s, es in elements.items():
-        n = alg._sizes[s]
+        n = sizes[s]
         if es and (min(es) < 0 or max(es) >= n):
             bad = next(e for e in es if not 0 <= e < n)
             raise ValidationError(f"{what} {bad} out of range at sort {s!r}")
@@ -359,7 +382,7 @@ def restrict_algebra(alg: FiniteAlgebra, elements: Mapping[str, Sequence[int]]):
     Returns the restricted algebra and the per-sort old->new index maps.
     The element lists must be in range and closed under the tables.
     """
-    _check_elements(alg, elements, "element")
+    _check_elements(alg._sizes, elements, "element")
     index: dict[str, dict[int, int]] = {
         s: {e: i for i, e in enumerate(elements.get(s, ()))} for s in alg.signature.sorts
     }
@@ -405,11 +428,12 @@ SUBSET_GUARD = 12
 
 
 def subset_algebra(alg: FiniteAlgebra) -> FiniteAlgebra:
-    """The powerset algebra: carriers are all subsets, as bitmasks, and
-    operations act elementwise on member tuples.
+    """The powerset algebra, with full tables: carriers are all subsets, as
+    bitmasks, and operations act elementwise on member tuples.
 
-    Exists for oracle cross-checks; guarded to carriers of at most
-    ``SUBSET_GUARD`` elements per sort.
+    ``determinize`` builds, lazily, the subalgebra of an NTA's powerset
+    algebra generated by its leaves; this is the whole algebra, guarded to
+    carriers of at most ``SUBSET_GUARD`` elements per sort.
     """
     sizes = dict(alg.carriers)
     for s, n in sizes.items():

@@ -9,6 +9,7 @@ its replacement language.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Mapping
 
 from .algebra import closure_elements
@@ -18,6 +19,7 @@ from .recognizer import (
     _seed,
     combine,
     determinize,
+    evaluator_nta,
     minimize,
     nta,
     recognize_basic,
@@ -159,20 +161,8 @@ def quotient_language(l: Recognizer, k: Recognizer, z: str) -> Recognizer:
     l's evaluator; a term without z-occurrences is kept exactly when it is in
     l already.
     """
-    sig = l.signature
-    vars = l.vars
     lm = minimize(l)
     values = quotient_seed_values(lm, k, z)
-
-    leaf = {y: {v} for y, v in lm.assignment}
-    leaf[z] = values
-    machine = nta(
-        sig,
-        vars,
-        {s: lm.algebra.size(s) for s in sig.sorts},
-        leaf,
-        {key: {v} for key, v in table_rules(lm.algebra)},
-        {},
-        {s: lm.accepting_at(s) for s in sig.sorts},
-    )
-    return determinize(machine)
+    machine = evaluator_nta(lm)
+    leaf = tuple((y, values if y == z else q) for y, q in machine.leaf)
+    return determinize(replace(machine, leaf=leaf))

@@ -10,12 +10,14 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .algebra import (
     FiniteAlgebra,
     _check_elements,
+    _closure,
     check_assignment,
     closure_elements,
     evaluate,
@@ -53,7 +55,7 @@ class Recognizer:
         acc = dict(self.accepting)
         if set(acc) != set(self.algebra.signature.sorts):
             raise ValidationError("accepting sets must cover every sort")
-        _check_elements(self.algebra, acc, "accepting element")
+        _check_elements(self.algebra._sizes, acc, "accepting element")
         for s, elems in acc.items():
             if tuple(sorted(set(elems))) != elems:
                 raise ValidationError(f"accepting set at {s!r} must be sorted and duplicate-free")
@@ -187,11 +189,9 @@ def minimize(rec: Recognizer) -> Recognizer:
     syntactic congruence of the language on reachable values.  It is
     canonical, a function of the language alone, whatever the input's state
     names or duplicate states: classes are numbered by first occurrence in
-    ``closure_elements``'s first-reached order (seed constants, then
-    variables, then argument tuples over the reached lists in that order), in
-    which each class first appears at a step fixed by the language.
-    ``equivalent`` relies on this, so ``closure_elements``, a frontier
-    worklist, keeps the order of full passes over all argument tuples.
+    ``algebra._closure``'s first-reached order from the seed (constants in
+    declaration order, then variables), in which each class first appears at
+    a step fixed by the language.  ``equivalent`` relies on this.
     """
     reached = closure_elements(rec.algebra, _seed(rec))
     small, index = restrict_algebra(rec.algebra, reached)
@@ -258,59 +258,49 @@ def nta(
 DETERMINIZE_BUDGET = 1 << 22
 
 
-def _mask(states) -> int:
-    m = 0
-    for q in states:
-        m |= 1 << q
-    return m
-
-
-def _members(mask: int) -> tuple[int, ...]:
-    return tuple(q for q in range(mask.bit_length()) if mask >> q & 1)
-
-
 def determinize(machine: NTA, cap: int = DETERMINIZE_BUDGET) -> Recognizer:
-    """Accessible subset construction per sort: only subsets reached from the
-    leaves become states, and the result is deterministic and complete on
-    them.
+    """Accessible subset construction per sort: the subalgebra of the NTA's
+    powerset algebra (``subset_algebra``) generated by its leaves, built by
+    ``algebra._closure`` and numbered in its first-reached order from the
+    seed, constants in declaration order, then variables.
 
-    State sets are bitmasks; each rule's targets are closed under epsilon
-    edges once, so images need no further closing.  The rules of an
-    operation of arity k are grouped by their first k-1 states, and each
-    such state prefix keeps a row of masks indexed by the subset id at the
-    last argument.  The image of a subset tuple is the OR of the rows of its
-    member prefixes; the interned ORs are kept per set of member prefixes.
-    Rows and ORs grow only as subsets appear, and each round visits only the
-    argument tuples that contain a subset interned since the operation was
-    last processed.
-
-    Subsets are numbered in interning order: leaves first (constants in
-    declaration order, then variables), then round by round, operations in
-    declaration order, each over its tuples in lexicographic order.
+    State sets are bitmasks, and rule targets are closed under epsilon edges
+    once.  An operation's rules are grouped by their state prefix (all
+    states but the last).  A subset-id prefix looks up once the set of its
+    member state prefixes, which keeps the OR of their target masks by last
+    state and its row of subset ids by last-argument subset id; an entry
+    ORs those masks over the last subset's members.  Rows grow only to the
+    subsets reached when ``_closure`` asks, so no subset is interned before
+    its turn.
 
     Guard: a budget of ``cap`` output table entries (default
     ``DETERMINIZE_BUDGET``, 2**22), counted as the sum over operations of the
     product of argument carrier sizes.  Interning a subset that would take
-    the tables past it raises ``ValidationError``.
+    the tables past it raises ``ValidationError``.  So do a rule of an
+    unknown operation or of another arity, a rule's target or last argument
+    state above its sort's states, and a leaf, epsilon or accepting state
+    outside them; the message names the rule, variable or sort.
     """
-    sig = machine.signature
+    sig, states = machine.signature, dict(machine.states)
     # per sort: state -> mask of its reflexive-transitive epsilon closure,
     # the least masks with closure[a] >= closure[b] on every edge a -> b
     epsilon = dict(machine.epsilon)
     closure = {}
     for sort, n in machine.states:
+        edges = epsilon.get(sort, ())
+        _check_elements(states, {sort: [q for edge in edges for q in edge]}, "NTA epsilon state")
         masks = closure[sort] = [1 << q for q in range(n)]
         changed = True
         while changed:
             changed = False
-            for a, b in epsilon.get(sort, ()):
+            for a, b in edges:
                 if masks[b] & ~masks[a]:
                     masks[a] |= masks[b]
                     changed = True
 
-    def close(sort: str, states) -> int:
+    def close(sort: str, qs) -> int:
         m = 0
-        for q in states:
+        for q in qs:
             m |= closure[sort][q]
         return m
 
@@ -329,97 +319,106 @@ def determinize(machine: NTA, cap: int = DETERMINIZE_BUDGET) -> Recognizer:
             raise ValidationError(
                 f"determinization entry budget exceeded: {entries} table entries > {cap}"
             )
-        members[sort].append(_members(mask))
+        members[sort].append(tuple(q for q in range(mask.bit_length()) if mask >> q & 1))
         index[sort][mask] = got = sizes[sort] - 1
         return got
 
-    result_sort = {op.name: op.result for op in sig.ops}
+    ops = sig.op_by_name
     constants: dict[str, int] = {}
-    # opname -> state prefix -> last state -> closed target mask
-    grouped: dict[str, dict[tuple[int, ...], dict[int, int]]] = {
-        op.name: {} for op in sig.ops
-    }
-    for (name, args), targets in machine.rules:
-        mask = close(result_sort[name], targets)
-        if not args:
-            constants[name] = mask
-        elif mask:
-            grouped[name].setdefault(args[:-1], {})[args[-1]] = mask
+    # opname -> state prefix -> closed target masks by last state
+    grouped: dict[str, dict[tuple[int, ...], list[int]]] = {op.name: {} for op in sig.ops}
+    try:
+        for (name, args), targets in machine.rules:
+            op = ops[name]
+            mask = close(op.result, targets)
+            if not args:
+                constants[name] = mask
+            elif mask:
+                by_last = grouped[name].get(args[:-1])
+                if by_last is None:
+                    # a rule of another arity has a prefix of another length
+                    if len(args) != len(op.arity):
+                        _reject_rules(machine)
+                    by_last = grouped[name][args[:-1]] = [0] * states[op.arity[-1]]
+                by_last[args[-1]] = mask
+    except (KeyError, IndexError):  # an unknown operation or a state too large
+        _reject_rules(machine)
+        raise
+    if any(ops[name].arity for name in constants):
+        _reject_rules(machine)
 
-    # opname -> subset-id prefix -> subset ids over the last argument
-    tables: dict[str, dict[tuple[int, ...], list[int]]] = {op.name: {} for op in sig.ops}
-    leaf = dict(machine.leaf)
-    assignment: dict[str, int] = {}
+    # per operation: subset-id prefix -> (its subset ids by last-argument
+    # subset id, the OR of its member state prefixes' masks by last state),
+    # one pair per set of member state prefixes
+    memo = {op.name: ({}, {}) for op in sig.ops}
     for op in sig.ops:
         if not op.arity:
-            tables[op.name][()] = [intern(op.result, constants.get(op.name, 0))]
+            memo[op.name][0][()] = ([intern(op.result, constants.get(op.name, 0))], ())
+    leaf = dict(machine.leaf)
+    assignment: dict[str, int] = {}
     for sort, names in machine.vars.by_sort:
         for x in names:
+            _check_elements(states, {sort: leaf.get(x, ())}, f"NTA leaf of variable {x!r}: state")
             assignment[x] = intern(sort, close(sort, leaf.get(x, ())))
 
-    ops = [op for op in sig.ops if op.arity]
-    done = {op.name: (0,) * len(op.arity) for op in ops}
-    # per operation: state prefix -> masks by last-argument subset id, and
-    # member state prefixes of a subset-id prefix -> interned ORs of their rows
-    rows: dict[str, dict[tuple[int, ...], list[int]]] = {op.name: {} for op in ops}
-    unions: dict[str, dict[tuple, list[int]]] = {op.name: {} for op in ops}
-    changed = True
-    while changed:
-        changed = False
-        for op in ops:
-            now = tuple(sizes[s] for s in op.arity)
-            prev = done[op.name]
-            if now == prev:
-                continue
-            done[op.name] = now
-            n = now[-1]
-            last = members[op.arity[-1]]
-            by_prefix = grouped[op.name]
-            found = index[op.result]
-            op_rows, op_unions = rows[op.name], unions[op.name]
-            table = tables[op.name]
-            for prefix in itertools.product(*map(range, now[:-1])):
-                start = prev[-1] if all(i < p for i, p in zip(prefix, prev)) else 0
-                if start == n:
-                    continue
-                changed = True
+    def rows(op, heads, n):
+        """Each subset-id prefix's row of subset ids, extended to ``n``."""
+        cache, unions = memo[op.name]
+        by_prefix, found = grouped[op.name], index[op.result]
+        out = []
+        for prefix in itertools.product(*heads):
+            got = cache.get(prefix)
+            if got is None:
                 pools = [members[s][i] for s, i in zip(op.arity, prefix)]
                 key = tuple(p for p in itertools.product(*pools) if p in by_prefix)
-                ids = op_unions.setdefault(key, [])
-                if len(ids) < n:
-                    key_rows = []
+                got = unions.get(key)
+                if got is None:
+                    masks = [0] * states[op.arity[-1]]
                     for p in key:
-                        row = op_rows.setdefault(p, [])
-                        targets = by_prefix[p]
-                        for j in range(len(row), n):
-                            m = 0
-                            for b in last[j]:
-                                m |= targets.get(b, 0)
-                            row.append(m)
-                        key_rows.append(row)
-                    for j in range(len(ids), n):
-                        m = 0
-                        for row in key_rows:
-                            m |= row[j]
-                        got = found.get(m)
-                        ids.append(intern(op.result, m) if got is None else got)
-                table.setdefault(prefix, []).extend(ids[start:n])
+                        masks = list(map(operator.or_, masks, by_prefix[p]))
+                    got = unions[key] = ([], masks)
+                cache[prefix] = got
+            ids, masks = got
+            if len(ids) < n:
+                last = members[op.arity[-1]]
+                for j in range(len(ids), n):
+                    m = 0
+                    for b in last[j]:
+                        m |= masks[b]
+                    i = found.get(m)
+                    ids.append(intern(op.result, m) if i is None else i)
+            out.append(ids)
+        return out, None
 
-    dense = {
-        op.name: [
-            v
-            for prefix in itertools.product(*(range(sizes[s]) for s in op.arity[:-1]))
-            for v in tables[op.name].get(prefix, ())
-        ]
-        for op in sig.ops
-    }
+    _closure(sig, {s: range(n) for s, n in sizes.items()}, rows)
+    dense = {op.name: [] for op in sig.ops}
+    for op in sig.ops:
+        for prefix in itertools.product(*(range(sizes[s]) for s in op.arity[:-1])):
+            dense[op.name] += memo[op.name][0][prefix][0]
     # every entry is an interned subset id, in range by construction
     alg = FiniteAlgebra._built(sig, sizes, dense)
-    nta_accepting = {s: _mask(states) for s, states in machine.accepting}
-    accepting = {
-        s: [i for m, i in index[s].items() if m & nta_accepting[s]] for s in sig.sorts
-    }
+    accepting = {}
+    for s, qs in machine.accepting:
+        _check_elements(states, {s: qs}, "NTA accepting state")
+        acc = sum(1 << q for q in qs)
+        accepting[s] = [i for m, i in index[s].items() if m & acc]
     return recognizer(machine.vars, alg, assignment, accepting)
+
+
+def _reject_rules(machine: NTA) -> None:
+    """Raise the error naming the NTA's first malformed rule, if any: an
+    unknown operation, another arity, or a state outside its sort."""
+    states = dict(machine.states)
+    for (name, args), targets in machine.rules:
+        rule = f"NTA rule {name}({', '.join(map(str, args))})"
+        op = machine.signature.op_by_name.get(name)
+        if op is None:
+            raise ValidationError(f"{rule} has unknown operation {name!r}")
+        if len(args) != len(op.arity):
+            k = len(op.arity)
+            raise ValidationError(f"{rule} has {len(args)} argument states, expected {k}")
+        for q, s in [*zip(args, op.arity), *((q, op.result) for q in targets)]:
+            _check_elements(states, {s: [q]}, f"{rule}: state")
 
 
 def table_rules(alg: FiniteAlgebra, shift: Mapping[str, int] | None = None):

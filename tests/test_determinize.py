@@ -1,4 +1,6 @@
-"""The bitmask subset construction against the frozenset one it replaced.
+"""The bitmask subset construction against the frozenset one it replaced,
+against the subset algebra it is a generated subalgebra of, and on
+malformed automata.
 
 ``reference_determinize`` is that earlier construction: it rescans every
 argument tuple each round and unions the rules of every member tuple.  The
@@ -14,9 +16,9 @@ import random
 
 import pytest
 
-from treelang.algebra import finite_algebra
+from treelang.algebra import closure_elements, finite_algebra, restrict_algebra, subset_algebra
 from treelang.core import ValidationError, signature, sorted_vars
-from treelang.recognizer import NTA, Recognizer, determinize, nta, recognizer
+from treelang.recognizer import NTA, Recognizer, determinize, nta, recognizer, table_rules
 
 
 def reference_eps_closures(machine: NTA) -> dict[str, list[frozenset[int]]]:
@@ -186,3 +188,100 @@ def test_generator_covers_the_hard_cases():
         seen["ternary"] += len(rec.algebra.table("t")) > 1
         seen["big"] += rec.algebra.size("a") + rec.algebra.size("b") >= 6
     assert all(seen.values()), seen
+
+
+# ---------------------------------------------------------------------------
+# determinize is the generated subalgebra of the subset algebra
+
+F1 = signature(["s"], [("c", [], "s"), ("g", ["s"], "s"), ("sigma", ["s", "s"], "s")])
+RICH = signature(
+    ["t0", "t1"],
+    [
+        ("e0", [], "t0"),
+        ("e1", [], "t1"),
+        ("u0", ["t0"], "t0"),
+        ("u1", ["t0"], "t1"),
+        ("u2", ["t1"], "t0"),
+        ("u3", ["t1"], "t1"),
+        ("b0", ["t0", "t1"], "t0"),
+    ],
+)
+
+
+def evaluator_machine(rng: random.Random, sig, vars):
+    """The NTA of a random evaluator with 1-5 states per sort, one variable's
+    leaf widened to a random state set (possibly empty), as
+    ``quotient_language`` widens the leaf of the quotiented variable."""
+    sizes = {s: rng.randint(1, 5) for s in sig.sorts}
+    tables = {
+        op.name: [rng.randrange(sizes[op.result]) for _ in itertools.product(
+            *(range(sizes[s]) for s in op.arity))]
+        for op in sig.ops
+    }
+    alg = finite_algebra(sig, sizes, tables)
+    leaf = {x: {rng.randrange(sizes[s])} for s, names in vars.by_sort for x in names}
+    wide = rng.choice(vars.all_names())
+    leaf[wide] = {q for q in range(sizes[vars.sort_of(wide)]) if rng.random() < 0.5}
+    accepting = {s: {q for q in range(n) if rng.random() < 0.5} for s, n in sizes.items()}
+    machine = nta(sig, vars, sizes, leaf, {k: {v} for k, v in table_rules(alg)}, {}, accepting)
+    return alg, machine
+
+
+@pytest.mark.parametrize("sig_name", ["F1", "RICH"])
+def test_is_the_subalgebra_of_the_subset_algebra_generated_by_the_leaves(sig_name):
+    sig = {"F1": F1, "RICH": RICH}[sig_name]
+    vars = sorted_vars(sig, {"s": ["x", "z"]} if sig is F1 else {"t0": ["x"], "t1": ["y"]})
+    rng = random.Random(1600 + len(sig.sorts))
+    for _ in range(100):
+        alg, machine = evaluator_machine(rng, sig, vars)
+        powerset = subset_algebra(alg)
+        # the seed: constants' singletons in declaration order, then the leaves
+        seed = {s: [] for s in sig.sorts}
+        for op in sig.ops:
+            if not op.arity:
+                seed[op.result].append(1 << alg.table(op.name)[0])
+        leaf = dict(machine.leaf)
+        for s, names in vars.by_sort:
+            seed[s] += [sum(1 << q for q in leaf[x]) for x in names]
+        generated, _ = restrict_algebra(powerset, closure_elements(powerset, seed))
+        assert determinize(machine).algebra == generated
+
+
+# ---------------------------------------------------------------------------
+# malformed automata
+
+
+def small_machine(**changes) -> NTA:
+    """A well-formed one-sorted NTA over ``c``, ``g`` and ``sigma`` with two
+    states, with the given fields replaced (``rules`` are added)."""
+    fields = {
+        "states": {"s": 2},
+        "leaf": {"x": {0}},
+        "rules": {("c", ()): {0}, ("g", (0,)): {1}, ("g", (1,)): {0}, ("sigma", (0, 1)): {1}},
+        "epsilon": {"s": [(1, 0)]},
+        "accepting": {"s": {1}},
+    }
+    rules = {**fields["rules"], **changes.pop("rules", {})}
+    fields.update(changes, rules=rules)
+    return nta(F1, sorted_vars(F1, {"s": ["x"]}), **fields)
+
+
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        ({"rules": {("g", (0,)): {2}}}, r"rule g\(0\): state 2 out of range at sort 's'"),
+        ({"rules": {("sigma", (1, 3)): {0}}}, r"rule sigma\(1, 3\): state 3 out of range"),
+        ({"rules": {("h", (0,)): {0}}}, r"rule h\(0\) has unknown operation 'h'"),
+        ({"rules": {("g", (0, 1)): {0}}}, r"rule g\(0, 1\) has 2 argument states, expected 1"),
+        ({"rules": {("sigma", ()): {0}}}, r"rule sigma\(\) has 0 argument states, expected 2"),
+        ({"rules": {("c", (1,)): {0}}}, r"rule c\(1\) has 1 argument states, expected 0"),
+        ({"leaf": {"x": {0, 2}}}, r"leaf of variable 'x': state 2 out of range at sort 's'"),
+        ({"leaf": {"x": {-1}}}, r"leaf of variable 'x': state -1 out of range"),
+        ({"epsilon": {"s": [(0, 5)]}}, r"NTA epsilon state 5 out of range at sort 's'"),
+        ({"accepting": {"s": {1, 2}}}, r"NTA accepting state 2 out of range at sort 's'"),
+    ],
+)
+def test_malformed_machine_names_what_is_wrong(changes, message):
+    assert determinize(small_machine())  # the unchanged machine is fine
+    with pytest.raises(ValidationError, match=message):
+        determinize(small_machine(**changes))
