@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Collection, Iterator, Mapping, Sequence
 
 from .core import (
@@ -21,11 +20,12 @@ from .core import (
     Term,
     ValidationError,
     Var,
+    _record,
     apply_context,
 )
 
 
-@dataclass(frozen=True)
+@_record
 class FiniteAlgebra:
     """Per-sort finite carriers with total operation tables.
 
@@ -58,8 +58,7 @@ class FiniteAlgebra:
             bound = sizes[op.result]
             if table and (min(table) < 0 or max(table) >= bound):
                 raise ValidationError(f"table for {op.name!r} has out-of-range entries")
-        # lookups for size/table/apply; not fields, so equality and hashing
-        # see only the declared data
+        # lookups for size/table/apply, not fields (see ``core._record``)
         object.__setattr__(self, "_sizes", sizes)
         object.__setattr__(self, "_tables", tables)
 
@@ -71,7 +70,7 @@ class FiniteAlgebra:
         sizes = {s: carriers[s] for s in sig.sorts}
         by_name = {op.name: tuple(tables[op.name]) for op in sig.ops}
         alg = object.__new__(cls)
-        # a frozen dataclass keeps its fields in the instance dict
+        # a ``core._record`` keeps its fields in the instance dict
         alg.__dict__.update(signature=sig, carriers=tuple(sizes.items()), _sizes=sizes)
         alg.__dict__.update(tables=tuple(by_name.items()), _tables=by_name)
         return alg

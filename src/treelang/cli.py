@@ -314,7 +314,8 @@ def _diff_lines(expected: str, got: str):
     )
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command, or of ``command`` alone when it names one."""
     parser = argparse.ArgumentParser(
         prog="treelang",
         description="Operators and decision procedures for many-sorted recognizable tree languages.",
@@ -322,94 +323,97 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, fn, **kwargs):
-        p = sub.add_parser(name, **kwargs)
-        p.set_defaults(fn=fn)
-        p.add_argument("--json", action="store_true", help="machine-readable output")
-        return p
+        if command in (None, name):
+            p = sub.add_parser(name, **kwargs)
+            p.set_defaults(fn=fn)
+            p.add_argument("--json", action="store_true", help="machine-readable output")
+            return p
 
-    p = add("member", cmd_member, help="decide term membership")
-    p.add_argument("recognizer")
-    p.add_argument("term")
-    p.add_argument("--oracle", action="store_true", help="decide by bounded enumeration")
-    p.add_argument("--max-nodes", type=int, default=7)
+    if p := add("member", cmd_member, help="decide term membership"):
+        p.add_argument("recognizer")
+        p.add_argument("term")
+        p.add_argument("--oracle", action="store_true", help="decide by bounded enumeration")
+        p.add_argument("--max-nodes", type=int, default=7)
 
-    p = add("enumerate", cmd_enumerate, help="list accepted terms up to a size bound")
-    p.add_argument("recognizer")
-    p.add_argument("--max-nodes", type=int, required=True)
+    if p := add("enumerate", cmd_enumerate, help="list accepted terms up to a size bound"):
+        p.add_argument("recognizer")
+        p.add_argument("--max-nodes", type=int, required=True)
 
-    p = add("minimize", cmd_minimize, help="emit the minimized recognizer")
-    p.add_argument("recognizer")
-    p.add_argument("-o", "--output")
+    if p := add("minimize", cmd_minimize, help="emit the minimized recognizer"):
+        p.add_argument("recognizer")
+        p.add_argument("-o", "--output")
 
-    p = add("combine", cmd_combine, help="boolean combination of two recognizers")
-    p.add_argument("kind", choices=["union", "intersection", "difference"])
-    p.add_argument("left")
-    p.add_argument("right")
-    p.add_argument("-o", "--output")
+    if p := add("combine", cmd_combine, help="boolean combination of two recognizers"):
+        p.add_argument("kind", choices=["union", "intersection", "difference"])
+        p.add_argument("left")
+        p.add_argument("right")
+        p.add_argument("-o", "--output")
 
-    p = add("substitute", cmd_substitute, help="substitution operator")
-    p.add_argument("recognizer")
-    p.add_argument("--with", dest="with_", action="append", metavar="VAR=FILE")
-    p.add_argument("-o", "--output")
+    if p := add("substitute", cmd_substitute, help="substitution operator"):
+        p.add_argument("recognizer")
+        p.add_argument("--with", dest="with_", action="append", metavar="VAR=FILE")
+        p.add_argument("-o", "--output")
 
-    p = add("iterate", cmd_iterate, help="z-iteration operator")
-    p.add_argument("recognizer")
-    p.add_argument("--var", required=True)
-    p.add_argument("-o", "--output")
+    if p := add("iterate", cmd_iterate, help="z-iteration operator"):
+        p.add_argument("recognizer")
+        p.add_argument("--var", required=True)
+        p.add_argument("-o", "--output")
 
-    p = add("quotient", cmd_quotient, help="z-quotient operator")
-    p.add_argument("recognizer")
-    p.add_argument("--by", required=True)
-    p.add_argument("--var", required=True)
-    p.add_argument("-o", "--output")
+    if p := add("quotient", cmd_quotient, help="z-quotient operator"):
+        p.add_argument("recognizer")
+        p.add_argument("--by", required=True)
+        p.add_argument("--var", required=True)
+        p.add_argument("-o", "--output")
 
-    p = add("invtrans", cmd_invtrans, help="inverse translation along a one-hole context")
-    p.add_argument("recognizer")
-    p.add_argument("--context", required=True)
-    p.add_argument("-o", "--output")
+    if p := add("invtrans", cmd_invtrans, help="inverse translation along a one-hole context"):
+        p.add_argument("recognizer")
+        p.add_argument("--context", required=True)
+        p.add_argument("-o", "--output")
 
-    p = add("equal", cmd_equal, help="decide language equality")
-    p.add_argument("left")
-    p.add_argument("right")
+    if p := add("equal", cmd_equal, help="decide language equality"):
+        p.add_argument("left")
+        p.add_argument("right")
 
-    p = add("empty", cmd_empty, help="decide language emptiness")
-    p.add_argument("recognizer")
+    if p := add("empty", cmd_empty, help="decide language emptiness"):
+        p.add_argument("recognizer")
 
-    p = add("syncong", cmd_syncong, help="per-sort syntactic-congruence indices")
-    p.add_argument("recognizer")
+    if p := add("syncong", cmd_syncong, help="per-sort syntactic-congruence indices"):
+        p.add_argument("recognizer")
 
-    p = add("treehom", cmd_treehom, help="tree-homomorphism operators")
-    p.add_argument("mode", choices=["apply", "inverse", "image"])
-    p.add_argument("--hyp", required=True, help="hyperderivor file")
-    p.add_argument("--source", help="source signature file")
-    p.add_argument("--target", help="target signature file")
-    p.add_argument("--sort", help="distinguished source sort")
-    p.add_argument("--term", dest="term", help="term to apply (apply mode)")
-    p.add_argument("--rec", dest="recognizer", help="recognizer file (inverse/image modes)")
-    p.add_argument("-o", "--output")
+    if p := add("treehom", cmd_treehom, help="tree-homomorphism operators"):
+        p.add_argument("mode", choices=["apply", "inverse", "image"])
+        p.add_argument("--hyp", required=True, help="hyperderivor file")
+        p.add_argument("--source", help="source signature file")
+        p.add_argument("--target", help="target signature file")
+        p.add_argument("--sort", help="distinguished source sort")
+        p.add_argument("--term", dest="term", help="term to apply (apply mode)")
+        p.add_argument("--rec", dest="recognizer", help="recognizer file (inverse/image modes)")
+        p.add_argument("-o", "--output")
 
-    p = add("derivor", cmd_derivor, help="derivor operators")
-    p.add_argument("mode", choices=["apply", "compose", "derive"])
-    p.add_argument("--drv", help="derivor file")
-    p.add_argument("--inner", help="first derivor (compose mode)")
-    p.add_argument("--outer", help="second derivor (compose mode)")
-    p.add_argument("--source", help="source signature file")
-    p.add_argument("--middle", help="middle signature file (compose mode)")
-    p.add_argument("--target", help="target signature file")
-    p.add_argument("--arity", default="", help="comma-separated rank arity word (apply mode)")
-    p.add_argument("--term", dest="term", help="hall term to apply (apply mode)")
-    p.add_argument("--algebra", help="algebra file over the target (derive mode)")
-    p.add_argument("-o", "--output")
+    if p := add("derivor", cmd_derivor, help="derivor operators"):
+        p.add_argument("mode", choices=["apply", "compose", "derive"])
+        p.add_argument("--drv", help="derivor file")
+        p.add_argument("--inner", help="first derivor (compose mode)")
+        p.add_argument("--outer", help="second derivor (compose mode)")
+        p.add_argument("--source", help="source signature file")
+        p.add_argument("--middle", help="middle signature file (compose mode)")
+        p.add_argument("--target", help="target signature file")
+        p.add_argument("--arity", default="", help="comma-separated rank arity word (apply mode)")
+        p.add_argument("--term", dest="term", help="hall term to apply (apply mode)")
+        p.add_argument("--algebra", help="algebra file over the target (derive mode)")
+        p.add_argument("-o", "--output")
 
-    p = add("golden", cmd_golden, help="re-run recorded cases and diff bit-exact outputs")
-    p.add_argument("directory")
+    if p := add("golden", cmd_golden, help="re-run recorded cases and diff bit-exact outputs"):
+        p.add_argument("directory")
 
+    if command not in (None, *sub.choices):
+        return build_parser()
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.fn(args)
     except (ValidationError, OSError) as err:

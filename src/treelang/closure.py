@@ -9,12 +9,12 @@ its replacement language.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Mapping
 
 from .algebra import closure_elements
 from .core import ValidationError, Var
 from .recognizer import (
+    NTA,
     Recognizer,
     _seed,
     combine,
@@ -163,6 +163,6 @@ def quotient_language(l: Recognizer, k: Recognizer, z: str) -> Recognizer:
     """
     lm = minimize(l)
     values = quotient_seed_values(lm, k, z)
-    machine = evaluator_nta(lm)
-    leaf = tuple((y, values if y == z else q) for y, q in machine.leaf)
-    return determinize(replace(machine, leaf=leaf))
+    m = evaluator_nta(lm)
+    leaf = tuple((y, values if y == z else q) for y, q in m.leaf)
+    return determinize(NTA(m.signature, m.vars, m.states, leaf, m.rules, m.epsilon, m.accepting))

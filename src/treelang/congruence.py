@@ -19,14 +19,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Hashable, Mapping, Sequence
 
 from .algebra import FiniteAlgebra, _indices
-from .core import ValidationError
+from .core import ValidationError, _record
 
 
-@dataclass(frozen=True)
+@_record
 class SortedPartition:
     """Per-sort class-id arrays over the carriers; ids are contiguous 0..count-1."""
 
@@ -41,8 +40,7 @@ class SortedPartition:
                 raise ValidationError(f"class ids out of range at sort {sort!r}")
             if set(ids) != set(range(n)):
                 raise ValidationError(f"class ids not contiguous at sort {sort!r}")
-        # per-sort lookups; not fields, so equality and hashing see only the
-        # declared data
+        # per-sort lookups, not fields (see ``core._record``)
         object.__setattr__(self, "_classes", dict(self.classes))
         object.__setattr__(self, "_counts", counts)
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterable, Mapping, Sequence
 
 
@@ -28,14 +28,53 @@ class SortError(ValidationError):
 NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
-@dataclass(frozen=True)
+def _frozen(self, name, *value):
+    from dataclasses import FrozenInstanceError  # on the error path only
+    raise FrozenInstanceError(f"cannot {'assign to' if value else 'delete'} field {name!r}")
+
+
+def _record(cls):
+    """``dataclass(frozen=True)`` from closures: no ``exec``, no ``dataclasses``
+    import.  ``__init__`` sets the fields in order through ``object.__setattr__``,
+    which keeps them inline; what ``__post_init__`` adds is not a field."""
+    names = tuple(cls.__dict__.get("__annotations__", ()))
+    n, post_init = len(names), getattr(cls, "__post_init__", None)
+    indices, set_field = range(n), object.__setattr__
+    key = attrgetter(*names) if n > 1 else lambda self, get=attrgetter(*names): (get(self),)
+
+    def __init__(self, *args, **kwargs):
+        if kwargs or len(args) != n:
+            if len(args) + len(kwargs) != n or {*names[: len(args)], *kwargs} != {*names}:
+                raise TypeError(f"{cls.__name__}() takes the fields {', '.join(names)}")
+            args = (*args, *map(kwargs.__getitem__, names[len(args) :]))
+        for i in indices:
+            set_field(self, names[i], args[i])
+        if post_init is not None:
+            post_init(self)
+
+    def __eq__(self, other):
+        return key(self) == key(other) if other.__class__ is self.__class__ else NotImplemented
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}({', '.join(f'{f}={getattr(self, f)!r}' for f in names)})"
+
+    methods = {"__eq__": __eq__, "__hash__": lambda self: hash(key(self)), "__repr__": __repr__}
+    for name, method in methods.items():
+        if name not in cls.__dict__:  # a method the class defines stays
+            setattr(cls, name, method)
+    cls.__init__, cls.__match_args__ = __init__, names
+    cls.__setattr__ = cls.__delattr__ = _frozen
+    return cls
+
+
+@_record
 class Operation:
     name: str
     arity: tuple[str, ...]
     result: str
 
 
-@dataclass(frozen=True)
+@_record
 class Signature:
     """A finite sort set plus operation symbols with arity words and result sorts.
 
@@ -59,8 +98,7 @@ class Signature:
             for s in (*op.arity, op.result):
                 if s not in self.sorts:
                     raise ValidationError(f"operation {op.name!r} uses unknown sort {s!r}")
-        # name -> operation, built once; not a field, so equality and hashing
-        # see only sorts and ops.  Callers must not mutate it.
+        # name -> operation, not a field (see ``_record``); callers must not mutate it
         object.__setattr__(self, "op_by_name", {op.name: op for op in self.ops})
 
     def operation(self, name: str) -> Operation:
@@ -75,7 +113,7 @@ def signature(sorts: Sequence[str], ops: Iterable[tuple[str, Sequence[str], str]
     return Signature(tuple(sorts), tuple(Operation(n, tuple(a), r) for n, a, r in ops))
 
 
-@dataclass(frozen=True)
+@_record
 class SortedVars:
     """Per-sort finite ordered variable sets; names are globally unique."""
 
@@ -125,7 +163,7 @@ class Term:
     size: int
 
 
-@dataclass(frozen=True)
+@_record
 class Var(Term):
     name: str
     sort: str
@@ -138,7 +176,7 @@ class Var(Term):
         return f"Var({self.name})"
 
 
-@dataclass(frozen=True)
+@_record
 class Node(Term):
     symbol: str
     children: tuple[Term, ...]
@@ -146,7 +184,7 @@ class Node(Term):
     size: int
 
     def __hash__(self):
-        """The hash a frozen dataclass generates, kept on the node once
+        """The hash ``_record`` generates, kept on the node once
         computed (not a field, so equality sees only the declared data).
         Subterms not yet hashed are hashed bottom-up with an explicit stack,
         so hashing a children tuple never recurses.  Computing it on first
@@ -167,7 +205,7 @@ class Node(Term):
         return self._hash
 
     def __eq__(self, other):
-        """The equality a frozen dataclass generates (same class, symbol,
+        """The equality ``_record`` generates (same class, symbol,
         children, sort and size), walked with an explicit stack, so comparing
         deep terms never recurses.  Shared subterms compare by identity."""
         if other.__class__ is not self.__class__:
@@ -199,13 +237,9 @@ _new = object.__new__
 
 def _new_node(symbol: str, children: tuple[Term, ...], sort: str, size: int) -> Node:
     """A ``Node`` from data the caller vouches for, without ``node``'s checks.
-    A frozen dataclass keeps its fields in the instance dict; filling it
-    directly, in field order, costs about half of the generated
-    ``__init__``, which sets each field through ``object.__setattr__``.
-    The price is a real dict where ``__init__`` would leave the fields
-    inline: on CPython 3.11 a node takes 63 more bytes and reads a field
-    about twice as slowly.  On the read path, where a node is built once and
-    read a few times, the cheaper build wins."""
+    Filling the instance dict directly costs about half of ``__init__``; the
+    price, a dict where ``__init__`` keeps fields inline (63 more bytes a node,
+    reads twice as slow on CPython 3.11), pays off on the build-heavy read path."""
     t = _new(Node)
     d = t.__dict__
     d["symbol"] = symbol
@@ -218,7 +252,7 @@ def _new_node(symbol: str, children: tuple[Term, ...], sort: str, size: int) -> 
 HOLE = "@"
 
 
-@dataclass(frozen=True)
+@_record
 class Hole(Term):
     sort: str
 
@@ -502,7 +536,7 @@ def substitute_uniform(term: Term, mapping: Mapping[str, Term]) -> Term:
 # contexts
 
 
-@dataclass(frozen=True)
+@_record
 class Context:
     """A term with exactly one hole of a declared sort.
 

@@ -9,7 +9,6 @@ by term-operation evaluation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .algebra import FiniteAlgebra
@@ -21,6 +20,7 @@ from .core import (
     ValidationError,
     Var,
     _preorder,
+    _record,
     print_term,
     sorted_vars,
     substitute_uniform,
@@ -36,7 +36,7 @@ from .treehom import (
 )
 
 
-@dataclass(frozen=True)
+@_record
 class HallTerm:
     """A term over placeholders ``v0..v(|arity|-1)`` tagged with its rank."""
 
@@ -107,7 +107,7 @@ def identity_hall_term(sig: Signature, opname: str) -> HallTerm:
     return HallTerm(identity_pattern(op), op.arity, op.result)
 
 
-@dataclass(frozen=True)
+@_record
 class Derivor:
     """A signature morphism: sort map plus a target Hall term per operation.
     It is checked, applied and pulled back as the hyperderivor without
@@ -120,7 +120,7 @@ class Derivor:
 
     def __post_init__(self):
         patterns = dict(self.patterns)
-        # lookups, not fields, so equality and hashing see only the declared data
+        # lookups, not fields (see ``core._record``)
         object.__setattr__(self, "_patterns", patterns)
         smap = _checked_sort_map(self.source, self.target, self.sort_map)
         # a Hall term may leave a placeholder unused, so typing its term

@@ -11,7 +11,6 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .algebra import (
@@ -37,13 +36,14 @@ from .core import (
     Term,
     ValidationError,
     Var,
+    _record,
     subterms_of,
     term_sort_key,
     typecheck,
 )
 
 
-@dataclass(frozen=True)
+@_record
 class Recognizer:
     vars: SortedVars
     algebra: FiniteAlgebra
@@ -217,7 +217,7 @@ def minimize(rec: Recognizer) -> Recognizer:
 # nondeterministic automata
 
 
-@dataclass(frozen=True)
+@_record
 class NTA:
     """Bottom-up nondeterministic automaton with epsilon rules; internal only.
 
@@ -277,9 +277,9 @@ def determinize(machine: NTA, cap: int = DETERMINIZE_BUDGET) -> Recognizer:
     ``DETERMINIZE_BUDGET``, 2**22), counted as the sum over operations of the
     product of argument carrier sizes.  Interning a subset that would take
     the tables past it raises ``ValidationError``.  So do a rule of an
-    unknown operation or of another arity, a rule's target or last argument
-    state above its sort's states, and a leaf, epsilon or accepting state
-    outside them; the message names the rule, variable or sort.
+    unknown operation or of another arity, a negative or too large state at
+    any position of a rule, and a leaf, epsilon or accepting state outside
+    its sort's states; the message names the rule, variable or sort.
     """
     sig, states = machine.signature, dict(machine.states)
     # per sort: state -> mask of its reflexive-transitive epsilon closure,
@@ -307,14 +307,18 @@ def determinize(machine: NTA, cap: int = DETERMINIZE_BUDGET) -> Recognizer:
     index: dict[str, dict[int, int]] = {s: {} for s in sig.sorts}  # mask -> subset id
     members: dict[str, list[tuple[int, ...]]] = {s: [] for s in sig.sorts}
     sizes = {s: 0 for s in sig.sorts}
-    arities = [op.arity for op in sig.ops]
+    # table entries per operation; a new subset grows those that take its sort
+    space = [0 if op.arity else 1 for op in sig.ops]
+    grows = {s: [(i, op.arity) for i, op in enumerate(sig.ops) if s in op.arity] for s in sig.sorts}
 
     def intern(sort: str, mask: int) -> int:
         got = index[sort].get(mask)
         if got is not None:
             return got
         sizes[sort] += 1
-        entries = sum(math.prod(map(sizes.__getitem__, arity)) for arity in arities)
+        for i, arity in grows[sort]:
+            space[i] = math.prod(map(sizes.__getitem__, arity))
+        entries = sum(space)
         if entries > cap:
             raise ValidationError(
                 f"determinization entry budget exceeded: {entries} table entries > {cap}"
@@ -330,17 +334,19 @@ def determinize(machine: NTA, cap: int = DETERMINIZE_BUDGET) -> Recognizer:
     try:
         for (name, args), targets in machine.rules:
             op = ops[name]
+            if targets and min(targets) < 0 or args and args[-1] < 0:
+                _reject_rules(machine)
             mask = close(op.result, targets)
             if not args:
                 constants[name] = mask
-            elif mask:
-                by_last = grouped[name].get(args[:-1])
-                if by_last is None:
-                    # a rule of another arity has a prefix of another length
-                    if len(args) != len(op.arity):
-                        _reject_rules(machine)
-                    by_last = grouped[name][args[:-1]] = [0] * states[op.arity[-1]]
-                by_last[args[-1]] = mask
+                continue
+            by_last = grouped[name].get(args[:-1])
+            if by_last is None:  # first sight of this state prefix: check it
+                prefix = zip(args[:-1], op.arity)
+                if len(args) != len(op.arity) or not all(0 <= q < states[s] for q, s in prefix):
+                    _reject_rules(machine)
+                by_last = grouped[name][args[:-1]] = [0] * states[op.arity[-1]]
+            by_last[args[-1]] = mask
     except (KeyError, IndexError):  # an unknown operation or a state too large
         _reject_rules(machine)
         raise

@@ -9,7 +9,6 @@ placeholders ``v0, v1, ...``, and a target term per source variable.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 from .algebra import FiniteAlgebra, _values, evaluate, finite_algebra
@@ -23,6 +22,7 @@ from .core import (
     ValidationError,
     Var,
     _new_node,
+    _record,
     node,
     occurrence_counts,
     sorted_vars,
@@ -65,7 +65,7 @@ def _checked_sort_map(source: Signature, target: Signature, sort_map) -> dict[st
     return smap
 
 
-@dataclass(frozen=True)
+@_record
 class Hyperderivor:
     source: Signature
     source_vars: SortedVars
@@ -79,8 +79,7 @@ class Hyperderivor:
         smap = _checked_sort_map(self.source, self.target, self.sort_map)
         patterns = dict(self.patterns)
         images = dict(self.var_images)
-        # lookups for sort_image/pattern/var_image; not fields, so equality
-        # and hashing see only the declared data
+        # lookups for sort_image/pattern/var_image, not fields (see ``core._record``)
         object.__setattr__(self, "_sort_map", smap)
         object.__setattr__(self, "_patterns", patterns)
         object.__setattr__(self, "_var_images", images)

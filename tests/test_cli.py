@@ -10,7 +10,7 @@ import pytest
 import yaml
 from hypothesis import given, settings, strategies as st
 
-from treelang.cli import main
+from treelang.cli import build_parser, main
 from treelang.formats import load_recognizer, recognizer_to_doc, dump_document
 from treelang.recognizer import equivalent
 
@@ -85,6 +85,42 @@ class TestBasicCommands:
             "member", GOLDEN / "rpar.rec", "g(g(c))", "--oracle", "--max-nodes", "4"
         )
         assert code == 0 and out == "true\n"
+
+
+COMMANDS = [
+    "member", "enumerate", "minimize", "combine", "substitute", "iterate", "quotient",
+    "invtrans", "equal", "empty", "syncong", "treehom", "derivor", "golden",
+]
+
+
+def parser_exit(argv):
+    """The exit code, stdout and stderr of ``main`` when argparse ends it."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err), pytest.raises(SystemExit) as done:
+        main(argv)
+    return done.value.code, out.getvalue(), err.getvalue()
+
+
+class TestParser:
+    """``main`` builds only the invoked command's subparser; what lists the
+    commands comes from the full parser."""
+
+    def test_top_level_help_lists_every_command(self):
+        code, out, _ = parser_exit(["--help"])
+        assert code == 0 and out == build_parser().format_help()
+        assert "{" + ",".join(COMMANDS) + "}" in out
+
+    def test_unknown_command_lists_every_command(self):
+        code, _, err = parser_exit(["nonesuch", "x"])
+        assert code == 2 and "invalid choice: 'nonesuch'" in err
+        assert all(f"'{name}'" in err for name in COMMANDS)
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_command_help_is_unchanged(self, command):
+        code, out, _ = parser_exit([command, "-h"])
+        with redirect_stdout(io.StringIO()) as full, pytest.raises(SystemExit):
+            build_parser().parse_args([command, "-h"])
+        assert code == 0 and out == full.getvalue() and out.startswith(f"usage: treelang {command} ")
 
 
 def test_import_loads_no_numpy():

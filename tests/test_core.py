@@ -1,3 +1,5 @@
+import dataclasses
+import pickle
 import random
 import re
 from dataclasses import FrozenInstanceError
@@ -33,7 +35,9 @@ from treelang.core import (
     typecheck,
     variables_of,
 )
-from treelang.derivor import hall_term
+from treelang.congruence import partition
+from treelang.derivor import hall_term, projection
+from treelang.recognizer import evaluator_nta
 
 from conftest import leaf_contexts
 
@@ -140,6 +144,69 @@ class TestNodeConstructor:
         built = _new_node("c", (), "s", 1)
         with pytest.raises(FrozenInstanceError):
             built.size = 2
+
+
+# one value of each record type, from the conftest fixtures
+RECORDS = {
+    "Operation": lambda fx: F1_G,
+    "Signature": lambda fx: fx("f2"),
+    "SortedVars": lambda fx: fx("x1"),
+    "Var": lambda fx: Var("x", "s"),
+    "Node": lambda fx: parse_term("sigma(x,g(c))", fx("f1"), fx("x1")),
+    "Hole": lambda fx: Hole("s"),
+    "Context": lambda fx: parse_context("sigma(x,g(@))", fx("f1"), fx("x1")),
+    "FiniteAlgebra": lambda fx: fx("rpar_algebra"),
+    "SortedPartition": lambda fx: partition(["s", "t"], {"s": [0, 1, 0], "t": [5]}),
+    "Recognizer": lambda fx: fx("r_par"),
+    "NTA": lambda fx: evaluator_nta(fx("r_par")),
+    "Hyperderivor": lambda fx: fx("h1"),
+    "HallTerm": lambda fx: projection(["s", "e"], 1),
+    "Derivor": lambda fx: fx("d1"),
+}
+
+
+OWN_METHODS = {"Var": ["__repr__"], "Node": ["__eq__", "__hash__", "__repr__"], "Hole": ["__repr__"]}
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_record_behaves_as_a_frozen_dataclass(name, request):
+    value = RECORDS[name](request.getfixturevalue)
+    cls = type(value)
+    assert cls.__name__ == name
+    names = list(cls.__annotations__)
+    fields = [getattr(value, f) for f in names]
+    # the methods the class defines itself stay, and the reference has them too
+    own = {
+        method: cls.__dict__[method]
+        for method in ("__eq__", "__hash__", "__repr__")
+        if cls.__dict__[method].__qualname__ == f"{name}.{method}"
+    }
+    assert list(own) == OWN_METHODS.get(name, [])
+    reference = dataclasses.make_dataclass(name, names, frozen=True, namespace=own)
+    made, ref = cls(*fields), reference(*fields)
+    by_keyword = dict(reversed(list(zip(names, fields))))
+    keyword, mixed = cls(**by_keyword), cls(fields[0], **{f: by_keyword[f] for f in names[1:]})
+    assert made == value and keyword == value and mixed == value and not made != value
+    assert list(vars(keyword)) == list(vars(made))
+    assert made != ref and ref != made  # equality needs the same class
+    assert hash(made) == hash(keyword) == hash(ref) == hash(tuple(fields))
+    assert repr(made) == repr(ref)
+    assert cls.__match_args__ == reference.__match_args__
+    assert list(vars(made))[: len(names)] == names
+    for obj in (made, ref):
+        with pytest.raises(FrozenInstanceError, match=f"cannot assign to field '{names[0]}'"):
+            setattr(obj, names[0], fields[0])
+        with pytest.raises(FrozenInstanceError, match=f"cannot delete field '{names[-1]}'"):
+            delattr(obj, names[-1])
+    for wrong in (fields[:-1], [*fields, None]):
+        with pytest.raises(TypeError):
+            cls(*wrong)
+    with pytest.raises(TypeError):
+        cls(*fields, **{names[0]: fields[0]})
+    with pytest.raises(TypeError):
+        cls(**dict(zip(names, fields)), nonesuch=None)
+    copy = pickle.loads(pickle.dumps(made))
+    assert type(copy) is cls and copy == made and hash(copy) == hash(made)
 
 
 class TestTypecheck:

@@ -279,6 +279,11 @@ def small_machine(**changes) -> NTA:
         ({"leaf": {"x": {-1}}}, r"leaf of variable 'x': state -1 out of range"),
         ({"epsilon": {"s": [(0, 5)]}}, r"NTA epsilon state 5 out of range at sort 's'"),
         ({"accepting": {"s": {1, 2}}}, r"NTA accepting state 2 out of range at sort 's'"),
+        ({"rules": {("g", (0,)): {-1}}}, r"rule g\(0\): state -1 out of range at sort 's'"),
+        ({"rules": {("sigma", (7, 0)): {0}}}, r"rule sigma\(7, 0\): state 7 out of range"),
+        ({"rules": {("sigma", (-1, 0)): {0}}}, r"rule sigma\(-1, 0\): state -1 out of range"),
+        ({"rules": {("sigma", (0, -1)): {0}}}, r"rule sigma\(0, -1\): state -1 out of range"),
+        ({"rules": {("g", (0, 1)): set()}}, r"rule g\(0, 1\) has 2 argument states, expected 1"),
     ],
 )
 def test_malformed_machine_names_what_is_wrong(changes, message):

@@ -150,6 +150,20 @@ def test_member_executes_only_what_it_uses():
     assert unused <= set(json.loads(out[1]))
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["member", GOLDEN / "rpar.rec", "g(g(c))"], ["combine", "union", GOLDEN / "rpar.rec", GOLDEN / "rpar.rec"]],
+)
+def test_command_loads_no_dataclasses(argv):
+    # dataclasses imports inspect, which imports ast, dis and tokenize
+    code = (
+        "import json, sys, treelang.cli\n"
+        "treelang.cli.main(sys.argv[1:])\n"
+        "print(json.dumps([m for m in ('dataclasses', 'inspect', 'ast') if m in sys.modules]))\n"
+    )
+    assert json.loads(child(code, *argv).splitlines()[-1]) == []
+
+
 def test_module_entry_point_runs_without_warnings():
     # runpy warns when the module it runs is already in sys.modules
     env = dict(os.environ, PYTHONPATH=str(SRC))

@@ -1,6 +1,5 @@
 import pickle
 import random
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,7 +17,7 @@ from treelang.core import (
     sorted_vars,
     substitute_uniform,
 )
-from treelang.derivor import apply_derivor_term, compose_derivors, hall_term
+from treelang.derivor import Derivor, apply_derivor_term, compose_derivors, hall_term
 from treelang.recognizer import (
     accepts,
     empty_recognizer,
@@ -27,6 +26,7 @@ from treelang.recognizer import (
     universal_recognizer,
 )
 from treelang.treehom import (
+    Hyperderivor,
     apply_treehom,
     derived_algebra,
     direct_image,
@@ -143,7 +143,11 @@ class TestTemplates:
     def test_applied_maps_keep_equality_hash_and_pickling(self, h1, d1, f2, x2):
         term = parse_term("iszero(succ(succ(x)))", f2, x2)
         p = hall_term(Node("iszero", (Node("succ", (placeholder(0, "e"),), "e", 2),), "b", 3), ["e"], "b")
-        fresh_h, fresh_d = replace(h1), replace(d1)
+        fresh_h = Hyperderivor(
+            h1.source, h1.source_vars, h1.target, h1.target_vars,
+            h1.sort_map, h1.patterns, h1.var_images,
+        )
+        fresh_d = Derivor(d1.source, d1.target, d1.sort_map, d1.patterns)
         image, p_image = apply_treehom(h1, term), apply_derivor_term(d1, p)
         for applied, fresh in ((h1, fresh_h), (d1, fresh_d)):
             assert compiled(applied) and not compiled(fresh)
