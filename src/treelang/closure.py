@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Mapping
 
 from .algebra import closure_elements
-from .core import ValidationError, Var
+from .core import ValidationError
 from .recognizer import (
     NTA,
     Recognizer,
@@ -22,7 +22,6 @@ from .recognizer import (
     evaluator_nta,
     minimize,
     nta,
-    recognize_basic,
     table_rules,
 )
 
@@ -46,28 +45,18 @@ def substitute_language(
 
     States are the disjoint union of k's evaluator and the family evaluators;
     epsilon rules route each family-accepting state to k's assignment value of
-    the corresponding variable, and k's own variable leaves are dropped.
+    the corresponding variable.  A family variable's leaf in k is dropped, and
+    every other variable keeps k's leaf next to its leaves in the family
+    evaluators.
     """
     _check_family_compat(k, family)
     sig = k.signature
     vars = k.vars
-    full = {}
-    for x in vars.all_names():
-        if x in family:
-            full[x] = minimize(family[x])
-        else:
-            full[x] = minimize(recognize_basic(sig, vars, Var(x, vars.sort_of(x))))
     km = minimize(k)
-
+    k_assignment = dict(km.assignment)
     counts = {s: km.algebra.size(s) for s in sig.sorts}
-    offsets = {}
-    for x in vars.all_names():
-        offsets[x] = dict(counts)
-        for s in sig.sorts:
-            counts[s] += full[x].algebra.size(s)
-
     rules: dict[tuple[str, tuple[int, ...]], set[int]] = {}
-    leaf: dict[str, set[int]] = {y: set() for y in vars.all_names()}
+    leaf = {y: set() if y in family else {k_assignment[y]} for y in vars.all_names()}
     epsilon: dict[str, list[tuple[int, int]]] = {s: [] for s in sig.sorts}
 
     def add_tables(alg, shift: Mapping[str, int] | None = None):
@@ -75,10 +64,13 @@ def substitute_language(
             rules.setdefault(key, set()).add(v)
 
     add_tables(km.algebra)
-    k_assignment = dict(km.assignment)
     for x in vars.all_names():
-        lx = full[x]
-        shift = offsets[x]
+        if x not in family:
+            continue
+        lx = minimize(family[x])
+        shift = dict(counts)
+        for s in sig.sorts:
+            counts[s] += lx.algebra.size(s)
         add_tables(lx.algebra, shift)
         asg = dict(lx.assignment)
         for y in vars.all_names():
@@ -88,16 +80,7 @@ def substitute_language(
             epsilon[t].append((shift[t] + q, k_assignment[x]))
 
     accepting = {s: km.accepting_at(s) for s in sig.sorts}
-    machine = nta(
-        sig,
-        vars,
-        counts,
-        leaf,
-        rules,
-        epsilon,
-        accepting,
-    )
-    return determinize(machine)
+    return determinize(nta(sig, vars, counts, leaf, rules, epsilon, accepting))
 
 
 def iterate_language(l: Recognizer, z: str) -> Recognizer:

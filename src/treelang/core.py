@@ -392,14 +392,30 @@ def parse_term(text: str, sig: Signature, vars: SortedVars) -> Term:
 
 
 def print_term(term: Term) -> str:
-    """Prefix syntax; a context hole prints as ``@``."""
-    if isinstance(term, Var):
-        return term.name
-    if isinstance(term, Hole):
-        return HOLE
-    if not term.children:
-        return term.symbol
-    return f"{term.symbol}({','.join(print_term(c) for c in term.children)})"
+    """Prefix syntax; a context hole prints as ``@``.  One explicit-stack walk
+    appends the tokens to one list, so printing is linear at any depth."""
+    out: list[str] = []
+    stack: list = [term]  # terms, and the punctuation due after them
+    pop, push, emit = stack.pop, stack.append, out.append
+    while stack:
+        t = pop()
+        cls = t.__class__
+        if cls is str:
+            emit(t)
+        elif cls is Var:
+            emit(t.name)
+        elif cls is Hole:
+            emit(HOLE)
+        elif not t.children:
+            emit(t.symbol)
+        else:
+            emit(t.symbol + "(")
+            push(")")
+            for c in t.children[:0:-1]:
+                push(c)
+                push(",")
+            push(t.children[0])
+    return "".join(out)
 
 
 def typecheck(term: Term, sig: Signature, vars: SortedVars) -> str:
@@ -480,6 +496,17 @@ def _preorder(term: Term):
             stack.extend(reversed(t.children))
 
 
+def _rebuild(term: Term, leaf) -> Term:
+    """The term with each variable or hole ``t`` replaced by ``leaf(t)``,
+    called in preorder: the one rebuild walk, for substitution and context
+    plugging.  It recurses, one frame per level, so like the parser it
+    fails on terms deeper than the interpreter's recursion limit."""
+    if term.__class__ is not Node:
+        return leaf(term)
+    children = tuple([_rebuild(c, leaf) for c in term.children])
+    return _new_node(term.symbol, children, term.sort, 1 + sum([c.size for c in children]))
+
+
 def substitute_occurrences(
     term: Term, replacements: Mapping[str, Sequence[Term]]
 ) -> Term:
@@ -491,45 +518,38 @@ def substitute_occurrences(
     have the variable's sort, and the sequence length must equal the
     occurrence count.
     """
-    counts = occurrence_counts(term)
-    sorts_of_vars = {x: s for s, names in variables_of(term).items() for x in names}
+    counts = dict.fromkeys(replacements, 0)
+    sorts: dict[str, str] = {}
+
+    def leaf(t: Term) -> Term:
+        i = counts.get(t.name)
+        if i is None:
+            return t
+        counts[t.name] = i + 1
+        sorts[t.name] = t.sort
+        seq = replacements[t.name]
+        return seq[i] if i < len(seq) else t
+
+    out = _rebuild(term, leaf)
     for name, seq in replacements.items():
-        want = counts.get(name, 0)
+        want = counts[name]
         if len(seq) != want:
             raise ValidationError(
                 f"variable {name!r} occurs {want} times but got {len(seq)} replacements"
             )
-        if want:
-            sort = sorts_of_vars[name]
-            for q in seq:
-                if q.sort != sort:
-                    raise SortError(
-                        f"replacement for {name!r} has sort {q.sort!r}, expected {sort!r}"
-                    )
-
-    cursor = {name: 0 for name in replacements}
-
-    def walk(t: Term) -> Term:
-        if isinstance(t, Var):
-            if t.name in replacements:
-                i = cursor[t.name]
-                cursor[t.name] = i + 1
-                return replacements[t.name][i]
-            return t
-        children = tuple(walk(c) for c in t.children)
-        return _new_node(t.symbol, children, t.sort, 1 + sum(c.size for c in children))
-
-    return walk(term)
+        for q in seq:
+            if q.sort != sorts[name]:
+                raise SortError(
+                    f"replacement for {name!r} has sort {q.sort!r}, expected {sorts[name]!r}"
+                )
+    return out
 
 
 def substitute_uniform(term: Term, mapping: Mapping[str, Term]) -> Term:
     """Replace every occurrence of each mapped variable by the same term."""
     if not mapping:
         return term
-    if isinstance(term, Var):
-        return mapping.get(term.name, term)
-    children = tuple(substitute_uniform(c, mapping) for c in term.children)
-    return _new_node(term.symbol, children, term.sort, 1 + sum(c.size for c in children))
+    return _rebuild(term, lambda t: mapping.get(t.name, t))
 
 
 # ---------------------------------------------------------------------------
@@ -549,9 +569,14 @@ class Context:
     root_sort: str
 
     def __post_init__(self):
-        n = len(_collect_holes(self.body))
-        if n != 1:
-            raise ValidationError(f"context must have exactly one hole, found {n}")
+        holes = _collect_holes(self.body)
+        if len(holes) != 1:
+            raise ValidationError(f"context must have exactly one hole, found {len(holes)}")
+        if (holes[0].sort, self.body.sort) != (self.hole_sort, self.root_sort):
+            raise SortError(
+                f"context declares hole sort {self.hole_sort!r} and root sort "
+                f"{self.root_sort!r}, but its body has {holes[0].sort!r} and {self.body.sort!r}"
+            )
 
 
 def context(body: Term) -> Context:
@@ -575,16 +600,7 @@ def apply_context(ctx: Context, q: Term) -> Term:
         raise SortError(
             f"context hole has sort {ctx.hole_sort!r}, got term of sort {q.sort!r}"
         )
-    return _plug(ctx.body, q)
-
-
-def _plug(t: Term, q: Term) -> Term:
-    if isinstance(t, Hole):
-        return q
-    if isinstance(t, Var):
-        return t
-    children = tuple(_plug(c, q) for c in t.children)
-    return _new_node(t.symbol, children, t.sort, 1 + sum(c.size for c in children))
+    return _rebuild(ctx.body, lambda t: q if t.__class__ is Hole else t)
 
 
 def compose_contexts(outer: Context, inner: Context) -> Context:
@@ -594,7 +610,7 @@ def compose_contexts(outer: Context, inner: Context) -> Context:
             f"cannot compose: inner root sort {inner.root_sort!r} vs outer hole sort "
             f"{outer.hole_sort!r}"
         )
-    return Context(_plug(outer.body, inner.body), inner.hole_sort, outer.root_sort)
+    return Context(apply_context(outer, inner.body), inner.hole_sort, outer.root_sort)
 
 
 def parse_context(text: str, sig: Signature, vars: SortedVars) -> Context:

@@ -10,6 +10,7 @@ from treelang.closure import (
 )
 from treelang.core import (
     ValidationError,
+    Var,
     enumerate_all_terms,
     enumerate_terms,
     parse_term,
@@ -23,13 +24,54 @@ from treelang.oracle import (
 from treelang.recognizer import (
     accepts,
     equivalent,
+    determinize,
     minimize,
+    nta,
     recognize_basic,
     recognize_finite,
     recognize_singleton,
+    table_rules,
 )
 
-from conftest import accepted_sets, random_recognizer
+from conftest import accepted_sets, random_recognizer, random_signature
+
+
+def reference_substitute_language(k, family):
+    """The construction ``substitute_language`` had before: every variable
+    outside the family gets the minimal evaluator of its singleton language,
+    whose accepting state reaches k's leaf for it by an epsilon edge."""
+    sig, vars = k.signature, k.vars
+    full = {}
+    for x in vars.all_names():
+        if x in family:
+            full[x] = minimize(family[x])
+        else:
+            full[x] = minimize(recognize_basic(sig, vars, Var(x, vars.sort_of(x))))
+    km = minimize(k)
+    counts = {s: km.algebra.size(s) for s in sig.sorts}
+    offsets = {}
+    for x in vars.all_names():
+        offsets[x] = dict(counts)
+        for s in sig.sorts:
+            counts[s] += full[x].algebra.size(s)
+    rules = {}
+    leaf = {y: set() for y in vars.all_names()}
+    epsilon = {s: [] for s in sig.sorts}
+    for key, v in table_rules(km.algebra):
+        rules.setdefault(key, set()).add(v)
+    k_assignment = dict(km.assignment)
+    for x in vars.all_names():
+        lx, shift = full[x], offsets[x]
+        for key, v in table_rules(lx.algebra, shift):
+            rules.setdefault(key, set()).add(v)
+        asg = dict(lx.assignment)
+        for y in vars.all_names():
+            leaf[y].add(shift[vars.sort_of(y)] + asg[y])
+        t = vars.sort_of(x)
+        for q in lx.accepting_at(t):
+            epsilon[t].append((shift[t] + q, k_assignment[x]))
+    accepting = {s: km.accepting_at(s) for s in sig.sorts}
+    return determinize(nta(sig, vars, counts, leaf, rules, epsilon, accepting))
 
 
 class TestSubstitute:
@@ -88,6 +130,30 @@ class TestSubstitute:
                 for t in accepted_sets(out, universe)[s]
             }
             assert got == want
+
+
+    @pytest.mark.parametrize("n_family", [1, 2])
+    def test_same_language_as_reference(self, n_family):
+        # 60 instances per family size, each with a variable outside the
+        # family; dropping its default evaluator keeps the language and never
+        # adds states
+        rng = random.Random(4100 + n_family)
+        done = fewer = 0
+        while done < 60:
+            sig, vars = random_signature(rng)
+            names = vars.all_names()
+            if len(names) <= n_family:
+                continue
+            k = random_recognizer(rng, sig, vars)
+            family = {x: random_recognizer(rng, sig, vars) for x in rng.sample(names, n_family)}
+            got = substitute_language(k, family)
+            want = reference_substitute_language(k, family)
+            assert minimize(got) == minimize(want)
+            for s in sig.sorts:
+                assert got.algebra.size(s) <= want.algebra.size(s)
+            fewer += got.algebra.carriers != want.algebra.carriers
+            done += 1
+        assert fewer > 10
 
 
 class TestIterate:

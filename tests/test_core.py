@@ -2,12 +2,16 @@ import dataclasses
 import pickle
 import random
 import re
+from types import SimpleNamespace
 from dataclasses import FrozenInstanceError
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from treelang.algebra import evaluate
 from treelang.core import (
     HOLE,
+    Context,
     Hole,
     Node,
     ParseError,
@@ -16,6 +20,7 @@ from treelang.core import (
     Operation,
     Var,
     _new_node,
+    _preorder,
     apply_context,
     compose_contexts,
     context,
@@ -30,16 +35,20 @@ from treelang.core import (
     print_term,
     signature,
     sorted_vars,
+    occurrence_counts,
     substitute_occurrences,
+    substitute_uniform,
     subterms_of,
+    term_sort_key,
     typecheck,
     variables_of,
 )
 from treelang.congruence import partition
-from treelang.derivor import hall_term, projection
+from treelang.derivor import apply_derivor_term, hall_term, projection
 from treelang.recognizer import evaluator_nta
+from treelang.treehom import apply_treehom, hyperderivor, identity_pattern
 
-from conftest import leaf_contexts
+from conftest import leaf_contexts, random_signature, random_term
 
 F1_G = Operation("g", ("s",), "s")
 
@@ -272,39 +281,254 @@ class TestVariablesAndSubterms:
         assert subterms_of(parse_term("x", f1, x1)) == {"s": {Var("x", "s")}}
 
 
-class TestDeepTerms:
-    def test_collection_walks(self, f1):
-        def chain(leaf, depth=10**5):
-            t = leaf
-            for _ in range(depth):
-                t = Node("g", (t,), "s", t.size + 1)
-            return t
+DEPTH = 20_000
+ITEM_4 = "a recursive walk; ROADMAP item 4 makes it depth-safe"
 
-        vars = sorted_vars(f1, {"s": ["v0"]})
-        deep = chain(Var("v0", "s"))
-        assert count_occurrences(deep, "v0", vars) == 1
+
+def _chain(leaf, depth=DEPTH):
+    t = leaf
+    for _ in range(depth):
+        t = Node("g", (t,), "s", t.size + 1)
+    return t
+
+
+def _recursive(name):
+    return pytest.param(
+        name, marks=pytest.mark.xfail(strict=True, raises=RecursionError, reason=ITEM_4)
+    )
+
+
+# every public term operation on a chain g(g(...x)) of depth DEPTH (a Hall
+# term's chain ends in the placeholder v0); the recursive ones are expected to
+# fail, so making one depth-safe is a test edit
+DEEP_OPERATIONS = {
+    "print_term": lambda deep, fx: print_term(deep) == "g(" * DEPTH + "x" + ")" * DEPTH,
+    "repr": lambda deep, fx: repr(deep).startswith("Node(g(g("),
+    "count_occurrences": lambda deep, fx: count_occurrences(deep, "x", fx.vars) == 1,
+    "occurrence_counts": lambda deep, fx: occurrence_counts(deep) == {"x": 1},
+    "variables_of": lambda deep, fx: variables_of(deep) == {"s": {"x"}},
+    "subterms_of": lambda deep, fx: len(subterms_of(deep)["s"]) == DEPTH + 1,
+    "hash": lambda deep, fx: hash(deep) == hash(_chain(Var("x", "s"))),
+    "==": lambda deep, fx: deep == _chain(Var("x", "s")) != _chain(Var("z", "s")),
+    "context": lambda deep, fx: context(_chain(Hole("s"))).hole_sort == "s",
+    "hall_term": lambda deep, fx: hall_term(fx.hall, ["s"], "s").term is fx.hall,
+    "parse_term": lambda deep, fx: parse_term(print_term(deep), fx.f1, fx.vars) == deep,
+    "typecheck": lambda deep, fx: typecheck(deep, fx.f1, fx.vars) == "s",
+    "evaluate": lambda deep, fx: evaluate(fx.rpar_algebra, {"x": 0, "z": 1}, deep) == DEPTH % 2,
+    "substitute_uniform": lambda deep, fx: substitute_uniform(deep, {"x": fx.c}).size
+    == DEPTH + 1,
+    "substitute_occurrences": lambda deep, fx: substitute_occurrences(deep, {"x": [fx.c]}).size
+    == DEPTH + 1,
+    "apply_context": lambda deep, fx: apply_context(context(_chain(Hole("s"))), fx.c).size
+    == DEPTH + 1,
+    "term_sort_key": lambda deep, fx: term_sort_key(fx.f1, fx.vars)(deep)[0] == DEPTH + 1,
+    "apply_treehom": lambda deep, fx: apply_treehom(fx.identity, deep) == deep,
+    "apply_derivor_term": lambda deep, fx: apply_derivor_term(
+        fx.d2, hall_term(fx.hall, ["s"], "s")
+    ).term.size
+    == 2 * DEPTH + 1,
+}
+RECURSIVE = [
+    "parse_term", "typecheck", "evaluate", "substitute_uniform", "substitute_occurrences",
+    "apply_context", "term_sort_key", "apply_treehom", "apply_derivor_term",
+]
+
+
+class TestDeepTerms:
+    @pytest.mark.parametrize(
+        "operation",
+        [_recursive(name) if name in RECURSIVE else name for name in DEEP_OPERATIONS],
+    )
+    def test_depth_inventory(self, operation, f1, x1, rpar_algebra, d2):
+        patterns = {op.name: identity_pattern(op) for op in f1.ops}
+        fx = SimpleNamespace(
+            f1=f1, vars=x1, rpar_algebra=rpar_algebra, d2=d2,
+            identity=hyperderivor(f1, x1, f1, x1, {"s": "s"}, patterns, {x: Var(x, "s") for x in "xz"}),
+            c=parse_term("c", f1, x1), hall=_chain(Var("v0", "s")),
+        )
+        try:
+            assert DEEP_OPERATIONS[operation](_chain(Var("x", "s")), fx)
+        except RecursionError:  # without its thousand frames, which pytest would format
+            raise RecursionError(operation) from None
+
+    def test_collection_walks(self, f1):
+        deep = _chain(Var("v0", "s"), 10**5)
         assert variables_of(deep) == {"s": {"v0"}}
         assert len(subterms_of(deep)["s"]) == 10**5 + 1
         # the hash the generated dataclass hash gave, so set orders stay put
         assert hash(deep) == hash((deep.symbol, deep.children, deep.sort, deep.size))
-        assert hall_term(deep, ["s"], "s").term is deep
-        assert context(chain(Hole("s"))).hole_sort == "s"
+        assert context(_chain(Hole("s"), 10**5)).hole_sort == "s"
 
     def test_equality(self):
-        def chain(leaf, depth=10**5):
-            t = leaf
-            for _ in range(depth):
-                t = Node("g", (t,), "s", t.size + 1)
-            return t
-
         # built separately, so equality must walk both chains
-        a, b = chain(Var("v0", "s")), chain(Var("v0", "s"))
-        other = chain(Var("v1", "s"))
+        a, b = _chain(Var("v0", "s"), 10**5), _chain(Var("v0", "s"), 10**5)
+        other = _chain(Var("v1", "s"), 10**5)
         assert a == b and not a != b
         assert a != other and not a == other
         assert len({a, b}) == 1 and b in {a}
         assert len({a, other}) == 2
         assert a != a.children[0]
+
+
+# The walks the library had before one leaf-replacing walk served
+# substitution and plugging and one explicit-stack walk printed, kept as
+# references.
+
+
+def reference_substitute_occurrences(term, replacements):
+    counts = occurrence_counts(term)
+    sorts_of_vars = {x: s for s, names in variables_of(term).items() for x in names}
+    for name, seq in replacements.items():
+        want = counts.get(name, 0)
+        if len(seq) != want:
+            raise ValidationError(
+                f"variable {name!r} occurs {want} times but got {len(seq)} replacements"
+            )
+        if want:
+            sort = sorts_of_vars[name]
+            for q in seq:
+                if q.sort != sort:
+                    raise SortError(
+                        f"replacement for {name!r} has sort {q.sort!r}, expected {sort!r}"
+                    )
+    cursor = {name: 0 for name in replacements}
+
+    def walk(t):
+        if isinstance(t, Var):
+            if t.name in replacements:
+                i = cursor[t.name]
+                cursor[t.name] = i + 1
+                return replacements[t.name][i]
+            return t
+        children = tuple(walk(c) for c in t.children)
+        return Node(t.symbol, children, t.sort, 1 + sum(c.size for c in children))
+
+    return walk(term)
+
+
+def reference_substitute_uniform(term, mapping):
+    if not mapping:
+        return term
+    if isinstance(term, Var):
+        return mapping.get(term.name, term)
+    children = tuple(reference_substitute_uniform(c, mapping) for c in term.children)
+    return Node(term.symbol, children, term.sort, 1 + sum(c.size for c in children))
+
+
+def reference_print(t):
+    """The recursive printer ``print_term`` replaced."""
+    if isinstance(t, Var):
+        return t.name
+    if isinstance(t, Hole):
+        return HOLE
+    if not t.children:
+        return t.symbol
+    return f"{t.symbol}({','.join(reference_print(c) for c in t.children)})"
+
+
+def reference_plug(t, q):
+    if isinstance(t, Hole):
+        return q
+    if isinstance(t, Var):
+        return t
+    children = tuple(reference_plug(c, q) for c in t.children)
+    return Node(t.symbol, children, t.sort, 1 + sum(c.size for c in children))
+
+
+def _outcome(f, *args):
+    """The value, or the type and message of the validation error raised."""
+    try:
+        return f(*args)
+    except ValidationError as err:
+        return type(err), str(err)
+
+
+PROPERTY = settings(max_examples=80, deadline=None, derandomize=True, database=None)
+
+
+def _random_instance(seed):
+    """A random signature with variables, and a random term over it."""
+    rng = random.Random(seed)
+    sig, vars = random_signature(rng)
+    term = random_term(rng, sig, vars, rng.choice(sig.sorts), 7)
+    return rng, sig, vars, term
+
+
+class TestRebuildAgainstReferences:
+    @PROPERTY
+    @given(st.integers(0, 2**32))
+    def test_substitute_uniform(self, seed):
+        rng, sig, vars, term = _random_instance(seed)
+        if term is None:
+            return
+        mapping = {}
+        for sort, names in vars.by_sort:
+            for x in names:
+                q = random_term(rng, sig, vars, sort, 4)
+                if q is not None and rng.random() < 0.7:
+                    mapping[x] = q
+        got = substitute_uniform(term, mapping)
+        assert got == reference_substitute_uniform(term, mapping)
+        assert got.size == len(list(_preorder(got)))
+
+    @PROPERTY
+    @given(st.integers(0, 2**32), st.sampled_from(["exact", "fewer", "more", "sort"]))
+    def test_substitute_occurrences(self, seed, fault):
+        rng, sig, vars, term = _random_instance(seed)
+        if term is None:
+            return
+        counts = occurrence_counts(term)
+        replacements = {}
+        for sort, names in vars.by_sort:
+            for x in names:
+                if rng.random() < 0.8:
+                    pool = [random_term(rng, sig, vars, sort, 4) for _ in range(counts.get(x, 0))]
+                    if None not in pool:
+                        replacements[x] = pool
+        names = list(replacements)
+        rng.shuffle(names)
+        replacements = {x: replacements[x] for x in names}  # any order
+        if replacements and fault != "exact":
+            x = rng.choice(names)
+            seq = replacements[x]
+            others = [random_term(rng, sig, vars, s, 3) for s in sig.sorts if s != vars.sort_of(x)]
+            others = [q for q in others if q is not None]
+            if fault == "fewer" and seq:
+                replacements[x] = seq[:-1]
+            elif fault == "more":
+                replacements[x] = [*seq, (seq or others or [Var(x, vars.sort_of(x))])[0]]
+            elif fault == "sort" and seq and others:
+                replacements[x] = [*seq[:-1], others[0]]
+        got = _outcome(substitute_occurrences, term, replacements)
+        assert got == _outcome(reference_substitute_occurrences, term, replacements)
+
+    @PROPERTY
+    @given(st.integers(0, 2**32))
+    def test_contexts(self, seed):
+        rng, sig, vars, term = _random_instance(seed)
+        if term is None:
+            return
+        outer = rng.choice(leaf_contexts(term))[0]
+        inner_term = random_term(rng, sig, vars, outer.hole_sort, 5)
+        q = random_term(rng, sig, vars, outer.hole_sort, 4)
+        assert apply_context(outer, q) == reference_plug(outer.body, q)
+        inner = rng.choice(leaf_contexts(inner_term))[0]
+        want = Context(reference_plug(outer.body, inner.body), inner.hole_sort, outer.root_sort)
+        assert compose_contexts(outer, inner) == want
+        r = random_term(rng, sig, vars, inner.hole_sort, 4)
+        assert apply_context(want, r) == apply_context(outer, apply_context(inner, r))
+
+    @PROPERTY
+    @given(st.integers(0, 2**32))
+    def test_print_term(self, seed):
+        rng, sig, vars, term = _random_instance(seed)
+        if term is None:
+            return
+        ctx = rng.choice(leaf_contexts(term))[0]
+        for t in (term, ctx.body):
+            assert print_term(t) == reference_print(t)
+        if isinstance(term, Node):
+            assert repr(term) == f"Node({reference_print(term)})"
 
 
 class TestSubstitution:
@@ -344,6 +568,31 @@ class TestSubstitution:
         with pytest.raises(SortError):
             substitute_occurrences(p, {"x": [bad]})
 
+    # over zero: e, iszero: e -> b, both: e b -> b and x: e, y: b, in the term
+    # both(x,both(x,y)); counts are checked before sorts, per variable in the
+    # order of the replacements
+    FAULTS = [
+        ({"x": ["zero"], "y": ["y"]}, ValidationError, "variable 'x' occurs 2 times but got 1 replacements"),
+        ({"y": ["y", "y"], "x": ["zero"]}, ValidationError, "variable 'y' occurs 1 times but got 2 replacements"),
+        ({"x": ["zero"] * 3, "y": ["zero"]}, ValidationError, "variable 'x' occurs 2 times but got 3 replacements"),
+        ({"x": ["zero", "iszero(zero)"], "y": []}, SortError, "replacement for 'x' has sort 'b', expected 'e'"),
+        ({"y": [], "x": ["zero", "iszero(zero)"]}, ValidationError, "variable 'y' occurs 1 times but got 0 replacements"),
+        ({"x": ["zero", "zero"], "y": ["zero"]}, SortError, "replacement for 'y' has sort 'e', expected 'b'"),
+        ({"y": ["y"], "w": ["zero"]}, ValidationError, "variable 'w' occurs 0 times but got 1 replacements"),
+    ]
+
+    @pytest.mark.parametrize("replacements, error, message", FAULTS)
+    def test_faults(self, replacements, error, message):
+        sig = signature(
+            ["e", "b"], [("zero", [], "e"), ("iszero", ["e"], "b"), ("both", ["e", "b"], "b")]
+        )
+        vars = sorted_vars(sig, {"e": ["x"], "b": ["y"]})
+        term = parse_term("both(x,both(x,y))", sig, vars)
+        parsed = {x: [parse_term(q, sig, vars) for q in seq] for x, seq in replacements.items()}
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            substitute_occurrences(term, parsed)
+        assert _outcome(reference_substitute_occurrences, term, parsed) == (error, message)
+
 
 class TestContexts:
     def test_apply(self, f1, x1):
@@ -378,6 +627,18 @@ class TestContexts:
     def test_two_holes_rejected(self, f1, x1):
         with pytest.raises(ValidationError):
             parse_context("sigma(@,@)", f1, x1)
+
+    def test_declared_sorts_must_match_the_body(self):
+        # f: a -> b; a context that declared hole sort b would plug a term of
+        # sort b into f's argument
+        body = Node("f", (Hole("a"),), "b", 2)
+        assert Context(body, "a", "b") == context(body)
+        for hole_sort, root_sort in (("b", "a"), ("b", "b"), ("a", "a")):
+            with pytest.raises(SortError, match=(
+                f"^context declares hole sort '{hole_sort}' and root sort '{root_sort}', "
+                "but its body has 'a' and 'b'$"
+            )):
+                Context(body, hole_sort, root_sort)
 
     def test_sort_mismatch(self, f2, x2):
         ctx = parse_context("iszero(@)", f2, x2)
