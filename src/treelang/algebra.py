@@ -93,10 +93,11 @@ class FiniteAlgebra:
 def finite_algebra(
     sig: Signature, carriers: Mapping[str, int], tables: Mapping[str, Sequence[int]]
 ) -> FiniteAlgebra:
+    # a missing key is left out, for __post_init__ to report
     return FiniteAlgebra(
         sig,
-        tuple((s, carriers[s]) for s in sig.sorts),
-        tuple((op.name, tuple(tables[op.name])) for op in sig.ops),
+        tuple((s, carriers[s]) for s in sig.sorts if s in carriers),
+        tuple((op.name, tuple(tables[op.name])) for op in sig.ops if op.name in tables),
     )
 
 
@@ -139,9 +140,6 @@ def _entries(alg: FiniteAlgebra, opname: str, pools: Sequence[Collection[int]]) 
     for row in _rows(alg, opname, pools[:-1]):
         out += map(row.__getitem__, last)
     return out
-
-
-Assignment = dict  # variable name -> carrier element
 
 
 def check_assignment(alg: FiniteAlgebra, vars, assignment: Mapping[str, int]) -> None:

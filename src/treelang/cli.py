@@ -4,10 +4,12 @@ Loads recognizers, signatures, hyperderivors, and derivors from structured
 text files, runs the language operators, decides membership, emptiness, and
 equivalence, enumerates languages, and emits minimized recognizers.  Every
 transform prints the serialized result document on stdout (bit-exact for
-golden checks) and also writes it with ``-o``.
+golden checks) and also writes it with ``-o``; ``--json`` prints
+machine-readable output instead, on every command but ``golden``.
 
-Exit codes: 0 on success, 1 on validation failure, 2 when an oracle mode
-cannot decide within its bound.
+Exit codes: 0 on success, 1 on validation failure, 2 on a usage error
+(unknown command, missing or unknown option) or when an oracle mode cannot
+decide within its bound.
 """
 
 from __future__ import annotations
@@ -31,29 +33,20 @@ from .recognizer import (
 )
 
 
-def _print_json(payload) -> None:
-    import json
-
-    print(json.dumps(payload, sort_keys=False))
-
-
 def _emit(args, payload_json, payload_text: str) -> None:
-    if getattr(args, "json", False):
-        _print_json(payload_json)
-    else:
-        print(payload_text)
+    if args.json:
+        import json
+
+        payload_text = json.dumps(payload_json, sort_keys=False)
+    print(payload_text)
 
 
 def _emit_doc(args, doc: dict) -> None:
     """Print the document and write the same text to ``-o``, dumped once."""
-    text = formats.dump_document(doc)
-    if getattr(args, "json", False):
-        _print_json(doc)
-    else:
-        sys.stdout.write(text)
-    out = getattr(args, "output", None)
-    if out:
-        Path(out).write_text(text, encoding="utf-8")
+    text = formats.dump_document(doc)  # ends with a line break
+    _emit(args, doc, text[:-1])
+    if args.output:
+        Path(args.output).write_text(text, encoding="utf-8")
 
 
 def cmd_member(args) -> int:
@@ -157,103 +150,81 @@ def cmd_syncong(args) -> int:
     rec = formats.load_recognizer(args.recognizer)
     # minimize's per-sort state counts are the syntactic congruence's indices
     counts = minimize(rec).algebra.carriers
-    payload = {s: n for s, n in counts}
-    lines = [f"{s}: {n}" for s, n in counts]
-    _emit(args, payload, "\n".join(lines))
+    _emit(args, dict(counts), "\n".join(f"{s}: {n}" for s, n in counts))
     return 0
 
 
-def _require(args, *names) -> None:
-    for name in names:
-        if getattr(args, name, None) in (None, ""):
-            raise ValidationError(f"--{name.replace('_', '-')} is required for this mode")
+def cmd_treehom_apply(args) -> int:
+    from .treehom import apply_treehom
+
+    source_sig, source_vars = formats.load_signature(args.source)
+    target_sig, target_vars = formats.load_signature(args.target)
+    h = formats.read(args.hyp, formats.hyperderivor_from_doc, source_sig, source_vars,
+                     target_sig, target_vars)
+    image = print_term(apply_treehom(h, parse_term(args.term, source_sig, source_vars)))
+    _emit(args, {"term": image}, image)
+    return 0
 
 
-def cmd_treehom(args) -> int:
-    from . import treehom
+def cmd_treehom_inverse(args) -> int:
+    from .treehom import inverse_image
 
-    if args.mode in ("apply", "inverse"):
-        _require(args, "source")
-        source_sig, source_vars = formats.load_signature(args.source)
-    if args.mode == "apply":
-        _require(args, "target", "term")
-        target_sig, target_vars = formats.load_signature(args.target)
-        h = formats.read(
-            args.hyp, formats.hyperderivor_from_doc,
-            source_sig, source_vars, target_sig, target_vars,
-        )
-        term = parse_term(args.term, source_sig, source_vars)
-        image = treehom.apply_treehom(h, term)
-        _emit(args, {"term": print_term(image)}, print_term(image))
-        return 0
-    if args.mode == "inverse":
-        _require(args, "recognizer", "sort")
-        rec = formats.load_recognizer(args.recognizer)  # over the target
-        h = formats.read(
-            args.hyp, formats.hyperderivor_from_doc,
-            source_sig, source_vars, rec.signature, rec.vars,
-        )
-        out = treehom.inverse_image(h, rec, args.sort)
-        _emit_doc(args, formats.recognizer_to_doc(out))
-        return 0
-    if args.mode == "image":
-        _require(args, "target", "recognizer", "sort")
-        target_sig, target_vars = formats.load_signature(args.target)
-        rec = formats.load_recognizer(args.recognizer)  # over the source
-        h = formats.read(
-            args.hyp, formats.hyperderivor_from_doc,
-            rec.signature, rec.vars, target_sig, target_vars,
-        )
-        out = treehom.direct_image(h, rec, args.sort)
-        _emit_doc(args, formats.recognizer_to_doc(out))
-        return 0
-    raise ValidationError(f"unknown treehom mode {args.mode!r}")
+    source_sig, source_vars = formats.load_signature(args.source)
+    rec = formats.load_recognizer(args.rec)  # over the target
+    h = formats.read(args.hyp, formats.hyperderivor_from_doc, source_sig, source_vars,
+                     rec.signature, rec.vars)
+    _emit_doc(args, formats.recognizer_to_doc(inverse_image(h, rec, args.sort)))
+    return 0
 
 
-def cmd_derivor(args) -> int:
-    from .derivor import apply_derivor_term, compose_derivors, derived_algebra_derivor, hall_term
+def cmd_treehom_image(args) -> int:
+    from .treehom import direct_image
+
+    target_sig, target_vars = formats.load_signature(args.target)
+    rec = formats.load_recognizer(args.rec)  # over the source
+    h = formats.read(args.hyp, formats.hyperderivor_from_doc, rec.signature, rec.vars,
+                     target_sig, target_vars)
+    _emit_doc(args, formats.recognizer_to_doc(direct_image(h, rec, args.sort)))
+    return 0
+
+
+def cmd_derivor_apply(args) -> int:
+    from .derivor import apply_derivor_term, hall_term
     from .treehom import placeholder_vars
 
-    if args.mode == "apply":
-        _require(args, "drv", "source", "target", "term")
-        source_sig, _ = formats.load_signature(args.source)
-        target_sig, _ = formats.load_signature(args.target)
-        d = formats.read(args.drv, formats.derivor_from_doc, source_sig, target_sig)
-        arity = tuple(a for a in args.arity.split(",") if a)
-        body = parse_term(args.term, source_sig, placeholder_vars(source_sig, arity))
-        ht = hall_term(body, arity, body.sort)
-        out = apply_derivor_term(d, ht)
-        payload = {
-            "term": print_term(out.term),
-            "arity": list(out.arity),
-            "sort": out.sort,
-        }
-        _emit(
-            args,
-            payload,
-            f"{print_term(out.term)} : ({','.join(out.arity)}) -> {out.sort}",
-        )
-        return 0
-    if args.mode == "compose":
-        _require(args, "inner", "outer", "source", "middle", "target")
-        source_sig, _ = formats.load_signature(args.source)
-        middle_sig, _ = formats.load_signature(args.middle)
-        target_sig, _ = formats.load_signature(args.target)
-        inner = formats.read(args.inner, formats.derivor_from_doc, source_sig, middle_sig)
-        outer = formats.read(args.outer, formats.derivor_from_doc, middle_sig, target_sig)
-        composed = compose_derivors(outer, inner)
-        _emit_doc(args, formats.derivor_to_doc(composed))
-        return 0
-    if args.mode == "derive":
-        _require(args, "drv", "source", "target", "algebra")
-        source_sig, _ = formats.load_signature(args.source)
-        target_sig, _ = formats.load_signature(args.target)
-        d = formats.read(args.drv, formats.derivor_from_doc, source_sig, target_sig)
-        alg, assignment = formats.read(args.algebra, formats.algebra_from_doc, target_sig)
-        derived = derived_algebra_derivor(d, alg)
-        _emit_doc(args, formats.algebra_to_doc(derived, {}))
-        return 0
-    raise ValidationError(f"unknown derivor mode {args.mode!r}")
+    source_sig, _ = formats.load_signature(args.source)
+    target_sig, _ = formats.load_signature(args.target)
+    d = formats.read(args.drv, formats.derivor_from_doc, source_sig, target_sig)
+    arity = tuple(a for a in args.arity.split(",") if a)
+    body = parse_term(args.term, source_sig, placeholder_vars(source_sig, arity))
+    out = apply_derivor_term(d, hall_term(body, arity, body.sort))
+    term = print_term(out.term)
+    payload = {"term": term, "arity": list(out.arity), "sort": out.sort}
+    _emit(args, payload, f"{term} : ({','.join(out.arity)}) -> {out.sort}")
+    return 0
+
+
+def cmd_derivor_compose(args) -> int:
+    from .derivor import compose_derivors
+
+    source_sig, _ = formats.load_signature(args.source)
+    middle_sig, _ = formats.load_signature(args.middle)
+    target_sig, _ = formats.load_signature(args.target)
+    inner = formats.read(args.inner, formats.derivor_from_doc, source_sig, middle_sig)
+    outer = formats.read(args.outer, formats.derivor_from_doc, middle_sig, target_sig)
+    _emit_doc(args, formats.derivor_to_doc(compose_derivors(outer, inner)))
+    return 0
+
+
+def cmd_derivor_derive(args) -> int:
+    from .derivor import derived_algebra_derivor
+
+    source_sig, _ = formats.load_signature(args.source)
+    target_sig, _ = formats.load_signature(args.target)
+    d = formats.read(args.drv, formats.derivor_from_doc, source_sig, target_sig)
+    alg, _ = formats.read(args.algebra, formats.algebra_from_doc, target_sig)
+    _emit_doc(args, formats.algebra_to_doc(derived_algebra_derivor(d, alg), {}))
+    return 0
 
 
 def _checked_case(doc: dict) -> dict:
@@ -314,6 +285,22 @@ def _diff_lines(expected: str, got: str):
     )
 
 
+# the help of each option that a mode of ``treehom`` or ``derivor`` requires
+_MODE_OPTIONS = {
+    "--hyp": "hyperderivor file",
+    "--drv": "derivor file",
+    "--inner": "first derivor, source to middle",
+    "--outer": "second derivor, middle to target",
+    "--source": "source signature file",
+    "--middle": "middle signature file",
+    "--target": "target signature file",
+    "--rec": "recognizer file",
+    "--sort": "distinguished source sort",
+    "--term": "term to apply",
+    "--algebra": "algebra file over the target",
+}
+
+
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The parser of every command, or of ``command`` alone when it names one."""
     parser = argparse.ArgumentParser(
@@ -322,88 +309,89 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, **kwargs):
-        if command in (None, name):
-            p = sub.add_parser(name, **kwargs)
+    def add(name, fn, help, modes=None, required="", output=False, json=True):
+        """The parser of a command, or of a mode in ``modes``, its command's
+        sub-commands, that runs ``fn``: a mode names its required options,
+        and a command that emits a document takes ``-o``."""
+        if modes or command in (None, name):
+            p = (modes or sub).add_parser(name, help=help)
             p.set_defaults(fn=fn)
-            p.add_argument("--json", action="store_true", help="machine-readable output")
+            if json:
+                p.add_argument("--json", action="store_true", help="machine-readable output")
+            if output:
+                p.add_argument("-o", "--output")
+            for flag in required.split():
+                p.add_argument(flag, required=True, help=_MODE_OPTIONS[flag])
             return p
 
-    if p := add("member", cmd_member, help="decide term membership"):
+    def with_modes(name, help):
+        if command in (None, name):
+            return sub.add_parser(name, help=help).add_subparsers(dest="mode", required=True)
+
+    if p := add("member", cmd_member, "decide term membership"):
         p.add_argument("recognizer")
         p.add_argument("term")
         p.add_argument("--oracle", action="store_true", help="decide by bounded enumeration")
         p.add_argument("--max-nodes", type=int, default=7)
 
-    if p := add("enumerate", cmd_enumerate, help="list accepted terms up to a size bound"):
+    if p := add("enumerate", cmd_enumerate, "list accepted terms up to a size bound"):
         p.add_argument("recognizer")
         p.add_argument("--max-nodes", type=int, required=True)
 
-    if p := add("minimize", cmd_minimize, help="emit the minimized recognizer"):
+    if p := add("minimize", cmd_minimize, "emit the minimized recognizer", output=True):
         p.add_argument("recognizer")
-        p.add_argument("-o", "--output")
 
-    if p := add("combine", cmd_combine, help="boolean combination of two recognizers"):
+    if p := add("combine", cmd_combine, "boolean combination of two recognizers", output=True):
         p.add_argument("kind", choices=["union", "intersection", "difference"])
         p.add_argument("left")
         p.add_argument("right")
-        p.add_argument("-o", "--output")
 
-    if p := add("substitute", cmd_substitute, help="substitution operator"):
+    if p := add("substitute", cmd_substitute, "substitution operator", output=True):
         p.add_argument("recognizer")
         p.add_argument("--with", dest="with_", action="append", metavar="VAR=FILE")
-        p.add_argument("-o", "--output")
 
-    if p := add("iterate", cmd_iterate, help="z-iteration operator"):
+    if p := add("iterate", cmd_iterate, "z-iteration operator", output=True):
         p.add_argument("recognizer")
         p.add_argument("--var", required=True)
-        p.add_argument("-o", "--output")
 
-    if p := add("quotient", cmd_quotient, help="z-quotient operator"):
+    if p := add("quotient", cmd_quotient, "z-quotient operator", output=True):
         p.add_argument("recognizer")
         p.add_argument("--by", required=True)
         p.add_argument("--var", required=True)
-        p.add_argument("-o", "--output")
 
-    if p := add("invtrans", cmd_invtrans, help="inverse translation along a one-hole context"):
+    if p := add("invtrans", cmd_invtrans, "inverse translation along a one-hole context",
+                output=True):
         p.add_argument("recognizer")
         p.add_argument("--context", required=True)
-        p.add_argument("-o", "--output")
 
-    if p := add("equal", cmd_equal, help="decide language equality"):
+    if p := add("equal", cmd_equal, "decide language equality"):
         p.add_argument("left")
         p.add_argument("right")
 
-    if p := add("empty", cmd_empty, help="decide language emptiness"):
+    if p := add("empty", cmd_empty, "decide language emptiness"):
         p.add_argument("recognizer")
 
-    if p := add("syncong", cmd_syncong, help="per-sort syntactic-congruence indices"):
+    if p := add("syncong", cmd_syncong, "per-sort syntactic-congruence indices"):
         p.add_argument("recognizer")
 
-    if p := add("treehom", cmd_treehom, help="tree-homomorphism operators"):
-        p.add_argument("mode", choices=["apply", "inverse", "image"])
-        p.add_argument("--hyp", required=True, help="hyperderivor file")
-        p.add_argument("--source", help="source signature file")
-        p.add_argument("--target", help="target signature file")
-        p.add_argument("--sort", help="distinguished source sort")
-        p.add_argument("--term", dest="term", help="term to apply (apply mode)")
-        p.add_argument("--rec", dest="recognizer", help="recognizer file (inverse/image modes)")
-        p.add_argument("-o", "--output")
+    if modes := with_modes("treehom", "tree-homomorphism operators"):
+        add("apply", cmd_treehom_apply, "image of a term", modes, "--hyp --source --target --term")
+        add("inverse", cmd_treehom_inverse, "inverse image of a language", modes,
+            "--hyp --source --rec --sort", output=True)
+        add("image", cmd_treehom_image, "direct image of a language", modes,
+            "--hyp --target --rec --sort", output=True)
 
-    if p := add("derivor", cmd_derivor, help="derivor operators"):
-        p.add_argument("mode", choices=["apply", "compose", "derive"])
-        p.add_argument("--drv", help="derivor file")
-        p.add_argument("--inner", help="first derivor (compose mode)")
-        p.add_argument("--outer", help="second derivor (compose mode)")
-        p.add_argument("--source", help="source signature file")
-        p.add_argument("--middle", help="middle signature file (compose mode)")
-        p.add_argument("--target", help="target signature file")
-        p.add_argument("--arity", default="", help="comma-separated rank arity word (apply mode)")
-        p.add_argument("--term", dest="term", help="hall term to apply (apply mode)")
-        p.add_argument("--algebra", help="algebra file over the target (derive mode)")
-        p.add_argument("-o", "--output")
+    if modes := with_modes("derivor", "derivor operators"):
+        p = add("apply", cmd_derivor_apply, "image of a Hall term", modes,
+                "--drv --source --target --term")
+        p.add_argument("--arity", default="", help="comma-separated rank arity word")
+        add("compose", cmd_derivor_compose, "composite of two derivors", modes,
+            "--inner --outer --source --middle --target", output=True)
+        add("derive", cmd_derivor_derive, "derived algebra over the source", modes,
+            "--drv --source --target --algebra", output=True)
 
-    if p := add("golden", cmd_golden, help="re-run recorded cases and diff bit-exact outputs"):
+    if p := add("golden", cmd_golden, "re-run recorded cases and diff bit-exact outputs",
+                json=False):
         p.add_argument("directory")
 
     if command not in (None, *sub.choices):

@@ -530,7 +530,7 @@ def substitute_occurrences(
         seq = replacements[t.name]
         return seq[i] if i < len(seq) else t
 
-    out = _rebuild(term, leaf)
+    out = _substitute(term, leaf)
     for name, seq in replacements.items():
         want = counts[name]
         if len(seq) != want:
@@ -549,7 +549,17 @@ def substitute_uniform(term: Term, mapping: Mapping[str, Term]) -> Term:
     """Replace every occurrence of each mapped variable by the same term."""
     if not mapping:
         return term
-    return _rebuild(term, lambda t: mapping.get(t.name, t))
+    return _substitute(term, lambda t: mapping.get(t.name, t))
+
+
+def _substitute(term: Term, leaf) -> Term:
+    """``_rebuild`` with a ``leaf`` that reads names: a hole is a ``SortError``."""
+    try:
+        return _rebuild(term, leaf)
+    except AttributeError:
+        if _collect_holes(term):
+            raise SortError("a term cannot contain the hole '@'") from None
+        raise
 
 
 # ---------------------------------------------------------------------------

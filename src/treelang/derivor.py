@@ -154,11 +154,12 @@ def derivor(
     sort_map: Mapping[str, str],
     patterns: Mapping[str, HallTerm],
 ) -> Derivor:
+    # a missing key is left out, for __post_init__ to report
     return Derivor(
         source,
         target,
-        tuple((s, sort_map[s]) for s in source.sorts),
-        tuple((op.name, patterns[op.name]) for op in source.ops),
+        tuple((s, sort_map[s]) for s in source.sorts if s in sort_map),
+        tuple((op.name, patterns[op.name]) for op in source.ops if op.name in patterns),
     )
 
 

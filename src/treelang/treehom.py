@@ -140,14 +140,15 @@ def hyperderivor(
     patterns: Mapping[str, Term],
     var_images: Mapping[str, Term],
 ) -> Hyperderivor:
+    # a missing key is left out, for __post_init__ to report
     return Hyperderivor(
         source,
         source_vars,
         target,
         target_vars,
-        tuple((s, sort_map[s]) for s in source.sorts),
-        tuple((op.name, patterns[op.name]) for op in source.ops),
-        tuple((x, var_images[x]) for x in source_vars.all_names()),
+        tuple((s, sort_map[s]) for s in source.sorts if s in sort_map),
+        tuple((op.name, patterns[op.name]) for op in source.ops if op.name in patterns),
+        tuple((x, var_images[x]) for x in source_vars.all_names() if x in var_images),
     )
 
 

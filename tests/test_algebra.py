@@ -227,6 +227,21 @@ class TestValidation:
         with pytest.raises(ValidationError):
             finite_algebra(f1, {"s": 2}, {"c": [2], "g": [0, 1], "sigma": [0] * 4})
 
+    @pytest.mark.parametrize(
+        "carriers, tables, message",
+        [
+            ({}, {"c": [0], "g": [1, 0], "sigma": [0] * 4},
+             "carriers must list every sort in signature order"),
+            ({"s": 2}, {"c": [0], "sigma": [0] * 4},
+             "tables must list every operation in signature order"),
+        ],
+        ids=["missing-carrier", "missing-table"],
+    )
+    def test_builder_missing_key(self, f1, carriers, tables, message):
+        # a key the builder's mapping lacks is the record's error, not a KeyError
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            finite_algebra(f1, carriers, tables)
+
     def test_empty_carrier_permitted(self):
         sig = signature(["s", "t"], [("k", [], "s"), ("f", ["t"], "s")])
         alg = finite_algebra(sig, {"s": 1, "t": 0}, {"k": [0], "f": []})

@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import os
@@ -121,6 +122,129 @@ class TestParser:
         with redirect_stdout(io.StringIO()) as full, pytest.raises(SystemExit):
             build_parser().parse_args([command, "-h"])
         assert code == 0 and out == full.getvalue() and out.startswith(f"usage: treelang {command} ")
+
+
+# every command's and mode's option strings, with a trailing ``*`` on a
+# required one: adding or dropping an option is an edit of this table
+OPTIONS = {
+    "member": "--json --oracle --max-nodes",
+    "enumerate": "--json --max-nodes*",
+    "minimize": "--json -o --output",
+    "combine": "--json -o --output",
+    "substitute": "--json -o --output --with",
+    "iterate": "--json -o --output --var*",
+    "quotient": "--json -o --output --by* --var*",
+    "invtrans": "--json -o --output --context*",
+    "equal": "--json",
+    "empty": "--json",
+    "syncong": "--json",
+    "treehom": "",
+    "treehom apply": "--json --hyp* --source* --target* --term*",
+    "treehom inverse": "--json -o --output --hyp* --source* --rec* --sort*",
+    "treehom image": "--json -o --output --hyp* --target* --rec* --sort*",
+    "derivor": "",
+    "derivor apply": "--json --drv* --source* --target* --term* --arity",
+    "derivor compose": "--json -o --output --inner* --outer* --source* --middle* --target*",
+    "derivor derive": "--json -o --output --drv* --source* --target* --algebra*",
+    "golden": "",
+}
+
+
+def option_surfaces(parser, path=""):
+    """The option strings of each command and mode below ``parser``."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, child in action.choices.items():
+                key = f"{path} {name}".strip()
+                yield key, {
+                    flag + "*" * a.required
+                    for a in child._actions
+                    for flag in a.option_strings
+                    if flag not in ("-h", "--help")
+                }
+                yield from option_surfaces(child, key)
+
+
+# a command line of each treehom and derivor mode that gives every option the
+# mode requires; ``--arity`` is the one mode option with a default
+MODES = {
+    "treehom apply": ["--hyp", GOLDEN / "h1.hyp", "--source", GOLDEN / "f2.sig",
+                      "--target", GOLDEN / "f1.sig", "--term", "iszero(succ(zero))"],
+    "treehom inverse": ["--hyp", GOLDEN / "h1.hyp", "--source", GOLDEN / "f2.sig",
+                        "--rec", GOLDEN / "rpar.rec", "--sort", "e"],
+    "treehom image": ["--hyp", GOLDEN / "h1.hyp", "--target", GOLDEN / "f1.sig",
+                      "--rec", GOLDEN / "liz.rec", "--sort", "b"],
+    "derivor apply": ["--drv", GOLDEN / "d1.drv", "--source", GOLDEN / "f2.sig",
+                      "--target", GOLDEN / "f1.sig", "--arity", "e", "--term", "iszero(succ(v0))"],
+    "derivor compose": ["--inner", GOLDEN / "d1.drv", "--outer", GOLDEN / "d1.drv",
+                        "--source", GOLDEN / "f2.sig", "--middle", GOLDEN / "f1.sig",
+                        "--target", GOLDEN / "f1.sig"],
+    "derivor derive": ["--drv", GOLDEN / "d1.drv", "--source", GOLDEN / "f2.sig",
+                       "--target", GOLDEN / "f1.sig", "--algebra", GOLDEN / "rpar.rec"],
+}
+REQUIRED = [
+    (mode, flag) for mode, argv in MODES.items()
+    for flag in argv if str(flag).startswith("--") and flag != "--arity"
+]
+# the options each mode's command once accepted for its other modes and
+# never read, and the --json that golden never read
+IGNORED = {
+    "treehom apply": ["--sort", "--rec", "-o"],
+    "treehom inverse": ["--target", "--term"],
+    "treehom image": ["--source", "--term"],
+    "derivor apply": ["--inner", "--outer", "--middle", "--algebra", "-o"],
+    "derivor compose": ["--drv", "--arity", "--term", "--algebra"],
+    "derivor derive": ["--inner", "--outer", "--middle", "--arity", "--term"],
+    "golden": ["--json"],
+}
+
+
+class TestOptionSurface:
+    """Each command and mode declares the options its function reads, and
+    argparse enforces the ones it needs (exit 2, no traceback)."""
+
+    def test_declared_options_match_the_table(self):
+        surfaces = dict(option_surfaces(build_parser()))
+        assert surfaces == {key: set(flags.split()) for key, flags in OPTIONS.items()}
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_one_command_parser_declares_the_same_options(self, command):
+        assert dict(option_surfaces(build_parser(command))) == {
+            key: flags for key, flags in option_surfaces(build_parser())
+            if key.split()[0] == command
+        }
+
+    @pytest.mark.parametrize("mode, flag", REQUIRED)
+    def test_missing_required_option_is_a_usage_error(self, mode, flag):
+        argv = MODES[mode]
+        i = argv.index(flag)
+        code, out, err = parser_exit([*mode.split(), *map(str, argv[:i] + argv[i + 2:])])
+        assert code == 2 and out == ""
+        assert err.endswith(f"error: the following arguments are required: {flag}\n")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "mode, flag", [(mode, flag) for mode, flags in IGNORED.items() for flag in flags]
+    )
+    def test_option_of_another_mode_is_a_usage_error(self, mode, flag):
+        argv = MODES.get(mode, [GOLDEN])
+        code, out, err = parser_exit([*mode.split(), *map(str, argv), flag, "x"])
+        assert code == 2 and out == ""
+        assert err.endswith(f"error: unrecognized arguments: {flag} x\n")
+        assert "Traceback" not in err
+
+    def test_treehom_apply_writes_no_output_file(self, tmp_path):
+        argv = [*MODES["treehom apply"], "-o", tmp_path / "f"]
+        code, _, err = parser_exit(["treehom", "apply", *map(str, argv)])
+        assert code == 2 and "unrecognized arguments: -o" in err
+        assert not (tmp_path / "f").exists()
+
+    def test_empty_value_is_the_readers_error(self, capsys):
+        argv = MODES["treehom apply"]
+        i = argv.index("--term")
+        code, out = run("treehom", "apply", *argv[:i + 1], "", *argv[i + 2:])
+        assert code == 1 and out == ""
+        assert capsys.readouterr().err == "error: unexpected end of input\n"
 
 
 def test_import_loads_no_numpy():

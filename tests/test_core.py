@@ -568,6 +568,21 @@ class TestSubstitution:
         with pytest.raises(SortError):
             substitute_occurrences(p, {"x": [bad]})
 
+    @pytest.mark.parametrize(
+        "substitute, replacements",
+        [(substitute_uniform, {"x": "c"}), (substitute_occurrences, {}),
+         (substitute_occurrences, {"x": []})],
+        ids=["uniform", "occurrences", "occurrences-of-x"],
+    )
+    def test_hole_is_a_sort_error(self, f1, x1, substitute, replacements):
+        body = parse_context("sigma(x,g(@))", f1, x1).body
+        parsed = {
+            x: parse_term(q, f1, x1) if isinstance(q, str) else q
+            for x, q in replacements.items()
+        }
+        with pytest.raises(SortError, match="^a term cannot contain the hole '@'$"):
+            substitute(body, parsed)
+
     # over zero: e, iszero: e -> b, both: e b -> b and x: e, y: b, in the term
     # both(x,both(x,y)); counts are checked before sorts, per variable in the
     # order of the replacements

@@ -294,6 +294,20 @@ class TestDerivorFaults:
             Derivor(f2, target, tuple(D1_SORT_MAP.items()), patterns)
 
     @pytest.mark.parametrize(
+        "sort_map, patterns, message",
+        [
+            ({"e": "s"}, D1_PATTERNS, "sort map must cover every source sort"),
+            (D1_SORT_MAP, {"zero": D1_PATTERNS["zero"], "iszero": D1_PATTERNS["iszero"]},
+             "patterns must cover every source operation"),
+        ],
+        ids=["missing-sort", "missing-pattern"],
+    )
+    def test_builder_missing_key(self, f2, target, sort_map, patterns, message):
+        # a key the builder's mapping lacks is the record's error, not a KeyError
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            derivor(f2, target, sort_map, patterns)
+
+    @pytest.mark.parametrize(
         "succ, rank",
         [
             (hall_term(Node("g", (V0,), "s", 2), ["s", "s"], "s"), "(('s', 's'), 's')"),

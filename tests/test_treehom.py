@@ -32,6 +32,7 @@ from treelang.treehom import (
     direct_image,
     hom_to_hyperderivor,
     hyperderivor,
+    identity_pattern,
     inverse_image,
     placeholder,
 )
@@ -47,6 +48,32 @@ from conftest import (
     random_term,
     retrying,
 )
+
+
+class TestBuilderMissingKey:
+    """A key that one of ``hyperderivor``'s mappings lacks is the record's
+    validation error, not a ``KeyError``."""
+
+    @pytest.mark.parametrize(
+        "part, key, message",
+        [
+            (0, "b", "sort map must cover every source sort"),
+            (1, "succ", "patterns must cover every source operation"),
+            (2, "x", "variable images must cover every source variable"),
+        ],
+        ids=["sort", "pattern", "image"],
+    )
+    def test_h1_part(self, h1, part, key, message):
+        parts = [dict(h1.sort_map), dict(h1.patterns), dict(h1.var_images)]
+        del parts[part][key]
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            hyperderivor(h1.source, h1.source_vars, h1.target, h1.target_vars, *parts)
+
+    def test_identity_missing_image(self, f1, x1):
+        patterns = {op.name: identity_pattern(op) for op in f1.ops}
+        images = {"x": Var("x", "s")}  # none for z
+        with pytest.raises(ValidationError, match="^variable images must cover every source variable$"):
+            hyperderivor(f1, x1, f1, x1, {"s": "s"}, patterns, images)
 
 
 class TestApply:
