@@ -8,8 +8,8 @@ golden checks) and also writes it with ``-o``; ``--json`` prints
 machine-readable output instead, on every command but ``golden``.
 
 Exit codes: 0 on success, 1 on validation failure, 2 on a usage error
-(unknown command, missing or unknown option) or when an oracle mode cannot
-decide within its bound.
+(unknown command, missing or unknown option, ``--max-nodes`` on ``member``
+without ``--oracle``) or when an oracle mode cannot decide within its bound.
 """
 
 from __future__ import annotations
@@ -50,18 +50,18 @@ def _emit_doc(args, doc: dict) -> None:
 
 
 def cmd_member(args) -> int:
+    if args.max_nodes is not None and not args.oracle:
+        args.parser.error("argument --max-nodes: only allowed with --oracle")
     rec = formats.load_recognizer(args.recognizer)
     term = parse_term(args.term, rec.signature, rec.vars)
     if args.oracle:
         from . import oracle
 
-        if term.size > args.max_nodes:
-            print(
-                f"undecidable at bound: term has {term.size} nodes > {args.max_nodes}",
-                file=sys.stderr,
-            )
+        bound = 7 if args.max_nodes is None else args.max_nodes
+        if term.size > bound:
+            print(f"undecidable at bound: term has {term.size} nodes > {bound}", file=sys.stderr)
             return 2
-        langs = oracle.enumerate_language(rec, args.max_nodes)
+        langs = oracle.enumerate_language(rec, bound)
         result = term in set(langs[term.sort])
     else:
         result = accepts(rec, term)
@@ -315,7 +315,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         and a command that emits a document takes ``-o``."""
         if modes or command in (None, name):
             p = (modes or sub).add_parser(name, help=help)
-            p.set_defaults(fn=fn)
+            p.set_defaults(fn=fn, parser=p)
             if json:
                 p.add_argument("--json", action="store_true", help="machine-readable output")
             if output:
@@ -332,7 +332,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         p.add_argument("recognizer")
         p.add_argument("term")
         p.add_argument("--oracle", action="store_true", help="decide by bounded enumeration")
-        p.add_argument("--max-nodes", type=int, default=7)
+        p.add_argument("--max-nodes", type=int, help="the oracle's bound (default 7)")
 
     if p := add("enumerate", cmd_enumerate, "list accepted terms up to a size bound"):
         p.add_argument("recognizer")
@@ -401,7 +401,10 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    args = build_parser(argv[0] if argv else None).parse_args(argv)
+    args, extra = build_parser(argv[0] if argv else None).parse_known_args(argv)
+    if extra:
+        # the invoked command's parser, so the usage line is its own
+        args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         return args.fn(args)
     except (ValidationError, OSError) as err:

@@ -26,7 +26,6 @@ from .algebra import (
     restrict_algebra,
     translation_table,
 )
-from .congruence import syntactic_congruence
 from .core import (
     Context,
     Node,
@@ -193,6 +192,8 @@ def minimize(rec: Recognizer) -> Recognizer:
     declaration order, then variables), in which each class first appears at
     a step fixed by the language.  ``equivalent`` relies on this.
     """
+    from .congruence import syntactic_congruence  # only the commands that minimize compile it
+
     reached = closure_elements(rec.algebra, _seed(rec))
     small, index = restrict_algebra(rec.algebra, reached)
     acc = {

@@ -239,6 +239,20 @@ class TestOptionSurface:
         assert code == 2 and "unrecognized arguments: -o" in err
         assert not (tmp_path / "f").exists()
 
+    @pytest.mark.parametrize("mode", ["member", "treehom apply"])
+    def test_unknown_option_prints_the_invoked_usage(self, mode):
+        argv = MODES.get(mode, [GOLDEN / "rpar.rec", "g(c)"])
+        code, out, err = parser_exit([*mode.split(), *map(str, argv), "--bogus"])
+        assert code == 2 and out == ""
+        assert err.startswith(f"usage: treelang {mode} [-h]")
+        assert err.endswith(f"treelang {mode}: error: unrecognized arguments: --bogus\n")
+
+    def test_max_nodes_without_oracle_is_a_usage_error(self):
+        code, out, err = parser_exit(["member", str(GOLDEN / "rpar.rec"), "g(c)", "--max-nodes", "3"])
+        assert code == 2 and out == ""
+        assert err.startswith("usage: treelang member [-h]")
+        assert "--max-nodes" in err.splitlines()[-1] and "--oracle" in err.splitlines()[-1]
+
     def test_empty_value_is_the_readers_error(self, capsys):
         argv = MODES["treehom apply"]
         i = argv.index("--term")

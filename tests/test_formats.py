@@ -1,4 +1,5 @@
 import random
+from pathlib import Path
 
 import pytest
 import yaml
@@ -160,8 +161,15 @@ class TestShapeCheck:
 
 
 def reloaded(doc):
-    """The document as the library writes it to text and reads it back."""
-    return yaml.load(dump_document(doc), Loader=formats._LOADER)
+    """The document as the library writes it to text and reads it back,
+    which is what PyYAML reads from that text."""
+    text = dump_document(doc)
+    try:
+        back = formats._parse(text)
+    except formats._Unsupported:
+        back = yaml.safe_load(text)
+    assert back == yaml.safe_load(text)
+    return back
 
 
 class TestRoundTripProperties:
@@ -201,3 +209,132 @@ class TestRoundTripProperties:
     def test_partition(self, classes):
         p = partition(["s", "t"], classes)
         assert partition_from_doc(reloaded(partition_to_doc(p)), ["s", "t"]) == p
+
+
+# ---------------------------------------------------------------------------
+# the direct YAML path against PyYAML
+
+LOADERS = [getattr(yaml, "CSafeLoader", yaml.SafeLoader), yaml.SafeLoader]
+DUMPERS = [getattr(yaml, "CSafeDumper", yaml.SafeDumper), yaml.SafeDumper]
+WORDS = ["yes", "No", "on", "OFF", "true", "False", "null", "NULL", "y", "n", "Y", "inf", "nan"]
+NAMES = ["s", "t0", "sigma", "x_1", "_", "e1", "Ab"]
+TERMS = ["g(v0)", "sigma(v0,c)", "a,", "f(x,y,z)"]
+# what the direct path hands to PyYAML; PyYAML writes a long key as a complex
+# key, libyaml one of more than 128 characters and its pure emitter one of
+# more than 123
+ODD_KEYS = WORDS + ["k" * n for n in range(120, 133)]
+ODD_SCALARS = WORDS + ["", "0", "-0", "007", "1_0", "0x1", "a b", "'q'", "x:y", "@x", "#c", "-x",
+                       "1.5", "~", "2001-12-14", "g(@)", True, False, None]
+
+
+def random_document(rng: random.Random) -> dict:
+    """A mapping of names, integers, terms, and collections of them, nested
+    up to three deep; one in four has odd keys or scalars as well, and one in
+    four shares a list or dict (which PyYAML writes as an anchor and aliases)."""
+    odd = rng.random() < 0.25
+
+    def key():
+        if odd and rng.random() < 0.1:
+            return rng.choice(ODD_KEYS)
+        return rng.choice(NAMES) if rng.random() < 0.8 else rng.randint(-3, 20)
+
+    def scalar():
+        if odd and rng.random() < 0.1:
+            return rng.choice(ODD_SCALARS)
+        return rng.choice([rng.randint(-3, 40), rng.randint(-(10**12), 10**12),
+                           rng.choice(NAMES), rng.choice(TERMS)])
+
+    def value(depth, kinds="sld"):
+        kind = "s" if depth == 3 else rng.choice(kinds)
+        if kind == "s":
+            return scalar()
+        if kind == "l":
+            # mostly no list directly in a list, which the direct path hands on
+            inner = "sld" if rng.random() < 0.1 else "sd"
+            return [value(depth + 1, inner) for _ in range(rng.choice([0, 2, 5, 30]))]
+        return {key(): value(depth + 1) for _ in range(rng.randint(0, 5))}
+
+    doc = {key(): value(0, rng.choice(["sld", "ld"])) for _ in range(rng.randint(1, 6))}
+    shared = [v for v in doc.values() if isinstance(v, (list, dict))]
+    if shared and rng.random() < 0.25:
+        doc[key()] = rng.choice(shared)
+    return doc
+
+
+GOLDEN_TEXTS = [
+    path.read_text(encoding="utf-8")
+    for path in sorted((Path(__file__).parent / "golden").iterdir())
+    if path.suffix in (".rec", ".sig", ".hyp", ".drv")
+]
+
+
+def dumped(doc, dumper, flow=None):
+    return yaml.dump(doc, Dumper=dumper, sort_keys=False, default_flow_style=flow)
+
+
+def mutated(rng: random.Random, text: str) -> str:
+    """``text`` with one character inserted, deleted or replaced."""
+    i = rng.randrange(len(text) + 1)
+    c = rng.choice(" ,:-[]{}'#\n\tab0_")
+    return rng.choice([text[:i] + c + text[i:], text[:i] + text[i + 1:], text[:i] + c + text[i + 1:]])
+
+
+def read_as_pyyaml(text: str) -> None:
+    """The direct reader hands ``text`` on or reads what both PyYAML loaders read."""
+    try:
+        got = formats._parse(text)
+    except formats._Unsupported:
+        return
+    assert all(got == yaml.load(text, Loader=loader) for loader in LOADERS)
+
+
+class TestDirectYaml:
+    """The direct path writes exactly what libyaml's emitter writes, and
+    reads exactly what PyYAML reads, or hands the document or text on."""
+
+    MANY = settings(PROPERTY, max_examples=300)
+
+    @MANY
+    @given(st.integers(0, 2**32))
+    def test_writer_matches_pyyaml(self, seed):
+        doc = random_document(random.Random(seed))
+        expected = dumped(doc, DUMPERS[0])
+        assert dump_document(doc) == expected
+        try:
+            text = formats._emit(doc)
+        except formats._Unsupported:
+            return
+        assert text == expected == dumped(doc, DUMPERS[1])
+
+    @MANY
+    @given(st.integers(0, 2**32))
+    def test_reader_matches_pyyaml(self, seed):
+        rng = random.Random(seed)
+        doc = random_document(rng)
+        for flow in (None, False, True):
+            text = dumped(doc, DUMPERS[0], flow)
+            read_as_pyyaml(text)
+            read_as_pyyaml(mutated(rng, text))
+
+    @MANY
+    @given(st.sampled_from(GOLDEN_TEXTS), st.integers(0, 2**32))
+    def test_reader_matches_pyyaml_on_mutated_library_texts(self, text, seed):
+        rng = random.Random(seed)
+        for _ in range(rng.randint(1, 3)):
+            text = mutated(rng, text)
+        read_as_pyyaml(text)
+
+    def test_library_documents_take_the_direct_path(self, r_par, h1, d1, f1, x1):
+        docs = [recognizer_to_doc(r_par), hyperderivor_to_doc(h1), derivor_to_doc(d1),
+                signature_to_doc(f1, x1), {"s": [0, 0, 1], "t": [0]}]
+        for doc in docs:
+            for flow in (None, False):
+                assert formats._parse(dumped(doc, DUMPERS[0], flow)) == doc
+            assert formats._emit(doc) == dumped(doc, DUMPERS[0])
+
+    @pytest.mark.parametrize("width", range(70, 90))
+    def test_flow_wraps_at_column_80(self, width):
+        doc = {"k" * (width - 6): list(range(9, 40)), "tables": {"f": [10**11] * 12}}
+        text = formats._emit(doc)
+        assert text == dumped(doc, DUMPERS[0]) == dumped(doc, DUMPERS[1])
+        assert formats._parse(text) == doc

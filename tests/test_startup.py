@@ -1,5 +1,6 @@
-"""CLI start-up: the libyaml and the pure-Python YAML paths read and write
-the same documents, and the lazy package executes only the modules a
+"""CLI start-up: the library's own documents are read and written without
+PyYAML, and the three paths (direct, libyaml, pure-Python) read the same
+values and write the same bytes; the lazy package executes only the modules a
 command uses."""
 
 import json
@@ -21,18 +22,38 @@ from conftest import random_algebra
 
 GOLDEN = Path(__file__).parent / "golden"
 SRC = Path(__file__).parent.parent / "src"
+PERFBENCH = Path(__file__).parent.parent / "perfbench"
 HAS_LIBYAML = hasattr(yaml, "CSafeLoader") and hasattr(yaml, "CSafeDumper")
-PATHS = {
+PYYAML = {
     "libyaml": (getattr(yaml, "CSafeLoader", None), getattr(yaml, "CSafeDumper", None)),
     "pure": (yaml.SafeLoader, yaml.SafeDumper),
 }
+PATHS = ["direct", *PYYAML]
 MALFORMED = ["sorts: [s\nops: ]\n", "a: b: c\n", "a:\n\t- 1\n", "{\n", "x: 'abc\n"]
 
 
-def use_path(monkeypatch, name):
-    loader, dumper = PATHS[name]
-    monkeypatch.setattr(formats, "_LOADER", loader)
-    monkeypatch.setattr(formats, "_DUMPER", dumper)
+def load_on(path: str, text: str):
+    if path == "direct":
+        return formats._parse(text)
+    return yaml.load(text, Loader=PYYAML[path][0])
+
+
+def dump_on(path: str, doc: dict) -> str:
+    if path == "direct":
+        return formats._emit(doc)
+    return yaml.dump(doc, Dumper=PYYAML[path][1], sort_keys=False, default_flow_style=None)
+
+
+def use_pyyaml(monkeypatch, name):
+    """Send every text and document to PyYAML's ``name`` loader and dumper."""
+
+    def unsupported(_):
+        raise formats._Unsupported
+
+    loader, dumper = PYYAML[name]
+    monkeypatch.setattr(formats, "_parse", unsupported)
+    monkeypatch.setattr(formats, "_emit", unsupported)
+    monkeypatch.setattr(formats, "_pyyaml", lambda: (yaml, loader, dumper))
 
 
 def child(code: str, *argv) -> str:
@@ -46,7 +67,7 @@ def child(code: str, *argv) -> str:
 
 
 # ---------------------------------------------------------------------------
-# the two YAML paths
+# the three YAML paths
 
 
 def generated_documents() -> list[dict]:
@@ -73,46 +94,92 @@ GOLDEN_DOCUMENTS = sorted(
 
 
 def test_libyaml_is_chosen_when_present():
-    expected = PATHS["libyaml"] if HAS_LIBYAML else PATHS["pure"]
-    assert (formats._LOADER, formats._DUMPER) == expected
+    expected = PYYAML["libyaml"] if HAS_LIBYAML else PYYAML["pure"]
+    assert formats._pyyaml()[1:] == expected
 
 
 @pytest.mark.skipif(not HAS_LIBYAML, reason="PyYAML built without libyaml")
 class TestParity:
-    def test_golden_documents(self, monkeypatch):
+    """Every golden and generated document takes the direct path both ways,
+    and the three paths read equal values and write equal bytes."""
+
+    def test_golden_documents(self):
         assert len(GOLDEN_DOCUMENTS) == 8
         for path in GOLDEN_DOCUMENTS:
-            loaded, dumped = {}, {}
-            for name in PATHS:
-                use_path(monkeypatch, name)
-                loaded[name] = formats.load_document(path)
-                dumped[name] = formats.dump_document(loaded[name])
-            assert loaded["libyaml"] == loaded["pure"], path.name
-            assert dumped["libyaml"] == dumped["pure"], path.name
+            text = path.read_text(encoding="utf-8")
+            loaded = {name: load_on(name, text) for name in PATHS}
+            assert loaded["direct"] == loaded["libyaml"] == loaded["pure"], path.name
+            dumped = {name: dump_on(name, loaded["pure"]) for name in PATHS}
+            assert dumped["direct"] == dumped["libyaml"] == dumped["pure"], path.name
+            assert formats.load_document(path) == loaded["pure"]
 
-    def test_generated_recognizers(self, monkeypatch, tmp_path):
+    def test_generated_recognizers(self, tmp_path):
         for i, doc in enumerate(generated_documents()):
-            texts = {}
-            for name in PATHS:
-                use_path(monkeypatch, name)
-                texts[name] = formats.dump_document(doc)
-            assert texts["libyaml"] == texts["pure"]
+            texts = {name: dump_on(name, doc) for name in PATHS}
+            assert texts["direct"] == texts["libyaml"] == texts["pure"]
+            assert all(load_on(name, texts["pure"]) == doc for name in PATHS)
             path = tmp_path / f"generated{i}.rec"
-            path.write_text(texts["pure"], encoding="utf-8")
-            for name in PATHS:
-                use_path(monkeypatch, name)
-                assert formats.load_document(path) == doc
+            assert formats.dump_document(doc, path) == texts["pure"]
+            assert formats.load_document(path) == doc
 
 
-@pytest.mark.parametrize("name", [n for n in PATHS if n == "pure" or HAS_LIBYAML])
+@pytest.mark.parametrize("name", [n for n in PYYAML if n == "pure" or HAS_LIBYAML])
 @pytest.mark.parametrize("text", MALFORMED)
 def test_malformed_yaml_rejected_on_both_paths(monkeypatch, tmp_path, name, text):
-    use_path(monkeypatch, name)
     path = tmp_path / "bad.rec"
     path.write_text(text)
+    with pytest.raises(formats._Unsupported):
+        formats._parse(path.read_text())
+    # the message PyYAML gives reading the open file, which names the path
+    loader = PYYAML[name][0]
+    with open(path, encoding="utf-8") as handle, pytest.raises(yaml.YAMLError) as parsed:
+        yaml.load(handle, Loader=loader)
+    expected = f"{path}: malformed YAML: {' '.join(str(parsed.value).split())}"
+    assert f'in "{path}", line' in expected
+    monkeypatch.setattr(formats, "_pyyaml", lambda: (yaml, loader, PYYAML[name][1]))
     with pytest.raises(ValidationError) as err:
         formats.load_document(path)
-    assert str(err.value).startswith(f"{path}: malformed YAML")
+    assert str(err.value) == expected
+
+
+@pytest.mark.parametrize("name", [n for n in PYYAML if n == "pure" or HAS_LIBYAML])
+def test_pyyaml_path_reads_and_writes_the_same(monkeypatch, name):
+    use_pyyaml(monkeypatch, name)
+    for path in GOLDEN_DOCUMENTS:
+        doc = formats.load_document(path)
+        assert doc == yaml.safe_load(path.read_text())
+        assert formats.dump_document(doc) == dump_on("pure", doc)
+
+
+def nested(depth: int) -> str:
+    """A mapping ``depth`` block mappings deep, with a sequence at the bottom."""
+    lines = [" " * (2 * i) + f"k{i}:" for i in range(depth)]
+    return "\n".join(lines) + "\n" + " " * (2 * depth) + "leaf: [1, 2]\n"
+
+
+@pytest.mark.parametrize("depth", [formats._DEPTH, formats._DEPTH + 1, 2000])
+def test_deep_nesting_goes_to_pyyaml(tmp_path, depth):
+    path = tmp_path / "deep.rec"
+    path.write_text(nested(depth))
+    if depth <= formats._DEPTH:
+        assert formats._parse(path.read_text()) == yaml.safe_load(path.read_text())
+    else:
+        with pytest.raises(formats._Unsupported):
+            formats._parse(path.read_text())
+    if depth < 100:
+        doc = formats.load_document(path)
+        assert doc == yaml.safe_load(path.read_text())
+        assert formats.dump_document(doc) == dump_on("pure", doc)
+
+
+def test_deep_document_is_written_by_pyyaml():
+    doc = leaf = {}
+    for i in range(60):
+        leaf[f"k{i}"] = leaf = {}
+    leaf["leaf"] = [1, 2]
+    with pytest.raises(formats._Unsupported):
+        formats._emit(doc)
+    assert formats.dump_document(doc) == dump_on("pure", doc)
 
 
 def test_golden_cases_pass_without_libyaml():
@@ -122,11 +189,40 @@ def test_golden_cases_pass_without_libyaml():
         "    if hasattr(yaml, name):\n"
         "        delattr(yaml, name)\n"
         "import treelang.cli, treelang.formats as formats\n"
-        "assert formats._LOADER is yaml.SafeLoader and formats._DUMPER is yaml.SafeDumper\n"
+        "assert formats._pyyaml()[1:] == (yaml.SafeLoader, yaml.SafeDumper)\n"
         "sys.exit(treelang.cli.main(sys.argv[1:]))\n"
     )
     lines = child(code, "golden", GOLDEN).splitlines()
     assert len(lines) == 14 and all(line.startswith("PASS ") for line in lines)
+
+
+def test_perfbench_commands_import_no_yaml(tmp_path):
+    """Each command kind of the benchmark's ``cli`` workload, run on the
+    files the workload writes, neither imports PyYAML nor fails."""
+    code = (
+        "import json, sys\n"
+        f"sys.path[:0] = [{str(SRC)!r}, {str(PERFBENCH)!r}]\n"
+        "from pathlib import Path\n"
+        "import workloads\n"
+        "kinds = {}\n"
+        "for call in workloads.cli(6007, Path(sys.argv[1])).calls:\n"
+        "    kinds.setdefault(call.kind, call.argv)\n"
+        "print(json.dumps(kinds))\n"
+    )
+    kinds = json.loads(child(code, tmp_path))
+    assert len(kinds) == 13
+    run = (
+        "import io, sys, treelang.cli\n"
+        "sys.stdout = io.StringIO()\n"
+        "code = treelang.cli.main(sys.argv[1:])\n"
+        "sys.stdout = sys.__stdout__\n"
+        "print(code, 'yaml' in sys.modules)\n"
+    )
+    for kind, argv in kinds.items():
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        done = subprocess.run([sys.executable, "-c", run, *argv], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, check=True)
+        assert done.stdout == "0 False\n", kind
 
 
 # ---------------------------------------------------------------------------
@@ -137,17 +233,33 @@ TRACED = ["algebra", "congruence", "recognizer", "closure", "treehom", "derivor"
 SUBMODULES = TRACED + ["oracle"]
 
 
+# the modules each command leaves unexecuted: ``congruence`` is compiled only
+# by the commands that minimize
+UNUSED = {
+    ("member", GOLDEN / "rpar.rec", "g(g(c))"): "congruence closure treehom derivor oracle",
+    ("combine", "union", GOLDEN / "rpar.rec", GOLDEN / "lscc.rec"): "congruence closure treehom derivor oracle",
+    ("empty", GOLDEN / "rpar.rec"): "congruence closure treehom derivor oracle",
+    ("invtrans", GOLDEN / "rpar.rec", "--context", "g(@)"): "congruence closure treehom derivor oracle",
+    ("enumerate", GOLDEN / "rpar.rec", "--max-nodes", "3"): "congruence closure treehom derivor",
+    ("treehom", "inverse", "--hyp", GOLDEN / "h1.hyp", "--source", GOLDEN / "f2.sig",
+     "--rec", GOLDEN / "rpar.rec", "--sort", "b"): "congruence closure derivor oracle",
+}
+
+
 def test_member_executes_only_what_it_uses():
     code = (
-        "import json, sys, types, treelang.cli\n"
-        "treelang.cli.main(sys.argv[1:])\n"
+        "import io, json, sys, types, treelang.cli\n"
+        "sys.stdout = io.StringIO()\n"
+        "code = treelang.cli.main(sys.argv[1:])\n"
+        "sys.stdout = sys.__stdout__\n"
+        "print(code)\n"
         "print(json.dumps([n for n, m in sys.modules.items()\n"
         "                  if n.startswith('treelang.') and type(m) is not types.ModuleType]))\n"
     )
-    out = child(code, "member", GOLDEN / "rpar.rec", "g(g(c))").splitlines()
-    assert out[0] == "true"
-    unused = {f"treelang.{m}" for m in ("closure", "treehom", "derivor", "oracle")}
-    assert unused <= set(json.loads(out[1]))
+    for argv, unused in UNUSED.items():
+        out = child(code, *argv).splitlines()
+        assert out[0] == "0", argv
+        assert {f"treelang.{m}" for m in unused.split()} <= set(json.loads(out[1])), argv
 
 
 @pytest.mark.parametrize(
