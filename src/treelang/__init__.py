@@ -36,13 +36,13 @@ _EXPORTS = {
         "meet_partitions", "partition", "saturate", "syntactic_congruence",
     ),
     "recognizer": (
-        "NTA", "Recognizer", "accepts", "combine", "determinize", "empty_recognizer",
+        "Recognizer", "accepts", "combine", "determinize", "empty_recognizer",
         "equivalent", "inverse_translation", "is_empty", "minimize", "recognize_basic",
         "recognize_finite", "recognize_singleton", "recognizer", "restrict_to_sort",
         "universal_recognizer",
     ),
     "closure": (
-        "iterate_language", "quotient_language", "quotient_seed_values",
+        "NTA", "iterate_language", "quotient_language", "quotient_seed_values",
         "substitute_language",
     ),
     "treehom": (

@@ -1,29 +1,293 @@
 """Language operators producing recognizers: substitution, z-iteration, and
-z-quotient.
+z-quotient; and the nondeterministic automata (``NTA``) they are built from.
 
-Each operator assembles a nondeterministic automaton out of the (minimized)
-input evaluators and determinizes it.  Substituted occurrences are
-independent: two occurrences of one variable may receive different members of
-its replacement language.
+Each operator assembles an NTA out of the (minimized) input evaluators with
+the private ``_Builder``, as ``treehom.direct_image`` does, and determinizes
+it by the subset construction here, through the public entry
+``recognizer.determinize``.  Only the commands that determinize execute this
+module.  Substituted occurrences are independent: two occurrences of one
+variable may receive different members of its replacement language.
 """
 
 from __future__ import annotations
 
-from typing import Mapping
+import itertools
+import math
+import operator
+from typing import Iterable, Mapping, Sequence
 
-from .algebra import closure_elements
-from .core import ValidationError
-from .recognizer import (
-    NTA,
-    Recognizer,
-    _seed,
-    combine,
-    determinize,
-    evaluator_nta,
-    minimize,
-    nta,
-    table_rules,
-)
+from .algebra import FiniteAlgebra, _check_elements, _closure, closure_elements
+from .core import Signature, SortedVars, ValidationError, _record
+from .recognizer import Recognizer, _seed, combine, determinize, minimize, recognizer
+
+# ---------------------------------------------------------------------------
+# nondeterministic automata
+
+
+@_record
+class NTA:
+    """Bottom-up nondeterministic automaton with epsilon rules; internal only.
+
+    States are per-sort integers ``0..states[sort]-1``.  ``leaf`` maps variable
+    names to state sets, ``rules`` maps ``(opname, state tuple)`` to state
+    sets, and ``epsilon`` lists per-sort edges ``state -> state set``.
+    """
+
+    signature: Signature
+    vars: SortedVars
+    states: tuple[tuple[str, int], ...]
+    leaf: tuple[tuple[str, frozenset[int]], ...]
+    rules: tuple[tuple[tuple[str, tuple[int, ...]], frozenset[int]], ...]
+    epsilon: tuple[tuple[str, tuple[tuple[int, int], ...]], ...]
+    accepting: tuple[tuple[str, frozenset[int]], ...]
+
+
+def nta(
+    sig: Signature,
+    vars: SortedVars,
+    states: Mapping[str, int],
+    leaf: Mapping[str, frozenset[int] | set[int]],
+    rules: Mapping[tuple[str, tuple[int, ...]], frozenset[int] | set[int]],
+    epsilon: Mapping[str, Sequence[tuple[int, int]]],
+    accepting: Mapping[str, frozenset[int] | set[int]],
+) -> NTA:
+    return NTA(
+        sig,
+        vars,
+        tuple((s, states.get(s, 0)) for s in sig.sorts),
+        tuple((x, frozenset(leaf.get(x, frozenset()))) for x in vars.all_names()),
+        tuple(sorted(((k, frozenset(v)) for k, v in rules.items()), key=lambda kv: (kv[0][0], kv[0][1]))),
+        tuple((s, tuple(sorted(set(epsilon.get(s, ()))))) for s in sig.sorts),
+        tuple((s, frozenset(accepting.get(s, frozenset()))) for s in sig.sorts),
+    )
+
+
+def table_rules(alg: FiniteAlgebra, shift: Mapping[str, int] | None = None):
+    """The transition rules of an evaluator, one per table entry, as
+    ``((opname, args), state)`` pairs: operations in declaration order,
+    argument tuples with the last argument fastest.
+
+    ``shift`` offsets the states of each sort, to place the evaluator inside
+    a larger NTA.
+    """
+    shift = shift or {}
+    for op in alg.signature.ops:
+        pools = [range(shift.get(s, 0), shift.get(s, 0) + alg.size(s)) for s in op.arity]
+        base = shift.get(op.result, 0)
+        for args, v in zip(itertools.product(*pools), alg.table(op.name)):
+            yield (op.name, args), base + v
+
+
+class _Builder:
+    """An NTA under assembly, in plain containers that a construction fills
+    directly: per-sort state counts, leaf state sets by variable, target state
+    sets by ``(opname, state tuple)`` and per-sort epsilon edge lists.  States
+    are numbered per sort in the order they are placed."""
+
+    def __init__(self, sig: Signature, vars: SortedVars):
+        self.sig, self.vars = sig, vars
+        self.counts = {s: 0 for s in sig.sorts}
+        self.leaf: dict[str, set[int]] = {y: set() for y in vars.all_names()}
+        self.rules: dict[tuple[str, tuple[int, ...]], set[int]] = {}
+        self.epsilon: dict[str, list[tuple[int, int]]] = {s: [] for s in sig.sorts}
+
+    def add(self, rec: Recognizer, names: Iterable[str]) -> dict[str, int]:
+        """Place rec's evaluator at the next free states of each sort: its
+        table rules, and its assignment as leaves of the variables ``names``.
+        Returns the offset of its states per sort."""
+        shift = dict(self.counts)
+        for s, n in rec.algebra.carriers:
+            self.counts[s] += n
+        rules = self.rules
+        for key, v in table_rules(rec.algebra, shift):
+            rules.setdefault(key, set()).add(v)
+        asg = dict(rec.assignment)
+        sort_of = self.vars.sort_of
+        for y in names:
+            self.leaf[y].add(shift[sort_of(y)] + asg[y])
+        return shift
+
+    def fresh(self, sort: str) -> int:
+        state = self.counts[sort]
+        self.counts[sort] += 1
+        return state
+
+    def determinize(self, accepting: Mapping[str, Iterable[int]]) -> Recognizer:
+        machine = nta(self.sig, self.vars, self.counts, self.leaf, self.rules, self.epsilon, accepting)
+        return determinize(machine)
+
+
+def _determinize(machine: NTA, cap: int) -> Recognizer:
+    """The body of ``recognizer.determinize``, the accessible subset
+    construction per sort: the subalgebra of the NTA's powerset algebra
+    (``subset_algebra``) generated by its leaves, built by ``algebra._closure``
+    and numbered in its first-reached order from the seed, constants in
+    declaration order, then variables.
+
+    State sets are bitmasks, and rule targets are closed under epsilon edges
+    once.  An operation's rules are grouped by their state prefix (all
+    states but the last).  A subset-id prefix looks up once the set of its
+    member state prefixes, which keeps the OR of their target masks by last
+    state and its row of subset ids by last-argument subset id; an entry
+    ORs those masks over the last subset's members.  Rows grow only to the
+    subsets reached when ``_closure`` asks, so no subset is interned before
+    its turn.
+
+    Guard: a budget of ``cap`` output table entries, counted as the sum over
+    operations of the product of argument carrier sizes.  Interning a subset
+    that would take the tables past it raises ``ValidationError``.  So do a
+    rule of an unknown operation or of another arity, a negative or too large
+    state at any position of a rule, and a leaf, epsilon or accepting state
+    outside its sort's states; the message names the rule, variable or sort.
+    """
+    sig, states = machine.signature, dict(machine.states)
+    # per sort: state -> mask of its reflexive-transitive epsilon closure,
+    # the least masks with closure[a] >= closure[b] on every edge a -> b
+    epsilon = dict(machine.epsilon)
+    closure = {}
+    for sort, n in machine.states:
+        edges = epsilon.get(sort, ())
+        _check_elements(states, {sort: [q for edge in edges for q in edge]}, "NTA epsilon state")
+        masks = closure[sort] = [1 << q for q in range(n)]
+        changed = True
+        while changed:
+            changed = False
+            for a, b in edges:
+                if masks[b] & ~masks[a]:
+                    masks[a] |= masks[b]
+                    changed = True
+
+    def close(sort: str, qs) -> int:
+        m = 0
+        for q in qs:
+            m |= closure[sort][q]
+        return m
+
+    index: dict[str, dict[int, int]] = {s: {} for s in sig.sorts}  # mask -> subset id
+    members: dict[str, list[tuple[int, ...]]] = {s: [] for s in sig.sorts}
+    sizes = {s: 0 for s in sig.sorts}
+    # table entries per operation; a new subset grows those that take its sort
+    space = [0 if op.arity else 1 for op in sig.ops]
+    grows = {s: [(i, op.arity) for i, op in enumerate(sig.ops) if s in op.arity] for s in sig.sorts}
+
+    def intern(sort: str, mask: int) -> int:
+        got = index[sort].get(mask)
+        if got is not None:
+            return got
+        sizes[sort] += 1
+        for i, arity in grows[sort]:
+            space[i] = math.prod(map(sizes.__getitem__, arity))
+        entries = sum(space)
+        if entries > cap:
+            raise ValidationError(
+                f"determinization entry budget exceeded: {entries} table entries > {cap}"
+            )
+        members[sort].append(tuple(q for q in range(mask.bit_length()) if mask >> q & 1))
+        index[sort][mask] = got = sizes[sort] - 1
+        return got
+
+    ops = sig.op_by_name
+    constants: dict[str, int] = {}
+    # opname -> state prefix -> closed target masks by last state
+    grouped: dict[str, dict[tuple[int, ...], list[int]]] = {op.name: {} for op in sig.ops}
+    try:
+        for (name, args), targets in machine.rules:
+            op = ops[name]
+            if targets and min(targets) < 0 or args and args[-1] < 0:
+                _reject_rules(machine)
+            mask = close(op.result, targets)
+            if not args:
+                constants[name] = mask
+                continue
+            by_last = grouped[name].get(args[:-1])
+            if by_last is None:  # first sight of this state prefix: check it
+                prefix = zip(args[:-1], op.arity)
+                if len(args) != len(op.arity) or not all(0 <= q < states[s] for q, s in prefix):
+                    _reject_rules(machine)
+                by_last = grouped[name][args[:-1]] = [0] * states[op.arity[-1]]
+            by_last[args[-1]] = mask
+    except (KeyError, IndexError):  # an unknown operation or a state too large
+        _reject_rules(machine)
+        raise
+    if any(ops[name].arity for name in constants):
+        _reject_rules(machine)
+
+    # per operation: subset-id prefix -> (its subset ids by last-argument
+    # subset id, the OR of its member state prefixes' masks by last state),
+    # one pair per set of member state prefixes
+    memo = {op.name: ({}, {}) for op in sig.ops}
+    for op in sig.ops:
+        if not op.arity:
+            memo[op.name][0][()] = ([intern(op.result, constants.get(op.name, 0))], ())
+    leaf = dict(machine.leaf)
+    assignment: dict[str, int] = {}
+    for sort, names in machine.vars.by_sort:
+        for x in names:
+            _check_elements(states, {sort: leaf.get(x, ())}, f"NTA leaf of variable {x!r}: state")
+            assignment[x] = intern(sort, close(sort, leaf.get(x, ())))
+
+    def rows(op, heads, n):
+        """Each subset-id prefix's row of subset ids, extended to ``n``."""
+        cache, unions = memo[op.name]
+        by_prefix, found = grouped[op.name], index[op.result]
+        out = []
+        for prefix in itertools.product(*heads):
+            got = cache.get(prefix)
+            if got is None:
+                pools = [members[s][i] for s, i in zip(op.arity, prefix)]
+                key = tuple(p for p in itertools.product(*pools) if p in by_prefix)
+                got = unions.get(key)
+                if got is None:
+                    masks = [0] * states[op.arity[-1]]
+                    for p in key:
+                        masks = list(map(operator.or_, masks, by_prefix[p]))
+                    got = unions[key] = ([], masks)
+                cache[prefix] = got
+            ids, masks = got
+            if len(ids) < n:
+                last = members[op.arity[-1]]
+                for j in range(len(ids), n):
+                    m = 0
+                    for b in last[j]:
+                        m |= masks[b]
+                    i = found.get(m)
+                    ids.append(intern(op.result, m) if i is None else i)
+            out.append(ids)
+        return out, None
+
+    _closure(sig, {s: range(n) for s, n in sizes.items()}, rows)
+    dense = {op.name: [] for op in sig.ops}
+    for op in sig.ops:
+        for prefix in itertools.product(*(range(sizes[s]) for s in op.arity[:-1])):
+            dense[op.name] += memo[op.name][0][prefix][0]
+    # every entry is an interned subset id, in range by construction
+    alg = FiniteAlgebra._built(sig, sizes, dense)
+    accepting = {}
+    for s, qs in machine.accepting:
+        _check_elements(states, {s: qs}, "NTA accepting state")
+        acc = sum(1 << q for q in qs)
+        accepting[s] = [i for m, i in index[s].items() if m & acc]
+    return recognizer(machine.vars, alg, assignment, accepting)
+
+
+def _reject_rules(machine: NTA) -> None:
+    """Raise the error naming the NTA's first malformed rule, if any: an
+    unknown operation, another arity, or a state outside its sort."""
+    states = dict(machine.states)
+    for (name, args), targets in machine.rules:
+        rule = f"NTA rule {name}({', '.join(map(str, args))})"
+        op = machine.signature.op_by_name.get(name)
+        if op is None:
+            raise ValidationError(f"{rule} has unknown operation {name!r}")
+        if len(args) != len(op.arity):
+            k = len(op.arity)
+            raise ValidationError(f"{rule} has {len(args)} argument states, expected {k}")
+        for q, s in [*zip(args, op.arity), *((q, op.result) for q in targets)]:
+            _check_elements(states, {s: [q]}, f"{rule}: state")
+
+
+# ---------------------------------------------------------------------------
+# language operators
 
 
 def _check_family_compat(k: Recognizer, family: Mapping[str, Recognizer]) -> None:
@@ -50,37 +314,20 @@ def substitute_language(
     evaluators.
     """
     _check_family_compat(k, family)
-    sig = k.signature
     vars = k.vars
     km = minimize(k)
     k_assignment = dict(km.assignment)
-    counts = {s: km.algebra.size(s) for s in sig.sorts}
-    rules: dict[tuple[str, tuple[int, ...]], set[int]] = {}
-    leaf = {y: set() if y in family else {k_assignment[y]} for y in vars.all_names()}
-    epsilon: dict[str, list[tuple[int, int]]] = {s: [] for s in sig.sorts}
-
-    def add_tables(alg, shift: Mapping[str, int] | None = None):
-        for key, v in table_rules(alg, shift):
-            rules.setdefault(key, set()).add(v)
-
-    add_tables(km.algebra)
+    machine = _Builder(k.signature, vars)
+    machine.add(km, [y for y in vars.all_names() if y not in family])
     for x in vars.all_names():
         if x not in family:
             continue
         lx = minimize(family[x])
-        shift = dict(counts)
-        for s in sig.sorts:
-            counts[s] += lx.algebra.size(s)
-        add_tables(lx.algebra, shift)
-        asg = dict(lx.assignment)
-        for y in vars.all_names():
-            leaf[y].add(shift[vars.sort_of(y)] + asg[y])
+        shift = machine.add(lx, vars.all_names())
         t = vars.sort_of(x)
         for q in lx.accepting_at(t):
-            epsilon[t].append((shift[t] + q, k_assignment[x]))
-
-    accepting = {s: km.accepting_at(s) for s in sig.sorts}
-    return determinize(nta(sig, vars, counts, leaf, rules, epsilon, accepting))
+            machine.epsilon[t].append((shift[t] + q, k_assignment[x]))
+    return machine.determinize({s: km.accepting_at(s) for s in k.signature.sorts})
 
 
 def iterate_language(l: Recognizer, z: str) -> Recognizer:
@@ -93,31 +340,15 @@ def iterate_language(l: Recognizer, z: str) -> Recognizer:
     sort = l.vars.sort_of(z)
     if sort is None:
         raise ValidationError(f"unknown variable {z!r}")
-    sig = l.signature
-    vars = l.vars
     lm = minimize(l)
-    counts = {s: lm.algebra.size(s) for s in sig.sorts}
-    top = counts[sort]
-    counts[sort] += 1
-
-    asg = dict(lm.assignment)
-    leaf = {y: {asg[y]} for y in vars.all_names()}
-    leaf[z].add(top)
-    epsilon: dict[str, list[tuple[int, int]]] = {s: [] for s in sig.sorts}
-    for q in lm.accepting_at(sort):
-        epsilon[sort].append((q, top))
-    epsilon[sort].append((top, asg[z]))
-
-    machine = nta(
-        sig,
-        vars,
-        counts,
-        leaf,
-        {key: {v} for key, v in table_rules(lm.algebra)},
-        epsilon,
-        {sort: frozenset({top})},
-    )
-    return determinize(machine)
+    machine = _Builder(l.signature, l.vars)
+    machine.add(lm, l.vars.all_names())
+    top = machine.fresh(sort)
+    machine.leaf[z].add(top)
+    epsilon = machine.epsilon[sort]
+    epsilon += [(q, top) for q in lm.accepting_at(sort)]
+    epsilon.append((top, dict(lm.assignment)[z]))
+    return machine.determinize({sort: {top}})
 
 
 def quotient_seed_values(l: Recognizer, k: Recognizer, z: str) -> frozenset[int]:
@@ -146,6 +377,7 @@ def quotient_language(l: Recognizer, k: Recognizer, z: str) -> Recognizer:
     """
     lm = minimize(l)
     values = quotient_seed_values(lm, k, z)
-    m = evaluator_nta(lm)
-    leaf = tuple((y, values if y == z else q) for y, q in m.leaf)
-    return determinize(NTA(m.signature, m.vars, m.states, leaf, m.rules, m.epsilon, m.accepting))
+    machine = _Builder(lm.signature, lm.vars)
+    machine.add(lm, [y for y in lm.vars.all_names() if y != z])
+    machine.leaf[z].update(values)
+    return machine.determinize({s: lm.accepting_at(s) for s in lm.signature.sorts})

@@ -2,21 +2,20 @@
 
 A ``Recognizer`` is a finite algebra, a variable assignment, and per-sort
 accepting subsets; it accepts a term when the term evaluates into the
-accepting set at its sort.  Nondeterministic automata (``NTA``) are internal
-machinery only and are eliminated by ``determinize``.
+accepting set at its sort.  Nondeterministic automata (``closure.NTA``) are
+internal machinery of the language operators only; ``determinize`` is the
+public entry to their subset construction, which lives with them in
+``closure``.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-import operator
 from typing import Mapping, Sequence
 
 from .algebra import (
     FiniteAlgebra,
     _check_elements,
-    _closure,
     check_assignment,
     closure_elements,
     evaluate,
@@ -102,6 +101,8 @@ def universal_recognizer(sig: Signature, vars: SortedVars) -> Recognizer:
 
 def restrict_to_sort(rec: Recognizer, sort: str) -> Recognizer:
     """Keep the language at one sort and empty it elsewhere."""
+    if sort not in rec.signature.sorts:
+        raise ValidationError(f"unknown sort {sort!r}")
     acc = {sort: dict(rec.accepting)[sort]}
     return recognizer(rec.vars, rec.algebra, dict(rec.assignment), acc)
 
@@ -215,248 +216,24 @@ def minimize(rec: Recognizer) -> Recognizer:
 
 
 # ---------------------------------------------------------------------------
-# nondeterministic automata
-
-
-@_record
-class NTA:
-    """Bottom-up nondeterministic automaton with epsilon rules; internal only.
-
-    States are per-sort integers ``0..states[sort]-1``.  ``leaf`` maps variable
-    names to state sets, ``rules`` maps ``(opname, state tuple)`` to state
-    sets, and ``epsilon`` lists per-sort edges ``state -> state set``.
-    """
-
-    signature: Signature
-    vars: SortedVars
-    states: tuple[tuple[str, int], ...]
-    leaf: tuple[tuple[str, frozenset[int]], ...]
-    rules: tuple[tuple[tuple[str, tuple[int, ...]], frozenset[int]], ...]
-    epsilon: tuple[tuple[str, tuple[tuple[int, int], ...]], ...]
-    accepting: tuple[tuple[str, frozenset[int]], ...]
-
-
-def nta(
-    sig: Signature,
-    vars: SortedVars,
-    states: Mapping[str, int],
-    leaf: Mapping[str, frozenset[int] | set[int]],
-    rules: Mapping[tuple[str, tuple[int, ...]], frozenset[int] | set[int]],
-    epsilon: Mapping[str, Sequence[tuple[int, int]]],
-    accepting: Mapping[str, frozenset[int] | set[int]],
-) -> NTA:
-    return NTA(
-        sig,
-        vars,
-        tuple((s, states.get(s, 0)) for s in sig.sorts),
-        tuple((x, frozenset(leaf.get(x, frozenset()))) for x in vars.all_names()),
-        tuple(sorted(((k, frozenset(v)) for k, v in rules.items()), key=lambda kv: (kv[0][0], kv[0][1]))),
-        tuple((s, tuple(sorted(set(epsilon.get(s, ()))))) for s in sig.sorts),
-        tuple((s, frozenset(accepting.get(s, frozenset()))) for s in sig.sorts),
-    )
-
+# determinization
 
 DETERMINIZE_BUDGET = 1 << 22
 
 
-def determinize(machine: NTA, cap: int = DETERMINIZE_BUDGET) -> Recognizer:
-    """Accessible subset construction per sort: the subalgebra of the NTA's
-    powerset algebra (``subset_algebra``) generated by its leaves, built by
-    ``algebra._closure`` and numbered in its first-reached order from the
-    seed, constants in declaration order, then variables.
-
-    State sets are bitmasks, and rule targets are closed under epsilon edges
-    once.  An operation's rules are grouped by their state prefix (all
-    states but the last).  A subset-id prefix looks up once the set of its
-    member state prefixes, which keeps the OR of their target masks by last
-    state and its row of subset ids by last-argument subset id; an entry
-    ORs those masks over the last subset's members.  Rows grow only to the
-    subsets reached when ``_closure`` asks, so no subset is interned before
-    its turn.
+def determinize(machine, cap: int = DETERMINIZE_BUDGET) -> Recognizer:
+    """The recognizer of a nondeterministic automaton (``closure.NTA``), by
+    the accessible subset construction in ``closure``.  It is imported on the
+    first call, so a process that never determinizes does not compile it.
 
     Guard: a budget of ``cap`` output table entries (default
     ``DETERMINIZE_BUDGET``, 2**22), counted as the sum over operations of the
-    product of argument carrier sizes.  Interning a subset that would take
-    the tables past it raises ``ValidationError``.  So do a rule of an
-    unknown operation or of another arity, a negative or too large state at
-    any position of a rule, and a leaf, epsilon or accepting state outside
-    its sort's states; the message names the rule, variable or sort.
+    product of argument carrier sizes.  Exceeding it, or a malformed NTA,
+    raises ``ValidationError`` naming the rule, variable or sort.
     """
-    sig, states = machine.signature, dict(machine.states)
-    # per sort: state -> mask of its reflexive-transitive epsilon closure,
-    # the least masks with closure[a] >= closure[b] on every edge a -> b
-    epsilon = dict(machine.epsilon)
-    closure = {}
-    for sort, n in machine.states:
-        edges = epsilon.get(sort, ())
-        _check_elements(states, {sort: [q for edge in edges for q in edge]}, "NTA epsilon state")
-        masks = closure[sort] = [1 << q for q in range(n)]
-        changed = True
-        while changed:
-            changed = False
-            for a, b in edges:
-                if masks[b] & ~masks[a]:
-                    masks[a] |= masks[b]
-                    changed = True
+    from .closure import _determinize
 
-    def close(sort: str, qs) -> int:
-        m = 0
-        for q in qs:
-            m |= closure[sort][q]
-        return m
-
-    index: dict[str, dict[int, int]] = {s: {} for s in sig.sorts}  # mask -> subset id
-    members: dict[str, list[tuple[int, ...]]] = {s: [] for s in sig.sorts}
-    sizes = {s: 0 for s in sig.sorts}
-    # table entries per operation; a new subset grows those that take its sort
-    space = [0 if op.arity else 1 for op in sig.ops]
-    grows = {s: [(i, op.arity) for i, op in enumerate(sig.ops) if s in op.arity] for s in sig.sorts}
-
-    def intern(sort: str, mask: int) -> int:
-        got = index[sort].get(mask)
-        if got is not None:
-            return got
-        sizes[sort] += 1
-        for i, arity in grows[sort]:
-            space[i] = math.prod(map(sizes.__getitem__, arity))
-        entries = sum(space)
-        if entries > cap:
-            raise ValidationError(
-                f"determinization entry budget exceeded: {entries} table entries > {cap}"
-            )
-        members[sort].append(tuple(q for q in range(mask.bit_length()) if mask >> q & 1))
-        index[sort][mask] = got = sizes[sort] - 1
-        return got
-
-    ops = sig.op_by_name
-    constants: dict[str, int] = {}
-    # opname -> state prefix -> closed target masks by last state
-    grouped: dict[str, dict[tuple[int, ...], list[int]]] = {op.name: {} for op in sig.ops}
-    try:
-        for (name, args), targets in machine.rules:
-            op = ops[name]
-            if targets and min(targets) < 0 or args and args[-1] < 0:
-                _reject_rules(machine)
-            mask = close(op.result, targets)
-            if not args:
-                constants[name] = mask
-                continue
-            by_last = grouped[name].get(args[:-1])
-            if by_last is None:  # first sight of this state prefix: check it
-                prefix = zip(args[:-1], op.arity)
-                if len(args) != len(op.arity) or not all(0 <= q < states[s] for q, s in prefix):
-                    _reject_rules(machine)
-                by_last = grouped[name][args[:-1]] = [0] * states[op.arity[-1]]
-            by_last[args[-1]] = mask
-    except (KeyError, IndexError):  # an unknown operation or a state too large
-        _reject_rules(machine)
-        raise
-    if any(ops[name].arity for name in constants):
-        _reject_rules(machine)
-
-    # per operation: subset-id prefix -> (its subset ids by last-argument
-    # subset id, the OR of its member state prefixes' masks by last state),
-    # one pair per set of member state prefixes
-    memo = {op.name: ({}, {}) for op in sig.ops}
-    for op in sig.ops:
-        if not op.arity:
-            memo[op.name][0][()] = ([intern(op.result, constants.get(op.name, 0))], ())
-    leaf = dict(machine.leaf)
-    assignment: dict[str, int] = {}
-    for sort, names in machine.vars.by_sort:
-        for x in names:
-            _check_elements(states, {sort: leaf.get(x, ())}, f"NTA leaf of variable {x!r}: state")
-            assignment[x] = intern(sort, close(sort, leaf.get(x, ())))
-
-    def rows(op, heads, n):
-        """Each subset-id prefix's row of subset ids, extended to ``n``."""
-        cache, unions = memo[op.name]
-        by_prefix, found = grouped[op.name], index[op.result]
-        out = []
-        for prefix in itertools.product(*heads):
-            got = cache.get(prefix)
-            if got is None:
-                pools = [members[s][i] for s, i in zip(op.arity, prefix)]
-                key = tuple(p for p in itertools.product(*pools) if p in by_prefix)
-                got = unions.get(key)
-                if got is None:
-                    masks = [0] * states[op.arity[-1]]
-                    for p in key:
-                        masks = list(map(operator.or_, masks, by_prefix[p]))
-                    got = unions[key] = ([], masks)
-                cache[prefix] = got
-            ids, masks = got
-            if len(ids) < n:
-                last = members[op.arity[-1]]
-                for j in range(len(ids), n):
-                    m = 0
-                    for b in last[j]:
-                        m |= masks[b]
-                    i = found.get(m)
-                    ids.append(intern(op.result, m) if i is None else i)
-            out.append(ids)
-        return out, None
-
-    _closure(sig, {s: range(n) for s, n in sizes.items()}, rows)
-    dense = {op.name: [] for op in sig.ops}
-    for op in sig.ops:
-        for prefix in itertools.product(*(range(sizes[s]) for s in op.arity[:-1])):
-            dense[op.name] += memo[op.name][0][prefix][0]
-    # every entry is an interned subset id, in range by construction
-    alg = FiniteAlgebra._built(sig, sizes, dense)
-    accepting = {}
-    for s, qs in machine.accepting:
-        _check_elements(states, {s: qs}, "NTA accepting state")
-        acc = sum(1 << q for q in qs)
-        accepting[s] = [i for m, i in index[s].items() if m & acc]
-    return recognizer(machine.vars, alg, assignment, accepting)
-
-
-def _reject_rules(machine: NTA) -> None:
-    """Raise the error naming the NTA's first malformed rule, if any: an
-    unknown operation, another arity, or a state outside its sort."""
-    states = dict(machine.states)
-    for (name, args), targets in machine.rules:
-        rule = f"NTA rule {name}({', '.join(map(str, args))})"
-        op = machine.signature.op_by_name.get(name)
-        if op is None:
-            raise ValidationError(f"{rule} has unknown operation {name!r}")
-        if len(args) != len(op.arity):
-            k = len(op.arity)
-            raise ValidationError(f"{rule} has {len(args)} argument states, expected {k}")
-        for q, s in [*zip(args, op.arity), *((q, op.result) for q in targets)]:
-            _check_elements(states, {s: [q]}, f"{rule}: state")
-
-
-def table_rules(alg: FiniteAlgebra, shift: Mapping[str, int] | None = None):
-    """The transition rules of an evaluator, one per table entry, as
-    ``((opname, args), state)`` pairs: operations in declaration order,
-    argument tuples with the last argument fastest.
-
-    ``shift`` offsets the states of each sort, to place the evaluator inside
-    a larger NTA.
-    """
-    shift = shift or {}
-    for op in alg.signature.ops:
-        pools = [range(shift.get(s, 0), shift.get(s, 0) + alg.size(s)) for s in op.arity]
-        base = shift.get(op.result, 0)
-        for args, v in zip(itertools.product(*pools), alg.table(op.name)):
-            yield (op.name, args), base + v
-
-
-def evaluator_nta(rec: Recognizer) -> NTA:
-    """View a deterministic evaluator as an NTA (one state per carrier element)."""
-    sig = rec.signature
-    asg = dict(rec.assignment)
-    return nta(
-        sig,
-        rec.vars,
-        {s: n for s, n in rec.algebra.carriers},
-        {x: frozenset({asg[x]}) for x in rec.vars.all_names()},
-        {key: {v} for key, v in table_rules(rec.algebra)},
-        {},
-        {s: rec.accepting_at(s) for s in sig.sorts},
-    )
+    return _determinize(machine, cap)
 
 
 # ---------------------------------------------------------------------------

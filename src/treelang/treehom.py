@@ -8,6 +8,7 @@ placeholders ``v0, v1, ...``, and a target term per source variable.
 
 from __future__ import annotations
 
+import itertools
 import re
 from typing import Callable, Mapping, Sequence
 
@@ -28,14 +29,7 @@ from .core import (
     sorted_vars,
     typecheck,
 )
-from .recognizer import (
-    Recognizer,
-    determinize,
-    minimize,
-    nta,
-    recognizer,
-    table_rules,
-)
+from .recognizer import Recognizer, minimize, recognizer
 
 PLACEHOLDER_RE = re.compile(r"v(\d+)")
 
@@ -315,26 +309,15 @@ def direct_image(h: Hyperderivor, l: Recognizer, sort: str) -> Recognizer:
         raise ValidationError("recognizer is not over the hyperderivor's source")
     if sort not in h.source.sorts:
         raise ValidationError(f"unknown source sort {sort!r}")
+    from .closure import _Builder  # only the commands that determinize compile it
+
     lm = minimize(l)
-    sig = h.target
-    vars = h.target_vars
-
-    counts: dict[str, int] = {t: 0 for t in sig.sorts}
-    nonterminal: dict[tuple[str, int], int] = {}
-    for s in h.source.sorts:
-        t = h.sort_image(s)
-        for q in range(lm.algebra.size(s)):
-            nonterminal[(s, q)] = counts[t]
-            counts[t] += 1
-
-    rules: dict[tuple[str, tuple[int, ...]], set[int]] = {}
-    leaf: dict[str, set[int]] = {y: set() for y in vars.all_names()}
-    epsilon: dict[str, list[tuple[int, int]]] = {t: [] for t in sig.sorts}
-
-    def fresh(t: str) -> int:
-        i = counts[t]
-        counts[t] += 1
-        return i
+    machine = _Builder(h.target, h.target_vars)
+    fresh, leaf, rules, epsilon = machine.fresh, machine.leaf, machine.rules, machine.epsilon
+    # the nonterminals, first: l's states by source sort, at the mapped sort
+    nonterminal = {
+        s: [fresh(h.sort_image(s)) for _ in range(lm.algebra.size(s))] for s in h.source.sorts
+    }
 
     def compile_rhs(body: Term, env: Mapping[str, int]) -> int:
         """Install states computing the production body; returns its state.
@@ -353,40 +336,26 @@ def direct_image(h: Hyperderivor, l: Recognizer, sort: str) -> Recognizer:
         rules.setdefault((body.symbol, child_states), set()).add(state)
         return state
 
-    source_ops = h.source.op_by_name
-    for (name, args), result in table_rules(lm.algebra):
-        op = source_ops[name]
-        env = {
-            f"v{i}": nonterminal[(w, a)] for i, (w, a) in enumerate(zip(op.arity, args))
-        }
-        root = compile_rhs(h.pattern(name), env)
-        head = nonterminal[(op.result, result)]
-        if root != head:
-            epsilon[h.sort_image(op.result)].append((root, head))
+    # one production per table entry: operations in declaration order,
+    # argument tuples with the last argument fastest
+    for op in h.source.ops:
+        pattern, heads = h.pattern(op.name), nonterminal[op.result]
+        edges = epsilon[h.sort_image(op.result)]
+        args = itertools.product(*(nonterminal[w] for w in op.arity))
+        for states, result in zip(args, lm.algebra.table(op.name)):
+            root = compile_rhs(pattern, {f"v{i}": q for i, q in enumerate(states)})
+            if root != heads[result]:
+                edges.append((root, heads[result]))
     lm_assignment = dict(lm.assignment)
     for s, names in h.source_vars.by_sort:
         for x in names:
             root = compile_rhs(h.var_image(x), {})
-            head = nonterminal[(s, lm_assignment[x])]
+            head = nonterminal[s][lm_assignment[x]]
             if root != head:
                 epsilon[h.sort_image(s)].append((root, head))
 
-    target_sort = h.sort_image(sort)
-    accepting = {
-        target_sort: frozenset(
-            nonterminal[(sort, q)] for q in lm.accepting_at(sort)
-        )
-    }
-    machine = nta(
-        sig,
-        vars,
-        counts,
-        leaf,
-        rules,
-        epsilon,
-        accepting,
-    )
-    return determinize(machine)
+    accepting = {nonterminal[sort][q] for q in lm.accepting_at(sort)}
+    return machine.determinize({h.sort_image(sort): accepting})
 
 
 def hom_to_hyperderivor(

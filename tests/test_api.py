@@ -3,6 +3,7 @@ no module keeps an import it no longer uses."""
 
 import ast
 import importlib
+from collections import Counter
 import inspect
 from pathlib import Path
 
@@ -61,6 +62,37 @@ def test_no_unused_imports():
             f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used
         ]
     assert unused == []
+
+
+def test_no_unused_private_definitions():
+    """Each module-level private function, class or constant is referenced
+    somewhere in the package outside its own definition."""
+    package = Path(treelang.__file__).parent
+    defined = {}
+    references = Counter()
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for stmt in tree.body:
+            used = Counter(
+                n.id if isinstance(n, ast.Name) else n.attr
+                for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store)
+                or isinstance(n, ast.Attribute)
+            )
+            references.update(used)
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                names = [stmt.name]
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            for name in names:
+                if name.startswith("_") and not name.startswith("__"):
+                    defined[name] = (f"{path.name}:{stmt.lineno} {name}", used[name])
+    assert len(defined) > 60
+    unused = [where for name, (where, own) in defined.items() if references[name] == own]
+    assert sorted(unused) == []
 
 
 def test_traced_functions_exist():

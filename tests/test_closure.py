@@ -1,12 +1,17 @@
+import hashlib
 import random
 
 import pytest
 
+from treelang import formats
+
 from treelang.closure import (
     iterate_language,
+    nta,
     quotient_language,
     quotient_seed_values,
     substitute_language,
+    table_rules,
 )
 from treelang.core import (
     ValidationError,
@@ -26,12 +31,12 @@ from treelang.recognizer import (
     equivalent,
     determinize,
     minimize,
-    nta,
     recognize_basic,
     recognize_finite,
     recognize_singleton,
-    table_rules,
 )
+
+from treelang.treehom import direct_image
 
 from conftest import accepted_sets, random_recognizer, random_signature
 
@@ -269,3 +274,40 @@ class TestFlatOperatorClosure:
                     want.add(parse_term(f"sigma({print_term(p)},{print_term(q)})", f1, x1))
         got = accepted_sets(out, universe)["s"]
         assert got == frozenset(want)
+
+
+# sha256 of the documents of each construction's outputs in ``numbering_digests``
+PINNED = {
+    "substitute": "a2b1d3df76be0b469918bf1d5130e1f0f7436c108728ed2a83a11f592fd6eaa3",
+    "iterate": "79806da3d048dc200a25d56dbdd2fa465f9dd59f7067a6f3e8aae836cee00be5",
+    "quotient": "9dfb743ffac688da849d2a7c9129a7ef143353eb1597ca8f769a931a94d2c29f",
+    "image": "3b048e0a89a1e1d96257e7d4d662d3de02212f11071a2bd5b2fc5bc27559a320",
+}
+
+
+def numbering_digests(f1, x1, f2, x2, h1) -> dict[str, str]:
+    """Per construction, the digest of its outputs on seeded random inputs
+    over one- and two-sorted signatures, in the documents the CLI writes."""
+    rng = random.Random(2105)
+    docs: dict[str, list[str]] = {"substitute": [], "iterate": [], "quotient": [], "image": []}
+
+    def add(kind, out):
+        docs[kind].append(formats.dump_document(formats.recognizer_to_doc(out)))
+
+    for i in range(6):
+        for sig, vars, z in ((f1, x1, "z"), (f2, x2, "x")):
+            k, lx, l, lk = (random_recognizer(rng, sig, vars) for _ in range(4))
+            # on f1, every other family leaves z out
+            family = {x: lx for x in vars.all_names()[: 1 + i % 2]}
+            add("substitute", substitute_language(k, family))
+            add("iterate", iterate_language(l, z))
+            add("quotient", quotient_language(l, lk, z))
+        for sort in f2.sorts:
+            add("image", direct_image(h1, random_recognizer(rng, f2, x2), sort))
+    return {kind: hashlib.sha256("".join(texts).encode()).hexdigest() for kind, texts in docs.items()}
+
+
+def test_output_numbering_is_pinned(f1, x1, f2, x2, h1):
+    # the constructions number their NTA states, so their outputs' states,
+    # exactly as the recorded digests did; equal languages are not enough
+    assert numbering_digests(f1, x1, f2, x2, h1) == PINNED

@@ -45,7 +45,7 @@ from treelang.core import (
 )
 from treelang.congruence import partition
 from treelang.derivor import apply_derivor_term, hall_term, projection
-from treelang.recognizer import evaluator_nta
+from treelang.closure import nta, table_rules
 from treelang.treehom import apply_treehom, hyperderivor, identity_pattern
 
 from conftest import leaf_contexts, random_signature, random_term
@@ -167,7 +167,10 @@ RECORDS = {
     "FiniteAlgebra": lambda fx: fx("rpar_algebra"),
     "SortedPartition": lambda fx: partition(["s", "t"], {"s": [0, 1, 0], "t": [5]}),
     "Recognizer": lambda fx: fx("r_par"),
-    "NTA": lambda fx: evaluator_nta(fx("r_par")),
+    "NTA": lambda fx: nta(
+        fx("f1"), fx("x1"), {"s": 2}, {"x": {0}, "z": {1}},
+        {key: {v} for key, v in table_rules(fx("rpar_algebra"))}, {}, {"s": {0}},
+    ),
     "Hyperderivor": lambda fx: fx("h1"),
     "HallTerm": lambda fx: projection(["s", "e"], 1),
     "Derivor": lambda fx: fx("d1"),

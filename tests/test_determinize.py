@@ -18,7 +18,8 @@ import pytest
 
 from treelang.algebra import closure_elements, finite_algebra, restrict_algebra, subset_algebra
 from treelang.core import ValidationError, signature, sorted_vars
-from treelang.recognizer import NTA, Recognizer, determinize, nta, recognizer, table_rules
+from treelang.closure import NTA, nta, table_rules
+from treelang.recognizer import Recognizer, determinize, recognizer
 
 
 def reference_eps_closures(machine: NTA) -> dict[str, list[frozenset[int]]]:

@@ -23,11 +23,9 @@ from treelang.recognizer import (
     determinize,
     empty_recognizer,
     equivalent,
-    evaluator_nta,
     inverse_translation,
     is_empty,
     minimize,
-    nta,
     recognize_basic,
     recognize_finite,
     recognize_singleton,
@@ -36,6 +34,7 @@ from treelang.recognizer import (
     universal_recognizer,
 )
 from treelang.algebra import finite_algebra
+from treelang.closure import nta, table_rules
 from treelang.oracle import enumerate_language
 
 from conftest import accepted_sets, random_recognizer, same_language
@@ -258,8 +257,10 @@ class TestDeterminize:
         got = {t for t in enumerate_terms(f1, x1, "s", 3) if accepts(rec, t)}
         assert got == {Var("z", "s")}
 
-    def test_evaluator_roundtrip(self, r_par):
-        assert equivalent(determinize(evaluator_nta(r_par)), r_par)
+    def test_evaluator_roundtrip(self, f1, x1, r_par):
+        rules = {key: {v} for key, v in table_rules(r_par.algebra)}
+        machine = nta(f1, x1, {"s": 2}, {"x": {0}, "z": {1}}, rules, {}, {"s": {0}})
+        assert equivalent(determinize(machine), r_par)
 
     def test_empty_machine(self, f1, x1):
         machine = nta(f1, x1, {"s": 0}, {}, {}, {}, {})
@@ -394,3 +395,7 @@ class TestSortedDecomposition:
             for p in parts[1:]:
                 merged = combine("union", merged, p)
             assert equivalent(merged, rec)
+
+    def test_unknown_sort(self, r_par):
+        with pytest.raises(ValidationError, match=r"^unknown sort 'nope'$"):
+            restrict_to_sort(r_par, "nope")

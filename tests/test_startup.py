@@ -234,7 +234,8 @@ SUBMODULES = TRACED + ["oracle"]
 
 
 # the modules each command leaves unexecuted: ``congruence`` is compiled only
-# by the commands that minimize
+# by the commands that minimize, and ``closure``, which holds the NTA layer,
+# only by the commands that determinize
 UNUSED = {
     ("member", GOLDEN / "rpar.rec", "g(g(c))"): "congruence closure treehom derivor oracle",
     ("combine", "union", GOLDEN / "rpar.rec", GOLDEN / "lscc.rec"): "congruence closure treehom derivor oracle",
@@ -243,6 +244,11 @@ UNUSED = {
     ("enumerate", GOLDEN / "rpar.rec", "--max-nodes", "3"): "congruence closure treehom derivor",
     ("treehom", "inverse", "--hyp", GOLDEN / "h1.hyp", "--source", GOLDEN / "f2.sig",
      "--rec", GOLDEN / "rpar.rec", "--sort", "b"): "congruence closure derivor oracle",
+    ("minimize", GOLDEN / "rpar.rec"): "closure treehom derivor oracle",
+    ("equal", GOLDEN / "rpar.rec", GOLDEN / "rpar.rec"): "closure treehom derivor oracle",
+    ("syncong", GOLDEN / "rpar.rec"): "closure treehom derivor oracle",
+    ("treehom", "image", "--hyp", GOLDEN / "h1.hyp", "--target", GOLDEN / "f1.sig",
+     "--rec", GOLDEN / "liz.rec", "--sort", "e"): "derivor oracle",
 }
 
 
