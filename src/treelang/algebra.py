@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Collection, Iterator, Mapping, Sequence
+from operator import itemgetter
+from typing import Callable, Collection, Iterator, Mapping, Sequence
 
 from .core import (
     HOLE,
@@ -131,14 +132,24 @@ def _rows(alg: FiniteAlgebra, opname: str, pools: Sequence[Collection[int]]) -> 
     return (table[b * width : b * width + width] for b in _indices(radices, pools))
 
 
+def _getter(indices: Collection) -> Callable[[Sequence], tuple]:
+    """``itemgetter(*indices)``, which gathers the items at ``indices`` in C,
+    but always giving a tuple: ``itemgetter`` gives one index's bare item and
+    takes no empty index list."""
+    if not indices:
+        return lambda seq: ()
+    get = itemgetter(*indices)
+    return get if len(indices) > 1 else lambda seq: (get(seq),)
+
+
 def _entries(alg: FiniteAlgebra, opname: str, pools: Sequence[Collection[int]]) -> list[int]:
     """The table entries at every tuple of the per-position pools (elements
-    in range), in table order: each prefix's row is read once, at the last
-    pool, and no index list or argument tuple is built."""
-    last = pools[-1] if pools else (0,)  # a constant's one entry
+    in range), in table order: each prefix's row is read once, and gathered
+    at the last pool, and no index list or argument tuple is built."""
+    gather = _getter(pools[-1] if pools else (0,))  # a constant's one entry
     out: list[int] = []
     for row in _rows(alg, opname, pools[:-1]):
-        out += map(row.__getitem__, last)
+        out += gather(row)
     return out
 
 
@@ -165,9 +176,10 @@ def _values(
     table order (mixed radix, last variable fastest), from one walk of the term.
 
     A free variable's values are its projection, a subterm without free
-    variables is one ``int``, and a node reads its table at the index list its
-    children's values fold to.  Other variables are read from the assignment.
-    An empty space returns ``()`` without walking the term.
+    variables is one ``int``, and a node gathers its table at the index list
+    its children's values fold to; values over the space are tuples.  Other
+    variables are read from the assignment.  An empty space returns ``()``
+    without walking the term.
     """
     sizes = alg._sizes
     tables = alg._tables
@@ -181,7 +193,7 @@ def _values(
     for v in free:
         n = sizes[v.sort]
         stride //= n
-        columns[v.name] = _projection(n, stride, space)
+        columns[v.name] = tuple(_projection(n, stride, space))
 
     def walk(t: Term):
         if isinstance(t, Var):
@@ -202,21 +214,21 @@ def _values(
             n = sizes[s]
             value = walk(child)
             if type(index) is not list:
-                if type(value) is not list:
+                if type(value) is not tuple:
                     index = index * n + value
                 else:
                     index = [index * n + v for v in value]
-            elif type(value) is not list:
+            elif type(value) is not tuple:
                 index = [i * n + value for i in index]
             else:
                 index = [i * n + v for i, v in zip(index, value)]
         table = tables[t.symbol]
         if type(index) is not list:
             return table[index]
-        return list(map(table.__getitem__, index))
+        return _getter(index)(table)
 
     value = walk(term)
-    return tuple(value) if type(value) is list else (value,) * space
+    return value if type(value) is tuple else (value,) * space
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +400,7 @@ def restrict_algebra(alg: FiniteAlgebra, elements: Mapping[str, Sequence[int]]):
     for op in alg.signature.ops:
         entries = _entries(alg, op.name, [elements.get(s, ()) for s in op.arity])
         try:
-            tables[op.name] = tuple(map(index[op.result].__getitem__, entries))
+            tables[op.name] = _getter(entries)(index[op.result])
         except KeyError:
             raise ValidationError("element set is not closed under the tables") from None
     return FiniteAlgebra._built(alg.signature, carriers, tables), index

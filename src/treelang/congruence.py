@@ -3,7 +3,9 @@ and saturation.
 
 The cogenerated congruence is computed by signature refinement, in pure
 Python.  For each sort in declaration order, every operation table that takes
-the sort is mapped once through the current classes of its result sort.  An
+the sort is mapped once through the current classes of its result sort (a
+discrete result sort's table is used as it is: equal entries give equal
+signatures, and first-occurrence numbering sees the same equalities).  An
 element's signature is its current class plus, for each argument position of
 that sort, the mapped entries where the element sits at that position (the
 co-arguments range over the whole carriers).  Elements with equal signatures
@@ -21,7 +23,7 @@ import itertools
 import math
 from typing import Hashable, Mapping, Sequence
 
-from .algebra import FiniteAlgebra, _indices
+from .algebra import FiniteAlgebra, _getter, _indices
 from .core import ValidationError, _record
 
 
@@ -168,15 +170,15 @@ def _quotient_tables(alg: FiniteAlgebra, phi: SortedPartition):
     tables = {}
     for op in alg.signature.ops:
         keys = _indices([counts[s] for s in op.arity], [classes[s] for s in op.arity])
-        results = list(map(classes[op.result].__getitem__, alg.table(op.name)))
+        results = _getter(alg.table(op.name))(classes[op.result])
         # written in reverse, so each class key keeps its earliest tuple's class
         first = dict(zip(reversed(keys), reversed(results)))
-        if list(map(first.__getitem__, keys)) != results:
+        if _getter(keys)(first) != results:
             pos = next(i for i, (k, c) in enumerate(zip(keys, results)) if first[k] != c)
             tuples = list(itertools.product(*(range(alg.size(s)) for s in op.arity)))
             return None, (op.name, tuples[keys.index(keys[pos])], tuples[pos])
         # every class is nonempty, so every class key occurs
-        tables[op.name] = tuple(map(first.__getitem__, range(len(first))))
+        tables[op.name] = _getter(range(len(first)))(first)
     return tables, None
 
 
@@ -203,7 +205,11 @@ def cogenerated_congruence(alg: FiniteAlgebra, phi: SortedPartition) -> SortedPa
             for op in alg.signature.ops:
                 if sort not in op.arity:
                     continue
-                mapped = tuple(map(cls[op.result].__getitem__, alg.table(op.name)))
+                mapped = alg.table(op.name)
+                # classes of a discrete sort are a bijection: signatures
+                # through it are equal where the entries are
+                if count[op.result] < sizes[op.result]:
+                    mapped = _getter(mapped)(cls[op.result])
                 for i, arg_sort in enumerate(op.arity):
                     if arg_sort != sort:
                         continue

@@ -244,9 +244,10 @@ def _plain(value: Any, flow: bool, key: bool = False) -> str:
     match = _SCALAR.fullmatch(value) if type(value) is str else None
     if match is None or match[2] is None or value in _WORDS:
         raise _Unsupported
-    # PyYAML writes a long key as a complex key (``? key``): libyaml one of
-    # more than 128 characters, its pure emitter one of more than 123
-    if key and (len(value) > 123 or not value.isidentifier()):
+    # libyaml writes a key of more than 128 characters as a complex key
+    # (``? key``), and PyYAML's pure emitter one of more than 122, so such a
+    # key goes to PyYAML only where both write ``? key``
+    if key and (len(value) > 128 or not value.isidentifier()):
         raise _Unsupported
     return f"'{value}'" if flow and "," in value else value
 

@@ -496,6 +496,91 @@ def test_restrict_algebra_rejects_elements_out_of_range():
             restrict_algebra(alg, elements)
 
 
+def test_restrict_algebra_reads_each_prefix_row_once():
+    rng = random.Random(617)
+    for _ in range(INSTANCES):
+        alg = random_instance(rng)
+        reached = closure_elements(alg, random_seed(rng, alg))
+        shuffled = {s: rng.sample(es, len(es)) for s, es in reached.items()}
+        for elements in (reached, shuffled):
+            reads = [0]
+            counted = counting_tables(alg, reads)
+            reads[0] = 0
+            got, index = restrict_algebra(counted, elements)
+            want, want_index = reference_restrict_algebra(alg, elements)
+            assert got.tables == want.tables and index == want_index
+            # one row of the last sort's width per tuple of reached prefix
+            # elements: a constant's one entry, a unary table whole
+            assert reads[0] == sum(
+                math.prod(len(elements[s]) for s in op.arity[:-1])
+                * (alg.size(op.arity[-1]) if op.arity else 1)
+                for op in SIG.ops
+            )
+
+
+def collapsed_instance(rng, carriers, value):
+    """A random algebra whose operations into ``a`` all give ``value``, so
+    that the elements reached at ``a`` are that one element."""
+    alg = random_algebra(rng, SIG, carriers=carriers)
+    tables = {
+        name: [value] * len(t) if SIG.operation(name).result == "a" else t
+        for name, t in alg.tables
+    }
+    return finite_algebra(SIG, carriers, tables)
+
+
+def test_restrict_algebra_gathers_pools_of_every_length():
+    """Pools of no, one and more elements at the last argument position,
+    closed sets and open ones, against the reference."""
+    rng = random.Random(618)
+    lasts, rejected = set(), 0
+    for _ in range(INSTANCES):
+        carriers = {"a": rng.randint(1, 3), "b": rng.randint(1, 3), "e": rng.choice([0, 1, 2])}
+        value = rng.randrange(carriers["a"])
+        alg = collapsed_instance(rng, carriers, value)
+        reached = closure_elements(alg, {})
+        assert reached["a"] == [value]
+        # the one element replaced by another, where there is one: ``k``'s
+        # one entry then falls outside the set
+        other = {**reached, "a": [(value + 1) % carriers["a"]]}
+        for elements in (reached, {**reached, "e": list(range(carriers["e"]))}, other):
+            try:
+                want = reference_restrict_algebra(alg, elements)
+            except ValidationError as err:
+                rejected += 1
+                with pytest.raises(ValidationError, match=str(err)):
+                    restrict_algebra(alg, elements)
+                continue
+            got, index = restrict_algebra(alg, elements)
+            assert got.carriers == want[0].carriers
+            assert got.tables == want[0].tables and index == want[1]
+            lasts.update(min(len(elements[op.arity[-1]]), 2) for op in SIG.ops if op.arity)
+    assert lasts == {0, 1, 2} and rejected
+
+
+def test_is_congruence_and_quotient_match_reference_on_small_tables():
+    """Carriers of at most two elements, and an empty one: one-entry and
+    empty tables in every pass."""
+    rng = random.Random(619)
+    entries = set()
+    for _ in range(INSTANCES):
+        carriers = {"a": rng.randint(1, 2), "b": rng.randint(1, 2), "e": rng.choice([0, 1])}
+        alg = random_algebra(rng, SIG, carriers=carriers)
+        entries.update(min(len(t), 2) for _, t in alg.tables)
+        for phi in partitions_for(rng, alg):
+            assert is_congruence(alg, phi) == reference_is_congruence(alg, phi)
+            got = outcome(quotient_algebra, alg, phi)
+            want = outcome(reference_quotient_algebra, alg, phi)
+            if isinstance(want[0], type):
+                assert got == want
+            else:
+                assert got[0].tables == want[0].tables and got[1] == want[1]
+            got = cogenerated_congruence(alg, phi)
+            want = reference_cogenerated_congruence(alg, phi)
+            assert got.classes == want.classes and got.counts == want.counts
+    assert entries == {0, 1, 2}
+
+
 def test_is_congruence_and_quotient_match_reference():
     rng = random.Random(604)
     verdicts = set()
@@ -708,6 +793,23 @@ def test_translation_table_matches_reference(two_sorted, r_par):
     assert len(hole_sorts) == (2 if two_sorted else 1)
 
 
+def test_translation_table_over_one_element_hole_carriers():
+    rng = random.Random(620)
+    widths = set()
+    for _ in range(INSTANCES):
+        hole_size = rng.randint(1, 2)
+        ctx = None
+        while ctx is None:
+            ctx = random_context(rng, TWO, TWO_VARS, max_nodes=6)
+        carriers = {s: hole_size if s == ctx.hole_sort else rng.randint(1, 3) for s in TWO.sorts}
+        alg = random_algebra(rng, TWO, carriers=carriers)
+        assignment = {"y": rng.randrange(carriers["a"]), "z": rng.randrange(carriers["b"])}
+        got = translation_table(alg, assignment, ctx)
+        assert got == reference_translation_table(alg, assignment, ctx)
+        widths.add(len(got))
+    assert widths == {1, 2}
+
+
 @pytest.mark.parametrize("sorts", [1, 2, 3])
 def test_cogenerated_congruence_matches_reference(sorts):
     rng = random.Random(615 + sorts)
@@ -736,6 +838,33 @@ def test_cogenerated_congruence_matches_reference(sorts):
             kinds.add("discrete" if discrete else "coarse")
             kinds.add("kept" if got == partition(sig.sorts, dict(phi.classes)) else "split")
     assert kinds == {"discrete", "coarse", "split", "kept"}
+
+
+@pytest.mark.parametrize("sorts", [2, 3])
+def test_cogenerated_congruence_with_a_discrete_result_sort_matches_reference(sorts):
+    """``b`` is discrete, with ordered or permuted ids, and ``a`` is not: the
+    tables of ``u`` and ``t`` are read through ``a``'s classes and ``b``'s
+    are used as they are, as is ``m``'s for the discrete sort ``b`` itself."""
+    rng = random.Random(625 + sorts)
+    sig = {2: TWO, 3: SIG}[sorts]
+    split = 0
+    for _ in range(INSTANCES):
+        carriers = {s: rng.randint(0 if s == "e" else 2, 6) for s in sig.sorts}
+        alg = random_algebra(rng, sig, carriers=carriers)
+        n = carriers["b"]
+        for ids in (list(range(n)), rng.sample(range(n), n)):
+            rough = partition(
+                sig.sorts, {s: [rng.randrange(2) for _ in range(m)] for s, m in alg.carriers}
+            )
+            phi = SortedPartition(
+                tuple((s, tuple(ids) if s == "b" else c) for s, c in rough.classes),
+                tuple((s, n if s == "b" else c) for s, c in rough.counts),
+            )
+            got = cogenerated_congruence(alg, phi)
+            want = reference_cogenerated_congruence(alg, phi)
+            assert got.classes == want.classes and got.counts == want.counts
+            split += got.index("a") > phi.index("a")
+    assert split
 
 
 def test_evaluate_matches_plain_evaluator():

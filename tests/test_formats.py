@@ -219,10 +219,12 @@ DUMPERS = [getattr(yaml, "CSafeDumper", yaml.SafeDumper), yaml.SafeDumper]
 WORDS = ["yes", "No", "on", "OFF", "true", "False", "null", "NULL", "y", "n", "Y", "inf", "nan"]
 NAMES = ["s", "t0", "sigma", "x_1", "_", "e1", "Ab"]
 TERMS = ["g(v0)", "sigma(v0,c)", "a,", "f(x,y,z)"]
-# what the direct path hands to PyYAML; PyYAML writes a long key as a complex
-# key, libyaml one of more than 128 characters and its pure emitter one of
-# more than 123
+# what the direct path hands to PyYAML, and long keys: libyaml writes a key
+# of more than 128 characters as a complex key (``? key``), PyYAML's pure
+# emitter one of more than 122
 ODD_KEYS = WORDS + ["k" * n for n in range(120, 133)]
+# the key lengths at which the pure emitter writes other bytes than libyaml
+PURE_COMPLEX = range(123, 129)
 ODD_SCALARS = WORDS + ["", "0", "-0", "007", "1_0", "0x1", "a b", "'q'", "x:y", "@x", "#c", "-x",
                        "1.5", "~", "2001-12-14", "g(@)", True, False, None]
 
@@ -272,6 +274,17 @@ def dumped(doc, dumper, flow=None):
     return yaml.dump(doc, Dumper=dumper, sort_keys=False, default_flow_style=flow)
 
 
+def keys(value):
+    """Every mapping key in ``value``, at any depth."""
+    if type(value) is dict:
+        for key, item in value.items():
+            yield key
+            yield from keys(item)
+    elif type(value) is list:
+        for item in value:
+            yield from keys(item)
+
+
 def mutated(rng: random.Random, text: str) -> str:
     """``text`` with one character inserted, deleted or replaced."""
     i = rng.randrange(len(text) + 1)
@@ -304,7 +317,9 @@ class TestDirectYaml:
             text = formats._emit(doc)
         except formats._Unsupported:
             return
-        assert text == expected == dumped(doc, DUMPERS[1])
+        assert text == expected
+        if not any(type(k) is str and len(k) in PURE_COMPLEX for k in keys(doc)):
+            assert text == dumped(doc, DUMPERS[1])
 
     @MANY
     @given(st.integers(0, 2**32))

@@ -182,6 +182,29 @@ def test_deep_document_is_written_by_pyyaml():
     assert formats.dump_document(doc) == dump_on("pure", doc)
 
 
+@pytest.mark.skipif(not HAS_LIBYAML, reason="PyYAML built without libyaml")
+@pytest.mark.parametrize("name", list(PYYAML))
+def test_long_keys_are_written_as_libyaml_writes_them(monkeypatch, tmp_path, name):
+    """A key of up to 128 characters is plain and a longer one a complex key
+    (``? key``), with either PyYAML to hand documents on to; PyYAML's pure
+    emitter alone would write ``? key`` from 123 characters."""
+    monkeypatch.setattr(formats, "_pyyaml", lambda: (yaml, *PYYAML[name]))
+    path = tmp_path / "long.rec"
+    for n in range(120, 136):
+        key = "k" * n
+        shapes = [
+            {key: [1]},
+            {"a": {key: 1, "b": 2}},
+            {"a": [{key: [1, 2]}, 3]},
+            {"s": {"t": {key: {"c": [key]}}}},
+        ]
+        for doc in shapes:
+            text = formats.dump_document(doc, path)
+            assert text == dump_on("libyaml", doc), (n, doc)
+            assert text.lstrip().startswith("?") == (n > 128 and key in doc)
+            assert formats.load_document(path) == doc
+
+
 def test_golden_cases_pass_without_libyaml():
     code = (
         "import sys, yaml\n"
