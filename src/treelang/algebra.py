@@ -70,10 +70,9 @@ class FiniteAlgebra:
         (a list is copied once), as ``equivalent`` compares algebras by ``==``."""
         sizes = {s: carriers[s] for s in sig.sorts}
         by_name = {op.name: tuple(tables[op.name]) for op in sig.ops}
-        alg = object.__new__(cls)
-        # a ``core._record`` keeps its fields in the instance dict
-        alg.__dict__.update(signature=sig, carriers=tuple(sizes.items()), _sizes=sizes)
-        alg.__dict__.update(tables=tuple(by_name.items()), _tables=by_name)
+        alg = cls._of(sig, tuple(sizes.items()), tuple(by_name.items()))
+        object.__setattr__(alg, "_sizes", sizes)
+        object.__setattr__(alg, "_tables", by_name)
         return alg
 
     def size(self, sort: str) -> int:

@@ -410,6 +410,13 @@ def main(argv=None) -> int:
     except (ValidationError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
+    except RecursionError:  # the parser and several term walks recurse per level
+        limit = sys.getrecursionlimit()
+        print(
+            f"error: input nests deeper than the recursion limit of {limit} allows",
+            file=sys.stderr,
+        )
+        return 1
 
 
 if __name__ == "__main__":

@@ -33,10 +33,17 @@ def _frozen(self, name, *value):
     raise FrozenInstanceError(f"cannot {'assign to' if value else 'delete'} field {name!r}")
 
 
+_new = object.__new__
+
+
 def _record(cls):
     """``dataclass(frozen=True)`` from closures: no ``exec``, no ``dataclasses``
     import.  ``__init__`` sets the fields in order through ``object.__setattr__``,
-    which keeps them inline; what ``__post_init__`` adds is not a field."""
+    inline or in the slots the class declares; what ``__post_init__`` adds is
+    not a field.  ``cls._of(*fields)`` sets them the same way without running
+    ``__post_init__``, for values the library vouches for.  A record pickles
+    as its fields, so unpickling runs ``__init__`` and its checks again and
+    carries no lookup or cache over."""
     names = tuple(cls.__dict__.get("__annotations__", ()))
     n, post_init = len(names), getattr(cls, "__post_init__", None)
     indices, set_field = range(n), object.__setattr__
@@ -52,17 +59,28 @@ def _record(cls):
         if post_init is not None:
             post_init(self)
 
+    def _of(*args):
+        self = _new(cls)
+        for i in indices:
+            set_field(self, names[i], args[i])
+        return self
+
     def __eq__(self, other):
         return key(self) == key(other) if other.__class__ is self.__class__ else NotImplemented
 
     def __repr__(self):
         return f"{type(self).__qualname__}({', '.join(f'{f}={getattr(self, f)!r}' for f in names)})"
 
-    methods = {"__eq__": __eq__, "__hash__": lambda self: hash(key(self)), "__repr__": __repr__}
+    methods = {
+        "__eq__": __eq__,
+        "__hash__": lambda self: hash(key(self)),
+        "__repr__": __repr__,
+        "__reduce__": lambda self: (self.__class__, key(self)),
+    }
     for name, method in methods.items():
         if name not in cls.__dict__:  # a method the class defines stays
             setattr(cls, name, method)
-    cls.__init__, cls.__match_args__ = __init__, names
+    cls.__init__, cls.__match_args__, cls._of = __init__, names, staticmethod(_of)
     cls.__setattr__ = cls.__delattr__ = _frozen
     return cls
 
@@ -165,6 +183,7 @@ class Term:
 
 @_record
 class Var(Term):
+    __slots__ = ("name", "sort")
     name: str
     sort: str
 
@@ -178,30 +197,32 @@ class Var(Term):
 
 @_record
 class Node(Term):
+    __slots__ = ("symbol", "children", "sort", "size", "_hash")
     symbol: str
     children: tuple[Term, ...]
     sort: str
     size: int
 
     def __hash__(self):
-        """The hash ``_record`` generates, kept on the node once
+        """The hash ``_record`` generates, kept in the ``_hash`` slot once
         computed (not a field, so equality sees only the declared data).
         Subterms not yet hashed are hashed bottom-up with an explicit stack,
         so hashing a children tuple never recurses.  Computing it on first
-        use, not at construction, keeps terms that are never hashed small."""
-        cached = self.__dict__.get("_hash")
-        if cached is not None:
-            return cached
+        use, not at construction, keeps terms that are never hashed cheap."""
+        try:
+            return self._hash
+        except AttributeError:
+            pass
         stack = [self]
         while stack:
             t = stack[-1]
-            pending = [c for c in t.children if isinstance(c, Node) and "_hash" not in c.__dict__]
+            pending = [c for c in t.children if isinstance(c, Node) and not hasattr(c, "_hash")]
             if pending:
                 stack.extend(pending)
                 continue
             stack.pop()
-            if "_hash" not in t.__dict__:  # a shared subterm may be stacked twice
-                object.__setattr__(t, "_hash", hash((t.symbol, t.children, t.sort, t.size)))
+            # a shared subterm may be stacked twice; it hashes to the same value
+            object.__setattr__(t, "_hash", hash((t.symbol, t.children, t.sort, t.size)))
         return self._hash
 
     def __eq__(self, other):
@@ -232,20 +253,20 @@ class Node(Term):
         return f"Node({print_term(self)})"
 
 
-_new = object.__new__
+_set_symbol, _set_children, _set_sort, _set_size = (
+    Node.symbol.__set__, Node.children.__set__, Node.sort.__set__, Node.size.__set__
+)
 
 
 def _new_node(symbol: str, children: tuple[Term, ...], sort: str, size: int) -> Node:
-    """A ``Node`` from data the caller vouches for, without ``node``'s checks.
-    Filling the instance dict directly costs about half of ``__init__``; the
-    price, a dict where ``__init__`` keeps fields inline (63 more bytes a node,
-    reads twice as slow on CPython 3.11), pays off on the build-heavy read path."""
+    """A ``Node`` from data the caller vouches for, without ``node``'s checks:
+    ``Node._of`` unrolled, each slot written through its descriptor, because
+    the generic loop costs nearly twice as much on the build-heavy read path."""
     t = _new(Node)
-    d = t.__dict__
-    d["symbol"] = symbol
-    d["children"] = children
-    d["sort"] = sort
-    d["size"] = size
+    _set_symbol(t, symbol)
+    _set_children(t, children)
+    _set_sort(t, sort)
+    _set_size(t, size)
     return t
 
 
@@ -254,6 +275,7 @@ HOLE = "@"
 
 @_record
 class Hole(Term):
+    __slots__ = ("sort",)
     sort: str
 
     @property

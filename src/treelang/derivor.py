@@ -190,9 +190,7 @@ def apply_derivor_term(d: Derivor, p: HallTerm) -> HallTerm:
     # sort can fail, and the image is not walked again
     if body.sort != sort:
         raise ValidationError(f"hall term has sort {body.sort!r}, rank says {sort!r}")
-    image = object.__new__(HallTerm)
-    image.__dict__.update(term=body, arity=target_arity, sort=sort)  # the frozen fields
-    return image
+    return HallTerm._of(body, target_arity, sort)
 
 
 def compose_derivors(e: Derivor, d: Derivor) -> Derivor:

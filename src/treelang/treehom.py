@@ -100,11 +100,6 @@ class Hyperderivor:
                     f"image of {x!r}", images[x], self.target, self.target_vars, smap[sort]
                 )
 
-    def __getstate__(self) -> dict:
-        # compiled templates are functions, which do not pickle; a copy
-        # compiles its own when it is first applied
-        return {key: value for key, value in self.__dict__.items() if key != "_templates"}
-
     def sort_image(self, sort: str) -> str:
         return self._sort_map[sort]
 
@@ -225,10 +220,11 @@ def _extend(
 
 def _image(h: Hyperderivor, term: Term, leaf: Callable[[Var], Term]) -> Term:
     """``_extend`` through the templates of the hyperderivor's patterns, kept
-    on it outside its fields from its first application on (compiling them
-    at construction costs memory for the many maps never applied).  A symbol
-    outside the source signature has no template; that fails once, here."""
-    templates = h.__dict__.get("_templates")
+    on it from its first application on (compiling them at construction
+    costs memory for the many maps never applied).  They are not a field, so
+    a pickled copy compiles its own.  A symbol outside the source signature
+    has no template; that fails once, here."""
+    templates = getattr(h, "_templates", None)
     if templates is None:
         templates = {op.name: _template(h.pattern(op.name), len(op.arity)) for op in h.source.ops}
         object.__setattr__(h, "_templates", templates)

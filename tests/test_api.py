@@ -1,5 +1,6 @@
-"""The public ``treelang`` names stay importable while code is removed, and
-no module keeps an import it no longer uses."""
+"""The public ``treelang`` names stay importable while code is removed, no
+module keeps an import it no longer uses, and only ``core._record`` knows
+where a record keeps its fields."""
 
 import ast
 import importlib
@@ -93,6 +94,28 @@ def test_no_unused_private_definitions():
     assert len(defined) > 60
     unused = [where for name, (where, own) in defined.items() if references[name] == own]
     assert sorted(unused) == []
+
+
+def test_only_record_knows_the_layout():
+    """Only ``core._record`` knows where a record keeps its fields: no other
+    code in the package reads an instance ``__dict__`` or calls ``vars()``."""
+    package = Path(treelang.__file__).parent
+    leaks, skipped = [], []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for stmt in tree.body:
+            if path.name == "core.py" and isinstance(stmt, ast.FunctionDef) and stmt.name == "_record":
+                skipped.append(stmt.name)
+                continue
+            leaks += [
+                f"{path.name}:{n.lineno}"
+                for n in ast.walk(stmt)
+                if isinstance(n, ast.Attribute) and n.attr == "__dict__"
+                or isinstance(n, ast.Constant) and n.value == "__dict__"
+                or isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == "vars"
+            ]
+    assert skipped == ["_record"]
+    assert leaks == []
 
 
 def test_traced_functions_exist():

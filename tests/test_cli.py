@@ -261,6 +261,24 @@ class TestOptionSurface:
         assert capsys.readouterr().err == "error: unexpected end of input\n"
 
 
+@pytest.mark.parametrize("command, flag, deep", [
+    ("member", None, "g(" * 5000 + "c" + ")" * 5000),
+    ("invtrans", "--context", "g(" * 5000 + "@" + ")" * 5000),
+])
+def test_deep_input_is_one_error_line(command, flag, deep):
+    """A term nested past the recursion limit ends with exit 1 and one
+    ``error:`` line, not a traceback."""
+    argv = [command, str(GOLDEN / "rpar.rec"), *([flag] if flag else []), deep]
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run(
+        [sys.executable, "-m", "treelang.cli", *argv], env=env, capture_output=True, text=True
+    )
+    assert done.returncode == 1 and done.stdout == ""
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and "recursion limit" in lines[0]
+    assert "Traceback" not in done.stderr
+
+
 def test_import_loads_no_numpy():
     # every CLI command pays for its imports; numpy alone once took about
     # half of a short command's wall time

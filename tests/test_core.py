@@ -8,7 +8,7 @@ from dataclasses import FrozenInstanceError
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from treelang.algebra import evaluate
+from treelang.algebra import evaluate, product_algebra
 from treelang.core import (
     HOLE,
     Context,
@@ -16,6 +16,7 @@ from treelang.core import (
     Node,
     ParseError,
     SortError,
+    Term,
     ValidationError,
     Operation,
     Var,
@@ -28,7 +29,6 @@ from treelang.core import (
     enumerate_all_terms,
     enumerate_terms,
     hole_context,
-    node,
     parse_context,
     parse_term,
     print_context,
@@ -46,6 +46,7 @@ from treelang.core import (
 from treelang.congruence import partition
 from treelang.derivor import apply_derivor_term, hall_term, projection
 from treelang.closure import nta, table_rules
+from treelang.recognizer import Recognizer
 from treelang.treehom import apply_treehom, hyperderivor, identity_pattern
 
 from conftest import leaf_contexts, random_signature, random_term
@@ -141,14 +142,6 @@ class TestParseErrors:
 
 
 class TestNodeConstructor:
-    def test_same_as_dataclass_init(self):
-        c = Node("c", (), "s", 1)
-        built, made = _new_node("g", (c,), "s", 2), Node("g", (c,), "s", 2)
-        assert built == made and made == built
-        assert hash(built) == hash(made)
-        assert vars(built) == vars(made) and list(vars(built)) == list(vars(made))
-        assert node(F1_G, [c]) == made
-
     def test_frozen(self):
         built = _new_node("c", (), "s", 1)
         with pytest.raises(FrozenInstanceError):
@@ -177,12 +170,31 @@ RECORDS = {
 }
 
 
+# the paths that build a record without running its checks, with the type
+# each one builds
+UNCHECKED = {
+    "_new_node": ("Node", lambda fx: _new_node("g", (Node("c", (), "s", 1),), "s", 2)),
+    "product_algebra": ("FiniteAlgebra", lambda fx: product_algebra([fx("rpar_algebra")] * 2)[0]),
+    "apply_derivor_term": ("HallTerm", lambda fx: apply_derivor_term(fx("d2"), fx("d2").pattern("g"))),
+}
+
+
 OWN_METHODS = {"Var": ["__repr__"], "Node": ["__eq__", "__hash__", "__repr__"], "Hole": ["__repr__"]}
 
 
-@pytest.mark.parametrize("name", RECORDS)
-def test_record_behaves_as_a_frozen_dataclass(name, request):
-    value = RECORDS[name](request.getfixturevalue)
+def layout(value):
+    """Where the value keeps its attributes: its filled slots in declaration
+    order, or else its instance-dict keys in insertion order."""
+    if hasattr(value, "__dict__"):
+        return list(value.__dict__)
+    slots = [s for c in reversed(type(value).__mro__) for s in c.__dict__.get("__slots__", ())]
+    return [s for s in slots if hasattr(value, s)]
+
+
+@pytest.mark.parametrize("path", [*RECORDS, *UNCHECKED])
+def test_record_behaves_as_a_frozen_dataclass(path, request):
+    name, build = UNCHECKED.get(path, (path, RECORDS.get(path)))
+    value = build(request.getfixturevalue)
     cls = type(value)
     assert cls.__name__ == name
     names = list(cls.__annotations__)
@@ -199,12 +211,21 @@ def test_record_behaves_as_a_frozen_dataclass(name, request):
     by_keyword = dict(reversed(list(zip(names, fields))))
     keyword, mixed = cls(**by_keyword), cls(fields[0], **{f: by_keyword[f] for f in names[1:]})
     assert made == value and keyword == value and mixed == value and not made != value
-    assert list(vars(keyword)) == list(vars(made))
+    assert value == made
+    # one layout whichever path built the value, read before hashing fills a
+    # cache; a fixture's value may hold a cache already, so only a value this
+    # test built is compared
+    unpickled = pickle.loads(pickle.dumps(value))
+    layouts = [layout(v) for v in (made, keyword, mixed, unpickled)]
+    if path in UNCHECKED:
+        layouts.append(layout(value))
+    assert layouts == [layouts[0]] * len(layouts) and layouts[0][: len(names)] == names
+    if isinstance(value, Term):
+        assert not any(hasattr(v, "__dict__") for v in (value, made, keyword, mixed, unpickled))
     assert made != ref and ref != made  # equality needs the same class
-    assert hash(made) == hash(keyword) == hash(ref) == hash(tuple(fields))
+    assert hash(made) == hash(keyword) == hash(ref) == hash(tuple(fields)) == hash(value)
     assert repr(made) == repr(ref)
     assert cls.__match_args__ == reference.__match_args__
-    assert list(vars(made))[: len(names)] == names
     for obj in (made, ref):
         with pytest.raises(FrozenInstanceError, match=f"cannot assign to field '{names[0]}'"):
             setattr(obj, names[0], fields[0])
@@ -219,6 +240,19 @@ def test_record_behaves_as_a_frozen_dataclass(name, request):
         cls(**dict(zip(names, fields)), nonesuch=None)
     copy = pickle.loads(pickle.dumps(made))
     assert type(copy) is cls and copy == made and hash(copy) == hash(made)
+    assert unpickled == value
+    if cls is Node:  # the hash computed above is a cache, not pickled
+        assert not hasattr(pickle.loads(pickle.dumps(value)), "_hash")
+
+
+def test_unpickling_rechecks_invariants(r_par):
+    """A record pickles as its fields, so unpickling runs its checks again."""
+    bad = object.__new__(Recognizer)
+    fields = {"vars": r_par.vars, "algebra": r_par.algebra, "accepting": r_par.accepting}
+    for name, value in {**fields, "assignment": (("x", 99), ("z", 99))}.items():
+        object.__setattr__(bad, name, value)
+    with pytest.raises(ValidationError, match="^assignment for 'x' out of carrier range$"):
+        pickle.loads(pickle.dumps(bad))
 
 
 class TestTypecheck:
