@@ -376,9 +376,11 @@ def generated_subalgebra(alg: FiniteAlgebra, seed: Mapping[str, Sequence[int]]):
 
 def _check_elements(sizes: Mapping[str, int], elements: Mapping[str, Collection[int]], what: str):
     """Reject an element outside its sort's ``range(sizes[sort])``, reading
-    each element once."""
+    each element once, and a sort without a size."""
     for s, es in elements.items():
-        n = sizes[s]
+        n = sizes.get(s)
+        if n is None:
+            raise ValidationError(f"{what} at unknown sort {s!r}")
         if es and (min(es) < 0 or max(es) >= n):
             bad = next(e for e in es if not 0 <= e < n)
             raise ValidationError(f"{what} {bad} out of range at sort {s!r}")

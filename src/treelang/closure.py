@@ -30,7 +30,10 @@ class NTA:
 
     States are per-sort integers ``0..states[sort]-1``.  ``leaf`` maps variable
     names to state sets, ``rules`` maps ``(opname, state tuple)`` to state
-    sets, and ``epsilon`` lists per-sort edges ``state -> state set``.
+    sets, and ``epsilon`` lists per-sort edges ``state -> state set``.  Building
+    one checks that ``states`` lists every sort, and rejects a rule's unknown
+    operation, other arity or state outside its sort, and a leaf, epsilon or
+    accepting state outside its sort.
     """
 
     signature: Signature
@@ -40,6 +43,26 @@ class NTA:
     rules: tuple[tuple[tuple[str, tuple[int, ...]], frozenset[int]], ...]
     epsilon: tuple[tuple[str, tuple[tuple[int, int], ...]], ...]
     accepting: tuple[tuple[str, frozenset[int]], ...]
+
+    def __post_init__(self):
+        states, ops, leaf = dict(self.states), self.signature.op_by_name, dict(self.leaf)
+        if [s for s, _ in self.states] != [*self.signature.sorts]:
+            raise ValidationError("NTA states must list every sort in signature order")
+        for (name, args), targets in self.rules:
+            rule, op = f"NTA rule {name}({', '.join(map(str, args))})", ops.get(name)
+            if op is None:
+                raise ValidationError(f"{rule} has unknown operation {name!r}")
+            if len(args) != len(op.arity):
+                k = len(op.arity)
+                raise ValidationError(f"{rule} has {len(args)} argument states, expected {k}")
+            for q, s in [*zip(args, op.arity), *((q, op.result) for q in targets)]:
+                _check_elements(states, {s: [q]}, f"{rule}: state")
+        for s, names in self.vars.by_sort:
+            for x in names:
+                _check_elements(states, {s: leaf.get(x, ())}, f"NTA leaf of variable {x!r}: state")
+        edges = {s: [q for edge in es for q in edge] for s, es in self.epsilon}
+        _check_elements(states, edges, "NTA epsilon state")
+        _check_elements(states, dict(self.accepting), "NTA accepting state")
 
 
 def nta(
@@ -51,7 +74,12 @@ def nta(
     epsilon: Mapping[str, Sequence[tuple[int, int]]],
     accepting: Mapping[str, frozenset[int] | set[int]],
 ) -> NTA:
-    return NTA(
+    return NTA(*_fields(sig, vars, states, leaf, rules, epsilon, accepting))
+
+
+def _fields(sig, vars, states, leaf, rules, epsilon, accepting) -> tuple:
+    """``nta``'s arguments as the normalized fields of an ``NTA``."""
+    return (
         sig,
         vars,
         tuple((s, states.get(s, 0)) for s in sig.sorts),
@@ -113,8 +141,9 @@ class _Builder:
         return state
 
     def determinize(self, accepting: Mapping[str, Iterable[int]]) -> Recognizer:
-        machine = nta(self.sig, self.vars, self.counts, self.leaf, self.rules, self.epsilon, accepting)
-        return determinize(machine)
+        """Determinize the NTA ``nta`` would build, unchecked: well formed by construction."""
+        fields = (self.sig, self.vars, self.counts, self.leaf, self.rules, self.epsilon)
+        return determinize(NTA._of(*_fields(*fields, accepting)))
 
 
 def _determinize(machine: NTA, cap: int) -> Recognizer:
@@ -122,23 +151,13 @@ def _determinize(machine: NTA, cap: int) -> Recognizer:
     construction per sort: the subalgebra of the NTA's powerset algebra
     (``subset_algebra``) generated by its leaves, built by ``algebra._closure``
     and numbered in its first-reached order from the seed, constants in
-    declaration order, then variables.
-
-    State sets are bitmasks, and rule targets are closed under epsilon edges
-    once.  An operation's rules are grouped by their state prefix (all
-    states but the last).  A subset-id prefix looks up once the set of its
-    member state prefixes, which keeps the OR of their target masks by last
-    state and its row of subset ids by last-argument subset id; an entry
-    ORs those masks over the last subset's members.  Rows grow only to the
-    subsets reached when ``_closure`` asks, so no subset is interned before
-    its turn.
+    declaration order, then variables.  State sets are bitmasks.  A row of
+    subset ids grows only to the subsets reached when ``_closure`` asks, so
+    no subset is interned before its turn.
 
     Guard: a budget of ``cap`` output table entries, counted as the sum over
     operations of the product of argument carrier sizes.  Interning a subset
-    that would take the tables past it raises ``ValidationError``.  So do a
-    rule of an unknown operation or of another arity, a negative or too large
-    state at any position of a rule, and a leaf, epsilon or accepting state
-    outside its sort's states; the message names the rule, variable or sort.
+    that would take the tables past it raises ``ValidationError``.
     """
     sig, states = machine.signature, dict(machine.states)
     # per sort: state -> mask of its reflexive-transitive epsilon closure,
@@ -147,7 +166,6 @@ def _determinize(machine: NTA, cap: int) -> Recognizer:
     closure = {}
     for sort, n in machine.states:
         edges = epsilon.get(sort, ())
-        _check_elements(states, {sort: [q for edge in edges for q in edge]}, "NTA epsilon state")
         masks = closure[sort] = [1 << q for q in range(n)]
         changed = True
         while changed:
@@ -190,27 +208,16 @@ def _determinize(machine: NTA, cap: int) -> Recognizer:
     constants: dict[str, int] = {}
     # opname -> state prefix -> closed target masks by last state
     grouped: dict[str, dict[tuple[int, ...], list[int]]] = {op.name: {} for op in sig.ops}
-    try:
-        for (name, args), targets in machine.rules:
-            op = ops[name]
-            if targets and min(targets) < 0 or args and args[-1] < 0:
-                _reject_rules(machine)
-            mask = close(op.result, targets)
-            if not args:
-                constants[name] = mask
-                continue
-            by_last = grouped[name].get(args[:-1])
-            if by_last is None:  # first sight of this state prefix: check it
-                prefix = zip(args[:-1], op.arity)
-                if len(args) != len(op.arity) or not all(0 <= q < states[s] for q, s in prefix):
-                    _reject_rules(machine)
-                by_last = grouped[name][args[:-1]] = [0] * states[op.arity[-1]]
-            by_last[args[-1]] = mask
-    except (KeyError, IndexError):  # an unknown operation or a state too large
-        _reject_rules(machine)
-        raise
-    if any(ops[name].arity for name in constants):
-        _reject_rules(machine)
+    for (name, args), targets in machine.rules:
+        op = ops[name]
+        mask = close(op.result, targets)
+        if not args:
+            constants[name] = mask
+            continue
+        by_last = grouped[name].get(args[:-1])
+        if by_last is None:
+            by_last = grouped[name][args[:-1]] = [0] * states[op.arity[-1]]
+        by_last[args[-1]] = mask
 
     # per operation: subset-id prefix -> (its subset ids by last-argument
     # subset id, the OR of its member state prefixes' masks by last state),
@@ -223,7 +230,6 @@ def _determinize(machine: NTA, cap: int) -> Recognizer:
     assignment: dict[str, int] = {}
     for sort, names in machine.vars.by_sort:
         for x in names:
-            _check_elements(states, {sort: leaf.get(x, ())}, f"NTA leaf of variable {x!r}: state")
             assignment[x] = intern(sort, close(sort, leaf.get(x, ())))
 
     def rows(op, heads, n):
@@ -264,26 +270,9 @@ def _determinize(machine: NTA, cap: int) -> Recognizer:
     alg = FiniteAlgebra._built(sig, sizes, dense)
     accepting = {}
     for s, qs in machine.accepting:
-        _check_elements(states, {s: qs}, "NTA accepting state")
         acc = sum(1 << q for q in qs)
         accepting[s] = [i for m, i in index[s].items() if m & acc]
     return recognizer(machine.vars, alg, assignment, accepting)
-
-
-def _reject_rules(machine: NTA) -> None:
-    """Raise the error naming the NTA's first malformed rule, if any: an
-    unknown operation, another arity, or a state outside its sort."""
-    states = dict(machine.states)
-    for (name, args), targets in machine.rules:
-        rule = f"NTA rule {name}({', '.join(map(str, args))})"
-        op = machine.signature.op_by_name.get(name)
-        if op is None:
-            raise ValidationError(f"{rule} has unknown operation {name!r}")
-        if len(args) != len(op.arity):
-            k = len(op.arity)
-            raise ValidationError(f"{rule} has {len(args)} argument states, expected {k}")
-        for q, s in [*zip(args, op.arity), *((q, op.result) for q in targets)]:
-            _check_elements(states, {s: [q]}, f"{rule}: state")
 
 
 # ---------------------------------------------------------------------------

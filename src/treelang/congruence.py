@@ -147,6 +147,8 @@ def is_congruence(alg: FiniteAlgebra, phi: SortedPartition):
 
 
 def _check_sizes(phi: SortedPartition, sizes: Mapping[str, int]) -> None:
+    if phi._classes.keys() != sizes.keys():
+        raise ValidationError(f"partition sorts {[*phi._classes]} differ from carrier sorts {[*sizes]}")
     for sort, ids in phi.classes:
         if len(ids) != sizes[sort]:
             raise ValidationError(f"partition size mismatch at sort {sort!r}")

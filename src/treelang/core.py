@@ -544,6 +544,8 @@ def substitute_occurrences(
     sorts: dict[str, str] = {}
 
     def leaf(t: Term) -> Term:
+        if t.__class__ is Hole:
+            raise SortError("a term cannot contain the hole '@'")
         i = counts.get(t.name)
         if i is None:
             return t
@@ -552,7 +554,7 @@ def substitute_occurrences(
         seq = replacements[t.name]
         return seq[i] if i < len(seq) else t
 
-    out = _substitute(term, leaf)
+    out = _rebuild(term, leaf)
     for name, seq in replacements.items():
         want = counts[name]
         if len(seq) != want:
@@ -568,20 +570,19 @@ def substitute_occurrences(
 
 
 def substitute_uniform(term: Term, mapping: Mapping[str, Term]) -> Term:
-    """Replace every occurrence of each mapped variable by the same term."""
+    """Replace every occurrence of each mapped variable by one term of its sort."""
     if not mapping:
         return term
-    return _substitute(term, lambda t: mapping.get(t.name, t))
 
+    def leaf(t: Term) -> Term:
+        if t.__class__ is Hole:
+            raise SortError("a term cannot contain the hole '@'")
+        q = mapping.get(t.name, t)
+        if q.sort != t.sort:
+            raise SortError(f"replacement for {t.name!r} has sort {q.sort!r}, expected {t.sort!r}")
+        return q
 
-def _substitute(term: Term, leaf) -> Term:
-    """``_rebuild`` with a ``leaf`` that reads names: a hole is a ``SortError``."""
-    try:
-        return _rebuild(term, leaf)
-    except AttributeError:
-        if _collect_holes(term):
-            raise SortError("a term cannot contain the hole '@'") from None
-        raise
+    return _rebuild(term, leaf)
 
 
 # ---------------------------------------------------------------------------
@@ -601,25 +602,24 @@ class Context:
     root_sort: str
 
     def __post_init__(self):
-        holes = _collect_holes(self.body)
-        if len(holes) != 1:
-            raise ValidationError(f"context must have exactly one hole, found {len(holes)}")
-        if (holes[0].sort, self.body.sort) != (self.hole_sort, self.root_sort):
+        hole = _hole(self.body)
+        if (hole.sort, self.body.sort) != (self.hole_sort, self.root_sort):
             raise SortError(
                 f"context declares hole sort {self.hole_sort!r} and root sort "
-                f"{self.root_sort!r}, but its body has {holes[0].sort!r} and {self.body.sort!r}"
+                f"{self.root_sort!r}, but its body has {hole.sort!r} and {self.body.sort!r}"
             )
 
 
 def context(body: Term) -> Context:
-    holes = _collect_holes(body)
+    """The context of a body with one hole, its sorts read off the body."""
+    return Context._of(body, _hole(body).sort, body.sort)
+
+
+def _hole(body: Term) -> Hole:
+    holes = [h for h in _preorder(body) if isinstance(h, Hole)]
     if len(holes) != 1:
         raise ValidationError(f"context must have exactly one hole, found {len(holes)}")
-    return Context(body, holes[0].sort, body.sort)
-
-
-def _collect_holes(t: Term) -> list[Hole]:
-    return [h for h in _preorder(t) if isinstance(h, Hole)]
+    return holes[0]
 
 
 def hole_context(sort: str) -> Context:

@@ -63,7 +63,10 @@ class Recognizer:
         return self.algebra.signature
 
     def accepting_at(self, sort: str) -> frozenset[int]:
-        return frozenset(dict(self.accepting)[sort])
+        for s, elems in self.accepting:
+            if s == sort:
+                return frozenset(elems)
+        raise ValidationError(f"unknown sort {sort!r}")
 
 
 def recognizer(
@@ -228,8 +231,8 @@ def determinize(machine, cap: int = DETERMINIZE_BUDGET) -> Recognizer:
 
     Guard: a budget of ``cap`` output table entries (default
     ``DETERMINIZE_BUDGET``, 2**22), counted as the sum over operations of the
-    product of argument carrier sizes.  Exceeding it, or a malformed NTA,
-    raises ``ValidationError`` naming the rule, variable or sort.
+    product of argument carrier sizes.  Exceeding it raises
+    ``ValidationError``.
     """
     from .closure import _determinize
 

@@ -139,3 +139,27 @@ def test_traced_functions_exist():
             or getattr(home, name).__module__ != home.__name__
         ]
     assert missing == []
+
+
+def test_unchecked_paths_are_covered():
+    """Every record type the package builds without its checks, through
+    ``X._of(...)``, ``X._built(...)`` (``cls`` is the class it is called in)
+    or ``_new_node`` (a ``Node``), is a type that ``tests/test_core.py``
+    ``UNCHECKED`` runs through the layout, equality and pickling test."""
+    from test_core import UNCHECKED
+
+    built = set()
+
+    def scan(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute):
+                receiver = child.func.value
+                if child.func.attr in ("_of", "_built") and isinstance(receiver, ast.Name):
+                    built.add(owner if receiver.id == "cls" else receiver.id)
+            elif isinstance(child, ast.Call) and getattr(child.func, "id", None) == "_new_node":
+                built.add("Node")
+            scan(child, child.name if isinstance(child, ast.ClassDef) else owner)
+
+    for path in sorted(Path(treelang.__file__).parent.glob("*.py")):
+        scan(ast.parse(path.read_text(encoding="utf-8")), None)
+    assert built == {name for name, _ in UNCHECKED.values()}

@@ -32,6 +32,7 @@ from treelang.algebra import (
     closure_elements,
     evaluate,
     finite_algebra,
+    generated_subalgebra,
     product_algebra,
     quotient_algebra,
     restrict_algebra,
@@ -494,6 +495,12 @@ def test_restrict_algebra_rejects_elements_out_of_range():
         elements["a"].append(bad)
         with pytest.raises(ValidationError, match=f"element {bad} out of range at sort 'a'"):
             restrict_algebra(alg, elements)
+    # a sort the algebra lacks is named, even with no element
+    elements = {s: list(range(m)) for s, m in alg.carriers}
+    with pytest.raises(ValidationError, match="^element at unknown sort 't'$"):
+        restrict_algebra(alg, {**elements, "t": []})
+    with pytest.raises(ValidationError, match="^seed element at unknown sort 't'$"):
+        generated_subalgebra(alg, {"t": [0]})
 
 
 def test_restrict_algebra_reads_each_prefix_row_once():

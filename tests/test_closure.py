@@ -3,9 +3,10 @@ import random
 
 import pytest
 
-from treelang import formats
+from treelang import closure, formats
 
 from treelang.closure import (
+    NTA,
     iterate_language,
     nta,
     quotient_language,
@@ -311,3 +312,18 @@ def test_output_numbering_is_pinned(f1, x1, f2, x2, h1):
     # the constructions number their NTA states, so their outputs' states,
     # exactly as the recorded digests did; equal languages are not enough
     assert numbering_digests(f1, x1, f2, x2, h1) == PINNED
+
+
+def test_builder_machines_pass_the_checked_constructor(f1, x1, f2, x2, h1, monkeypatch):
+    """``_Builder`` builds its machines without ``NTA``'s checks; rebuilt
+    through ``NTA(...)``, every machine of the pinned constructions passes
+    them and determinizes to the same outputs."""
+    rebuilt = []
+
+    def checked(machine):
+        rebuilt.append(NTA(*(getattr(machine, f) for f in NTA.__match_args__)))
+        return determinize(rebuilt[-1])
+
+    monkeypatch.setattr(closure, "determinize", checked)
+    assert numbering_digests(f1, x1, f2, x2, h1) == PINNED
+    assert len(rebuilt) == 48

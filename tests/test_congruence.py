@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from treelang.algebra import finite_algebra
+from treelang.algebra import finite_algebra, quotient_algebra
 from treelang.congruence import (
     all_in_one_partition,
     all_sorted_partitions,
@@ -110,14 +110,23 @@ class TestCogenerated:
 
 class TestPartitionSize:
     def test_mismatch_rejected_everywhere(self, alg3):
+        fits = partition(["s"], {"s": [0, 0, 1]})
         # too long and too short for the 3-element carrier
-        for ids in ([0, 1, 2, 3], [0, 1]):
-            phi = partition(["s"], {"s": ids})
-            for check in (cogenerated_congruence, is_congruence):
-                with pytest.raises(ValidationError, match="partition size mismatch at sort 's'"):
+        cases = [(partition(["s"], {"s": ids}), "partition size mismatch at sort 's'")
+                 for ids in ([0, 1, 2, 3], [0, 1])]
+        # over a sort the algebra lacks, without or beside its own
+        cases += [
+            (partition(["t"], {"t": [0, 1, 2]}), r"partition sorts \['t'\] differ from carrier sorts \['s'\]"),
+            (partition(["s", "t"], {"s": [0, 0, 1], "t": [0]}), r"partition sorts \['s', 't'\] differ"),
+        ]
+        for phi, message in cases:
+            for check in (cogenerated_congruence, is_congruence, quotient_algebra):
+                with pytest.raises(ValidationError, match=message):
                     check(alg3, phi)
-            with pytest.raises(ValidationError, match="partition size mismatch at sort 's'"):
-                refines(phi, partition(["s"], {"s": [0, 0, 1]}))
+            with pytest.raises(ValidationError, match=message):
+                refines(phi, fits)
+        with pytest.raises(ValidationError, match=r"partition sorts \['s'\] differ from carrier sorts \['t'\]"):
+            refines(fits, cases[2][0])
 
 
 class TestSyntactic:

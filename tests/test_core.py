@@ -8,6 +8,7 @@ from dataclasses import FrozenInstanceError
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from treelang import closure, core
 from treelang.algebra import evaluate, product_algebra
 from treelang.core import (
     HOLE,
@@ -45,8 +46,7 @@ from treelang.core import (
 )
 from treelang.congruence import partition
 from treelang.derivor import apply_derivor_term, hall_term, projection
-from treelang.closure import nta, table_rules
-from treelang.recognizer import Recognizer
+from treelang.closure import NTA, nta, table_rules
 from treelang.treehom import apply_treehom, hyperderivor, identity_pattern
 
 from conftest import leaf_contexts, random_signature, random_term
@@ -170,12 +170,23 @@ RECORDS = {
 }
 
 
+def builder_machine(fx) -> NTA:
+    """The NTA that ``closure._Builder.determinize`` determinizes."""
+    builder = closure._Builder(fx("f1"), fx("x1"))
+    builder.add(fx("r_par"), ["x", "z"])
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(closure, "determinize", lambda machine: machine)
+        return builder.determinize({"s": {0}})
+
+
 # the paths that build a record without running its checks, with the type
-# each one builds
+# each one builds; ``tests/test_api.py`` finds every such path in the package
 UNCHECKED = {
     "_new_node": ("Node", lambda fx: _new_node("g", (Node("c", (), "s", 1),), "s", 2)),
     "product_algebra": ("FiniteAlgebra", lambda fx: product_algebra([fx("rpar_algebra")] * 2)[0]),
     "apply_derivor_term": ("HallTerm", lambda fx: apply_derivor_term(fx("d2"), fx("d2").pattern("g"))),
+    "_Builder.determinize": ("NTA", builder_machine),
+    "context": ("Context", lambda fx: context(Node("g", (Hole("s"),), "s", 2))),
 }
 
 
@@ -245,14 +256,18 @@ def test_record_behaves_as_a_frozen_dataclass(path, request):
         assert not hasattr(pickle.loads(pickle.dumps(value)), "_hash")
 
 
-def test_unpickling_rechecks_invariants(r_par):
+def test_unpickling_rechecks_invariants(request):
     """A record pickles as its fields, so unpickling runs its checks again."""
-    bad = object.__new__(Recognizer)
-    fields = {"vars": r_par.vars, "algebra": r_par.algebra, "accepting": r_par.accepting}
-    for name, value in {**fields, "assignment": (("x", 99), ("z", 99))}.items():
-        object.__setattr__(bad, name, value)
-    with pytest.raises(ValidationError, match="^assignment for 'x' out of carrier range$"):
-        pickle.loads(pickle.dumps(bad))
+    cases = [
+        ("Recognizer", "assignment", (("x", 99), ("z", 99)), "assignment for 'x' out of carrier range"),
+        ("NTA", "accepting", (("s", frozenset({2})),), "NTA accepting state 2 out of range at sort 's'"),
+    ]
+    for kind, name, value, message in cases:
+        good = RECORDS[kind](request.getfixturevalue)
+        cls = type(good)
+        bad = cls._of(*(value if f == name else getattr(good, f) for f in cls.__match_args__))
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            pickle.loads(pickle.dumps(bad))
 
 
 class TestTypecheck:
@@ -602,8 +617,10 @@ class TestSubstitution:
     def test_sort_mismatch(self, f2, x2):
         p = parse_term("iszero(x)", f2, x2)
         bad = parse_term("iszero(zero)", f2, x2)  # sort b, x needs e
-        with pytest.raises(SortError):
-            substitute_occurrences(p, {"x": [bad]})
+        # both substitutions, with one message
+        for substitute, replacements in ((substitute_uniform, {"x": bad}), (substitute_occurrences, {"x": [bad]})):
+            with pytest.raises(SortError, match="^replacement for 'x' has sort 'b', expected 'e'$"):
+                substitute(p, replacements)
 
     @pytest.mark.parametrize(
         "substitute, replacements",
@@ -675,6 +692,13 @@ class TestContexts:
         ident = hole_context("s")
         assert compose_contexts(t, ident) == t
         assert compose_contexts(ident, t) == t
+
+    def test_parse_walks_the_body_once(self, f1, x1, monkeypatch):
+        walks = []
+        preorder = core._preorder
+        monkeypatch.setattr(core, "_preorder", lambda t: walks.append(t) or preorder(t))
+        ctx = parse_context("sigma(x,g(@))", f1, x1)
+        assert walks == [ctx.body]
 
     def test_two_holes_rejected(self, f1, x1):
         with pytest.raises(ValidationError):

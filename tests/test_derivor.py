@@ -373,13 +373,17 @@ class TestApplyDerivorTermChecks:
 
 
 class TestHeldHyperderivor:
-    def test_deriving_builds_no_hyperderivor(self, d1, rpar_algebra, monkeypatch):
+    def test_deriving_builds_no_hyperderivor(self, d1, f1, rpar_algebra, monkeypatch):
+        # ``_record`` binds ``__post_init__`` when it decorates the class, so
+        # the constructor is what a patch sees
         built = []
-        check = Hyperderivor.__post_init__
-        monkeypatch.setattr(Hyperderivor, "__post_init__", lambda h: built.append(h) or check(h))
+        init = Hyperderivor.__init__
+        monkeypatch.setattr(Hyperderivor, "__init__", lambda h, *a, **k: built.append(h) or init(h, *a, **k))
+        identity_derivor(f1)  # builds the hyperderivor it holds
+        assert len(built) == 1
         first = derived_algebra_derivor(d1, rpar_algebra)
         assert derived_algebra_derivor(d1, rpar_algebra) == first
-        assert built == []
+        assert len(built) == 1
 
     def test_deriving_compiles_nothing(self, d2, rpar_algebra):
         d = compose_derivors(d2, d2)

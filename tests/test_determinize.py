@@ -1,6 +1,6 @@
 """The bitmask subset construction against the frozenset one it replaced,
-against the subset algebra it is a generated subalgebra of, and on
-malformed automata.
+against the subset algebra it is a generated subalgebra of; and the checks
+an NTA runs when it is built.
 
 ``reference_determinize`` is that earlier construction: it rescans every
 argument tuple each round and unions the rules of every member tuple.  The
@@ -289,5 +289,13 @@ def small_machine(**changes) -> NTA:
 )
 def test_malformed_machine_names_what_is_wrong(changes, message):
     assert determinize(small_machine())  # the unchanged machine is fine
+    # ``nta`` raises when it builds the machine, before any determinization
     with pytest.raises(ValidationError, match=message):
-        determinize(small_machine(**changes))
+        small_machine(**changes)
+
+
+def test_states_must_list_every_sort_in_order():
+    good = small_machine()
+    for states in ((), (("s", 2), ("t", 1)), (("s", 2), ("s", 2))):
+        with pytest.raises(ValidationError, match="^NTA states must list every sort in signature order$"):
+            NTA(good.signature, good.vars, states, good.leaf, good.rules, good.epsilon, good.accepting)

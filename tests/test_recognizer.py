@@ -399,3 +399,5 @@ class TestSortedDecomposition:
     def test_unknown_sort(self, r_par):
         with pytest.raises(ValidationError, match=r"^unknown sort 'nope'$"):
             restrict_to_sort(r_par, "nope")
+        with pytest.raises(ValidationError, match=r"^unknown sort 'nope'$"):
+            r_par.accepting_at("nope")
