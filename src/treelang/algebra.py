@@ -155,6 +155,8 @@ def _entries(alg: FiniteAlgebra, opname: str, pools: Sequence[Collection[int]]) 
 def check_assignment(alg: FiniteAlgebra, vars, assignment: Mapping[str, int]) -> None:
     sizes = dict(alg.carriers)
     for sort, names in vars.by_sort:
+        if names and sort not in sizes:
+            raise ValidationError(f"variable {names[0]!r} at unknown sort {sort!r}")
         for x in names:
             if x not in assignment:
                 raise ValidationError(f"assignment missing variable {x!r}")

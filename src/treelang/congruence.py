@@ -35,7 +35,11 @@ class SortedPartition:
     counts: tuple[tuple[str, int], ...]
 
     def __post_init__(self):
-        counts = dict(self.counts)
+        classes, counts = dict(self.classes), dict(self.counts)
+        if classes.keys() != counts.keys():
+            raise ValidationError(
+                f"partition class sorts {[*classes]} differ from count sorts {[*counts]}"
+            )
         for sort, ids in self.classes:
             n = counts[sort]
             if ids and (min(ids) < 0 or max(ids) >= n):
@@ -43,7 +47,7 @@ class SortedPartition:
             if set(ids) != set(range(n)):
                 raise ValidationError(f"class ids not contiguous at sort {sort!r}")
         # per-sort lookups, not fields (see ``core._record``)
-        object.__setattr__(self, "_classes", dict(self.classes))
+        object.__setattr__(self, "_classes", classes)
         object.__setattr__(self, "_counts", counts)
 
     def index(self, sort: str) -> int:

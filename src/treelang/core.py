@@ -441,33 +441,29 @@ def print_term(term: Term) -> str:
 
 
 def typecheck(term: Term, sig: Signature, vars: SortedVars) -> str:
-    """Re-validate an untrusted term bottom-up; returns its unique sort."""
+    """Re-validate an untrusted term; returns its unique sort.  Each node is
+    checked against the sorts its children carry, after them (the reversed
+    preorder), so a fault is reported at its own node, at any depth."""
     _check_disjoint(sig, vars)
-
-    def walk(t: Term) -> str:
+    for t in reversed([*_preorder(term)]):
         if isinstance(t, Var):
             sort = vars.sort_of(t.name)
             if sort is None:
                 raise SortError(f"unknown variable {t.name!r}")
             if sort != t.sort:
                 raise SortError(f"variable {t.name!r} tagged with wrong sort {t.sort!r}")
-            return sort
+            continue
         if isinstance(t, Hole):
             raise SortError("a term cannot contain the hole '@'")
         op = sig.operation(t.symbol)
         if len(t.children) != len(op.arity):
             raise SortError(f"{t.symbol!r} arity mismatch")
         for child, want in zip(t.children, op.arity):
-            got = walk(child)
-            if got != want:
-                raise SortError(
-                    f"child of {t.symbol!r} has sort {got!r}, expected {want!r}"
-                )
+            if child.sort != want:
+                raise SortError(f"child of {t.symbol!r} has sort {child.sort!r}, expected {want!r}")
         if t.sort != op.result:
             raise SortError(f"node {t.symbol!r} tagged with wrong sort {t.sort!r}")
-        return op.result
-
-    return walk(term)
+    return term.sort
 
 
 # ---------------------------------------------------------------------------
@@ -665,18 +661,21 @@ def print_context(ctx: Context) -> str:
 
 def term_sort_key(sig: Signature, vars: SortedVars):
     """Key for the canonical order: size, then root symbol by declaration
-    order (operations before variables), then children lexicographically."""
+    order (operations before variables), then children lexicographically.
+    The key is the flat tuple ``(size, rank, size, rank, ...)`` of the
+    preorder: sizes come first, so two subterms at one position span equal
+    lengths and the flat tuples compare as the nested keys would."""
     op_rank = {op.name: i for i, op in enumerate(sig.ops)}
-    var_rank = {x: i for i, x in enumerate(vars.all_names())}
+    var_rank = {x: len(op_rank) + i for i, x in enumerate(vars.all_names())}
 
-    def key(t: Term):
-        if isinstance(t, Var):
-            return (1, (1, var_rank[t.name]), ())
-        return (
-            t.size,
-            (0, op_rank[t.symbol]),
-            tuple(key(c) for c in t.children),
-        )
+    def key(term: Term):
+        out: list[int] = []
+        for t in _preorder(term):
+            if t.__class__ is Var:
+                out += (1, var_rank[t.name])
+            else:
+                out += (t.size, op_rank[t.symbol])
+        return tuple(out)
 
     return key
 

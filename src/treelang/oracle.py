@@ -21,7 +21,6 @@ from .core import (
     node,
     occurrence_counts,
     substitute_occurrences,
-    term_sort_key,
 )
 from .recognizer import Recognizer
 
@@ -193,15 +192,11 @@ def semantic_iteration_bounded(
     members = {Var(z, sort)}
     l_list = [t for t in l_terms if t.size <= max_nodes]
     while True:
-        fresh = semantic_substitution_sets(l_list, {z: sorted_terms(sig, vars, members)}, max_nodes)
+        fresh = semantic_substitution_sets(l_list, {z: members}, max_nodes)
         new = fresh - members
         if not new:
             return members
         members.update(new)
-
-
-def sorted_terms(sig: Signature, vars: SortedVars, terms: Iterable[Term]) -> list[Term]:
-    return sorted(terms, key=term_sort_key(sig, vars))
 
 
 def semantic_quotient_bounded(

@@ -104,9 +104,7 @@ def universal_recognizer(sig: Signature, vars: SortedVars) -> Recognizer:
 
 def restrict_to_sort(rec: Recognizer, sort: str) -> Recognizer:
     """Keep the language at one sort and empty it elsewhere."""
-    if sort not in rec.signature.sorts:
-        raise ValidationError(f"unknown sort {sort!r}")
-    acc = {sort: dict(rec.accepting)[sort]}
+    acc = {sort: rec.accepting_at(sort)}
     return recognizer(rec.vars, rec.algebra, dict(rec.assignment), acc)
 
 
@@ -157,7 +155,8 @@ def combine(kind: str, r1: Recognizer, r2: Recognizer) -> Recognizer:
 
 
 def _seed(rec: Recognizer) -> dict[str, list[int]]:
-    """Constants' values plus the assignment image, in declaration order."""
+    """Constants' values plus the assignment image, in declaration order,
+    duplicates kept: ``closure_elements`` drops them."""
     seed: dict[str, list[int]] = {s: [] for s in rec.signature.sorts}
     for op in rec.signature.ops:
         if not op.arity:
@@ -165,7 +164,7 @@ def _seed(rec: Recognizer) -> dict[str, list[int]]:
     asg = dict(rec.assignment)
     for sort, names in rec.vars.by_sort:
         seed[sort].extend(asg[x] for x in names)
-    return {s: list(dict.fromkeys(values)) for s, values in seed.items()}
+    return seed
 
 
 def is_empty(rec: Recognizer) -> bool:

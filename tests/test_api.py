@@ -1,6 +1,7 @@
 """The public ``treelang`` names stay importable while code is removed, no
-module keeps an import it no longer uses, and only ``core._record`` knows
-where a record keeps its fields."""
+module keeps an import it no longer uses, only ``core._record`` knows
+where a record keeps its fields, and every recursive function says what
+bounds its depth."""
 
 import ast
 import importlib
@@ -163,3 +164,60 @@ def test_unchecked_paths_are_covered():
     for path in sorted(Path(treelang.__file__).parent.glob("*.py")):
         scan(ast.parse(path.read_text(encoding="utf-8")), None)
     assert built == {name for name, _ in UNCHECKED.values()}
+
+
+# what bounds the depth of each function that calls itself
+TERM_DEPTH = "a term's depth; ROADMAP item 4 makes the walk depth-safe"
+ARITY = "an operation's arity"
+DOCUMENT = "document nesting, at most formats._DEPTH levels"
+ORACLE = "the oracle's bound on term size"
+RECURSIVE_FUNCTIONS = {
+    "algebra._values.walk": TERM_DEPTH,
+    "cli.build_parser": "one level: an unknown command builds every command's parser",
+    "congruence.all_partitions_of.rec": "a carrier's size, in a brute-force helper for tests",
+    "core._Parser.parse": TERM_DEPTH,
+    "core._compositions": ARITY,
+    "core._rebuild": TERM_DEPTH,
+    "formats._Reader.block": DOCUMENT,
+    "formats._node": DOCUMENT,
+    "formats.check": "the nesting of the document shapes formats declares",
+    "oracle._bounded_choices": ORACLE,
+    "oracle._occurrence_positions.walk": ORACLE,
+    "oracle.evaluate_many.walk": ORACLE,
+    "oracle.substitution_sets_by_powerset.sem": ORACLE,
+    "treehom._extend": TERM_DEPTH,
+    "treehom._template.emit": TERM_DEPTH,
+    "treehom.direct_image.compile_rhs": TERM_DEPTH,
+}
+
+
+def test_recursive_functions_are_listed():
+    """Every function that calls itself, a function by its name or a method
+    through ``self.``, is in ``RECURSIVE_FUNCTIONS``, so a new recursion, or
+    a walk made depth-safe, is a test edit."""
+    found = set()
+
+    def calls(function, in_class):
+        """Whether the function calls itself: by its name, or as a method."""
+        for call in ast.walk(function):
+            f = getattr(call, "func", None)
+            if in_class and isinstance(f, ast.Attribute) and getattr(f.value, "id", None) == "self":
+                if f.attr == function.name:
+                    return True
+            elif not in_class and getattr(f, "id", None) == function.name:
+                return True
+        return False
+
+    def scan(node, prefix, in_class):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                name = f"{prefix}.{child.name}"
+                if isinstance(child, ast.FunctionDef) and calls(child, in_class):
+                    found.add(name)
+                scan(child, name, isinstance(child, ast.ClassDef))
+            else:
+                scan(child, prefix, in_class)
+
+    for path in sorted(Path(treelang.__file__).parent.glob("*.py")):
+        scan(ast.parse(path.read_text(encoding="utf-8")), path.stem, False)
+    assert found == set(RECURSIVE_FUNCTIONS)

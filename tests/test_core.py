@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import pickle
 import random
 import re
@@ -17,6 +18,7 @@ from treelang.core import (
     Node,
     ParseError,
     SortError,
+    SortedVars,
     Term,
     ValidationError,
     Operation,
@@ -30,6 +32,7 @@ from treelang.core import (
     enumerate_all_terms,
     enumerate_terms,
     hole_context,
+    node,
     parse_context,
     parse_term,
     print_context,
@@ -257,17 +260,31 @@ def test_record_behaves_as_a_frozen_dataclass(path, request):
 
 
 def test_unpickling_rechecks_invariants(request):
-    """A record pickles as its fields, so unpickling runs its checks again."""
+    """A record pickles as its fields, so unpickling runs its checks again,
+    and fails as direct construction does."""
+    # the partition's classes are at 's' and 't', the recognizer's algebra
+    # has the one sort 's'
+    with_y = SortedVars((("s", ("x", "z")), ("t", ("y",))))
     cases = [
-        ("Recognizer", "assignment", (("x", 99), ("z", 99)), "assignment for 'x' out of carrier range"),
-        ("NTA", "accepting", (("s", frozenset({2})),), "NTA accepting state 2 out of range at sort 's'"),
+        ("Recognizer", {"assignment": (("x", 99), ("z", 99))}, "assignment for 'x' out of carrier range"),
+        ("Recognizer", {"vars": with_y, "assignment": (("x", 0), ("z", 1), ("y", 0))},
+         "variable 'y' at unknown sort 't'"),
+        ("NTA", {"accepting": (("s", frozenset({2})),)}, "NTA accepting state 2 out of range at sort 's'"),
+        ("SortedPartition", {"counts": (("s", 2),)}, "partition class sorts ['s', 't'] differ from count sorts ['s']"),
+        ("SortedPartition", {"counts": (("s", 2), ("t", 1), ("u", 3))},
+         "partition class sorts ['s', 't'] differ from count sorts ['s', 't', 'u']"),
     ]
-    for kind, name, value, message in cases:
+    for kind, values, message in cases:
         good = RECORDS[kind](request.getfixturevalue)
         cls = type(good)
-        bad = cls._of(*(value if f == name else getattr(good, f) for f in cls.__match_args__))
-        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
-            pickle.loads(pickle.dumps(bad))
+        fields = [values.get(f, getattr(good, f)) for f in cls.__match_args__]
+        bad = cls._of(*fields)
+        for build in (lambda: cls(*fields), lambda: pickle.loads(pickle.dumps(bad))):
+            with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+                build()
+
+
+DEPTH = 20_000  # the depth of the deep terms below
 
 
 class TestTypecheck:
@@ -284,6 +301,36 @@ class TestTypecheck:
     def test_hole_rejected(self, f1, x1):
         with pytest.raises(SortError, match="hole"):
             typecheck(parse_context("g(@)", f1, x1).body, f1, x1)
+
+    # one fault each, over zero: e, succ: e -> e, iszero: e -> b and x: e;
+    # every term is tagged with sort e, so it can end a chain of succ
+    ZERO = Node("zero", (), "e", 1)
+    FAULTS = {
+        "unknown-variable": (Var("y", "e"), SortError, "unknown variable 'y'"),
+        "wrong-sorted-variable": (Var("x", "b"), SortError, "variable 'x' tagged with wrong sort 'b'"),
+        "hole": (Hole("e"), SortError, "a term cannot contain the hole '@'"),
+        "unknown-operation": (
+            Node("pred", (ZERO,), "e", 2), ValidationError, "unknown operation symbol 'pred'"
+        ),
+        "arity-mismatch": (Node("succ", (ZERO, ZERO), "e", 3), SortError, "'succ' arity mismatch"),
+        "wrong-sorted-child": (
+            Node("succ", (Node("iszero", (ZERO,), "b", 2),), "e", 3),
+            SortError, "child of 'succ' has sort 'b', expected 'e'",
+        ),
+        "wrong-sorted-node": (Node("zero", (), "b", 1), SortError, "node 'zero' tagged with wrong sort 'b'"),
+    }
+
+    @pytest.mark.parametrize("depth", [0, DEPTH], ids=["root", "bottom"])
+    @pytest.mark.parametrize("fault", FAULTS)
+    def test_single_fault(self, f2, x2, fault, depth):
+        """Each fault gives its own message, at the root or under a chain
+        of ``depth`` well-sorted nodes."""
+        term, error, message = self.FAULTS[fault]
+        for _ in range(depth):
+            term = Node("succ", (term,), "e", term.size + 1)
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$") as raised:
+            typecheck(term, f2, x2)
+        assert raised.type is error
 
 
 class TestOccurrences:
@@ -333,7 +380,6 @@ class TestVariablesAndSubterms:
         assert subterms_of(parse_term("x", f1, x1)) == {"s": {Var("x", "s")}}
 
 
-DEPTH = 20_000
 ITEM_4 = "a recursive walk; ROADMAP item 4 makes it depth-safe"
 
 
@@ -374,6 +420,10 @@ DEEP_OPERATIONS = {
     "apply_context": lambda deep, fx: apply_context(context(_chain(Hole("s"))), fx.c).size
     == DEPTH + 1,
     "term_sort_key": lambda deep, fx: term_sort_key(fx.f1, fx.vars)(deep)[0] == DEPTH + 1,
+    # a pattern and a variable image, each a chain, are typechecked when built
+    "hyperderivor": lambda deep, fx: hyperderivor(
+        fx.f1, fx.vars, fx.f1, fx.vars, {"s": "s"}, {**fx.patterns, "g": fx.hall}, {"x": deep, "z": fx.c}
+    ).pattern("g") is fx.hall,
     "apply_treehom": lambda deep, fx: apply_treehom(fx.identity, deep) == deep,
     "apply_derivor_term": lambda deep, fx: apply_derivor_term(
         fx.d2, hall_term(fx.hall, ["s"], "s")
@@ -381,8 +431,8 @@ DEEP_OPERATIONS = {
     == 2 * DEPTH + 1,
 }
 RECURSIVE = [
-    "parse_term", "typecheck", "evaluate", "substitute_uniform", "substitute_occurrences",
-    "apply_context", "term_sort_key", "apply_treehom", "apply_derivor_term",
+    "parse_term", "evaluate", "substitute_uniform", "substitute_occurrences",
+    "apply_context", "apply_treehom", "apply_derivor_term",
 ]
 
 
@@ -394,7 +444,7 @@ class TestDeepTerms:
     def test_depth_inventory(self, operation, f1, x1, rpar_algebra, d2):
         patterns = {op.name: identity_pattern(op) for op in f1.ops}
         fx = SimpleNamespace(
-            f1=f1, vars=x1, rpar_algebra=rpar_algebra, d2=d2,
+            f1=f1, vars=x1, rpar_algebra=rpar_algebra, d2=d2, patterns=patterns,
             identity=hyperderivor(f1, x1, f1, x1, {"s": "s"}, patterns, {x: Var(x, "s") for x in "xz"}),
             c=parse_term("c", f1, x1), hall=_chain(Var("v0", "s")),
         )
@@ -485,6 +535,20 @@ def reference_plug(t, q):
         return t
     children = tuple(reference_plug(c, q) for c in t.children)
     return Node(t.symbol, children, t.sort, 1 + sum(c.size for c in children))
+
+
+def reference_term_sort_key(sig, vars):
+    """The nested key ``term_sort_key`` gave before it was flattened: size,
+    then the root's rank, then the children's keys."""
+    op_rank = {op.name: i for i, op in enumerate(sig.ops)}
+    var_rank = {x: i for i, x in enumerate(vars.all_names())}
+
+    def key(t):
+        if isinstance(t, Var):
+            return (1, (1, var_rank[t.name]), ())
+        return (t.size, (0, op_rank[t.symbol]), tuple(key(c) for c in t.children))
+
+    return key
 
 
 def _outcome(f, *args):
@@ -581,6 +645,48 @@ class TestRebuildAgainstReferences:
             assert print_term(t) == reference_print(t)
         if isinstance(term, Node):
             assert repr(term) == f"Node({reference_print(term)})"
+
+
+# a constant, a unary, a binary and a ternary operation, with variables at
+# both sorts
+KEY_SIG = signature(
+    ["s", "t"], [("c", [], "s"), ("g", ["s"], "s"), ("h", ["s", "t"], "s"), ("k", ["s", "t", "s"], "t")]
+)
+KEY_VARS = sorted_vars(KEY_SIG, {"s": ["x", "y"], "t": ["u"]})
+
+
+@functools.cache
+def key_terms(sort, depth):
+    """A strategy for the terms of the sort over ``KEY_SIG``, at most
+    ``depth`` levels deep."""
+    leaves = [node(op, ()) for op in KEY_SIG.ops if not op.arity and op.result == sort]
+    leaves = st.sampled_from(leaves + [Var(x, sort) for x in KEY_VARS.names(sort)])
+    if depth == 0:
+        return leaves
+    nodes = [
+        st.tuples(*[key_terms(w, depth - 1) for w in op.arity]).map(functools.partial(node, op))
+        for op in KEY_SIG.ops
+        if op.arity and op.result == sort
+    ]
+    return st.one_of(leaves, *nodes)
+
+
+class TestSortKeyAgainstReference:
+    @PROPERTY
+    @given(st.lists(st.one_of(key_terms("s", 4), key_terms("t", 4)), min_size=2, max_size=8))
+    def test_orders_as_the_nested_key(self, terms):
+        flat, nested = term_sort_key(KEY_SIG, KEY_VARS), reference_term_sort_key(KEY_SIG, KEY_VARS)
+        for a in terms:
+            for b in terms:
+                assert (flat(a) < flat(b), flat(a) == flat(b)) == (nested(a) < nested(b), a == b)
+        assert sorted(terms, key=flat) == sorted(terms, key=nested)
+
+    def test_enumeration_order(self):
+        rng = random.Random(25)
+        nested = reference_term_sort_key(KEY_SIG, KEY_VARS)
+        for terms in enumerate_all_terms(KEY_SIG, KEY_VARS, 6).values():
+            shuffled = rng.sample(terms, len(terms))
+            assert sorted(shuffled, key=nested) == terms
 
 
 class TestSubstitution:

@@ -7,6 +7,7 @@ import pytest
 from treelang.core import (
     Node,
     SortError,
+    SortedVars,
     ValidationError,
     Var,
     enumerate_all_terms,
@@ -81,6 +82,13 @@ class TestBuild:
     def test_missing_variable_is_a_validation_error(self, x1, rpar_algebra):
         with pytest.raises(ValidationError, match="^assignment missing variable 'z'$"):
             recognizer(x1, rpar_algebra, {"x": 0}, {"s": [0]})
+
+    def test_variable_at_unknown_sort(self, rpar_algebra):
+        # the builder leaves y out of the assignment, and still fails as
+        # direct construction does (tests/test_core.py)
+        with_y = SortedVars((("s", ("x", "z")), ("t", ("y",))))
+        with pytest.raises(ValidationError, match="^variable 'y' at unknown sort 't'$"):
+            recognizer(with_y, rpar_algebra, {"x": 0, "z": 1, "y": 0}, {})
 
     def test_assignment_is_checked_once(self, x1, rpar_algebra, monkeypatch):
         calls = []
