@@ -467,11 +467,6 @@ def subset_algebra(alg: FiniteAlgebra) -> FiniteAlgebra:
     return finite_algebra(alg.signature, carriers, tables)
 
 
-def singleton_embedding(alg: FiniteAlgebra) -> dict[str, tuple[int, ...]]:
-    """The injective homomorphism from the algebra into its subset algebra."""
-    return {s: tuple(1 << e for e in range(n)) for s, n in alg.carriers}
-
-
 # ---------------------------------------------------------------------------
 # translations
 

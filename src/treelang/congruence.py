@@ -24,7 +24,7 @@ import math
 from typing import Hashable, Mapping, Sequence
 
 from .algebra import FiniteAlgebra, _getter, _indices
-from .core import ValidationError, _record
+from .core import ValidationError, _check_sorts_once, _record
 
 
 @_record
@@ -35,6 +35,8 @@ class SortedPartition:
     counts: tuple[tuple[str, int], ...]
 
     def __post_init__(self):
+        _check_sorts_once(self.classes, "partition classes")
+        _check_sorts_once(self.counts, "partition counts")
         classes, counts = dict(self.classes), dict(self.counts)
         if classes.keys() != counts.keys():
             raise ValidationError(
@@ -251,27 +253,3 @@ def syntactic_congruence(
     """The greatest congruence saturating the subset: the cogenerated
     congruence of the two-block kernel partition."""
     return cogenerated_congruence(alg, kernel_of_subset(alg, subset))
-
-
-def all_partitions_of(n: int):
-    """Every partition of range(n) as a class-id array (exponential; test sizes only)."""
-    if n == 0:
-        yield ()
-        return
-
-    def rec(prefix: list[int], used: int):
-        if len(prefix) == n:
-            yield tuple(prefix)
-            return
-        for c in range(used + 1):
-            yield from rec(prefix + [c], max(used, c + 1))
-
-    yield from rec([0], 1)
-
-
-def all_sorted_partitions(alg: FiniteAlgebra):
-    """Every sorted partition of the carriers (brute-force oracle substrate)."""
-    sorts = alg.signature.sorts
-    per_sort = [list(all_partitions_of(alg.size(s))) for s in sorts]
-    for combo in itertools.product(*per_sort):
-        yield partition(sorts, dict(zip(sorts, combo)))

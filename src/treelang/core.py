@@ -131,6 +131,15 @@ def signature(sorts: Sequence[str], ops: Iterable[tuple[str, Sequence[str], str]
     return Signature(tuple(sorts), tuple(Operation(n, tuple(a), r) for n, a, r in ops))
 
 
+def _check_sorts_once(pairs: Iterable[tuple[str, object]], what: str) -> None:
+    """Reject a per-sort table that lists a sort twice."""
+    seen = set()
+    for sort, _ in pairs:
+        if sort in seen:
+            raise ValidationError(f"{what} list sort {sort!r} twice")
+        seen.add(sort)
+
+
 @_record
 class SortedVars:
     """Per-sort finite ordered variable sets; names are globally unique."""
@@ -138,6 +147,7 @@ class SortedVars:
     by_sort: tuple[tuple[str, tuple[str, ...]], ...]
 
     def __post_init__(self):
+        _check_sorts_once(self.by_sort, "variables")
         names = [x for _, xs in self.by_sort for x in xs]
         if len(set(names)) != len(names):
             raise ValidationError("variable names must be globally unique across sorts")

@@ -13,12 +13,12 @@ from typing import Iterable, Mapping, Sequence
 
 from .algebra import FiniteAlgebra
 from .core import (
+    Node,
     Signature,
     SortedVars,
     Term,
     Var,
     enumerate_all_terms,
-    node,
     occurrence_counts,
     substitute_occurrences,
 )
@@ -87,42 +87,6 @@ def language_sets(rec: Recognizer, max_nodes: int) -> dict[str, frozenset[Term]]
     return {s: frozenset(ts) for s, ts in enumerate_language(rec, max_nodes).items()}
 
 
-def _occurrence_positions(term: Term) -> list[str]:
-    """Variable names of the term's leaves in preorder (one entry per occurrence)."""
-    out: list[str] = []
-
-    def walk(t: Term):
-        if isinstance(t, Var):
-            out.append(t.name)
-        else:
-            for c in t.children:
-                walk(c)
-
-    walk(term)
-    return out
-
-
-def _bounded_choices(
-    slots: Sequence[str], pools: Mapping[str, Sequence[Term]], budget: int
-):
-    """All ways to pick one pool member per slot with total size <= budget.
-
-    Pools must be sorted by ascending size, which lets the scan stop at the
-    first member that no longer fits.
-    """
-    if not slots:
-        yield ()
-        return
-    name = slots[0]
-    rest = slots[1:]
-    floor_rest = len(rest)  # each later slot needs at least one node
-    for q in pools[name]:
-        if q.size + floor_rest > budget:
-            break
-        for tail in _bounded_choices(rest, pools, budget - q.size):
-            yield (q, *tail)
-
-
 def semantic_substitution_sets(
     k_terms: Iterable[Term],
     families: Mapping[str, Sequence[Term]],
@@ -132,45 +96,48 @@ def semantic_substitution_sets(
 
     Every occurrence of a variable with an entry in ``families`` is replaced,
     independently, by some member of its family; variables without an entry
-    keep their occurrences.  Complete up to the bound because replacements
-    never shrink a term.
+    keep their occurrences.  Computed bottom-up, once per subterm object: a
+    leaf's results are its family's members (or the leaf itself), and a
+    node's are one node over each tuple of its children's results.  Results
+    are kept per size, so no tuple past the bound is built; replacements
+    never shrink a term, so every result within the bound is found.
     """
-    pools = {x: sorted(pool, key=lambda t: t.size) for x, pool in families.items()}
-    out: set[Term] = set()
-    for p in k_terms:
-        slots = [x for x in _occurrence_positions(p) if x in pools]
-        budget = max_nodes - (p.size - len(slots))
-        for choice in _bounded_choices(slots, pools, budget):
-            replacements: dict[str, list[Term]] = {x: [] for x in pools}
-            for name, q in zip(slots, choice):
-                replacements[name].append(q)
-            out.add(substitute_occurrences(p, replacements))
-    return out
+    terms = [p for p in k_terms if p.size <= max_nodes]  # kept alive: ids key the memo
+    pools: dict[str, dict[int, list[Term]]] = {}
+    for x, pool in families.items():
+        pools[x] = {}
+        for q in pool:
+            if q.size <= max_nodes:
+                pools[x].setdefault(q.size, []).append(q)
+    memo: dict[int, dict[int, list[Term]]] = {}
 
-
-def substitution_sets_by_powerset(
-    sig: Signature,
-    vars: SortedVars,
-    k_terms: Iterable[Term],
-    families: Mapping[str, Sequence[Term]],
-    max_nodes: int,
-) -> set[Term]:
-    """Cross-check route: set-valued bottom-up evaluation of each member, the
-    explicit-set mirror of evaluating in the subset algebra."""
-
-    def sem(t: Term) -> set[Term]:
+    def walk(t: Term) -> dict[int, list[Term]]:
+        got = memo.get(id(t))
+        if got is not None:
+            return got
         if isinstance(t, Var):
-            if t.name in families:
-                return set(families[t.name])
-            return {t}
-        child_sets = [sem(c) for c in t.children]
-        op = sig.operation(t.symbol)
-        return {node(op, combo) for combo in itertools.product(*child_sets)}
+            out = pools.get(t.name, {1: [t]})
+        else:
+            kids = [walk(c) for c in t.children]
+            tuples: dict[int, list[tuple[Term, ...]]] = {0: [()]}  # by total size
+            for i, results in enumerate(kids):
+                room = max_nodes - len(kids) + i  # the node and each later child take one
+                grown: dict[int, list[tuple[Term, ...]]] = {}
+                for size, heads in tuples.items():
+                    for q_size, qs in results.items():
+                        if size + q_size <= room:
+                            grown.setdefault(size + q_size, []).extend(
+                                (*h, q) for h in heads for q in qs
+                            )
+                tuples = grown
+            out = {
+                size + 1: [Node(t.symbol, c, t.sort, size + 1) for c in cs]
+                for size, cs in tuples.items()
+            }
+        memo[id(t)] = out
+        return out
 
-    result: set[Term] = set()
-    for p in k_terms:
-        result.update(sem(p))
-    return {t for t in result if t.size <= max_nodes}
+    return {q for p in terms for qs in walk(p).values() for q in qs}
 
 
 def semantic_iteration_bounded(

@@ -4,11 +4,13 @@ worked hyperderivor/derivor examples, and seeded random instance generators.
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
 
-from treelang.algebra import finite_algebra
+from treelang.algebra import FiniteAlgebra, finite_algebra
+from treelang.congruence import partition
 from treelang.core import (
     Context,
     Hole,
@@ -142,6 +144,30 @@ def accepted_sets(rec: Recognizer, universe) -> dict[str, frozenset]:
 def same_language(r1: Recognizer, r2: Recognizer, max_nodes: int) -> bool:
     universe = enumerate_all_terms(r1.signature, r1.vars, max_nodes)
     return accepted_sets(r1, universe) == accepted_sets(r2, universe)
+
+
+def all_partitions_of(n: int):
+    """Every partition of range(n) as a class-id array (exponential; test sizes only)."""
+    if n == 0:
+        yield ()
+        return
+
+    def rec(prefix: list[int], used: int):
+        if len(prefix) == n:
+            yield tuple(prefix)
+            return
+        for c in range(used + 1):
+            yield from rec(prefix + [c], max(used, c + 1))
+
+    yield from rec([0], 1)
+
+
+def all_sorted_partitions(alg: FiniteAlgebra):
+    """Every sorted partition of the carriers (brute-force oracle substrate)."""
+    sorts = alg.signature.sorts
+    per_sort = [list(all_partitions_of(alg.size(s))) for s in sorts]
+    for combo in itertools.product(*per_sort):
+        yield partition(sorts, dict(zip(sorts, combo)))
 
 
 # ---------------------------------------------------------------------------

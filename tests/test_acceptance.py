@@ -15,7 +15,6 @@ from treelang.closure import (
     substitute_language,
 )
 from treelang.congruence import (
-    all_sorted_partitions,
     cogenerated_congruence,
     is_congruence,
     kernel_of_subset,
@@ -63,6 +62,7 @@ from treelang.algebra import evaluate
 
 from conftest import (
     accepted_sets,
+    all_sorted_partitions,
     random_algebra,
     random_context,
     random_derivor,

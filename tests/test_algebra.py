@@ -9,7 +9,6 @@ from treelang.algebra import (
     generated_subalgebra,
     product_algebra,
     quotient_algebra,
-    singleton_embedding,
     subset_algebra,
     translation_table,
 )
@@ -28,6 +27,11 @@ from conftest import leaf_contexts, random_algebra, random_recognizer, random_si
 
 
 ASG = {"x": 0, "z": 1}
+
+
+def singleton_embedding(alg):
+    """The injective homomorphism from the algebra into its subset algebra."""
+    return {s: tuple(1 << e for e in range(n)) for s, n in alg.carriers}
 
 
 class TestEvaluate:

@@ -119,19 +119,26 @@ def test_only_record_knows_the_layout():
     assert leaks == []
 
 
+PERFBENCH = Path(__file__).parents[1] / "perfbench"
+
+
+def _tracing_table(name):
+    """The expression assigned to ``name`` at the top of ``perfbench/tracing.py``."""
+    tree = ast.parse((PERFBENCH / "tracing.py").read_text(encoding="utf-8"))
+    (table,) = [
+        stmt.value
+        for stmt in tree.body
+        if isinstance(stmt, ast.Assign) and [getattr(t, "id", None) for t in stmt.targets] == [name]
+    ]
+    return table
+
+
 def test_traced_functions_exist():
     """Each function the benchmark traces per layer is a function of its home
     module, so a refactor cannot drop a layer metric unnoticed.  The table is
     read from the source, so no benchmark code runs."""
-    source = Path(__file__).parents[1] / "perfbench" / "tracing.py"
-    tree = ast.parse(source.read_text(encoding="utf-8"))
-    (table,) = [
-        stmt.value
-        for stmt in tree.body
-        if isinstance(stmt, ast.Assign) and [getattr(t, "id", None) for t in stmt.targets] == ["TRACED"]
-    ]
     missing = []
-    for module, names in ast.literal_eval(table).items():
+    for module, names in ast.literal_eval(_tracing_table("TRACED")).items():
         home = importlib.import_module(f"treelang.{module}")
         missing += [
             f"{module}.{name}"
@@ -139,6 +146,54 @@ def test_traced_functions_exist():
             if not inspect.isfunction(getattr(home, name, None))
             or getattr(home, name).__module__ != home.__name__
         ]
+    assert missing == []
+
+
+def test_benchmark_names_resolve():
+    """Every name the benchmark imports from ``treelang`` and every attribute
+    it reads off an imported ``treelang`` module exists, and each per-layer
+    count is kept for a traced function, so a rename fails here and not only
+    in a benchmark run.  The sources are parsed, so no benchmark code runs."""
+    missing, imported, read = [], 0, 0
+    for path in sorted(PERFBENCH.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        modules = {}  # local name -> the treelang module it is bound to
+        for stmt in ast.walk(tree):
+            if isinstance(stmt, ast.Import):
+                for alias in stmt.names:
+                    if alias.name.split(".")[0] == "treelang":
+                        module = importlib.import_module(alias.name)
+                        modules[alias.asname or "treelang"] = module if alias.asname else treelang
+            elif isinstance(stmt, ast.ImportFrom) and (stmt.module or "").split(".")[0] == "treelang":
+                home = importlib.import_module(stmt.module)
+                for alias in stmt.names:
+                    imported += 1
+                    if not hasattr(home, alias.name):
+                        missing.append(f"{path.name}:{stmt.lineno} {stmt.module}.{alias.name}")
+                    elif inspect.ismodule(getattr(home, alias.name)):
+                        modules[alias.asname or alias.name] = getattr(home, alias.name)
+
+        def module_of(expr):
+            """The treelang module an expression names, if it names one."""
+            if isinstance(expr, ast.Name):
+                return modules.get(expr.id)
+            if isinstance(expr, ast.Attribute):
+                value = getattr(module_of(expr.value), expr.attr, None)
+                return value if inspect.ismodule(value) else None
+            return None
+
+        for expr in ast.walk(tree):
+            if isinstance(expr, ast.Attribute) and (home := module_of(expr.value)) is not None:
+                read += 1
+                if not hasattr(home, expr.attr):
+                    missing.append(f"{path.name}:{expr.lineno} {home.__name__}.{expr.attr}")
+    traced = {f"{m}.{n}" for m, names in ast.literal_eval(_tracing_table("TRACED")).items() for n in names}
+    missing += [
+        f"tracing.COUNTS {key}"
+        for key in map(ast.literal_eval, _tracing_table("COUNTS").keys)
+        if key not in traced
+    ]
+    assert imported and read
     assert missing == []
 
 
@@ -174,17 +229,14 @@ ORACLE = "the oracle's bound on term size"
 RECURSIVE_FUNCTIONS = {
     "algebra._values.walk": TERM_DEPTH,
     "cli.build_parser": "one level: an unknown command builds every command's parser",
-    "congruence.all_partitions_of.rec": "a carrier's size, in a brute-force helper for tests",
     "core._Parser.parse": TERM_DEPTH,
     "core._compositions": ARITY,
     "core._rebuild": TERM_DEPTH,
     "formats._Reader.block": DOCUMENT,
     "formats._node": DOCUMENT,
     "formats.check": "the nesting of the document shapes formats declares",
-    "oracle._bounded_choices": ORACLE,
-    "oracle._occurrence_positions.walk": ORACLE,
     "oracle.evaluate_many.walk": ORACLE,
-    "oracle.substitution_sets_by_powerset.sem": ORACLE,
+    "oracle.semantic_substitution_sets.walk": ORACLE,
     "treehom._extend": TERM_DEPTH,
     "treehom._template.emit": TERM_DEPTH,
     "treehom.direct_image.compile_rhs": TERM_DEPTH,

@@ -5,7 +5,6 @@ import pytest
 from treelang.algebra import finite_algebra, quotient_algebra
 from treelang.congruence import (
     all_in_one_partition,
-    all_sorted_partitions,
     cogenerated_congruence,
     identity_partition,
     is_congruence,
@@ -18,7 +17,7 @@ from treelang.congruence import (
 )
 from treelang.core import ValidationError, signature
 
-from conftest import random_algebra, random_signature
+from conftest import all_sorted_partitions, random_algebra, random_signature
 
 
 @pytest.fixture

@@ -273,6 +273,11 @@ def test_unpickling_rechecks_invariants(request):
         ("SortedPartition", {"counts": (("s", 2),)}, "partition class sorts ['s', 't'] differ from count sorts ['s']"),
         ("SortedPartition", {"counts": (("s", 2), ("t", 1), ("u", 3))},
          "partition class sorts ['s', 't'] differ from count sorts ['s', 't', 'u']"),
+        ("SortedPartition", {"classes": (("s", (0,)), ("s", (0, 0))), "counts": (("s", 1),)},
+         "partition classes list sort 's' twice"),
+        ("SortedPartition", {"classes": (("s", (0,)),), "counts": (("s", 1), ("s", 1))},
+         "partition counts list sort 's' twice"),
+        ("SortedVars", {"by_sort": (("s", ("x",)), ("s", ("y",)))}, "variables list sort 's' twice"),
     ]
     for kind, values, message in cases:
         good = RECORDS[kind](request.getfixturevalue)
