@@ -290,7 +290,12 @@ def product_algebra(algebras: Sequence[FiniteAlgebra]):
 # generated subalgebras
 
 
-def _closure(sig: Signature, seed: Mapping[str, Sequence[int]], rows) -> dict[str, list[int]]:
+def _closure(
+    sig: Signature,
+    seed: Mapping[str, Sequence[int]],
+    rows,
+    goal: Mapping[str, frozenset[int]] | None = None,
+) -> dict[str, list[int]]:
     """The frontier worklist behind every generated subalgebra: the least
     sets holding the seed and closed under the operations, each in
     first-reached order.  That order numbers ``minimize``'s classes and
@@ -306,9 +311,17 @@ def _closure(sig: Signature, seed: Mapping[str, Sequence[int]], rows) -> dict[st
     row and each prefix's offset, or one row per prefix and ``None`` (offset
     0), prefixes in lexicographic order; the value at a last element ``e``
     is ``row[offset + e]``.
+
+    A ``goal`` (per sort, a set of target elements) makes it return as soon
+    as one of them is reached, the seed checked first.  Each list is then a
+    prefix of the full closure's, in the same order; with no goal element
+    reachable it is the full closure.
     """
     reached = {s: list(dict.fromkeys(seed.get(s, ()))) for s in sig.sorts}
     member = {s: set(es) for s, es in reached.items()}
+    goal = goal or {}
+    if any(not targets.isdisjoint(member[s]) for s, targets in goal.items()):
+        return reached
     # per operation: the reached lists at its argument sorts (a constant
     # reads one last element, 0), and their lengths at its last pass, None
     # before the first
@@ -344,16 +357,15 @@ def _closure(sig: Signature, seed: Mapping[str, Sequence[int]], rows) -> dict[st
             if fresh:
                 found.update(fresh)
                 reached[op.result] += fresh
+                if op.result in goal and not goal[op.result].isdisjoint(fresh):
+                    return reached
                 changed = True
     return reached
 
 
-def closure_elements(
-    alg: FiniteAlgebra, seed: Mapping[str, Sequence[int]]
-) -> dict[str, list[int]]:
-    """Least subset containing the seed and closed under all tables, in
-    ``_closure``'s first-reached order; each reached table entry is read
-    once, at its prefix's mixed-radix offset."""
+def _offset_rows(alg: FiniteAlgebra):
+    """``_closure``'s row reader over the algebra's tables: each reached
+    table entry is read once, at its prefix's mixed-radix offset."""
     sizes, tables = alg._sizes, alg._tables
 
     def rows(op, heads, n):
@@ -366,7 +378,15 @@ def closure_elements(
             offsets = [(b + e) * k for b in offsets for e in pool]
         return tables[op.name], offsets
 
-    return _closure(alg.signature, seed, rows)
+    return rows
+
+
+def closure_elements(
+    alg: FiniteAlgebra, seed: Mapping[str, Sequence[int]]
+) -> dict[str, list[int]]:
+    """Least subset containing the seed and closed under all tables, in
+    ``_closure``'s first-reached order, read by ``_offset_rows``."""
+    return _closure(alg.signature, seed, _offset_rows(alg))
 
 
 def generated_subalgebra(alg: FiniteAlgebra, seed: Mapping[str, Sequence[int]]):

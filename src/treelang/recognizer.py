@@ -16,6 +16,8 @@ from typing import Mapping, Sequence
 from .algebra import (
     FiniteAlgebra,
     _check_elements,
+    _closure,
+    _offset_rows,
     check_assignment,
     closure_elements,
     evaluate,
@@ -156,7 +158,7 @@ def combine(kind: str, r1: Recognizer, r2: Recognizer) -> Recognizer:
 
 def _seed(rec: Recognizer) -> dict[str, list[int]]:
     """Constants' values plus the assignment image, in declaration order,
-    duplicates kept: ``closure_elements`` drops them."""
+    duplicates kept: ``algebra._closure`` drops them."""
     seed: dict[str, list[int]] = {s: [] for s in rec.signature.sorts}
     for op in rec.signature.ops:
         if not op.arity:
@@ -170,9 +172,12 @@ def _seed(rec: Recognizer) -> dict[str, list[int]]:
 def is_empty(rec: Recognizer) -> bool:
     """Language emptiness by reachability: every term evaluates into the
     generated subalgebra of the seed, and every reachable value is some term's
-    value."""
-    reached = closure_elements(rec.algebra, _seed(rec))
-    return not any(rec.accepting_at(s).intersection(reached[s]) for s in rec.signature.sorts)
+    value.  The accepting sets are ``algebra._closure``'s goal, so it stops
+    at the first accepting value reached, seed first; only an empty language
+    closes the whole subalgebra."""
+    accepting = {s: rec.accepting_at(s) for s in rec.signature.sorts}
+    reached = _closure(rec.signature, _seed(rec), _offset_rows(rec.algebra), accepting)
+    return not any(accepting[s].intersection(reached[s]) for s in accepting)
 
 
 def equivalent(r1: Recognizer, r2: Recognizer) -> bool:

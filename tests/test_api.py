@@ -5,6 +5,7 @@ bounds its depth."""
 
 import ast
 import importlib
+import importlib.util
 from collections import Counter
 import inspect
 from pathlib import Path
@@ -195,6 +196,51 @@ def test_benchmark_names_resolve():
     ]
     assert imported and read
     assert missing == []
+
+
+def test_benchmark_counts_accept_real_results(f1, x1, r_par):
+    """Each per-layer count of the benchmark, applied to the arguments and
+    result of one small real call of its traced function, gives a pair of
+    numbers per count name, with the arguments passed by position and by
+    keyword; so a changed result shape or parameter name fails here and not
+    only in a traced benchmark run.  ``perfbench/tracing.py`` imports only
+    the standard library, so it is loaded by path."""
+    from treelang.closure import nta, table_rules
+    from treelang.congruence import all_in_one_partition
+    from treelang.core import parse_term
+    from treelang.formats import load_document
+
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", PERFBENCH / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    alg = r_par.algebra
+    rules = {key: {v} for key, v in table_rules(alg)}
+    machine = nta(f1, x1, {"s": 2}, {"x": {0}, "z": {1}}, rules, {}, {"s": {0}})
+    golden = Path(__file__).parent / "golden" / "rpar.rec"
+    calls = {
+        "algebra.product_algebra": ([alg, alg],),
+        "algebra.closure_elements": (alg, {"s": [0]}),
+        "congruence.cogenerated_congruence": (alg, all_in_one_partition(alg)),
+        "recognizer.determinize": (machine,),
+        "algebra.evaluate": (alg, dict(r_par.assignment), parse_term("sigma(g(x), c)", f1, x1)),
+        "core.parse_term": ("sigma(g(x), c)", f1, x1),
+        "formats.load_document": (golden,),
+        "formats.dump_document": (load_document(golden),),
+    }
+    assert set(calls) == set(tracing.COUNTS)
+    bad = []
+    for qual, args in calls.items():
+        module, name = qual.split(".")
+        fn = getattr(importlib.import_module(f"treelang.{module}"), name)
+        kwargs = inspect.signature(fn).bind(*args).arguments
+        names, count = tracing.COUNTS[qual]
+        for a, k in ((args, {}), ((), kwargs)):
+            pairs = count(a, k, fn(*a, **k))
+            if len(pairs) != len(names) or not all(
+                len(pair) == 2 and all(type(x) in (int, float) for x in pair) for pair in pairs
+            ):
+                bad.append((qual, "keyword" if k else "position", pairs))
+    assert bad == []
 
 
 def test_unchecked_paths_are_covered():

@@ -24,11 +24,14 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from collections import Counter
 
 import pytest
 
 from treelang.algebra import (
     FiniteAlgebra,
+    _closure,
+    _offset_rows,
     closure_elements,
     evaluate,
     finite_algebra,
@@ -62,6 +65,7 @@ from treelang.core import (
 )
 from treelang.oracle import evaluate_many
 from treelang.recognizer import (
+    _seed,
     combine,
     empty_recognizer,
     equivalent,
@@ -73,7 +77,7 @@ from treelang.recognizer import (
 )
 from treelang.treehom import derived_algebra, hyperderivor, placeholder, placeholder_index
 
-from conftest import random_algebra, random_context, random_recognizer
+from conftest import random_algebra, random_context, random_recognizer, random_rich_signature
 
 
 def reference_product_algebra(algebras):
@@ -429,6 +433,80 @@ def test_closure_elements_reads_each_reached_entry_once():
         assert reads[0] == sum(
             math.prod(len(reached[s]) for s in op.arity) for op in SIG.ops
         )
+
+
+def accepting_variants(rec):
+    """The recognizer with its accepting sets drawn at random, emptied, moved
+    onto the elements its seed does not generate, and cut to the last element
+    reached at one sort."""
+    reached = closure_elements(rec.algebra, _seed(rec))
+    sizes = dict(rec.algebra.carriers)
+    variants = [
+        dict(rec.accepting),
+        {},
+        {s: [e for e in range(n) if e not in reached[s]] for s, n in sizes.items()},
+    ]
+    variants += [{s: [es[-1]]} for s, es in reached.items() if es]
+    for acc in variants:
+        yield recognizer(rec.vars, rec.algebra, dict(rec.assignment), acc)
+
+
+def emptiness_instances(rng, f1, x1, f2, x2):
+    """Random recognizers over ``SIG`` (its sort ``e`` often has an empty
+    carrier), ``f1``/``x1``, ``f2``/``x2`` and a two-sorted rich signature,
+    each in its ``accepting_variants``."""
+    rich = next(
+        pair for pair in iter(lambda: random_rich_signature(rng), None) if len(pair[0].sorts) == 2
+    )
+    sig_vars = sorted_vars(SIG, {"a": ["x"], "b": ["xb"]})
+    for _ in range(INSTANCES // 4):
+        alg = random_instance(rng)
+        sizes = dict(alg.carriers)
+        assignment = {"x": rng.randrange(sizes["a"]), "xb": rng.randrange(sizes["b"])}
+        accepting = {s: [e for e in range(n) if rng.random() < 0.3] for s, n in sizes.items()}
+        yield from accepting_variants(recognizer(sig_vars, alg, assignment, accepting))
+        for sig, vars in ((f1, x1), (f2, x2), rich):
+            yield from accepting_variants(random_recognizer(rng, sig, vars, max_carrier=5))
+
+
+def test_goal_closure_is_a_prefix_and_reads_no_more(f1, x1, f2, x2):
+    """With the accepting sets as its goal, ``_closure`` returns a prefix of
+    each of ``closure_elements``' lists and reads no more entries; it reads
+    none when the seed accepts, and all of the full closure's when the
+    language is empty.  ``is_empty`` gives the full closure's verdict and
+    reads the constants' seed values and the goal closure's entries."""
+    rng = random.Random(618)
+    seen = Counter()
+    for rec in emptiness_instances(rng, f1, x1, f2, x2):
+        sig = rec.signature
+        seed = _seed(rec)
+        full = closure_elements(rec.algebra, seed)
+        goal = {s: rec.accepting_at(s) for s in sig.sorts}
+        empty = not any(goal[s] & set(full[s]) for s in sig.sorts)
+        seeded = any(goal[s] & set(seed[s]) for s in sig.sorts)
+        full_reads = sum(math.prod(len(full[s]) for s in op.arity) for op in sig.ops)
+        reads = [0]
+        counted = counting_tables(rec.algebra, reads)
+        reads[0] = 0
+        got = _closure(sig, seed, _offset_rows(counted), goal)
+        goal_reads = reads[0]
+        assert {s: full[s][: len(es)] for s, es in got.items()} == got
+        assert goal_reads <= full_reads
+        if seeded:
+            assert goal_reads == 0
+        if empty:
+            assert got == full and goal_reads == full_reads
+        counted_rec = recognizer(rec.vars, counted, dict(rec.assignment), dict(rec.accepting))
+        reads[0] = 0
+        assert is_empty(counted_rec) == is_empty(rec) == empty
+        constants = sum(1 for op in sig.ops if not op.arity)
+        assert reads[0] == constants + goal_reads
+        if empty or seeded:
+            seen["empty" if empty else "seeded"] += 1
+        else:
+            seen["stopped early" if goal_reads < full_reads else "stopped last"] += 1
+        seen["empty carrier"] += 0 in dict(rec.algebra.carriers).values()
+    assert len(seen) == 5 and min(seen.values()) > 0
 
 
 def test_cogenerated_congruence_of_a_discrete_input_reads_no_table():

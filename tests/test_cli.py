@@ -69,6 +69,13 @@ class TestBasicCommands:
         code, out = run("empty", GOLDEN / "rpar.rec")
         assert code == 0 and out == "false\n"
 
+    def test_empty_of_a_self_difference(self, tmp_path):
+        diff = tmp_path / "diff.rec"
+        code, _ = run("combine", "difference", GOLDEN / "rpar.rec", GOLDEN / "rpar.rec", "-o", diff)
+        assert code == 0
+        code, out = run("empty", diff)
+        assert code == 0 and out == "true\n"
+
     def test_validation_error_exit_one(self, tmp_path):
         bad = tmp_path / "bad.rec"
         bad.write_text("sorts: [s]\nops: []\ncarriers: {s: 1}\ntables: {}\n")

@@ -19,6 +19,7 @@ from treelang.core import (
     sorted_vars,
 )
 from treelang.recognizer import (
+    _seed,
     accepts,
     combine,
     determinize,
@@ -34,7 +35,7 @@ from treelang.recognizer import (
     restrict_to_sort,
     universal_recognizer,
 )
-from treelang.algebra import finite_algebra
+from treelang.algebra import _closure, _offset_rows, closure_elements, finite_algebra
 from treelang.closure import nta, table_rules
 from treelang.oracle import enumerate_language
 
@@ -165,6 +166,34 @@ class TestEmptiness:
         assert is_empty(rec)
         rec2 = recognizer(no_vars, alg, {}, {"b": [1]})
         assert not is_empty(rec2)
+
+    def test_accepting_value_reached_in_the_last_round(self, f1):
+        # c is 0 and g counts up to n - 1, first reached in the last round
+        # that reaches anything; sigma keeps its left argument
+        n = 6
+        tables = {
+            "c": [0],
+            "g": [min(i + 1, n - 1) for i in range(n)],
+            "sigma": [a for a in range(n) for _ in range(n)],
+        }
+        alg = finite_algebra(f1, {"s": n}, tables)
+        no_vars = sorted_vars(f1, {})
+        full = closure_elements(alg, {"s": [0]})
+        assert full == {"s": list(range(n))}
+        for accepting, empty in (([n - 1], False), ([], True), ([0, n - 1], False)):
+            rec = recognizer(no_vars, alg, {}, {"s": accepting})
+            assert is_empty(rec) == empty
+            goal = {"s": rec.accepting_at("s")}
+            got = _closure(f1, _seed(rec), _offset_rows(alg), goal)
+            assert got == ({"s": [0]} if 0 in accepting else full)
+
+    def test_empty_carrier_and_unreachable_accepting_values(self):
+        # u has no term and no state; s reaches 0 and 1 of its 4 states
+        tables = {"c": [0], "g": [1, 0, 3, 2], "h": [], "k": []}
+        alg = finite_algebra(U_SIG, {"s": 4, "u": 0}, tables)
+        for accepting, empty in (([2, 3], True), ([], True), ([3, 1], False), ([0], False)):
+            rec = recognizer(U_VARS, alg, {"x": 0}, {"s": accepting})
+            assert is_empty(rec) == empty
 
     def test_agrees_with_enumeration(self, f1, x1, f2, x2):
         rng = random.Random(9)
