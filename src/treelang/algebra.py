@@ -17,12 +17,13 @@ from .core import (
     HOLE,
     Context,
     Hole,
+    Node,
     Signature,
     Term,
     ValidationError,
     Var,
+    _preorder,
     _record,
-    apply_context,
 )
 
 
@@ -82,12 +83,27 @@ class FiniteAlgebra:
         return self._tables[opname]
 
     def apply(self, opname: str, args: Sequence[int]) -> int:
-        op = self.signature.operation(opname)
-        sizes = self._sizes
-        index = 0
-        for a, s in zip(args, op.arity):
-            index = index * sizes[s] + a
-        return self._tables[opname][index]
+        arity = self.signature.operation(opname).arity
+        if len(args) != len(arity):
+            raise ValidationError(f"{opname!r} expects {len(arity)} arguments, got {len(args)}")
+        return self._tables[opname][_index(self._sizes, arity, args)]
+
+
+def _member(value, n: int) -> bool:
+    """Whether ``value`` is an element of a carrier of ``n`` elements: an
+    ``int`` in ``range(n)``, and not a ``bool``."""
+    return value.__class__ is int and 0 <= value < n
+
+
+def _index(sizes: Mapping[str, int], arity: Sequence[str], args: Sequence[int]) -> int:
+    """The mixed-radix table index of an argument tuple, last argument
+    fastest, each argument checked to be an element of its sort."""
+    index = 0
+    for a, s in zip(args, arity):
+        if not _member(a, sizes[s]):
+            raise ValidationError(f"argument {a!r} out of carrier range at sort {s!r}")
+        index = index * sizes[s] + a
+    return index
 
 
 def finite_algebra(
@@ -160,13 +176,14 @@ def check_assignment(alg: FiniteAlgebra, vars, assignment: Mapping[str, int]) ->
         for x in names:
             if x not in assignment:
                 raise ValidationError(f"assignment missing variable {x!r}")
-            if not (0 <= assignment[x] < sizes[sort]):
+            if not _member(assignment[x], sizes[sort]):
                 raise ValidationError(f"assignment for {x!r} out of carrier range")
 
 
 def evaluate(alg: FiniteAlgebra, assignment: Mapping[str, int], term: Term) -> int:
     """The homomorphic extension of the assignment: variables through the
-    assignment, nodes through operation tables."""
+    assignment, nodes through operation tables, in ``_values``' one flat,
+    checked pass, so a term of any depth evaluates."""
     return _values(alg, assignment, term, ())[0]
 
 
@@ -174,61 +191,80 @@ def _values(
     alg: FiniteAlgebra, assignment: Mapping[str, int], term: Term, free: Sequence[Var]
 ) -> tuple[int, ...]:
     """The term's value at every tuple of values of the ``free`` variables, in
-    table order (mixed radix, last variable fastest), from one walk of the term.
+    table order (mixed radix, last variable fastest), from one pass over the
+    term.
 
-    A free variable's values are its projection, a subterm without free
-    variables is one ``int``, and a node gathers its table at the index list
-    its children's values fold to; values over the space are tuples.  Other
-    variables are read from the assignment.  An empty space returns ``()``
-    without walking the term.
+    The pass is one loop over the reversed preorder, children before their
+    node, with a stack of values: a free variable pushes its projection
+    column, a hole the column of the free variable named ``@`` (a
+    translation's), and another variable its value in the assignment.  A
+    node pops its children's values, the first child's on top, and pushes
+    its table entry, or the table gathered at the index list they fold to;
+    values over the space are tuples, and one without free variables is an
+    ``int``.  Each input is checked where it is read: a node's child count
+    against its operation's arity, an assigned value (once per name) to be
+    an element of its sort's carrier (``_member``), a variable's sort, and a
+    hole, which only a translation's ``@`` column fills.  An empty space
+    returns ``()`` without reading the term.
     """
     sizes = alg._sizes
     tables = alg._tables
-    opmap = alg.signature.op_by_name
-    space = math.prod(sizes[v.sort] for v in free)
+    # per operation: the carrier sizes of its arity, and its table
+    ops = {op.name: ([sizes[s] for s in op.arity], tables[op.name]) for op in alg.signature.ops}
+    space = 1
+    for v in free:
+        if v.sort not in sizes:
+            raise ValidationError(f"variable {v.name!r} at unknown sort {v.sort!r}")
+        space *= sizes[v.sort]
     if not space:
         return ()
-    # a variable's stride is the product of the later variables' sizes
+    # a variable's column, or its checked value once read; a variable's
+    # stride is the product of the later variables' sizes
     columns = {}
     stride = space
     for v in free:
         n = sizes[v.sort]
         stride //= n
         columns[v.name] = tuple(_projection(n, stride, space))
-
-    def walk(t: Term):
-        if isinstance(t, Var):
-            values = columns.get(t.name)
-            if values is not None:
-                return values
-            try:
-                return assignment[t.name]
-            except KeyError:
-                raise ValidationError(f"no assignment for variable {t.name!r}") from None
-        if isinstance(t, Hole):
-            raise ValidationError("cannot evaluate a context hole")
-        op = opmap.get(t.symbol)
-        if op is None:
-            raise ValidationError(f"unknown operation {t.symbol!r}")
-        index = 0
-        for child, s in zip(t.children, op.arity):
-            n = sizes[s]
-            value = walk(child)
-            if type(index) is not list:
-                if type(value) is not tuple:
-                    index = index * n + value
+    stack = []
+    push, pop = stack.append, stack.pop
+    for t in reversed([*_preorder(term)]):
+        if t.__class__ is not Node:
+            value = columns.get(HOLE if t.__class__ is Hole else t.name)
+            if value is None:
+                if t.__class__ is Hole:
+                    raise ValidationError("cannot evaluate a context hole outside a translation")
+                if t.name not in assignment:
+                    raise ValidationError(f"no assignment for variable {t.name!r}")
+                if t.sort not in sizes:
+                    raise ValidationError(f"variable {t.name!r} at unknown sort {t.sort!r}")
+                value = columns[t.name] = assignment[t.name]
+                if not _member(value, sizes[t.sort]):
+                    raise ValidationError(f"assignment for {t.name!r} out of carrier range")
+        else:
+            op = ops.get(t.symbol)
+            if op is None:
+                raise ValidationError(f"unknown operation {t.symbol!r}")
+            radices, table = op
+            if len(t.children) != len(radices):
+                raise ValidationError(
+                    f"{t.symbol!r} expects {len(radices)} arguments, got {len(t.children)}"
+                )
+            index = 0
+            for n in radices:
+                value = pop()
+                if type(index) is not list:
+                    if type(value) is not tuple:
+                        index = index * n + value
+                    else:
+                        index = [index * n + v for v in value]
+                elif type(value) is not tuple:
+                    index = [i * n + value for i in index]
                 else:
-                    index = [index * n + v for v in value]
-            elif type(value) is not tuple:
-                index = [i * n + value for i in index]
-            else:
-                index = [i * n + v for i, v in zip(index, value)]
-        table = tables[t.symbol]
-        if type(index) is not list:
-            return table[index]
-        return _getter(index)(table)
-
-    value = walk(term)
+                    index = [i * n + v for i, v in zip(index, value)]
+            value = table[index] if type(index) is not list else _getter(index)(table)
+        push(value)
+    value = pop()
     return value if type(value) is tuple else (value,) * space
 
 
@@ -495,7 +531,7 @@ def translation_table(
     alg: FiniteAlgebra, assignment: Mapping[str, int], ctx: Context
 ) -> tuple[int, ...]:
     """The unary function induced by a one-hole context: hole-sort carrier ->
-    root-sort carrier.  The hole is read as a variable named ``@``, which no
-    variable name can equal."""
-    hole = Var(HOLE, ctx.hole_sort)
-    return _values(alg, assignment, apply_context(ctx, hole), [hole])
+    root-sort carrier.  ``_values`` reads the body's hole in place, as the
+    free variable named ``@``, which no variable name can equal, so no term
+    is built."""
+    return _values(alg, assignment, ctx.body, [Var(HOLE, ctx.hole_sort)])

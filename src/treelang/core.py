@@ -520,8 +520,8 @@ def _preorder(term: Term):
     while stack:
         t = stack.pop()
         yield t
-        if isinstance(t, Node):
-            stack.extend(reversed(t.children))
+        if t.__class__ is Node:
+            stack += t.children[::-1]
 
 
 def _rebuild(term: Term, leaf) -> Term:

@@ -17,6 +17,7 @@ from .algebra import (
     FiniteAlgebra,
     _check_elements,
     _closure,
+    _index,
     _offset_rows,
     check_assignment,
     closure_elements,
@@ -256,10 +257,7 @@ def _sparse_algebra(
         op.name: [default[op.result]] * math.prod(sizes[s] for s in op.arity) for op in sig.ops
     }
     for name, args, value in hits:
-        at = 0
-        for a, s in zip(args, sig.operation(name).arity):
-            at = at * sizes[s] + a
-        tables[name][at] = value
+        tables[name][_index(sizes, sig.operation(name).arity, args)] = value
     return finite_algebra(sig, sizes, tables)
 
 

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 
 import pytest
 
@@ -30,6 +31,16 @@ from treelang.derivor import Derivor, HallTerm, derivor, hall_term
 from treelang.oracle import evaluate_many
 from treelang.recognizer import Recognizer, recognizer
 from treelang.treehom import Hyperderivor, hyperderivor, placeholder
+
+
+def check_branch(branches, case, request):
+    """Run one case of a module's table of validation branches, each a call
+    (given ``request.getfixturevalue``), its error type and its message: the
+    call raises exactly that type, with exactly that message."""
+    call, error, message = branches[case]
+    with pytest.raises(error, match=f"^{re.escape(message)}$") as raised:
+        call(request.getfixturevalue)
+    assert raised.type is error
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,12 @@
 import itertools
 import random
+import re
 
 import pytest
 
+from treelang import core
 from treelang.algebra import (
+    check_assignment,
     evaluate,
     finite_algebra,
     generated_subalgebra,
@@ -14,16 +17,33 @@ from treelang.algebra import (
 )
 from treelang.congruence import all_in_one_partition, identity_partition, partition
 from treelang.core import (
+    Hole,
+    Node,
     ValidationError,
+    Var,
+    apply_context,
+    context,
     enumerate_all_terms,
     enumerate_terms,
     parse_context,
     parse_term,
     signature,
+    sorted_vars,
 )
 from treelang.oracle import evaluate_many
+from treelang.recognizer import inverse_translation
+from treelang.treehom import derived_algebra, hom_to_hyperderivor, placeholder
 
-from conftest import leaf_contexts, random_algebra, random_recognizer, random_signature
+from conftest import (
+    check_branch,
+    leaf_contexts,
+    random_algebra,
+    random_hyperderivor,
+    random_recognizer,
+    random_rich_signature,
+    random_signature,
+    retrying,
+)
 
 
 ASG = {"x": 0, "z": 1}
@@ -53,6 +73,142 @@ class TestEvaluate:
                 continue
             args = [values[id(c)] for c in t.children]
             assert values[id(t)] == rpar_algebra.apply(t.symbol, args)
+
+
+def _agreement_instances(f1, x1, f2, x2):
+    """Seeded (signature, variables, algebra, assignment) instances over
+    ``f1``/``x1``, ``f2``/``x2`` and a rich two-sorted signature."""
+    rng = random.Random(28)
+    rich = None
+    while rich is None or len(rich[0].sorts) != 2:
+        rich = random_rich_signature(rng)
+    for sig, vars in ((f1, x1), (f2, x2), rich):
+        for _ in range(6):
+            rec = random_recognizer(rng, sig, vars, max_carrier=4)
+            yield sig, vars, rec.algebra, dict(rec.assignment)
+
+
+# sorts s and t; no term of sort t is ground, so t's carrier may be empty
+EMPTY_T = signature(["s", "t"], [("k", [], "s"), ("f", ["t"], "s"), ("h", ["t", "s"], "t")])
+
+
+class TestFlatEvaluation:
+    """``_values``, behind ``evaluate``, ``translation_table`` and
+    ``derived_algebra``, agrees with independent evaluations and checks
+    each input where it reads it."""
+
+    def test_evaluate_agrees_with_oracle(self, f1, x1, f2, x2):
+        for sig, vars, alg, asg in _agreement_instances(f1, x1, f2, x2):
+            for terms in enumerate_all_terms(sig, vars, 5).values():
+                want = evaluate_many(alg, asg, terms)
+                assert [evaluate(alg, asg, t) for t in terms] == [want[id(t)] for t in terms]
+
+    def test_translation_table_agrees_with_plugged_evaluation(self, f1, x1, f2, x2):
+        for sig, vars, alg, asg in _agreement_instances(f1, x1, f2, x2):
+            for terms in enumerate_all_terms(sig, vars, 4).values():
+                for term in terms:
+                    for ctx, _ in leaf_contexts(term):
+                        # a fresh variable takes each hole value in turn
+                        plugged = apply_context(ctx, Var("w", ctx.hole_sort))
+                        want = tuple(
+                            evaluate(alg, {**asg, "w": q}, plugged)
+                            for q in range(alg.size(ctx.hole_sort))
+                        )
+                        assert translation_table(alg, asg, ctx) == want
+
+    def test_derived_tables_agree_with_pattern_evaluation(self, f1, x1, f2, x2):
+        rng = random.Random(281)
+        for target, target_vars, b, b_asg in _agreement_instances(f1, x1, f2, x2):
+            for source, source_vars in ((f1, x1), (f2, x2)):
+                h = retrying(
+                    lambda: random_hyperderivor(
+                        rng, source, source_vars, target, target_vars, linear=False
+                    ),
+                    rng,
+                )
+                alg, _ = derived_algebra(h, b, b_asg)
+                for op in source.ops:
+                    names = [placeholder(i, w).name for i, w in enumerate(op.arity)]
+                    pools = [range(alg.size(w)) for w in op.arity]
+                    want = tuple(
+                        evaluate(b, {**b_asg, **dict(zip(names, args))}, h.pattern(op.name))
+                        for args in itertools.product(*pools)
+                    )
+                    assert alg.table(op.name) == want
+
+    def test_empty_carrier_gives_empty_tables(self):
+        alg = finite_algebra(EMPTY_T, {"s": 2, "t": 0}, {"k": [1], "f": [], "h": []})
+        vars = sorted_vars(EMPTY_T, {"s": ["x"]})
+        assert translation_table(alg, {"x": 0}, parse_context("f(@)", EMPTY_T, vars)) == ()
+        assert evaluate(alg, {"x": 0}, parse_term("k", EMPTY_T, vars)) == 1
+        # the identity patterns f(v0) and h(v0,v1) take a placeholder at t
+        h = hom_to_hyperderivor(EMPTY_T, vars, vars, {"x": Var("x", "s")})
+        derived, _ = derived_algebra(h, alg, {"x": 0})
+        assert derived.tables == alg.tables
+        assert derived.table("f") == derived.table("h") == ()
+
+    C = Node("c", (), "s", 1)
+    MALFORMED = {
+        "one-child-too-many": (Node("g", (C, C), "s", 3), ASG, "'g' expects 1 arguments, got 2"),
+        "one-child-too-few": (Node("sigma", (C,), "s", 2), ASG, "'sigma' expects 2 arguments, got 1"),
+        "negative-value": (Var("x", "s"), {"x": -1}, "assignment for 'x' out of carrier range"),
+        "value-at-size": (Var("x", "s"), {"x": 2}, "assignment for 'x' out of carrier range"),
+        "fractional-value": (Var("x", "s"), {"x": 0.5}, "assignment for 'x' out of carrier range"),
+        "bool-value": (Var("x", "s"), {"x": True}, "assignment for 'x' out of carrier range"),
+        "unknown-sort": (Var("y", "t"), {"y": 0}, "variable 'y' at unknown sort 't'"),
+        "unassigned": (Var("y", "s"), ASG, "no assignment for variable 'y'"),
+        "unknown-operation": (Node("h", (), "s", 1), ASG, "unknown operation 'h'"),
+        "hole": (
+            Node("g", (Hole("s"),), "s", 2), ASG,
+            "cannot evaluate a context hole outside a translation",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", MALFORMED)
+    def test_malformed_input_is_named(self, rpar_algebra, case):
+        """Each fault raises its own ``ValidationError``, as the term's root
+        and under a node, where no value or bare ``IndexError`` comes back."""
+        term, asg, message = self.MALFORMED[case]
+        under = Node("g", (term,), "s", 1 + term.size)
+        under = Node("sigma", (under, self.C), "s", 2 + under.size)
+        for t in (term, under):
+            with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+                evaluate(rpar_algebra, asg, t)
+
+    def test_malformed_context_is_named(self, rpar_algebra):
+        body = Node("sigma", (Node("g", (self.C, Hole("s")), "s", 3), self.C), "s", 5)
+        ctx = core.Context._of(body, "s", "s")
+        with pytest.raises(ValidationError, match="^'g' expects 1 arguments, got 2$"):
+            translation_table(rpar_algebra, ASG, ctx)
+        with pytest.raises(ValidationError, match="^variable '@' at unknown sort 't'$"):
+            translation_table(rpar_algebra, ASG, core.Context._of(Hole("t"), "t", "t"))
+
+    def test_bound_value_checked_once_per_name(self, f1, x1, rpar_algebra):
+        reads = []
+
+        class Counting(dict):
+            def __getitem__(self, name):
+                reads.append(name)
+                return super().__getitem__(name)
+
+        term = parse_term("sigma(x,sigma(z,sigma(x,g(x))))", f1, x1)
+        want = evaluate_many(rpar_algebra, ASG, [term])[id(term)]
+        assert evaluate(rpar_algebra, Counting(ASG), term) == want
+        assert sorted(reads) == ["x", "z"]
+
+    def test_translation_table_builds_no_term(self, f1, x1, r_par, monkeypatch):
+        """The hole is read in place: no node is built, through
+        ``apply_context`` or otherwise."""
+        built = []
+        new_node = core._new_node
+        monkeypatch.setattr(core, "_new_node", lambda *args: built.append(args) or new_node(*args))
+        ctx = parse_context("sigma(g(@),sigma(x,c))", f1, x1)
+        built.clear()
+        assert inverse_translation(r_par, ctx).accepting_at("s") == {1}
+        assert built == []
+        # a positive control: plugging the context builds its nodes
+        apply_context(ctx, Var("x", "s"))
+        assert len(built) == 4
 
 
 class TestProduct:
@@ -246,8 +402,47 @@ class TestValidation:
         with pytest.raises(ValidationError, match=f"^{message}$"):
             finite_algebra(f1, carriers, tables)
 
+    APPLY = {
+        "too-few": ("sigma", [1], "'sigma' expects 2 arguments, got 1"),
+        "too-many": ("g", [0, 1, 1], "'g' expects 1 arguments, got 3"),
+        "negative": ("g", [-1], "argument -1 out of carrier range at sort 's'"),
+        "at-size": ("g", [5], "argument 5 out of carrier range at sort 's'"),
+        "fractional": ("sigma", [0, 0.5], "argument 0.5 out of carrier range at sort 's'"),
+        "bool": ("g", [True], "argument True out of carrier range at sort 's'"),
+    }
+
+    @pytest.mark.parametrize("case", APPLY)
+    def test_apply_checks_its_arguments(self, rpar_algebra, case):
+        opname, args, message = self.APPLY[case]
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            rpar_algebra.apply(opname, args)
+        assert rpar_algebra.apply("sigma", [1, 1]) == 0
+
+    @pytest.mark.parametrize("value", [-1, 2, 0.5, True, "0", None])
+    def test_assignment_values_are_carrier_elements(self, x1, rpar_algebra, value):
+        with pytest.raises(ValidationError, match="^assignment for 'x' out of carrier range$"):
+            check_assignment(rpar_algebra, x1, {"x": value, "z": 0})
+        check_assignment(rpar_algebra, x1, {"x": 1, "z": 0})
+
     def test_empty_carrier_permitted(self):
         sig = signature(["s", "t"], [("k", [], "s"), ("f", ["t"], "s")])
         alg = finite_algebra(sig, {"s": 1, "t": 0}, {"k": [0], "f": []})
         assert alg.size("t") == 0
         assert generated_subalgebra(alg, {"s": [0], "t": []})["t"] == frozenset()
+
+
+# validation branches no other test reaches: a call, its error, its message
+BRANCHES = {
+    "negative-carrier": (
+        lambda fx: finite_algebra(fx("f1"), {"s": -1}, {"c": [0], "g": [], "sigma": []}),
+        ValidationError, "carrier sizes must be nonnegative",
+    ),
+    "empty-product": (
+        lambda fx: product_algebra([]), ValidationError, "product of an empty family is not supported"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", BRANCHES)
+def test_validation_branches(case, request):
+    check_branch(BRANCHES, case, request)

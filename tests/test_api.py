@@ -273,7 +273,6 @@ ARITY = "an operation's arity"
 DOCUMENT = "document nesting, at most formats._DEPTH levels"
 ORACLE = "the oracle's bound on term size"
 RECURSIVE_FUNCTIONS = {
-    "algebra._values.walk": TERM_DEPTH,
     "cli.build_parser": "one level: an unknown command builds every command's parser",
     "core._Parser.parse": TERM_DEPTH,
     "core._compositions": ARITY,

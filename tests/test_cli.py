@@ -767,3 +767,54 @@ class TestMutatedDocuments:
         assert code in (0, 1)
         if code == 1:
             assert out == "" and err.getvalue().startswith("error: ")
+
+
+def _case_dir(directory, argv, expected=None):
+    """A golden directory holding ``rpar.rec`` and one case running
+    ``argv``, whose expected output is what the command prints when its
+    file tokens are given as full paths (or ``expected``)."""
+    (directory / "rpar.rec").write_bytes((GOLDEN / "rpar.rec").read_bytes())
+    if expected is None:
+        full = [a.replace("rpar.rec", str(directory / "rpar.rec")) for a in argv]
+        code, expected = run(*full)
+        assert code == 0
+    (directory / "one.case").write_text(yaml.safe_dump({"argv": argv, "expect": "one.expected"}))
+    (directory / "one.expected").write_text(expected)
+    return directory
+
+
+# command branches no other test reaches: the argv (given an empty scratch
+# directory), the exit code, and how stdout and stderr begin
+BRANCHES = {
+    "with-without-equals": (
+        lambda d: ["substitute", GOLDEN / "rpar.rec", "--with", "x"],
+        1, "", "error: --with expects var=FILE, got 'x'\n",
+    ),
+    "golden-on-a-file": (
+        lambda d: ["golden", GOLDEN / "rpar.rec"],
+        1, "", f"error: {GOLDEN / 'rpar.rec'} is not a directory\n",
+    ),
+    "golden-without-cases": (
+        lambda d: ["golden", d], 1, "", "error: no .case files in {d}\n"
+    ),
+    "golden-failing-case": (
+        lambda d: ["golden", _case_dir(d, ["member", "missing.rec", "c"], "true\n")],
+        1, "FAIL one.case\n  exit code 1\n", "error: ",
+    ),
+    "golden-resolves-var-file": (
+        lambda d: ["golden", _case_dir(d, ["substitute", "rpar.rec", "--with", "x=rpar.rec"])],
+        0, "PASS one.case\n", "",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", BRANCHES)
+def test_command_branches(case, tmp_path, capsys):
+    argv, want_code, out_start, err_start = BRANCHES[case]
+    argv = argv(tmp_path)
+    capsys.readouterr()
+    code, out = run(*argv)
+    err = capsys.readouterr().err
+    assert code == want_code
+    assert out.startswith(out_start) and err.startswith(err_start.format(d=tmp_path))
+    assert bool(err) == bool(err_start)

@@ -17,6 +17,7 @@ from treelang.closure import (
 from treelang.core import (
     ValidationError,
     Var,
+    sorted_vars,
     enumerate_all_terms,
     enumerate_terms,
     parse_term,
@@ -29,6 +30,7 @@ from treelang.oracle import (
 )
 from treelang.recognizer import (
     accepts,
+    empty_recognizer,
     equivalent,
     determinize,
     minimize,
@@ -39,7 +41,7 @@ from treelang.recognizer import (
 
 from treelang.treehom import direct_image
 
-from conftest import accepted_sets, random_recognizer, random_signature
+from conftest import accepted_sets, check_branch, random_recognizer, random_signature
 
 
 def reference_substitute_language(k, family):
@@ -327,3 +329,31 @@ def test_builder_machines_pass_the_checked_constructor(f1, x1, f2, x2, h1, monke
     monkeypatch.setattr(closure, "determinize", checked)
     assert numbering_digests(f1, x1, f2, x2, h1) == PINNED
     assert len(rebuilt) == 48
+
+
+# validation branches no other test reaches: a call, its error, its message
+BRANCHES = {
+    "family-unknown-variable": (
+        lambda fx: substitute_language(fx("r_par"), {"y": fx("r_par")}),
+        ValidationError, "unknown variable 'y' in substitution family",
+    ),
+    "quotient-other-signature": (
+        lambda fx: quotient_language(fx("r_par"), empty_recognizer(fx("f2"), fx("x2")), "x"),
+        ValidationError, "quotient operands must share signature and variables",
+    ),
+    "quotient-other-variables": (
+        lambda fx: quotient_language(
+            fx("r_par"), empty_recognizer(fx("f1"), sorted_vars(fx("f1"), {"s": ["x"]})), "x"
+        ),
+        ValidationError, "quotient operands must share signature and variables",
+    ),
+    "quotient-unknown-variable": (
+        lambda fx: quotient_language(fx("r_par"), fx("r_par"), "y"),
+        ValidationError, "unknown variable 'y'",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", BRANCHES)
+def test_validation_branches(case, request):
+    check_branch(BRANCHES, case, request)

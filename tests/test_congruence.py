@@ -4,6 +4,7 @@ import pytest
 
 from treelang.algebra import finite_algebra, quotient_algebra
 from treelang.congruence import (
+    SortedPartition,
     all_in_one_partition,
     cogenerated_congruence,
     identity_partition,
@@ -17,7 +18,7 @@ from treelang.congruence import (
 )
 from treelang.core import ValidationError, signature
 
-from conftest import all_sorted_partitions, random_algebra, random_signature
+from conftest import all_sorted_partitions, check_branch, random_algebra, random_signature
 
 
 @pytest.fixture
@@ -320,3 +321,29 @@ class TestMeet:
                 met.index(s) <= phi.index(s) * psi.index(s)
                 for s in alg.signature.sorts
             )
+
+
+# validation branches no other test reaches: a call, its error, its message
+BRANCHES = {
+    "class-ids-out-of-range": (
+        lambda fx: SortedPartition((("s", (0, 2)),), (("s", 2),)),
+        ValidationError, "class ids out of range at sort 's'",
+    ),
+    "class-ids-not-contiguous": (
+        lambda fx: SortedPartition((("s", (0, 0)),), (("s", 2),)),
+        ValidationError, "class ids not contiguous at sort 's'",
+    ),
+    "meet-other-sorts": (
+        lambda fx: meet_partitions(partition(["s"], {"s": [0]}), partition(["t"], {"t": [0]})),
+        ValidationError, "partitions are over different sort sets",
+    ),
+    "meet-other-sizes": (
+        lambda fx: meet_partitions(partition(["s"], {"s": [0]}), partition(["s"], {"s": [0, 0]})),
+        ValidationError, "carrier size mismatch at sort 's'",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", BRANCHES)
+def test_validation_branches(case, request):
+    check_branch(BRANCHES, case, request)

@@ -10,13 +10,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from treelang import closure, core
-from treelang.algebra import evaluate, product_algebra
+from treelang.algebra import evaluate, product_algebra, translation_table
 from treelang.core import (
     HOLE,
     Context,
     Hole,
     Node,
     ParseError,
+    Signature,
     SortError,
     SortedVars,
     Term,
@@ -48,11 +49,19 @@ from treelang.core import (
     variables_of,
 )
 from treelang.congruence import partition
-from treelang.derivor import apply_derivor_term, hall_term, projection
+from treelang.derivor import apply_derivor_term, hall_term, projection, xi_substitute
 from treelang.closure import NTA, nta, table_rules
-from treelang.treehom import apply_treehom, hyperderivor, identity_pattern
+from treelang.recognizer import inverse_translation
+from treelang.treehom import (
+    apply_treehom,
+    derived_algebra,
+    direct_image,
+    hyperderivor,
+    identity_pattern,
+    inverse_image,
+)
 
-from conftest import leaf_contexts, random_signature, random_term
+from conftest import check_branch, leaf_contexts, random_signature, random_term
 
 F1_G = Operation("g", ("s",), "s")
 
@@ -385,9 +394,6 @@ class TestVariablesAndSubterms:
         assert subterms_of(parse_term("x", f1, x1)) == {"s": {Var("x", "s")}}
 
 
-ITEM_4 = "a recursive walk; ROADMAP item 4 makes it depth-safe"
-
-
 def _chain(leaf, depth=DEPTH):
     t = leaf
     for _ in range(depth):
@@ -396,14 +402,25 @@ def _chain(leaf, depth=DEPTH):
 
 
 def _recursive(name):
+    walk = RECURSIVE[name]
     return pytest.param(
-        name, marks=pytest.mark.xfail(strict=True, raises=RecursionError, reason=ITEM_4)
+        name,
+        marks=pytest.mark.xfail(
+            strict=True,
+            raises=RecursionError,
+            reason=f"{walk} recurses; ROADMAP item 4 makes it depth-safe",
+        ),
     )
 
 
+# the table of g^DEPTH in the parity algebra, where g flips 0 and 1
+G_DEPTH = (DEPTH % 2, 1 - DEPTH % 2)
+
+
 # every public term operation on a chain g(g(...x)) of depth DEPTH (a Hall
-# term's chain ends in the placeholder v0); the recursive ones are expected to
-# fail, so making one depth-safe is a test edit
+# term's chain ends in the placeholder v0, and so does the pattern of g in
+# ``deep_h``); the recursive ones are expected to fail, so making one
+# depth-safe is a test edit
 DEEP_OPERATIONS = {
     "print_term": lambda deep, fx: print_term(deep) == "g(" * DEPTH + "x" + ")" * DEPTH,
     "repr": lambda deep, fx: repr(deep).startswith("Node(g(g("),
@@ -414,31 +431,60 @@ DEEP_OPERATIONS = {
     "hash": lambda deep, fx: hash(deep) == hash(_chain(Var("x", "s"))),
     "==": lambda deep, fx: deep == _chain(Var("x", "s")) != _chain(Var("z", "s")),
     "context": lambda deep, fx: context(_chain(Hole("s"))).hole_sort == "s",
+    "parse_context": lambda deep, fx: parse_context(print_term(fx.ctx.body), fx.f1, fx.vars)
+    == fx.ctx,
+    "compose_contexts": lambda deep, fx: compose_contexts(fx.ctx, fx.ctx).body.size
+    == 2 * DEPTH + 1,
     "hall_term": lambda deep, fx: hall_term(fx.hall, ["s"], "s").term is fx.hall,
+    "xi_substitute": lambda deep, fx: xi_substitute(
+        hall_term(fx.hall, ["s"], "s"), [projection(["s"], 0)]
+    ).term
+    == fx.hall,
     "parse_term": lambda deep, fx: parse_term(print_term(deep), fx.f1, fx.vars) == deep,
     "typecheck": lambda deep, fx: typecheck(deep, fx.f1, fx.vars) == "s",
     "evaluate": lambda deep, fx: evaluate(fx.rpar_algebra, {"x": 0, "z": 1}, deep) == DEPTH % 2,
+    "translation_table": lambda deep, fx: translation_table(fx.rpar_algebra, fx.asg, fx.ctx)
+    == G_DEPTH,
+    "inverse_translation": lambda deep, fx: inverse_translation(fx.r_par, fx.ctx).accepting_at("s")
+    == {G_DEPTH.index(0)},
+    "derived_algebra": lambda deep, fx: derived_algebra(fx.deep_h, fx.rpar_algebra, fx.asg)[0].table("g")
+    == G_DEPTH,
+    "inverse_image": lambda deep, fx: inverse_image(fx.deep_h, fx.r_par, "s").algebra.table("g")
+    == G_DEPTH,
     "substitute_uniform": lambda deep, fx: substitute_uniform(deep, {"x": fx.c}).size
     == DEPTH + 1,
     "substitute_occurrences": lambda deep, fx: substitute_occurrences(deep, {"x": [fx.c]}).size
     == DEPTH + 1,
-    "apply_context": lambda deep, fx: apply_context(context(_chain(Hole("s"))), fx.c).size
-    == DEPTH + 1,
+    "apply_context": lambda deep, fx: apply_context(fx.ctx, fx.c).size == DEPTH + 1,
     "term_sort_key": lambda deep, fx: term_sort_key(fx.f1, fx.vars)(deep)[0] == DEPTH + 1,
     # a pattern and a variable image, each a chain, are typechecked when built
     "hyperderivor": lambda deep, fx: hyperderivor(
         fx.f1, fx.vars, fx.f1, fx.vars, {"s": "s"}, {**fx.patterns, "g": fx.hall}, {"x": deep, "z": fx.c}
     ).pattern("g") is fx.hall,
     "apply_treehom": lambda deep, fx: apply_treehom(fx.identity, deep) == deep,
+    "apply_treehom_deep_pattern": lambda deep, fx: apply_treehom(fx.deep_h, fx.c).size
+    == DEPTH + 1,
+    "direct_image_deep_pattern": lambda deep, fx: direct_image(fx.deep_h, fx.r_par, "s").signature
+    == fx.f1,
     "apply_derivor_term": lambda deep, fx: apply_derivor_term(
         fx.d2, hall_term(fx.hall, ["s"], "s")
     ).term.size
     == 2 * DEPTH + 1,
 }
-RECURSIVE = [
-    "parse_term", "evaluate", "substitute_uniform", "substitute_occurrences",
-    "apply_context", "apply_treehom", "apply_derivor_term",
-]
+# operation -> the walk that still recurses under it
+RECURSIVE = {
+    "parse_term": "core._Parser.parse",
+    "parse_context": "core._Parser.parse",
+    "compose_contexts": "core._rebuild",
+    "xi_substitute": "core._rebuild",
+    "substitute_uniform": "core._rebuild",
+    "substitute_occurrences": "core._rebuild",
+    "apply_context": "core._rebuild",
+    "apply_treehom": "treehom._extend",
+    "apply_treehom_deep_pattern": "treehom._template.emit",
+    "direct_image_deep_pattern": "treehom.direct_image.compile_rhs",
+    "apply_derivor_term": "treehom._extend",
+}
 
 
 class TestDeepTerms:
@@ -446,12 +492,17 @@ class TestDeepTerms:
         "operation",
         [_recursive(name) if name in RECURSIVE else name for name in DEEP_OPERATIONS],
     )
-    def test_depth_inventory(self, operation, f1, x1, rpar_algebra, d2):
+    def test_depth_inventory(self, operation, f1, x1, rpar_algebra, r_par, d2):
         patterns = {op.name: identity_pattern(op) for op in f1.ops}
+        hall = _chain(Var("v0", "s"))
         fx = SimpleNamespace(
-            f1=f1, vars=x1, rpar_algebra=rpar_algebra, d2=d2, patterns=patterns,
+            f1=f1, vars=x1, rpar_algebra=rpar_algebra, r_par=r_par, d2=d2, patterns=patterns,
             identity=hyperderivor(f1, x1, f1, x1, {"s": "s"}, patterns, {x: Var(x, "s") for x in "xz"}),
-            c=parse_term("c", f1, x1), hall=_chain(Var("v0", "s")),
+            deep_h=hyperderivor(
+                f1, x1, f1, x1, {"s": "s"}, {**patterns, "g": hall}, {x: Var(x, "s") for x in "xz"}
+            ),
+            c=parse_term("c", f1, x1), hall=hall, ctx=context(_chain(Hole("s"))),
+            asg={"x": 0, "z": 1},
         )
         try:
             assert DEEP_OPERATIONS[operation](_chain(Var("x", "s")), fx)
@@ -917,3 +968,41 @@ class TestSignatureValidation:
     def test_variable_globally_unique(self, f2):
         with pytest.raises(ValidationError):
             sorted_vars(f2, {"e": ["x"], "b": ["x"]})
+
+
+# validation branches no other test reaches: a call, its error, its message
+BRANCHES = {
+    "duplicate-sorts": (
+        lambda fx: Signature(("s", "s"), ()), ValidationError, "duplicate sort names"
+    ),
+    "vars-at-unknown-sort": (
+        lambda fx: sorted_vars(fx("f1"), {"t": ["y"]}),
+        ValidationError, "variables declared at unknown sort 't'",
+    ),
+    "bad-variable-name": (
+        lambda fx: sorted_vars(fx("f1"), {"s": ["1x"]}), ValidationError, "bad variable name '1x'"
+    ),
+    "variable-named-like-operation": (
+        lambda fx: parse_term("c", fx("f1"), SortedVars((("s", ("c",)),))),
+        ValidationError, "variable names collide with operation names: ['c']",
+    ),
+    "compose-mismatched-sorts": (
+        lambda fx: compose_contexts(
+            parse_context("iszero(@)", fx("f2"), fx("x2")),
+            parse_context("iszero(@)", fx("f2"), fx("x2")),
+        ),
+        SortError, "cannot compose: inner root sort 'b' vs outer hole sort 'e'",
+    ),
+    "enumerate-unknown-sort": (
+        lambda fx: enumerate_terms(fx("f1"), fx("x1"), "t", 3), ValidationError, "unknown sort 't'"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", BRANCHES)
+def test_validation_branches(case, request):
+    check_branch(BRANCHES, case, request)
+
+
+def test_enumeration_below_one_node_is_empty(f2, x2):
+    assert enumerate_all_terms(f2, x2, 0) == {"e": [], "b": []}

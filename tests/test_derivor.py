@@ -2,9 +2,11 @@ import random
 
 import pytest
 
-from treelang.core import Node, ValidationError, parse_term, print_term, signature, sorted_vars
+from treelang.algebra import finite_algebra
+from treelang.core import Node, ValidationError, Var, parse_term, print_term, signature, sorted_vars
 from treelang.derivor import (
     Derivor,
+    HallTerm,
     apply_derivor_term,
     compose_derivors,
     derived_algebra_derivor,
@@ -19,6 +21,7 @@ from treelang.treehom import Hyperderivor, placeholder
 
 from conftest import (
     PatternImpossible,
+    check_branch,
     random_derivor,
     random_hall_term,
     random_rich_signature,
@@ -393,3 +396,50 @@ class TestHeldHyperderivor:
     def test_it_is_the_derivor_without_variables(self, d1, f1, f2):
         empty = derivor_to_hyperderivor(d1, sorted_vars(f2, {}), sorted_vars(f1, {}), {})
         assert d1._hyperderivor == empty
+
+
+# validation branches no other test reaches: a call, its error, its message
+BRANCHES = {
+    "hall-term-sort": (
+        lambda fx: HallTerm(placeholder(0, "e"), ("e",), "b"),
+        ValidationError, "hall term has sort 'e', rank says 'b'",
+    ),
+    "hall-term-leaf": (
+        lambda fx: hall_term(Var("x", "s"), ["s"], "s"),
+        ValidationError,
+        "hall term leaves must be placeholders of the arity word ('s',), got 'x' of sort 's'",
+    ),
+    "projection-index": (
+        lambda fx: projection(["s"], 1), ValidationError, "projection index 1 out of range for |w|=1"
+    ),
+    "xi-replacement-count": (
+        lambda fx: xi_substitute(projection(["s"], 0), []),
+        ValidationError, "xi needs 1 replacement terms, got 0",
+    ),
+    "xi-arity-words": (
+        lambda fx: xi_substitute(
+            projection(["s", "s"], 0), [projection(["s"], 0), projection(["s", "s"], 0)]
+        ),
+        ValidationError, "xi replacements must share an arity word",
+    ),
+    "xi-result-arity": (
+        lambda fx: xi_substitute(projection(["s"], 0), [projection(["s"], 0)], ["s", "s"]),
+        ValidationError, "result arity disagrees with the replacements",
+    ),
+    "xi-replacement-sort": (
+        lambda fx: xi_substitute(projection(["e"], 0), [projection(["b"], 0)]),
+        ValidationError, "replacement 0 has sort 'b', expected 'e'",
+    ),
+    "derived-algebra-other-signature": (
+        lambda fx: derived_algebra_derivor(
+            identity_derivor(fx("f1")),
+            finite_algebra(fx("f2"), {"e": 1, "b": 1}, {"zero": [0], "succ": [0], "iszero": [0]}),
+        ),
+        ValidationError, "algebra is not over the derivor's target signature",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", BRANCHES)
+def test_validation_branches(case, request):
+    check_branch(BRANCHES, case, request)

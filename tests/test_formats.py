@@ -25,6 +25,7 @@ from treelang.congruence import partition
 from treelang.recognizer import equivalent, recognizer
 
 from conftest import (
+    check_branch,
     random_derivor,
     random_hyperderivor,
     random_recognizer,
@@ -353,3 +354,23 @@ class TestDirectYaml:
         text = formats._emit(doc)
         assert text == dumped(doc, DUMPERS[0]) == dumped(doc, DUMPERS[1])
         assert formats._parse(text) == doc
+
+
+
+def _load_top_level_sequence(fx):
+    fx("monkeypatch").chdir(fx("tmp_path"))
+    Path("a.rec").write_text("- 1\n- 2\n")
+    return formats.load_document("a.rec")
+
+
+# validation branches no other test reaches: a call, its error, its message
+BRANCHES = {
+    "top-level-sequence": (
+        _load_top_level_sequence, ValidationError, "a.rec: expected a mapping at top level"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", BRANCHES)
+def test_validation_branches(case, request):
+    check_branch(BRANCHES, case, request)

@@ -5,6 +5,7 @@ from importlib import import_module
 import pytest
 
 from treelang.core import (
+    Hole,
     Node,
     SortError,
     SortedVars,
@@ -19,6 +20,7 @@ from treelang.core import (
     sorted_vars,
 )
 from treelang.recognizer import (
+    Recognizer,
     _seed,
     accepts,
     combine,
@@ -39,7 +41,7 @@ from treelang.algebra import _closure, _offset_rows, closure_elements, finite_al
 from treelang.closure import nta, table_rules
 from treelang.oracle import enumerate_language
 
-from conftest import accepted_sets, random_recognizer, same_language
+from conftest import accepted_sets, check_branch, random_recognizer, same_language
 
 # the module itself: the package's ``recognizer`` attribute is the function
 RECOGNIZER_MODULE = import_module("treelang.recognizer")
@@ -90,6 +92,13 @@ class TestBuild:
         with_y = SortedVars((("s", ("x", "z")), ("t", ("y",))))
         with pytest.raises(ValidationError, match="^variable 'y' at unknown sort 't'$"):
             recognizer(with_y, rpar_algebra, {"x": 0, "z": 1, "y": 0}, {})
+
+    @pytest.mark.parametrize("x, z", [(0.5, 0), (0, True), (-1, 0), (0, 2)])
+    def test_assignment_values_are_carrier_elements(self, x1, rpar_algebra, x, z):
+        # a float or bool value used to build, and then fail in ``accepts``
+        name = "x" if x != 0 else "z"
+        with pytest.raises(ValidationError, match=f"^assignment for '{name}' out of carrier range$"):
+            recognizer(x1, rpar_algebra, {"x": x, "z": z}, {"s": [0]})
 
     def test_assignment_is_checked_once(self, x1, rpar_algebra, monkeypatch):
         calls = []
@@ -438,3 +447,47 @@ class TestSortedDecomposition:
             restrict_to_sort(r_par, "nope")
         with pytest.raises(ValidationError, match=r"^unknown sort 'nope'$"):
             r_par.accepting_at("nope")
+
+
+# validation branches no other test reaches: a call, its error, its message
+BRANCHES = {
+    "accepting-misses-sort": (
+        lambda fx: Recognizer(fx("x1"), fx("rpar_algebra"), (("x", 0), ("z", 1)), ()),
+        ValidationError, "accepting sets must cover every sort",
+    ),
+    "accepting-unsorted": (
+        lambda fx: Recognizer(fx("x1"), fx("rpar_algebra"), (("x", 0), ("z", 1)), (("s", (1, 0)),)),
+        ValidationError, "accepting set at 's' must be sorted and duplicate-free",
+    ),
+    "combine-other-signatures": (
+        lambda fx: combine("union", fx("r_par"), empty_recognizer(fx("f2"), fx("x2"))),
+        ValidationError, "recognizers have different signatures",
+    ),
+    "combine-other-variables": (
+        lambda fx: combine(
+            "union", fx("r_par"), empty_recognizer(fx("f1"), sorted_vars(fx("f1"), {"s": ["x"]}))
+        ),
+        ValidationError, "recognizers have different variable sets",
+    ),
+    "unknown-combination": (
+        lambda fx: combine("xor", fx("r_par"), fx("r_par")),
+        ValidationError, "unknown combination kind 'xor'",
+    ),
+    "basic-hole": (
+        lambda fx: recognize_basic(fx("f1"), fx("x1"), Hole("s")),
+        ValidationError, "pattern must be a variable, constant, or flat term",
+    ),
+    "basic-not-flat": (
+        lambda fx: recognize_basic(fx("f1"), fx("x1"), parse_term("g(g(x))", fx("f1"), fx("x1"))),
+        ValidationError, "flat pattern arguments must be variables",
+    ),
+    "context-over-foreign-sorts": (
+        lambda fx: inverse_translation(fx("r_par"), parse_context("iszero(@)", fx("f2"), fx("x2"))),
+        SortError, "context sorts do not belong to the recognizer's signature",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", BRANCHES)
+def test_validation_branches(case, request):
+    check_branch(BRANCHES, case, request)

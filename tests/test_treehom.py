@@ -4,10 +4,11 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from treelang.algebra import evaluate
+from treelang.algebra import evaluate, finite_algebra
 from treelang.core import (
     Hole,
     Node,
+    SortError,
     ValidationError,
     Var,
     enumerate_all_terms,
@@ -39,6 +40,7 @@ from treelang.treehom import (
 
 from conftest import (
     accepted_sets,
+    check_branch,
     random_derivor,
     random_hall_term,
     random_hyperderivor,
@@ -397,3 +399,56 @@ class TestDirectImage:
                 for t in accepted_sets(out, tgt_universe)[s]
             }
             assert got == want
+
+
+def _identity(fx, target_vars=None):
+    """The identity hyperderivor over ``f1``, into ``target_vars`` (``x1``)."""
+    f1, x1 = fx("f1"), fx("x1")
+    target_vars = target_vars or x1
+    images = {x: parse_term("c", f1, x1) for x in x1.all_names()}
+    patterns = {op.name: identity_pattern(op) for op in f1.ops}
+    return hyperderivor(f1, x1, f1, target_vars, {"s": "s"}, patterns, images)
+
+
+F2_ALGEBRA = {"e": 1, "b": 1}, {"zero": [0], "succ": [0], "iszero": [0]}
+
+# validation branches no other test reaches: a call, its error, its message
+BRANCHES = {
+    "target-variable-like-placeholder": (
+        lambda fx: _identity(fx, sorted_vars(fx("f1"), {"s": ["v0"]})),
+        ValidationError, "target variable 'v0' collides with reserved placeholders",
+    ),
+    "apply-to-hole": (
+        lambda fx: apply_treehom(_identity(fx), Node("g", (Hole("s"),), "s", 2)),
+        SortError, "cannot apply a tree homomorphism to a context hole",
+    ),
+    "apply-unknown-source-variable": (
+        lambda fx: apply_treehom(_identity(fx), Var("y", "s")),
+        SortError, "unknown source variable 'y'",
+    ),
+    "derived-algebra-other-signature": (
+        lambda fx: derived_algebra(_identity(fx), finite_algebra(fx("f2"), *F2_ALGEBRA), {}),
+        ValidationError, "algebra is not over the hyperderivor's target signature",
+    ),
+    "inverse-image-other-signature": (
+        lambda fx: inverse_image(_identity(fx), universal_recognizer(fx("f2"), fx("x2")), "s"),
+        ValidationError, "recognizer is not over the hyperderivor's target",
+    ),
+    "inverse-image-unknown-sort": (
+        lambda fx: inverse_image(_identity(fx), fx("r_par"), "t"),
+        ValidationError, "unknown source sort 't'",
+    ),
+    "direct-image-other-signature": (
+        lambda fx: direct_image(_identity(fx), universal_recognizer(fx("f2"), fx("x2")), "s"),
+        ValidationError, "recognizer is not over the hyperderivor's source",
+    ),
+    "direct-image-unknown-sort": (
+        lambda fx: direct_image(_identity(fx), fx("r_par"), "t"),
+        ValidationError, "unknown source sort 't'",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", BRANCHES)
+def test_validation_branches(case, request):
+    check_branch(BRANCHES, case, request)
