@@ -43,8 +43,10 @@ class FiniteAlgebra:
         sizes = dict(self.carriers)
         if [s for s, _ in self.carriers] != list(self.signature.sorts):
             raise ValidationError("carriers must list every sort in signature order")
-        if any(n < 0 for n in sizes.values()):
+        # a negative size keeps a message of its own
+        if any(n.__class__ is int and n < 0 for n in sizes.values()):
             raise ValidationError("carrier sizes must be nonnegative")
+        _check_counts(sizes, "carrier size")
         tables = dict(self.tables)
         if [n for n, _ in self.tables] != [op.name for op in self.signature.ops]:
             raise ValidationError("tables must list every operation in signature order")
@@ -57,9 +59,7 @@ class FiniteAlgebra:
                 raise ValidationError(
                     f"table for {op.name!r} has {len(table)} entries, expected {space}"
                 )
-            bound = sizes[op.result]
-            if table and (min(table) < 0 or max(table) >= bound):
-                raise ValidationError(f"table for {op.name!r} has out-of-range entries")
+            _check_elements(sizes, {op.result: table}, f"table for {op.name!r}: entry")
         # lookups for size/table/apply, not fields (see ``core._record``)
         object.__setattr__(self, "_sizes", sizes)
         object.__setattr__(self, "_tables", tables)
@@ -93,6 +93,18 @@ def _member(value, n: int) -> bool:
     """Whether ``value`` is an element of a carrier of ``n`` elements: an
     ``int`` in ``range(n)``, and not a ``bool``."""
     return value.__class__ is int and 0 <= value < n
+
+
+def _outside(es: Collection, n: int) -> tuple:
+    """``_member`` over a collection: ``()`` when every item of ``es`` is an
+    element of a carrier of ``n`` elements, else the first item that is not,
+    as a one-tuple (so that a ``None`` item is named too).  A collection of
+    elements is decided without a Python-level loop: the set of the items'
+    types is ``{int}``, and ``min`` and ``max`` lie in range; only a failure
+    walks the items."""
+    if not es or ({*map(type, es)} == {int} and min(es) >= 0 and max(es) < n):
+        return ()
+    return next((e,) for e in es if not _member(e, n))
 
 
 def _index(sizes: Mapping[str, int], arity: Sequence[str], args: Sequence[int]) -> int:
@@ -433,15 +445,23 @@ def generated_subalgebra(alg: FiniteAlgebra, seed: Mapping[str, Sequence[int]]):
 
 
 def _check_elements(sizes: Mapping[str, int], elements: Mapping[str, Collection[int]], what: str):
-    """Reject an element outside its sort's ``range(sizes[sort])``, reading
-    each element once, and a sort without a size."""
+    """Reject an item that is not an element of its sort's carrier
+    (``_outside``), and a sort without a size."""
     for s, es in elements.items():
         n = sizes.get(s)
         if n is None:
             raise ValidationError(f"{what} at unknown sort {s!r}")
-        if es and (min(es) < 0 or max(es) >= n):
-            bad = next(e for e in es if not 0 <= e < n)
-            raise ValidationError(f"{what} {bad} out of range at sort {s!r}")
+        bad = _outside(es, n)
+        if bad:
+            raise ValidationError(f"{what} {bad[0]!r} out of range at sort {s!r}")
+
+
+def _check_counts(counts: Mapping[str, int], what: str):
+    """Reject a count (a size) that is not an exact nonnegative ``int``: an
+    element of the infinite carrier of the naturals, by ``_check_elements``
+    once ``_outside`` has found one."""
+    if _outside(counts.values(), math.inf):
+        _check_elements(dict.fromkeys(counts, math.inf), {s: (n,) for s, n in counts.items()}, what)
 
 
 def restrict_algebra(alg: FiniteAlgebra, elements: Mapping[str, Sequence[int]]):

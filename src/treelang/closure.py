@@ -16,7 +16,7 @@ import math
 import operator
 from typing import Iterable, Mapping, Sequence
 
-from .algebra import FiniteAlgebra, _check_elements, _closure, closure_elements
+from .algebra import FiniteAlgebra, _check_counts, _check_elements, _closure, closure_elements
 from .core import Signature, SortedVars, ValidationError, _record
 from .recognizer import Recognizer, _seed, combine, determinize, minimize, recognizer
 
@@ -48,6 +48,7 @@ class NTA:
         states, ops, leaf = dict(self.states), self.signature.op_by_name, dict(self.leaf)
         if [s for s, _ in self.states] != [*self.signature.sorts]:
             raise ValidationError("NTA states must list every sort in signature order")
+        _check_counts(states, "NTA state count")
         for (name, args), targets in self.rules:
             rule, op = f"NTA rule {name}({', '.join(map(str, args))})", ops.get(name)
             if op is None:

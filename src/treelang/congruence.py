@@ -23,7 +23,7 @@ import itertools
 import math
 from typing import Hashable, Mapping, Sequence
 
-from .algebra import FiniteAlgebra, _getter, _indices
+from .algebra import FiniteAlgebra, _check_counts, _check_elements, _getter, _indices, _outside
 from .core import ValidationError, _check_sorts_once, _record
 
 
@@ -42,9 +42,10 @@ class SortedPartition:
             raise ValidationError(
                 f"partition class sorts {[*classes]} differ from count sorts {[*counts]}"
             )
+        _check_counts(counts, "partition count")
         for sort, ids in self.classes:
             n = counts[sort]
-            if ids and (min(ids) < 0 or max(ids) >= n):
+            if _outside(ids, n):
                 raise ValidationError(f"class ids out of range at sort {sort!r}")
             if set(ids) != set(range(n)):
                 raise ValidationError(f"class ids not contiguous at sort {sort!r}")
@@ -90,6 +91,7 @@ def all_in_one_partition(alg: FiniteAlgebra) -> SortedPartition:
 
 def kernel_of_subset(alg: FiniteAlgebra, subset: Mapping[str, frozenset[int]]) -> SortedPartition:
     """The two-block-per-sort equivalence separating a subset from its complement."""
+    _check_elements(alg._sizes, subset, "subset element")
     classes = {}
     for s, n in alg.carriers:
         inside = subset.get(s, frozenset())
@@ -133,6 +135,7 @@ def saturate(
     phi: SortedPartition, subset: Mapping[str, frozenset[int]]
 ) -> dict[str, frozenset[int]]:
     """Union of all classes meeting the subset, per sort."""
+    _check_elements({s: len(ids) for s, ids in phi.classes}, subset, "subset element")
     out = {}
     for sort, ids in phi.classes:
         hit = {ids[e] for e in subset.get(sort, frozenset())}

@@ -524,15 +524,23 @@ def _preorder(term: Term):
             stack += t.children[::-1]
 
 
-def _rebuild(term: Term, leaf) -> Term:
+def _rebuild(term: Term, leaf, nodes=None) -> Term:
     """The term with each variable or hole ``t`` replaced by ``leaf(t)``,
-    called in preorder: the one rebuild walk, for substitution and context
-    plugging.  It recurses, one frame per level, so like the parser it
-    fails on terms deeper than the interpreter's recursion limit."""
+    called in preorder: the one rebuild walk, for substitution, context
+    plugging and tree homomorphisms.  A node is rebuilt over its children's
+    images, or, given ``nodes`` (symbol -> function of the children's
+    images), is its symbol's function of them: the homomorphic extension of
+    the leaf map.  The function is looked up before the children are
+    walked, so an unknown symbol raises ``KeyError`` outermost first.  It
+    recurses, one frame per level, so like the parser it fails on terms
+    deeper than the interpreter's recursion limit."""
     if term.__class__ is not Node:
         return leaf(term)
-    children = tuple([_rebuild(c, leaf) for c in term.children])
-    return _new_node(term.symbol, children, term.sort, 1 + sum([c.size for c in children]))
+    if nodes is None:
+        children = tuple([_rebuild(c, leaf) for c in term.children])
+        return _new_node(term.symbol, children, term.sort, 1 + sum([c.size for c in children]))
+    build = nodes[term.symbol]
+    return build(*[_rebuild(c, leaf, nodes) for c in term.children])
 
 
 def substitute_occurrences(
@@ -714,7 +722,10 @@ def enumerate_all_terms(
             k = len(op.arity)
             if k == 0 or n - 1 < k:
                 continue
-            for split in _compositions(n - 1, k):
+            # the compositions of n - 1 into k positive parts, in
+            # lexicographic order: the gaps between k - 1 cut points
+            for cuts in itertools.combinations(range(1, n - 1), k - 1):
+                split = [b - a for a, b in zip((0, *cuts), (*cuts, n - 1))]
                 pools = [by_size[split[i]].get(op.arity[i], []) for i in range(k)]
                 if any(not p for p in pools):
                     continue
@@ -728,16 +739,6 @@ def enumerate_all_terms(
         terms.sort(key=key)
         out[s] = terms
     return out
-
-
-def _compositions(total: int, parts: int):
-    """All ways to write ``total`` as an ordered sum of ``parts`` positive ints."""
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(1, total - parts + 2):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first, *rest)
 
 
 def enumerate_terms(

@@ -12,8 +12,9 @@ import itertools
 import re
 from typing import Callable, Mapping, Sequence
 
-from .algebra import FiniteAlgebra, _values, evaluate, finite_algebra
+from .algebra import FiniteAlgebra, _values, evaluate
 from .core import (
+    Hole,
     Node,
     Operation,
     Signature,
@@ -23,6 +24,7 @@ from .core import (
     ValidationError,
     Var,
     _new_node,
+    _rebuild,
     _record,
     node,
     occurrence_counts,
@@ -205,31 +207,20 @@ def _template(pattern: Term, arity: int) -> Callable[..., Term]:
     return consts["template"]
 
 
-def _extend(
-    term: Term, leaf: Callable[[Var], Term], templates: Mapping[str, Callable[..., Term]]
-) -> Term:
-    """The homomorphic extension of a leaf map: a variable becomes
-    ``leaf(var)``, and a node becomes its symbol's template instantiated
-    at the images of its children."""
-    if isinstance(term, Var):
-        return leaf(term)
-    if not isinstance(term, Node):
-        raise SortError("cannot apply a tree homomorphism to a context hole")
-    return templates[term.symbol](*[_extend(c, leaf, templates) for c in term.children])
-
-
 def _image(h: Hyperderivor, term: Term, leaf: Callable[[Var], Term]) -> Term:
-    """``_extend`` through the templates of the hyperderivor's patterns, kept
-    on it from its first application on (compiling them at construction
-    costs memory for the many maps never applied).  They are not a field, so
-    a pickled copy compiles its own.  A symbol outside the source signature
-    has no template; that fails once, here."""
+    """The homomorphic extension of the leaf map, ``core._rebuild`` with a
+    node as its symbol's template instantiated at its children's images.
+    The templates of the hyperderivor's patterns are kept on it from its
+    first application on (compiling them at construction costs memory for
+    the many maps never applied).  They are not a field, so a pickled copy
+    compiles its own.  A symbol outside the source signature has no
+    template; that fails once, here."""
     templates = getattr(h, "_templates", None)
     if templates is None:
         templates = {op.name: _template(h.pattern(op.name), len(op.arity)) for op in h.source.ops}
         object.__setattr__(h, "_templates", templates)
     try:
-        return _extend(term, leaf, templates)
+        return _rebuild(term, leaf, templates)
     except KeyError as err:
         raise ValidationError(f"unknown source operation symbol {err.args[0]!r}") from None
 
@@ -239,6 +230,8 @@ def apply_treehom(h: Hyperderivor, term: Term) -> Term:
     substituting the children's images for the placeholders of the pattern."""
 
     def leaf(v: Var) -> Term:
+        if v.__class__ is Hole:
+            raise SortError("cannot apply a tree homomorphism to a context hole")
         if h.source_vars.sort_of(v.name) != v.sort:
             raise SortError(f"unknown source variable {v.name!r}")
         return h.var_image(v.name)
@@ -269,7 +262,8 @@ def derived_algebra(
         )
         for op in h.source.ops
     }
-    alg = finite_algebra(h.source, carriers, tables)
+    # each entry is a value of ``b``'s carrier at the result sort's image
+    alg = FiniteAlgebra._built(h.source, carriers, tables)
     assignment = {
         x: evaluate(b, b_assignment, h.var_image(x))
         for x in h.source_vars.all_names()

@@ -19,6 +19,7 @@ from treelang.core import (
     Signature,
     SortedVars,
     Term,
+    ValidationError,
     Var,
     context,
     enumerate_all_terms,
@@ -41,6 +42,25 @@ def check_branch(branches, case, request):
     with pytest.raises(error, match=f"^{re.escape(message)}$") as raised:
         call(request.getfixturevalue)
     assert raised.type is error
+
+
+# one value of each kind that is not an element of a 2-element carrier
+# (``algebra._member``); all but "at-size" are not sizes either
+NON_ELEMENTS = {"negative": -1, "at-size": 2, "fractional": 0.5, "bool": True, "string": "a"}
+
+
+def non_element_branches(name, call, message, kinds=NON_ELEMENTS):
+    """Validation-branch cases ``name-kind``, one per non-element ``v`` of
+    ``NON_ELEMENTS`` whose kind is in ``kinds``: ``call(fx, v)`` raises a
+    ``ValidationError`` with ``message`` formatted at ``v=repr(v)``."""
+    return {
+        f"{name}-{kind}": (
+            lambda fx, v=NON_ELEMENTS[kind]: call(fx, v),
+            ValidationError,
+            message.format(v=repr(NON_ELEMENTS[kind])),
+        )
+        for kind in kinds
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from treelang.algebra import (
     generated_subalgebra,
     product_algebra,
     quotient_algebra,
+    restrict_algebra,
     subset_algebra,
     translation_table,
 )
@@ -36,6 +37,7 @@ from treelang.treehom import derived_algebra, hom_to_hyperderivor, placeholder
 
 from conftest import (
     check_branch,
+    non_element_branches,
     leaf_contexts,
     random_algebra,
     random_hyperderivor,
@@ -135,6 +137,22 @@ class TestFlatEvaluation:
                         for args in itertools.product(*pools)
                     )
                     assert alg.table(op.name) == want
+
+    def test_derived_algebra_passes_the_record_checks(self, f1, x1, f2, x2):
+        """``derived_algebra`` builds its algebra without ``FiniteAlgebra``'s
+        checks; its carriers and tables pass them, into an equal algebra."""
+        rng = random.Random(283)
+        for target, target_vars, b, b_asg in _agreement_instances(f1, x1, f2, x2):
+            for source, source_vars in ((f1, x1), (f2, x2)):
+                h = retrying(
+                    lambda: random_hyperderivor(
+                        rng, source, source_vars, target, target_vars, linear=False
+                    ),
+                    rng,
+                )
+                alg, _ = derived_algebra(h, b, b_asg)
+                checked = finite_algebra(source, dict(alg.carriers), dict(alg.tables))
+                assert checked == alg and hash(checked) == hash(alg)
 
     def test_empty_carrier_gives_empty_tables(self):
         alg = finite_algebra(EMPTY_T, {"s": 2, "t": 0}, {"k": [1], "f": [], "h": []})
@@ -439,6 +457,28 @@ BRANCHES = {
     ),
     "empty-product": (
         lambda fx: product_algebra([]), ValidationError, "product of an empty family is not supported"
+    ),
+    **non_element_branches(
+        "seed",
+        lambda fx, v: generated_subalgebra(fx("rpar_algebra"), {"s": [0, v]}),
+        "seed element {v} out of range at sort 's'",
+    ),
+    **non_element_branches(
+        "restricted-element",
+        lambda fx, v: restrict_algebra(fx("rpar_algebra"), {"s": [0, 1, v]}),
+        "element {v} out of range at sort 's'",
+    ),
+    **non_element_branches(
+        "table-entry",
+        lambda fx, v: finite_algebra(fx("f1"), {"s": 2}, {"c": [v], "g": [1, 0], "sigma": [0] * 4}),
+        "table for 'c': entry {v} out of range at sort 's'",
+    ),
+    # -1 is "negative-carrier", and 2 is a size
+    **non_element_branches(
+        "carrier-size",
+        lambda fx, v: finite_algebra(fx("f1"), {"s": v}, {"c": [0], "g": [0], "sigma": [0]}),
+        "carrier size {v} out of range at sort 's'",
+        kinds=["fractional", "bool", "string"],
     ),
 }
 

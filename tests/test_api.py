@@ -120,6 +120,23 @@ def test_only_record_knows_the_layout():
     assert leaks == []
 
 
+def test_only_outside_calls_min_and_max():
+    """Only ``algebra._outside`` calls ``min`` or ``max``: every range test
+    of a collection of carrier elements, table entries, class ids or sizes
+    goes through it, so the element rule (``algebra._member``) is decided in
+    one place."""
+    package = Path(treelang.__file__).parent
+    calls = []
+    for path in sorted(package.glob("*.py")):
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            calls += [
+                f"{path.stem}.{getattr(stmt, 'name', stmt.lineno)}"
+                for n in ast.walk(stmt)
+                if isinstance(n, ast.Call) and getattr(n.func, "id", None) in ("min", "max")
+            ]
+    assert calls == ["algebra._outside", "algebra._outside"]
+
+
 PERFBENCH = Path(__file__).parents[1] / "perfbench"
 
 
@@ -269,20 +286,17 @@ def test_unchecked_paths_are_covered():
 
 # what bounds the depth of each function that calls itself
 TERM_DEPTH = "a term's depth; ROADMAP item 4 makes the walk depth-safe"
-ARITY = "an operation's arity"
 DOCUMENT = "document nesting, at most formats._DEPTH levels"
 ORACLE = "the oracle's bound on term size"
 RECURSIVE_FUNCTIONS = {
     "cli.build_parser": "one level: an unknown command builds every command's parser",
     "core._Parser.parse": TERM_DEPTH,
-    "core._compositions": ARITY,
     "core._rebuild": TERM_DEPTH,
     "formats._Reader.block": DOCUMENT,
     "formats._node": DOCUMENT,
     "formats.check": "the nesting of the document shapes formats declares",
     "oracle.evaluate_many.walk": ORACLE,
     "oracle.semantic_substitution_sets.walk": ORACLE,
-    "treehom._extend": TERM_DEPTH,
     "treehom._template.emit": TERM_DEPTH,
     "treehom.direct_image.compile_rhs": TERM_DEPTH,
 }

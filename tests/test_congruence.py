@@ -18,7 +18,13 @@ from treelang.congruence import (
 )
 from treelang.core import ValidationError, signature
 
-from conftest import all_sorted_partitions, check_branch, random_algebra, random_signature
+from conftest import (
+    all_sorted_partitions,
+    check_branch,
+    non_element_branches,
+    random_algebra,
+    random_signature,
+)
 
 
 @pytest.fixture
@@ -340,6 +346,36 @@ BRANCHES = {
     "meet-other-sizes": (
         lambda fx: meet_partitions(partition(["s"], {"s": [0]}), partition(["s"], {"s": [0, 0]})),
         ValidationError, "carrier size mismatch at sort 's'",
+    ),
+    **non_element_branches(
+        "class-id",
+        lambda fx, v: SortedPartition((("s", (0, 1, v)),), (("s", 2),)),
+        "class ids out of range at sort 's'",
+    ),
+    # 2 is a count
+    **non_element_branches(
+        "partition-count",
+        lambda fx, v: SortedPartition((("s", (0, 1)),), (("s", v),)),
+        "partition count {v} out of range at sort 's'",
+        kinds=["negative", "fractional", "bool", "string"],
+    ),
+    **non_element_branches(
+        "saturated-subset",
+        lambda fx, v: saturate(partition(["s"], {"s": [0, 1]}), {"s": {0, v}}),
+        "subset element {v} out of range at sort 's'",
+    ),
+    **non_element_branches(
+        "syntactic-subset",
+        lambda fx, v: syntactic_congruence(fx("rpar_algebra"), {"s": {0, v}}),
+        "subset element {v} out of range at sort 's'",
+    ),
+    "saturated-subset-unknown-sort": (
+        lambda fx: saturate(partition(["s"], {"s": [0, 1]}), {"t": {0}}),
+        ValidationError, "subset element at unknown sort 't'",
+    ),
+    "syntactic-subset-unknown-sort": (
+        lambda fx: syntactic_congruence(fx("rpar_algebra"), {"t": frozenset()}),
+        ValidationError, "subset element at unknown sort 't'",
     ),
 }
 

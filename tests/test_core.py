@@ -480,10 +480,10 @@ RECURSIVE = {
     "substitute_uniform": "core._rebuild",
     "substitute_occurrences": "core._rebuild",
     "apply_context": "core._rebuild",
-    "apply_treehom": "treehom._extend",
+    "apply_treehom": "core._rebuild",
     "apply_treehom_deep_pattern": "treehom._template.emit",
     "direct_image_deep_pattern": "treehom.direct_image.compile_rhs",
-    "apply_derivor_term": "treehom._extend",
+    "apply_derivor_term": "core._rebuild",
 }
 
 

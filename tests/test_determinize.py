@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 
 import pytest
 
@@ -20,6 +21,8 @@ from treelang.algebra import closure_elements, finite_algebra, restrict_algebra,
 from treelang.core import ValidationError, signature, sorted_vars
 from treelang.closure import NTA, nta, table_rules
 from treelang.recognizer import Recognizer, determinize, recognizer
+
+from conftest import NON_ELEMENTS
 
 
 def reference_eps_closures(machine: NTA) -> dict[str, list[frozenset[int]]]:
@@ -285,6 +288,22 @@ def small_machine(**changes) -> NTA:
         ({"rules": {("sigma", (-1, 0)): {0}}}, r"rule sigma\(-1, 0\): state -1 out of range"),
         ({"rules": {("sigma", (0, -1)): {0}}}, r"rule sigma\(0, -1\): state -1 out of range"),
         ({"rules": {("g", (0, 1)): set()}}, r"rule g\(0, 1\) has 2 argument states, expected 1"),
+        *[
+            (changes, re.escape(message.format(v=repr(v))))
+            for v in NON_ELEMENTS.values()
+            for changes, message in [
+                ({"leaf": {"x": {v}}}, "NTA leaf of variable 'x': state {v} out of range at sort 's'"),
+                ({"rules": {("g", (0,)): {v}}}, "NTA rule g(0): state {v} out of range at sort 's'"),
+                ({"rules": {("sigma", (1, v)): {0}}}, f"NTA rule sigma(1, {v}): state {{v}} out of range"),
+                ({"epsilon": {"s": [(0, v)]}}, "NTA epsilon state {v} out of range at sort 's'"),
+                ({"accepting": {"s": {v}}}, "NTA accepting state {v} out of range at sort 's'"),
+            ]
+        ],
+        *[
+            ({"states": {"s": v}}, re.escape(f"NTA state count {v!r} out of range at sort 's'"))
+            for kind, v in NON_ELEMENTS.items()
+            if kind != "at-size"  # 2 is a count
+        ],
     ],
 )
 def test_malformed_machine_names_what_is_wrong(changes, message):

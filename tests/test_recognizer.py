@@ -41,7 +41,13 @@ from treelang.algebra import _closure, _offset_rows, closure_elements, finite_al
 from treelang.closure import nta, table_rules
 from treelang.oracle import enumerate_language
 
-from conftest import accepted_sets, check_branch, random_recognizer, same_language
+from conftest import (
+    accepted_sets,
+    check_branch,
+    non_element_branches,
+    random_recognizer,
+    same_language,
+)
 
 # the module itself: the package's ``recognizer`` attribute is the function
 RECOGNIZER_MODULE = import_module("treelang.recognizer")
@@ -484,6 +490,11 @@ BRANCHES = {
     "context-over-foreign-sorts": (
         lambda fx: inverse_translation(fx("r_par"), parse_context("iszero(@)", fx("f2"), fx("x2"))),
         SortError, "context sorts do not belong to the recognizer's signature",
+    ),
+    **non_element_branches(
+        "accepting",
+        lambda fx, v: recognizer(fx("x1"), fx("rpar_algebra"), {"x": 0, "z": 1}, {"s": [v]}),
+        "accepting element {v} out of range at sort 's'",
     ),
 }
 
