@@ -207,37 +207,40 @@ def _values(
     term.
 
     The pass is one loop over the reversed preorder, children before their
-    node, with a stack of values: a free variable pushes its projection
-    column, a hole the column of the free variable named ``@`` (a
-    translation's), and another variable its value in the assignment.  A
-    node pops its children's values, the first child's on top, and pushes
-    its table entry, or the table gathered at the index list they fold to;
-    values over the space are tuples, and one without free variables is an
-    ``int``.  Each input is checked where it is read: a node's child count
-    against its operation's arity, an assigned value (once per name) to be
-    an element of its sort's carrier (``_member``), a variable's sort, and a
-    hole, which only a translation's ``@`` column fills.  An empty space
-    returns ``()`` without reading the term.
+    node, with a stack of values.  A value that depends on free variables is
+    held over the space of only the free variables it contains: a pair of
+    their positions in ``free`` (ascending) and its values over that
+    subspace in table order; a value without one is an ``int``.  A free
+    variable pushes its own carrier, a hole that of the free variable named
+    ``@`` (a translation's), and another variable its value in the
+    assignment.  A node pops its children's values, the first child's on
+    top, and folds them into the index of its table at each point of its
+    subspace: the values without free variables into one offset, each
+    argument times its mixed-radix weight, and those over one variable into
+    one vector per variable, whose outer sum, in free-variable order, is
+    added to the arguments over several variables broadcast onto the node's
+    subspace (``_joint``).  It then gathers its table once; the root is
+    broadcast onto the whole space at the end.  Each input is checked where
+    it is read: a node's child count against its operation's arity, an
+    assigned value (once per name) to be an element of its sort's carrier
+    (``_member``), a variable's sort, and a hole, which only a translation's
+    ``@`` fills.  An empty space returns ``()`` without reading the term.
     """
     sizes = alg._sizes
     tables = alg._tables
-    # per operation: the carrier sizes of its arity, and its table
-    ops = {op.name: ([sizes[s] for s in op.arity], tables[op.name]) for op in alg.signature.ops}
-    space = 1
+    # per operation: the mixed-radix weight of each argument, and its table
+    ops = {op.name: (_weights(sizes, op.arity), tables[op.name]) for op in alg.signature.ops}
+    radix = []
     for v in free:
         if v.sort not in sizes:
             raise ValidationError(f"variable {v.name!r} at unknown sort {v.sort!r}")
-        space *= sizes[v.sort]
+        radix.append(sizes[v.sort])
+    space = math.prod(radix)
     if not space:
         return ()
-    # a variable's column, or its checked value once read; a variable's
-    # stride is the product of the later variables' sizes
-    columns = {}
-    stride = space
-    for v in free:
-        n = sizes[v.sort]
-        stride //= n
-        columns[v.name] = tuple(_projection(n, stride, space))
+    # a free variable's position and carrier (the last of a repeated name),
+    # or a bound variable's checked value once read
+    columns = {v.name: ((j,), range(n)) for j, (v, n) in enumerate(zip(free, radix))}
     stack = []
     push, pop = stack.append, stack.pop
     for t in reversed([*_preorder(term)]):
@@ -257,27 +260,81 @@ def _values(
             op = ops.get(t.symbol)
             if op is None:
                 raise ValidationError(f"unknown operation {t.symbol!r}")
-            radices, table = op
-            if len(t.children) != len(radices):
+            weights, table = op
+            if len(t.children) != len(weights):
                 raise ValidationError(
-                    f"{t.symbol!r} expects {len(radices)} arguments, got {len(t.children)}"
+                    f"{t.symbol!r} expects {len(weights)} arguments, got {len(t.children)}"
                 )
-            index = 0
-            for n in radices:
+            offset = 0
+            parts = None
+            for w in weights:
                 value = pop()
-                if type(index) is not list:
-                    if type(value) is not tuple:
-                        index = index * n + value
-                    else:
-                        index = [index * n + v for v in value]
-                elif type(value) is not tuple:
-                    index = [i * n + value for i in index]
+                if value.__class__ is int:
+                    offset += w * value
+                elif parts is None:
+                    parts = [(w, value)]
                 else:
-                    index = [i * n + v for i, v in zip(index, value)]
-            value = table[index] if type(index) is not list else _getter(index)(table)
+                    parts.append((w, value))
+            if parts is None:
+                value = table[offset]
+            elif len(parts) == 1:  # the node's subspace is its one argument's
+                w, (vs, column) = parts[0]
+                value = vs, _getter([offset + w * e for e in column])(table)
+            else:
+                vs, index = _joint(parts, offset, radix)
+                value = vs, _getter(index)(table)
         push(value)
     value = pop()
-    return value if type(value) is tuple else (value,) * space
+    if value.__class__ is int:
+        return (value,) * space
+    vs, column = value
+    if len(vs) == len(free):  # every position: the subspace is the space
+        return tuple(column)
+    return _getter(_spread(vs, range(len(free)), radix))(column)
+
+
+def _weights(sizes: Mapping[str, int], arity: Sequence[str]) -> list[int]:
+    """The mixed-radix weight of each argument position: the product of the
+    later positions' carrier sizes."""
+    weights, w = [], 1
+    for s in reversed(arity):
+        weights.append(w)
+        w *= sizes[s]
+    return weights[::-1]
+
+
+def _joint(parts: Sequence, offset: int, radix: Sequence[int]) -> tuple[tuple[int, ...], list[int]]:
+    """The free-variable positions of several weighted arguments ``(w, (vs,
+    column))``, ascending, and the table index at each point of their joint
+    subspace: ``offset`` plus the outer sum, in position order, of one vector
+    per position (the sum of the arguments over that position alone), plus
+    each argument over several positions broadcast onto the subspace."""
+    single, several = {}, []
+    for w, (vs, column) in parts:
+        if len(vs) > 1:
+            several.append((w, vs, column))
+        else:
+            vector = [w * e for e in column]
+            j = vs[0]
+            single[j] = [a + b for a, b in zip(single[j], vector)] if j in single else vector
+    us = tuple(sorted({*single, *(j for _, vs, _ in several for j in vs)}))
+    index = [offset]
+    for j in us:
+        vector = single.get(j) or (0,) * radix[j]
+        index = [i + e for i in index for e in vector]
+    for w, vs, column in several:
+        if vs != us:
+            column = _getter(_spread(vs, us, radix))(column)
+        index = [i + w * e for i, e in zip(index, column)]
+    return us, index
+
+
+def _spread(vs: Sequence[int], us: Sequence[int], radix: Sequence[int]) -> list[int]:
+    """The index into a tuple over the free-variable positions ``vs`` at each
+    point of the subspace of the positions ``us``, which hold them: the
+    mixed-radix fold over ``vs``, each other position held at 0."""
+    pools = [range(radix[j]) if j in vs else (0,) * radix[j] for j in us]
+    return _indices([radix[j] if j in vs else 1 for j in us], pools)
 
 
 # ---------------------------------------------------------------------------

@@ -75,18 +75,26 @@ def nta(
     epsilon: Mapping[str, Sequence[tuple[int, int]]],
     accepting: Mapping[str, frozenset[int] | set[int]],
 ) -> NTA:
-    return NTA(*_fields(sig, vars, states, leaf, rules, epsilon, accepting))
+    fields = (sig, vars, states, leaf, rules, epsilon, accepting)
+    try:
+        return NTA(*_fields(*fields))
+    except TypeError:
+        # states that do not compare cannot be sorted: the checks, run on
+        # the fields in the order given, name one
+        NTA(*_fields(*fields, order=lambda items, key=None: items))
+        raise
 
 
-def _fields(sig, vars, states, leaf, rules, epsilon, accepting) -> tuple:
-    """``nta``'s arguments as the normalized fields of an ``NTA``."""
+def _fields(sig, vars, states, leaf, rules, epsilon, accepting, order=sorted) -> tuple:
+    """``nta``'s arguments as the normalized fields of an ``NTA``, the rules
+    and each sort's epsilon edges put in ``order`` (sorted by default)."""
     return (
         sig,
         vars,
         tuple((s, states.get(s, 0)) for s in sig.sorts),
         tuple((x, frozenset(leaf.get(x, frozenset()))) for x in vars.all_names()),
-        tuple(sorted(((k, frozenset(v)) for k, v in rules.items()), key=lambda kv: (kv[0][0], kv[0][1]))),
-        tuple((s, tuple(sorted(set(epsilon.get(s, ()))))) for s in sig.sorts),
+        tuple(order(((k, frozenset(v)) for k, v in rules.items()), key=lambda kv: (kv[0][0], kv[0][1]))),
+        tuple((s, tuple(order(set(epsilon.get(s, ()))))) for s in sig.sorts),
         tuple((s, frozenset(accepting.get(s, frozenset()))) for s in sig.sorts),
     )
 

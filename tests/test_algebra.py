@@ -6,6 +6,10 @@ import pytest
 
 from treelang import core
 from treelang.algebra import (
+    _getter,
+    _member,
+    _projection,
+    _values,
     check_assignment,
     evaluate,
     finite_algebra,
@@ -18,6 +22,7 @@ from treelang.algebra import (
 )
 from treelang.congruence import all_in_one_partition, identity_partition, partition
 from treelang.core import (
+    HOLE,
     Hole,
     Node,
     ValidationError,
@@ -26,10 +31,12 @@ from treelang.core import (
     context,
     enumerate_all_terms,
     enumerate_terms,
+    node,
     parse_context,
     parse_term,
     signature,
     sorted_vars,
+    _preorder,
 )
 from treelang.oracle import evaluate_many
 from treelang.recognizer import inverse_translation
@@ -94,6 +101,94 @@ def _agreement_instances(f1, x1, f2, x2):
 EMPTY_T = signature(["s", "t"], [("k", [], "s"), ("f", ["t"], "s"), ("h", ["t", "s"], "t")])
 
 
+def reference_values(alg, assignment, term, free):
+    """``algebra._values`` as it was before it held values over subspaces:
+    every value that depends on a free variable is a tuple over the whole
+    space, a free variable is its projection column, and a node folds its
+    children's columns elementwise into one index list."""
+    sizes = alg._sizes
+    ops = {op.name: ([sizes[s] for s in op.arity], alg._tables[op.name]) for op in alg.signature.ops}
+    space = 1
+    for v in free:
+        if v.sort not in sizes:
+            raise ValidationError(f"variable {v.name!r} at unknown sort {v.sort!r}")
+        space *= sizes[v.sort]
+    if not space:
+        return ()
+    columns = {}
+    stride = space
+    for v in free:
+        n = sizes[v.sort]
+        stride //= n
+        columns[v.name] = tuple(_projection(n, stride, space))
+    stack = []
+    for t in reversed([*_preorder(term)]):
+        if t.__class__ is not Node:
+            value = columns.get(HOLE if t.__class__ is Hole else t.name)
+            if value is None:
+                if t.__class__ is Hole:
+                    raise ValidationError("cannot evaluate a context hole outside a translation")
+                if t.name not in assignment:
+                    raise ValidationError(f"no assignment for variable {t.name!r}")
+                if t.sort not in sizes:
+                    raise ValidationError(f"variable {t.name!r} at unknown sort {t.sort!r}")
+                value = columns[t.name] = assignment[t.name]
+                if not _member(value, sizes[t.sort]):
+                    raise ValidationError(f"assignment for {t.name!r} out of carrier range")
+        else:
+            op = ops.get(t.symbol)
+            if op is None:
+                raise ValidationError(f"unknown operation {t.symbol!r}")
+            radices, table = op
+            if len(t.children) != len(radices):
+                raise ValidationError(
+                    f"{t.symbol!r} expects {len(radices)} arguments, got {len(t.children)}"
+                )
+            index = 0
+            for n in radices:
+                value = stack.pop()
+                if type(index) is not list:
+                    if type(value) is not tuple:
+                        index = index * n + value
+                    else:
+                        index = [index * n + v for v in value]
+                elif type(value) is not tuple:
+                    index = [i * n + value for i in index]
+                else:
+                    index = [i * n + v for i, v in zip(index, value)]
+            value = table[index] if type(index) is not list else _getter(index)(table)
+        stack.append(value)
+    value = stack.pop()
+    return value if type(value) is tuple else (value,) * space
+
+
+# sorts s and t, a ternary operation; t has no ground term, so its carrier
+# may be empty
+TERNARY = signature(
+    ["s", "t"],
+    [("a", [], "s"), ("f", ["s", "t", "s"], "s"), ("h", ["t", "s"], "t"), ("k", ["t"], "s")],
+)
+TERNARY_VARS = sorted_vars(TERNARY, {"s": ["x", "y", "z"], "t": ["u", "v"]})
+
+
+def _random_ternary_term(rng, sort, budget):
+    """A random well-sorted term over ``TERNARY`` of about ``budget`` nodes."""
+    ops = [op for op in TERNARY.ops if op.result == sort]
+    if budget <= 1 or rng.random() < 0.2:
+        leaves = [Var(x, sort) for x in TERNARY_VARS.names(sort)]
+        return rng.choice(leaves + [node(op, ()) for op in ops if not op.arity])
+    op = rng.choice([op for op in ops if op.arity])
+    share = (budget - 1) // len(op.arity)
+    return node(op, [_random_ternary_term(rng, w, share) for w in op.arity])
+
+
+def _outcome(call):
+    try:
+        return call()
+    except ValidationError as e:
+        return ValidationError, str(e)
+
+
 class TestFlatEvaluation:
     """``_values``, behind ``evaluate``, ``translation_table`` and
     ``derived_algebra``, agrees with independent evaluations and checks
@@ -104,6 +199,34 @@ class TestFlatEvaluation:
             for terms in enumerate_all_terms(sig, vars, 5).values():
                 want = evaluate_many(alg, asg, terms)
                 assert [evaluate(alg, asg, t) for t in terms] == [want[id(t)] for t in terms]
+
+    def test_values_agree_with_full_space_reference(self):
+        """``_values`` holds a value over only the free variables it
+        contains and returns what the full-space pass returned, errors
+        included: random terms over a two-sorted signature with a ternary
+        operation, 0-3 free variables (repeated, unused and in any order),
+        the other variables bound, carriers of 0-4 elements."""
+        rng = random.Random(30)
+        names = TERNARY_VARS.all_names()
+        sort_of = TERNARY_VARS.sort_of
+        nested = 0
+        for _ in range(3000):
+            carriers = {"s": rng.randint(1, 4), "t": rng.randint(0, 4)}
+            alg = random_algebra(rng, TERNARY, carriers=carriers)
+            free = [Var(x, sort_of(x)) for x in rng.choices(names, k=rng.choice((0, 1, 2, 3, 3)))]
+            # every name is bound; a free one is read as free (a value 0 at
+            # an empty carrier is out of range)
+            asg = {x: rng.randrange(max(carriers[sort_of(x)], 1)) for x in names}
+            term = _random_ternary_term(rng, rng.choice(TERNARY.sorts), rng.randint(1, 20))
+            want = _outcome(lambda: reference_values(alg, asg, term, free))
+            assert _outcome(lambda: _values(alg, asg, term, free)) == want
+            # a node with an argument over two or more free variables
+            free_names = {v.name for v in free}
+            nested += bool(want) and want[0] is not ValidationError and any(
+                len({v.name for v in _preorder(c) if v.__class__ is Var} & free_names) > 1
+                for t in _preorder(term) if t.__class__ is Node for c in t.children
+            )
+        assert nested > 250
 
     def test_translation_table_agrees_with_plugged_evaluation(self, f1, x1, f2, x2):
         for sig, vars, alg, asg in _agreement_instances(f1, x1, f2, x2):
@@ -119,9 +242,16 @@ class TestFlatEvaluation:
                         assert translation_table(alg, asg, ctx) == want
 
     def test_derived_tables_agree_with_pattern_evaluation(self, f1, x1, f2, x2):
+        """Over ``f1``, ``f2`` and ``TERNARY``, whose ternary operation's
+        pattern can hold a subterm over two of its three placeholders."""
         rng = random.Random(281)
+        nested = 0
         for target, target_vars, b, b_asg in _agreement_instances(f1, x1, f2, x2):
-            for source, source_vars in ((f1, x1), (f2, x2)):
+            sources = [(f1, x1), (f2, x2)]
+            # f2 has no operation that could hold several placeholders
+            if target != f2:
+                sources.append((TERNARY, TERNARY_VARS))
+            for source, source_vars in sources:
                 h = retrying(
                     lambda: random_hyperderivor(
                         rng, source, source_vars, target, target_vars, linear=False
@@ -137,6 +267,12 @@ class TestFlatEvaluation:
                         for args in itertools.product(*pools)
                     )
                     assert alg.table(op.name) == want
+                    nested += len(op.arity) == 3 and any(
+                        len({v.name for v in _preorder(c) if v.__class__ is Var}) == 2
+                        for t in _preorder(h.pattern(op.name)) if t.__class__ is Node
+                        for c in t.children
+                    )
+        assert nested > 5
 
     def test_derived_algebra_passes_the_record_checks(self, f1, x1, f2, x2):
         """``derived_algebra`` builds its algebra without ``FiniteAlgebra``'s
