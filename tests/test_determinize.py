@@ -288,10 +288,6 @@ def small_machine(**changes) -> NTA:
         ({"rules": {("sigma", (-1, 0)): {0}}}, r"rule sigma\(-1, 0\): state -1 out of range"),
         ({"rules": {("sigma", (0, -1)): {0}}}, r"rule sigma\(0, -1\): state -1 out of range"),
         ({"rules": {("g", (0, 1)): set()}}, r"rule g\(0, 1\) has 2 argument states, expected 1"),
-        # a state that does not compare with the ints beside it, so the
-        # fields cannot be sorted
-        ({"rules": {("g", ("a",)): {0}}}, re.escape("NTA rule g(a): state 'a' out of range at sort 's'")),
-        ({"epsilon": {"s": [(0, 1), (0, "a")]}}, re.escape("NTA epsilon state 'a' out of range at sort 's'")),
         *[
             (changes, re.escape(message.format(v=repr(v))))
             for v in NON_ELEMENTS.values()
@@ -308,6 +304,10 @@ def small_machine(**changes) -> NTA:
             for kind, v in NON_ELEMENTS.items()
             if kind != "at-size"  # 2 is a count
         ],
+        # a state that does not compare with the ints beside it, so the
+        # fields cannot be sorted
+        ({"rules": {("g", ("a",)): {0}}}, re.escape("NTA rule g(a): state 'a' out of range at sort 's'")),
+        ({"epsilon": {"s": [(0, 1), (0, "a")]}}, re.escape("NTA epsilon state 'a' out of range at sort 's'")),
     ],
 )
 def test_malformed_machine_names_what_is_wrong(changes, message):
