@@ -400,6 +400,7 @@ def _closure(
     seed: Mapping[str, Sequence[int]],
     rows,
     goal: Mapping[str, frozenset[int]] | None = None,
+    sizes: Mapping[str, int] | None = None,
 ) -> dict[str, list[int]]:
     """The frontier worklist behind every generated subalgebra: the least
     sets holding the seed and closed under the operations, each in
@@ -421,11 +422,19 @@ def _closure(
     as one of them is reached, the seed checked first.  Each list is then a
     prefix of the full closure's, in the same order; with no goal element
     reachable it is the full closure.
+
+    Given the carrier ``sizes``, it keeps per sort the number of elements
+    not yet reached, skips an operation into a sort with none left (such a
+    pass can only read elements already reached), and returns as soon as
+    every sort is full, the seed checked first.  Neither changes the lists.
     """
     reached = {s: list(dict.fromkeys(seed.get(s, ()))) for s in sig.sorts}
     member = {s: set(es) for s, es in reached.items()}
+    left = {s: (sizes[s] if sizes else math.inf) - len(es) for s, es in reached.items()}
     goal = goal or {}
-    if any(not targets.isdisjoint(member[s]) for s, targets in goal.items()):
+    if not any(left.values()) or any(
+        not targets.isdisjoint(member[s]) for s, targets in goal.items()
+    ):
         return reached
     # per operation: the reached lists at its argument sorts (a constant
     # reads one last element, 0), and their lengths at its last pass, None
@@ -437,7 +446,7 @@ def _closure(
         for entry in ops:
             op, args, prev = entry
             now = tuple(map(len, args))
-            if now == prev:
+            if now == prev or not left[op.result]:
                 continue
             entry[2] = now
             prev = prev or (0,) * len(now)
@@ -462,7 +471,10 @@ def _closure(
             if fresh:
                 found.update(fresh)
                 reached[op.result] += fresh
-                if op.result in goal and not goal[op.result].isdisjoint(fresh):
+                left[op.result] -= len(fresh)
+                if not any(left.values()) or (
+                    op.result in goal and not goal[op.result].isdisjoint(fresh)
+                ):
                     return reached
                 changed = True
     return reached
@@ -491,7 +503,7 @@ def closure_elements(
 ) -> dict[str, list[int]]:
     """Least subset containing the seed and closed under all tables, in
     ``_closure``'s first-reached order, read by ``_offset_rows``."""
-    return _closure(alg.signature, seed, _offset_rows(alg))
+    return _closure(alg.signature, seed, _offset_rows(alg), sizes=alg._sizes)
 
 
 def generated_subalgebra(alg: FiniteAlgebra, seed: Mapping[str, Sequence[int]]):

@@ -102,6 +102,8 @@ def cmd_substitute(args) -> int:
         if "=" not in item:
             raise ValidationError(f"--with expects var=FILE, got {item!r}")
         name, path = item.split("=", 1)
+        if name in family:
+            raise ValidationError(f"--with lists variable {name!r} twice")
         family[name] = formats.load_recognizer(path)
     _emit_doc(args, formats.recognizer_to_doc(substitute_language(rec, family)))
     return 0

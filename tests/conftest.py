@@ -296,6 +296,25 @@ def random_recognizer(
     return recognizer(vars, alg, assignment, accepting)
 
 
+def permuted(rng, rec):
+    """The recognizer with its states renamed by a random permutation per
+    sort: the same language, with other state numbers."""
+    sig = rec.signature
+    perm = {s: rng.sample(range(n), n) for s, n in rec.algebra.carriers}
+    inverse = {s: {new: old for old, new in enumerate(p)} for s, p in perm.items()}
+    tables = {}
+    for op in sig.ops:
+        tables[op.name] = []
+        for args in itertools.product(*[range(rec.algebra.size(s)) for s in op.arity]):
+            old = [inverse[s][a] for s, a in zip(op.arity, args)]
+            tables[op.name].append(perm[op.result][rec.algebra.apply(op.name, old)])
+    alg = finite_algebra(sig, dict(rec.algebra.carriers), tables)
+    sort_of = {x: s for s, names in rec.vars.by_sort for x in names}
+    assignment = {x: perm[sort_of[x]][q] for x, q in rec.assignment}
+    accepting = {s: [perm[s][q] for q in qs] for s, qs in rec.accepting}
+    return recognizer(rec.vars, alg, assignment, accepting)
+
+
 def random_term(
     rng: random.Random, sig: Signature, vars: SortedVars, sort: str, max_nodes: int
 ) -> Term | None:

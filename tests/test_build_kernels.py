@@ -63,7 +63,7 @@ from treelang.core import (
     signature,
     sorted_vars,
 )
-from treelang.oracle import evaluate_many
+from treelang.oracle import enumerate_language, evaluate_many
 from treelang.recognizer import (
     _seed,
     combine,
@@ -419,20 +419,95 @@ def counting_tables(alg, reads):
     )
 
 
-def test_closure_elements_reads_each_reached_entry_once():
-    rng = random.Random(612)
+def recording_tables(alg):
+    """The algebra with each table wrapped to record the entries read from
+    it, and the record: one ``(operation name, index)`` pair per entry read,
+    a slice or an iteration recording each entry it covers."""
+    read = []
+
+    def table(name, entries):
+        class Table(tuple):
+            def __getitem__(self, i):
+                got = range(len(self))[i]
+                read.extend((name, j) for j in (got if isinstance(i, slice) else [got]))
+                return tuple.__getitem__(self, i)
+
+            def __iter__(self):
+                read.extend((name, j) for j in range(len(self)))
+                return tuple.__iter__(self)
+
+        return Table(entries)
+
+    tables = tuple((name, table(name, t)) for name, t in alg.tables)
+    recorded = FiniteAlgebra(alg.signature, alg.carriers, tables)
+    read.clear()  # the constructor's checks
+    return recorded, read
+
+
+def argument_tuple(alg, op, index):
+    """The argument tuple at a table index: its mixed-radix digits, last
+    position fastest."""
+    args = []
+    for s in reversed(op.arity):
+        index, e = divmod(index, alg.size(s))
+        args.append(e)
+    return args[::-1]
+
+
+def short_algebra(rng, sig, sizes, short):
+    """Random tables that never give the last element of a sort in ``short``."""
+    given = {s: n - (s in short) for s, n in sizes.items()}
+    tables = {
+        op.name: [
+            rng.randrange(given[op.result]) for _ in range(math.prod(sizes[s] for s in op.arity))
+        ]
+        for op in sig.ops
+    }
+    return finite_algebra(sig, sizes, tables)
+
+
+def read_count_instances(rng):
+    """``SIG`` instances with random seeds and with seeds that fill every
+    carrier, and instances whose tables never give the last element of a
+    carrier, seeded with element 0, where no carrier but an empty one fills."""
     for _ in range(INSTANCES):
         alg = random_instance(rng)
-        seed = random_seed(rng, alg)
-        reads = [0]
-        counted = counting_tables(alg, reads)
-        reads[0] = 0
-        reached = closure_elements(counted, seed)
+        yield alg, random_seed(rng, alg)
+        yield alg, {s: rng.sample(range(n), n) for s, n in alg.carriers}
+        sizes = {"a": rng.randint(2, 4), "b": rng.randint(2, 4), "e": rng.choice([0, 0, 2])}
+        short = {s for s, n in sizes.items() if n}
+        yield short_algebra(rng, SIG, sizes, short), {s: [0] for s in short}
+
+
+def test_closure_elements_reads_reached_entries_at_most_once():
+    """``closure_elements`` reads no table entry twice and only entries at
+    tuples of reached elements.  It reads every such entry when no nonempty
+    carrier fills, none when the seed fills every carrier, and never more:
+    once a sort is full, no operation into it is read again."""
+    rng = random.Random(612)
+    seen = Counter()
+    for alg, seed in read_count_instances(rng):
+        recorded, read = recording_tables(alg)
+        reached = closure_elements(recorded, seed)
         assert reached == reference_closure_elements(alg, seed)
-        # every tuple over the reached elements, once: a constant is one
-        assert reads[0] == sum(
-            math.prod(len(reached[s]) for s in op.arity) for op in SIG.ops
-        )
+        assert len(set(read)) == len(read)
+        members = {s: set(es) for s, es in reached.items()}
+        for name, i in read:
+            op = SIG.operation(name)
+            assert all(e in members[s] for s, e in zip(op.arity, argument_tuple(alg, op, i)))
+        # every tuple over the reached elements: a constant is one
+        every = sum(math.prod(len(reached[s]) for s in op.arity) for op in SIG.ops)
+        assert len(read) <= every
+        sizes = dict(alg.carriers)
+        if all(len(es) < sizes[s] for s, es in reached.items() if sizes[s]):
+            assert len(read) == every
+            seen["none fills"] += 1
+        elif all(len(set(seed.get(s, ()))) == n for s, n in sizes.items()):
+            assert read == []
+            seen["seed fills all"] += 1
+        else:
+            seen["a carrier fills"] += 1
+    assert len(seen) == 3, seen
 
 
 def accepting_variants(rec):
@@ -507,6 +582,84 @@ def test_goal_closure_is_a_prefix_and_reads_no_more(f1, x1, f2, x2):
             seen["stopped early" if goal_reads < full_reads else "stopped last"] += 1
         seen["empty carrier"] += 0 in dict(rec.algebra.carriers).values()
     assert len(seen) == 5 and min(seen.values()) > 0
+
+
+# two sorts, each with a constant, unary maps between every pair of sorts
+# and one binary operation
+R2 = signature(
+    ["t0", "t1"],
+    [
+        ("e0", [], "t0"),
+        ("e1", [], "t1"),
+        ("u0", ["t0"], "t0"),
+        ("u1", ["t0"], "t1"),
+        ("u2", ["t1"], "t0"),
+        ("u3", ["t1"], "t1"),
+        ("b0", ["t0", "t1"], "t0"),
+    ],
+)
+
+
+def stop_rule_instances(rng):
+    """Instances, each with a seed, the sorts whose carriers must fill and
+    those that must not.  Three shapes: ``SIG`` with an empty carrier at
+    ``e``; ``SIG`` seeded with the whole carrier at one sort and part of
+    another, whose last element no table gives; and ``R2`` seeded with its
+    constants, where ``u0`` cycles through ``t0``, so that ``t0`` fills,
+    and nothing gives the last element of ``t1``."""
+    for _ in range(INSTANCES):
+        sizes = {"a": rng.randint(1, 4), "b": rng.randint(2, 4), "e": 0}
+        alg = random_algebra(rng, SIG, carriers=sizes)
+        yield alg, random_seed(rng, alg), {"e"}, set()
+        full, part = rng.sample(["a", "b"], 2)
+        sizes = {full: rng.randint(1, 4), part: rng.randint(2, 4), "e": rng.randint(1, 2)}
+        alg = short_algebra(rng, SIG, sizes, {part})
+        seed = {full: list(range(sizes[full])), part: [rng.randrange(sizes[part] - 1)]}
+        yield alg, seed, {full}, {part}
+        sizes = {"t0": rng.randint(2, 4), "t1": rng.randint(2, 4)}
+        alg = short_algebra(rng, R2, sizes, {"t1"})
+        tables = dict(alg.tables)
+        tables["u0"] = [(e + 1) % sizes["t0"] for e in range(sizes["t0"])]
+        alg = finite_algebra(R2, sizes, tables)
+        yield alg, {"t0": tables["e0"], "t1": tables["e1"]}, {"t0"}, {"t1"}
+
+
+def test_closure_elements_stops_only_when_nothing_is_left():
+    """Skipping the operations into full sorts, and returning once every
+    sort is full, keeps the first-reached order of the reference worklist."""
+    rng = random.Random(619)
+    for alg, seed, fills, stays in stop_rule_instances(rng):
+        reached = closure_elements(alg, seed)
+        assert reached == reference_closure_elements(alg, seed)
+        full = {s for s, es in reached.items() if len(es) == alg.size(s)}
+        assert fills <= full and not stays & full
+
+
+def test_is_empty_when_every_carrier_element_is_reachable(f1, x1, f2, x2):
+    """Recognizers that reach every element of every carrier: with no
+    accepting state the language is empty, by ``is_empty`` and by the
+    oracle up to 6 nodes; accepting any one state makes it nonempty."""
+    rng = random.Random(620)
+    rich = next(
+        pair for pair in iter(lambda: random_rich_signature(rng), None) if len(pair[0].sorts) == 2
+    )
+    r2_vars = sorted_vars(R2, {"t0": ["x"]})
+    count = 0
+    for sig, vars in ((f1, x1), (f2, x2), rich, (R2, r2_vars)) * 40:
+        rec = random_recognizer(rng, sig, vars)
+        sizes = dict(rec.algebra.carriers)
+        reached = reference_closure_elements(rec.algebra, _seed(rec))
+        if any(len(es) < sizes[s] for s, es in reached.items()):
+            continue
+        count += 1
+        asg = dict(rec.assignment)
+        empty = recognizer(vars, rec.algebra, asg, {})
+        assert is_empty(empty)
+        assert not any(enumerate_language(empty, 6).values())
+        s = rng.choice(sig.sorts)
+        one = recognizer(vars, rec.algebra, asg, {s: [rng.randrange(sizes[s])]})
+        assert not is_empty(one)
+    assert count > 100
 
 
 def test_cogenerated_congruence_of_a_discrete_input_reads_no_table():

@@ -790,6 +790,13 @@ BRANCHES = {
         lambda d: ["substitute", GOLDEN / "rpar.rec", "--with", "x"],
         1, "", "error: --with expects var=FILE, got 'x'\n",
     ),
+    "with-repeated-variable": (
+        lambda d: [
+            "substitute", GOLDEN / "rpar.rec",
+            "--with", f"x={GOLDEN / 'rpar.rec'}", "--with", f"x={GOLDEN / 'kc.rec'}",
+        ],
+        1, "", "error: --with lists variable 'x' twice\n",
+    ),
     "golden-on-a-file": (
         lambda d: ["golden", GOLDEN / "rpar.rec"],
         1, "", f"error: {GOLDEN / 'rpar.rec'} is not a directory\n",

@@ -1,4 +1,3 @@
-import itertools
 import random
 from importlib import import_module
 
@@ -45,6 +44,7 @@ from conftest import (
     accepted_sets,
     check_branch,
     non_element_branches,
+    permuted,
     random_recognizer,
     same_language,
 )
@@ -59,25 +59,6 @@ U_SIG = signature(
     [("c", [], "s"), ("g", ["s"], "s"), ("h", ["u", "s"], "s"), ("k", ["u", "s"], "u")],
 )
 U_VARS = sorted_vars(U_SIG, {"s": ["x"]})
-
-
-def permuted(rng, rec):
-    """The recognizer with its states renamed by a random permutation per
-    sort: the same language, with other state numbers."""
-    sig = rec.signature
-    perm = {s: rng.sample(range(n), n) for s, n in rec.algebra.carriers}
-    inverse = {s: {new: old for old, new in enumerate(p)} for s, p in perm.items()}
-    tables = {}
-    for op in sig.ops:
-        tables[op.name] = []
-        for args in itertools.product(*[range(rec.algebra.size(s)) for s in op.arity]):
-            old = [inverse[s][a] for s, a in zip(op.arity, args)]
-            tables[op.name].append(perm[op.result][rec.algebra.apply(op.name, old)])
-    alg = finite_algebra(sig, dict(rec.algebra.carriers), tables)
-    sort_of = {x: s for s, names in rec.vars.by_sort for x in names}
-    assignment = {x: perm[sort_of[x]][q] for x, q in rec.assignment}
-    accepting = {s: [perm[s][q] for q in qs] for s, qs in rec.accepting}
-    return recognizer(rec.vars, alg, assignment, accepting)
 
 
 class TestAccepts:
