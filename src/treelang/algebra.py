@@ -68,7 +68,9 @@ class FiniteAlgebra:
     def _built(cls, sig: Signature, carriers: Mapping[str, int], tables: Mapping[str, Sequence]):
         """An algebra over tables the library built of the right lengths and in
         range, without ``__post_init__``'s checks.  Tables are stored as tuples
-        (a list is copied once), as ``equivalent`` compares algebras by ``==``."""
+        (a list is copied once), as a checked algebra stores them, so that
+        algebras compare by ``==`` and hash the same whichever way they were
+        built."""
         sizes = {s: carriers[s] for s in sig.sorts}
         by_name = {op.name: tuple(tables[op.name]) for op in sig.ops}
         alg = cls._of(sig, tuple(sizes.items()), tuple(by_name.items()))
@@ -401,6 +403,7 @@ def _closure(
     rows,
     goal: Mapping[str, frozenset[int]] | None = None,
     sizes: Mapping[str, int] | None = None,
+    budget: Mapping[str, int] | None = None,
 ) -> dict[str, list[int]]:
     """The frontier worklist behind every generated subalgebra: the least
     sets holding the seed and closed under the operations, each in
@@ -427,13 +430,21 @@ def _closure(
     not yet reached, skips an operation into a sort with none left (such a
     pass can only read elements already reached), and returns as soon as
     every sort is full, the seed checked first.  Neither changes the lists.
+
+    A ``budget`` (per sort, a number of elements) makes it return as soon as
+    a sort holds more elements than its budget, the seed checked first: each
+    list is then a prefix of the full closure's, and one that holds more
+    than its budget tells the caller that it stopped there.
     """
     reached = {s: list(dict.fromkeys(seed.get(s, ()))) for s in sig.sorts}
     member = {s: set(es) for s, es in reached.items()}
     left = {s: (sizes[s] if sizes else math.inf) - len(es) for s, es in reached.items()}
     goal = goal or {}
-    if not any(left.values()) or any(
-        not targets.isdisjoint(member[s]) for s, targets in goal.items()
+    budget = budget or {}
+    if (
+        not any(left.values())
+        or any(not targets.isdisjoint(member[s]) for s, targets in goal.items())
+        or any(len(reached[s]) > n for s, n in budget.items())
     ):
         return reached
     # per operation: the reached lists at its argument sorts (a constant
@@ -472,8 +483,10 @@ def _closure(
                 found.update(fresh)
                 reached[op.result] += fresh
                 left[op.result] -= len(fresh)
-                if not any(left.values()) or (
-                    op.result in goal and not goal[op.result].isdisjoint(fresh)
+                if (
+                    not any(left.values())
+                    or (op.result in goal and not goal[op.result].isdisjoint(fresh))
+                    or len(reached[op.result]) > budget.get(op.result, math.inf)
                 ):
                     return reached
                 changed = True
@@ -494,6 +507,46 @@ def _offset_rows(alg: FiniteAlgebra):
             k = sizes[s]
             offsets = [(b + e) * k for b in offsets for e in pool]
         return tables[op.name], offsets
+
+    return rows
+
+
+class _PairRow:
+    """One reached prefix's row of the pair table of two algebras: the entry
+    at a last pair ``e``, coded ``x * n + y``, pairs the two component rows'
+    entries at ``x`` and ``y`` as ``x1 * m + y1``, and is computed only when
+    read."""
+
+    __slots__ = ("row1", "row2", "n", "m")
+
+    def __init__(self, row1: Sequence[int], row2: Sequence[int], n: int, m: int):
+        self.row1, self.row2, self.n, self.m = row1, row2, n, m
+
+    def __getitem__(self, e: int) -> int:
+        x, y = divmod(e, self.n)
+        return self.row1[x] * self.m + self.row2[y]
+
+
+def _pair_rows(alg1: FiniteAlgebra, alg2: FiniteAlgebra):
+    """``_closure``'s row reader over the pairs of two algebras of one
+    signature, a pair ``(x, y)`` at a sort coded ``x * n + y`` with ``n`` the
+    second algebra's size there, as ``product_algebra`` codes its elements:
+    one ``_PairRow`` per reached prefix, over the two components' ``_rows``
+    at the prefix's two projections.  No product table is built, and each
+    reached pair entry is computed once, when ``_closure`` reads it."""
+    sizes = alg2._sizes
+    tables1, tables2 = alg1._tables, alg2._tables
+
+    def rows(op, heads, n):
+        arity = op.arity
+        width = sizes[arity[-1]] if arity else 1
+        m = sizes[op.result]
+        if not heads:  # a constant or unary table: one prefix, the whole tables
+            return [_PairRow(tables1[op.name], tables2[op.name], width, m)], None
+        heads1 = [[e // sizes[s] for e in pool] for pool, s in zip(heads, arity)]
+        heads2 = [[e % sizes[s] for e in pool] for pool, s in zip(heads, arity)]
+        both = zip(_rows(alg1, op.name, heads1), _rows(alg2, op.name, heads2))
+        return [_PairRow(row1, row2, width, m) for row1, row2 in both], None
 
     return rows
 

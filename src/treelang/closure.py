@@ -16,9 +16,9 @@ import math
 import operator
 from typing import Iterable, Mapping, Sequence
 
-from .algebra import FiniteAlgebra, _check_counts, _check_elements, _closure, closure_elements
+from .algebra import FiniteAlgebra, _check_counts, _check_elements, _closure
 from .core import Signature, SortedVars, ValidationError, _record
-from .recognizer import Recognizer, _seed, combine, determinize, minimize, recognizer
+from .recognizer import Recognizer, _reached_pairs, determinize, minimize, recognizer
 
 # ---------------------------------------------------------------------------
 # nondeterministic automata
@@ -351,16 +351,16 @@ def iterate_language(l: Recognizer, z: str) -> Recognizer:
 
 def quotient_seed_values(l: Recognizer, k: Recognizer, z: str) -> frozenset[int]:
     """The set of l-evaluator values of k's members at z's sort, computed by
-    reachability in the product of the two evaluators."""
+    reachability over the pairs of the two evaluators' values
+    (``recognizer._reached_pairs``); no product is built."""
     if l.signature != k.signature or l.vars != k.vars:
         raise ValidationError("quotient operands must share signature and variables")
     sort = l.vars.sort_of(z)
     if sort is None:
         raise ValidationError(f"unknown variable {z!r}")
-    # product elements pair a k value with an l value, l fastest
-    prod = combine("intersection", k, l)
+    # a pair codes a k value and an l value, l fastest
+    reached = _reached_pairs(k, l)
     n_l = l.algebra.size(sort)
-    reached = closure_elements(prod.algebra, _seed(prod))
     acc = k.accepting_at(sort)
     return frozenset(e % n_l for e in reached[sort] if e // n_l in acc)
 

@@ -19,6 +19,7 @@ from .algebra import (
     _closure,
     _index,
     _offset_rows,
+    _pair_rows,
     check_assignment,
     closure_elements,
     evaluate,
@@ -181,11 +182,62 @@ def is_empty(rec: Recognizer) -> bool:
     return not any(accepting[s].intersection(reached[s]) for s in accepting)
 
 
+def _reached_pairs(
+    r1: Recognizer,
+    r2: Recognizer,
+    goal: Mapping[str, frozenset[int]] | None = None,
+    budget: Mapping[str, int] | None = None,
+) -> dict[str, list[int]]:
+    """Per sort, the pairs of the values in ``r1`` and ``r2`` of every term,
+    coded ``x * n2 + y`` as ``product_algebra`` codes its elements (``n2``
+    the size of ``r2``'s carrier at the sort): ``algebra._closure`` over
+    ``_pair_rows`` from the zipped seeds, in its first-reached order, and a
+    prefix of that with a ``goal`` or a ``budget``.  No product is built."""
+    n1, n2 = r1.algebra._sizes, r2.algebra._sizes
+    seed2 = _seed(r2)
+    seed = {s: [x * n2[s] + y for x, y in zip(xs, seed2[s])] for s, xs in _seed(r1).items()}
+    sizes = {s: n1[s] * n2[s] for s in r1.signature.sorts}
+    rows = _pair_rows(r1.algebra, r2.algebra)
+    return _closure(r1.signature, seed, rows, goal, sizes, budget)
+
+
+class _Discordant:
+    """The pairs ``x * n + y`` at one sort whose two values only one of two
+    recognizers accepts, as ``algebra._closure``'s goal: a pair is decoded
+    when it is tested, and none is listed."""
+
+    __slots__ = ("accepting1", "accepting2", "n")
+
+    def __init__(self, accepting1: frozenset[int], accepting2: frozenset[int], n: int):
+        self.accepting1, self.accepting2, self.n = accepting1, accepting2, n
+
+    def isdisjoint(self, pairs) -> bool:
+        acc1, acc2, n = self.accepting1, self.accepting2, self.n
+        return all((e // n in acc1) == (e % n in acc2) for e in pairs)
+
+
 def equivalent(r1: Recognizer, r2: Recognizer) -> bool:
-    """Language equality, decided by comparing the minimal recognizers:
-    ``minimize`` numbers its states canonically, so two recognizers of one
-    language minimize to equal recognizers.  No product is built."""
+    """Language equality by synchronized reachability over pairs of states
+    (Hopcroft and Karp): the languages are equal exactly when no term's pair
+    of values is discordant, accepted by one recognizer only.
+
+    ``_reached_pairs`` takes the discordant pairs as its goal, so it stops
+    at the first one reached (False), and a budget of ``n1 + n2`` pairs per
+    sort.  A closure that completes within the budget proves equality.  With
+    equal languages and either input minimal, each reached value of the
+    other input pairs with one state only, so the budget holds; a closure
+    that outgrows it falls back to comparing the minimal recognizers.
+    """
     _check_compatible(r1, r2)
+    sorts = r1.signature.sorts
+    n1, n2 = r1.algebra._sizes, r2.algebra._sizes
+    discordant = {s: _Discordant(r1.accepting_at(s), r2.accepting_at(s), n2[s]) for s in sorts}
+    budget = {s: n1[s] + n2[s] for s in sorts}
+    reached = _reached_pairs(r1, r2, discordant, budget)
+    if not all(discordant[s].isdisjoint(reached[s]) for s in sorts):
+        return False
+    if all(len(reached[s]) <= budget[s] for s in sorts):
+        return True
     return minimize(r1) == minimize(r2)
 
 
@@ -199,7 +251,8 @@ def minimize(rec: Recognizer) -> Recognizer:
     names or duplicate states: classes are numbered by first occurrence in
     ``algebra._closure``'s first-reached order from the seed (constants in
     declaration order, then variables), in which each class first appears at
-    a step fixed by the language.  ``equivalent`` relies on this.
+    a step fixed by the language.  ``equivalent`` relies on this when its
+    pair closure outgrows its budget.
     """
     from .congruence import syntactic_congruence  # only the commands that minimize compile it
 

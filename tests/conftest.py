@@ -315,6 +315,24 @@ def permuted(rng, rec):
     return recognizer(rec.vars, alg, assignment, accepting)
 
 
+def inflated(rng, rec, copies):
+    """A non-minimal recognizer of the same language: each state ``q``
+    becomes the ``copies`` states ``q * copies + c``, every table entry and
+    assigned value is a random copy of the original value, and every copy
+    of an accepting state accepts."""
+    sig, alg = rec.signature, rec.algebra
+    sizes = {s: n * copies for s, n in alg.carriers}
+    tables = {}
+    for op in sig.ops:
+        tables[op.name] = [
+            alg.apply(op.name, [a // copies for a in args]) * copies + rng.randrange(copies)
+            for args in itertools.product(*[range(sizes[s]) for s in op.arity])
+        ]
+    assignment = {x: q * copies + rng.randrange(copies) for x, q in rec.assignment}
+    accepting = {s: [q * copies + c for q in qs for c in range(copies)] for s, qs in rec.accepting}
+    return recognizer(rec.vars, finite_algebra(sig, sizes, tables), assignment, accepting)
+
+
 def random_term(
     rng: random.Random, sig: Signature, vars: SortedVars, sort: str, max_nodes: int
 ) -> Term | None:

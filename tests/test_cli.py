@@ -65,6 +65,16 @@ class TestBasicCommands:
         code, out = run("equal", GOLDEN / "rpar.rec", GOLDEN / "rpar.rec")
         assert code == 0 and out == "true\n"
 
+    def test_equal_to_the_complement(self, tmp_path):
+        flipped = tmp_path / "flipped.rec"
+        text = (GOLDEN / "rpar.rec").read_text()
+        assert text.endswith("accepting:\n  s:\n  - 0\n")
+        flipped.write_text(text[: -len("0\n")] + "1\n")
+        code, out = run("equal", GOLDEN / "rpar.rec", flipped)
+        assert code == 0 and out == "false\n"
+        code, out = run("equal", "--json", GOLDEN / "rpar.rec", flipped)
+        assert code == 0 and json.loads(out) == {"equal": False}
+
     def test_empty(self):
         code, out = run("empty", GOLDEN / "rpar.rec")
         assert code == 0 and out == "false\n"

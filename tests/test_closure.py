@@ -3,6 +3,8 @@ import random
 
 import pytest
 
+from importlib import import_module
+
 from treelang import closure, formats
 
 from treelang.closure import (
@@ -28,8 +30,11 @@ from treelang.oracle import (
     semantic_quotient_bounded,
     semantic_substitution_sets,
 )
+from treelang.algebra import closure_elements
 from treelang.recognizer import (
+    _seed,
     accepts,
+    combine,
     empty_recognizer,
     equivalent,
     determinize,
@@ -80,6 +85,31 @@ def reference_substitute_language(k, family):
             epsilon[t].append((shift[t] + q, k_assignment[x]))
     accepting = {s: km.accepting_at(s) for s in sig.sorts}
     return determinize(nta(sig, vars, counts, leaf, rules, epsilon, accepting))
+
+
+def reference_quotient_seed_values(l, k, z):
+    """The l-evaluator values of k's members at z's sort, read from the
+    elements of the intersection product reachable from its seed."""
+    sort = l.vars.sort_of(z)
+    prod = combine("intersection", k, l)
+    n_l = l.algebra.size(sort)
+    reached = closure_elements(prod.algebra, _seed(prod))
+    acc = k.accepting_at(sort)
+    return frozenset(e % n_l for e in reached[sort] if e // n_l in acc)
+
+
+def quotient_instances(f1, x1, f2, x2):
+    """Seeded ``(l, k, z)`` over ``f1`` and ``f2``: random evaluators of up
+    to 5 states, the first also minimized, and finite languages ``k``."""
+    rng = random.Random(2207)
+    for sig, vars, z in ((f1, x1, "z"), (f2, x2, "x")):
+        sort = vars.sort_of(z)
+        for _ in range(30):
+            l = random_recognizer(rng, sig, vars, max_carrier=5)
+            k = random_recognizer(rng, sig, vars, max_carrier=5)
+            terms = enumerate_terms(sig, vars, sort, 3)
+            finite = recognize_finite(sig, vars, rng.sample(terms, min(len(terms), 2)))
+            yield from ((l, k, z), (minimize(l), k, z), (l, finite, z))
 
 
 class TestSubstitute:
@@ -256,6 +286,33 @@ class TestQuotient:
             assert equivalent(
                 quotient_language(lm, k1, "z"), quotient_language(lm, k2, "z")
             )
+
+
+    def test_seed_values_agree_with_the_product_route(self, f1, x1, f2, x2):
+        sizes = set()
+        for l, k, z in quotient_instances(f1, x1, f2, x2):
+            values = quotient_seed_values(l, k, z)
+            assert values == reference_quotient_seed_values(l, k, z)
+            sizes.add(len(values))
+        assert {0, 1} < sizes
+
+    def test_seed_values_build_no_product(self, f1, x1, f2, x2, monkeypatch):
+        cases = list(quotient_instances(f1, x1, f2, x2))
+        want = [reference_quotient_seed_values(l, k, z) for l, k, z in cases]
+        languages = [quotient_language(l, k, z) for l, k, z in cases[:12]]
+
+        def refuse(*args):
+            raise AssertionError("a product was built")
+
+        # ``closure`` imports neither name; both are set there anyway, so a
+        # return to the product route fails here
+        monkeypatch.setattr(closure, "combine", refuse, raising=False)
+        monkeypatch.setattr(closure, "product_algebra", refuse, raising=False)
+        for name in ("treelang.recognizer", "treelang.algebra"):
+            monkeypatch.setattr(import_module(name), "product_algebra", refuse)
+        monkeypatch.setattr(import_module("treelang.recognizer"), "combine", refuse)
+        assert [quotient_seed_values(l, k, z) for l, k, z in cases] == want
+        assert [quotient_language(l, k, z) for l, k, z in cases[:12]] == languages
 
 
 class TestFlatOperatorClosure:

@@ -12,16 +12,25 @@ ones where a sort is empty.
 from __future__ import annotations
 
 import random
+from collections import Counter
+from importlib import import_module
 
 import pytest
 
 from treelang.core import enumerate_all_terms, signature, sorted_vars
-from treelang.recognizer import combine, equivalent, is_empty, minimize, recognizer
+from treelang.recognizer import _reached_pairs, combine, equivalent, is_empty, minimize, recognizer
 
-from conftest import accepted_sets, permuted, random_algebra, random_rich_signature
+from conftest import accepted_sets, inflated, permuted, random_algebra, random_rich_signature
 
 DRAWS = 60  # per signature
 ORACLE_NODES = 6
+RECOGNIZER_MODULE = import_module("treelang.recognizer")
+
+
+def reference_equivalent(a, b):
+    """Language equality by comparing the minimal recognizers, which
+    ``minimize`` numbers canonically."""
+    return minimize(a) == minimize(b)
 
 
 def termless(sig, vars):
@@ -91,3 +100,66 @@ def test_equivalent_to_a_permuted_copy(instances):
     for _, recs in instances:
         for rec in recs:
             assert equivalent(rec, permuted(rng, rec))
+
+
+def partners(rng, recs):
+    """Each draw with a permuted copy, its minimization, the next draw (of
+    the same signature) and a non-minimal copy of its language."""
+    for i, rec in enumerate(recs):
+        for other in (
+            permuted(rng, rec), minimize(rec), recs[(i + 1) % len(recs)], inflated(rng, rec, 2)
+        ):
+            yield rec, other
+
+
+def test_equivalent_agrees_with_minimal_recognizers_and_the_oracle(instances):
+    rng = random.Random(803)
+    seen = Counter()
+    for universe, recs in instances:
+        for a, b in partners(rng, recs):
+            want = reference_equivalent(a, b)
+            assert equivalent(a, b) == equivalent(b, a) == want
+            # every unequal pair of these draws differs on a small term
+            assert (accepted_sets(a, universe) == accepted_sets(b, universe)) == want
+            seen[want] += 1
+    assert seen[True] and seen[False], seen
+
+
+def test_equal_pairs_with_a_minimal_side_decide_without_minimizing(instances, monkeypatch):
+    """With equal languages and one input minimal, each reached value of the
+    other input pairs with one state only, so the pair closure stays within
+    its budget and never falls back to ``minimize``."""
+    rng = random.Random(804)
+    pairs = []
+    for _, recs in instances:
+        for rec in recs:
+            m = minimize(rec)
+            pairs += [(m, rec), (inflated(rng, rec, 3), m), (m, permuted(rng, m))]
+
+    def refuse(rec):
+        raise AssertionError("equivalent minimized")
+
+    monkeypatch.setattr(RECOGNIZER_MODULE, "minimize", refuse)
+    assert all(equivalent(a, b) for a, b in pairs)
+
+
+def test_non_minimal_equal_pairs_fall_back_past_the_budget(instances, monkeypatch):
+    """Two non-minimal recognizers of one language minimize both inputs
+    exactly when the pair closure outgrows its budget of ``n1 + n2`` pairs
+    at some sort, and are equivalent either way."""
+    rng = random.Random(805)
+    calls = []
+    minimize_ = RECOGNIZER_MODULE.minimize
+    monkeypatch.setattr(RECOGNIZER_MODULE, "minimize", lambda rec: calls.append(rec) or minimize_(rec))
+    seen = Counter()
+    for _, recs in instances:
+        for rec in recs:
+            a, b = inflated(rng, rec, 3), inflated(rng, rec, 3)
+            n1, n2 = dict(a.algebra.carriers), dict(b.algebra.carriers)
+            reached = _reached_pairs(a, b)
+            over = any(len(reached[s]) > n1[s] + n2[s] for s in reached)
+            calls.clear()
+            assert equivalent(a, b)
+            assert calls == ([a, b] if over else [])
+            seen[over] += 1
+    assert seen[True] and seen[False], seen

@@ -48,6 +48,7 @@ from conftest import (
     random_recognizer,
     same_language,
 )
+from test_build_kernels import counting_tables
 
 # the module itself: the package's ``recognizer`` attribute is the function
 RECOGNIZER_MODULE = import_module("treelang.recognizer")
@@ -213,6 +214,41 @@ class TestEquivalence:
             x1, r_par.algebra, dict(r_par.assignment), {"s": [1]}
         )
         assert not equivalent(r_par, flipped)
+
+    def test_other_inputs_are_rejected_before_any_table_is_read(self, f1, x1, f2, x2, r_par):
+        reads = [0]
+        algebra = counting_tables(r_par.algebra, reads)
+        counted = recognizer(x1, algebra, dict(r_par.assignment), dict(r_par.accepting))
+        reads[0] = 0
+        for other in (empty_recognizer(f2, x2), empty_recognizer(f1, sorted_vars(f1, {"s": ["x"]}))):
+            for pair in ((counted, other), (other, counted)):
+                with pytest.raises(ValidationError, match="^recognizers have different "):
+                    equivalent(*pair)
+        assert reads[0] == 0
+
+    def test_disagreeing_constants_read_only_the_seed(self, f1, x1, f2, x2):
+        """A pair told apart by a constant, whose values only one of the two
+        accepts, is decided at the seed: ``equivalent`` reads each
+        constant's one entry, for the seed, and no other table entry."""
+        rng = random.Random(47)
+        reads = [0]
+
+        def counted(rec, accepting):
+            algebra = counting_tables(rec.algebra, reads)
+            return recognizer(rec.vars, algebra, dict(rec.assignment), accepting)
+
+        for sig, vars in ((f1, x1), (f2, x2), (U_SIG, U_VARS)):
+            c = next(op for op in sig.ops if not op.arity)
+            constants = sum(1 for op in sig.ops if not op.arity)
+            for _ in range(10):
+                rec = random_recognizer(rng, sig, vars)
+                copy = permuted(rng, rec)
+                accepting = dict(copy.accepting)
+                accepting[c.result] = set(accepting[c.result]) ^ {copy.algebra.table(c.name)[0]}
+                pair = counted(rec, dict(rec.accepting)), counted(copy, accepting)
+                reads[0] = 0
+                assert not equivalent(*pair)
+                assert reads[0] == 2 * constants
 
     def test_builds_no_product(self, monkeypatch, f1, x1, f2, x2, r_par):
         rng = random.Random(31)
@@ -453,6 +489,16 @@ BRANCHES = {
     "combine-other-variables": (
         lambda fx: combine(
             "union", fx("r_par"), empty_recognizer(fx("f1"), sorted_vars(fx("f1"), {"s": ["x"]}))
+        ),
+        ValidationError, "recognizers have different variable sets",
+    ),
+    "equivalent-other-signatures": (
+        lambda fx: equivalent(fx("r_par"), empty_recognizer(fx("f2"), fx("x2"))),
+        ValidationError, "recognizers have different signatures",
+    ),
+    "equivalent-other-variables": (
+        lambda fx: equivalent(
+            fx("r_par"), empty_recognizer(fx("f1"), sorted_vars(fx("f1"), {"s": ["x"]}))
         ),
         ValidationError, "recognizers have different variable sets",
     ),
