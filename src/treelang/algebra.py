@@ -131,22 +131,16 @@ def finite_algebra(
     )
 
 
-def _indices(radices: Sequence[int], pools: Sequence[Collection[int]]) -> list[int]:
-    """The mixed-radix index of every tuple of the per-position pools, last
-    position fastest, folded one position at a time."""
+def _offsets(pools: Sequence[Collection[int]], weights: Sequence[int]) -> list[int]:
+    """The mixed-radix fold over every tuple of the per-position pools, last
+    position fastest, one position at a time: each position adds its element
+    and multiplies by its weight.  With each pool's weight the size of the
+    position after it, this is each prefix's offset into a table; with a
+    last weight of 1, each tuple's index."""
     index = [0]
-    for n, pool in zip(radices, pools):
-        index = [i * n + e for i in index for e in pool]
+    for pool, n in zip(pools, weights):
+        index = [(i + e) * n for i in index for e in pool]
     return index
-
-
-def _projection(n: int, stride: int, space: int) -> list[int]:
-    """``e // stride % n`` for every ``e`` below ``space``, a multiple of
-    ``n * stride``: each value repeated ``stride`` times, and that run
-    repeated."""
-    if not space:
-        return []
-    return [e for e in range(n) for _ in range(stride)] * (space // (n * stride))
 
 
 def _rows(alg: FiniteAlgebra, opname: str, pools: Sequence[Collection[int]]) -> Iterator:
@@ -157,8 +151,8 @@ def _rows(alg: FiniteAlgebra, opname: str, pools: Sequence[Collection[int]]) -> 
     arity = alg.signature.operation(opname).arity
     width = alg._sizes[arity[-1]] if arity else 1
     table = alg._tables[opname]
-    radices = [alg._sizes[s] for s in arity[:-1]]
-    return (table[b * width : b * width + width] for b in _indices(radices, pools))
+    offsets = _offsets(pools, [alg._sizes[s] for s in arity[1:]])
+    return (table[b : b + width] for b in offsets)
 
 
 def _getter(indices: Collection) -> Callable[[Sequence], tuple]:
@@ -336,7 +330,7 @@ def _spread(vs: Sequence[int], us: Sequence[int], radix: Sequence[int]) -> list[
     point of the subspace of the positions ``us``, which hold them: the
     mixed-radix fold over ``vs``, each other position held at 0."""
     pools = [range(radix[j]) if j in vs else (0,) * radix[j] for j in us]
-    return _indices([radix[j] if j in vs else 1 for j in us], pools)
+    return _offsets(pools, [radix[j] if j in vs else 1 for j in us[1:]] + [1])
 
 
 # ---------------------------------------------------------------------------
@@ -357,15 +351,11 @@ def product_algebra(algebras: Sequence[FiniteAlgebra]):
         if a.signature != sig:
             raise ValidationError("product components must share a signature")
     carriers = {s: math.prod(a._sizes[s] for a in algebras) for s in sig.sorts}
-    # component i of element e at a sort is e // stride % n, where stride is
-    # the product of the later components' sizes at that sort
-    projections = [{} for _ in algebras]
-    for s in sig.sorts:
-        stride = 1
-        for a, proj in zip(reversed(algebras), reversed(projections)):
-            n = a._sizes[s]
-            proj[s] = tuple(_projection(n, stride, carriers[s]))
-            stride *= n
+    # component i of each element at a sort: the fold over the components'
+    # carriers there, every other component held at 0
+    radix = {s: [a._sizes[s] for a in algebras] for s in sig.sorts}
+    ks = range(len(algebras))
+    projections = [{s: tuple(_spread((i,), ks, radix[s])) for s in sig.sorts} for i in ks]
     # Per later component and sort, codes[x][y] = x * n + y folds a value x
     # of the earlier components with a value y of this one; reading it from
     # these lists gives each product element one int object, shared by
@@ -401,9 +391,8 @@ def _closure(
     sig: Signature,
     seed: Mapping[str, Sequence[int]],
     rows,
-    goal: Mapping[str, frozenset[int]] | None = None,
     sizes: Mapping[str, int] | None = None,
-    budget: Mapping[str, int] | None = None,
+    stop: Callable[[str, list[int], list[int]], bool] | None = None,
 ) -> dict[str, list[int]]:
     """The frontier worklist behind every generated subalgebra: the least
     sets holding the seed and closed under the operations, each in
@@ -421,31 +410,20 @@ def _closure(
     0), prefixes in lexicographic order; the value at a last element ``e``
     is ``row[offset + e]``.
 
-    A ``goal`` (per sort, a set of target elements) makes it return as soon
-    as one of them is reached, the seed checked first.  Each list is then a
-    prefix of the full closure's, in the same order; with no goal element
-    reachable it is the full closure.
-
     Given the carrier ``sizes``, it keeps per sort the number of elements
     not yet reached, skips an operation into a sort with none left (such a
     pass can only read elements already reached), and returns as soon as
-    every sort is full, the seed checked first.  Neither changes the lists.
+    every sort is full.  That does not change the lists.
 
-    A ``budget`` (per sort, a number of elements) makes it return as soon as
-    a sort holds more elements than its budget, the seed checked first: each
-    list is then a prefix of the full closure's, and one that holds more
-    than its budget tells the caller that it stopped there.
+    A ``stop(sort, reached, fresh)`` is asked for each sort's seed first
+    (``fresh`` is the whole list), then each time a sort's list grows, with
+    the grown list and the elements just added to it; it returns as soon as
+    that holds.  Each list is then a prefix of the full closure's.
     """
     reached = {s: list(dict.fromkeys(seed.get(s, ()))) for s in sig.sorts}
     member = {s: set(es) for s, es in reached.items()}
     left = {s: (sizes[s] if sizes else math.inf) - len(es) for s, es in reached.items()}
-    goal = goal or {}
-    budget = budget or {}
-    if (
-        not any(left.values())
-        or any(not targets.isdisjoint(member[s]) for s, targets in goal.items())
-        or any(len(reached[s]) > n for s, n in budget.items())
-    ):
+    if stop and any(stop(s, es, es) for s, es in reached.items()) or not any(left.values()):
         return reached
     # per operation: the reached lists at its argument sorts (a constant
     # reads one last element, 0), and their lengths at its last pass, None
@@ -483,11 +461,7 @@ def _closure(
                 found.update(fresh)
                 reached[op.result] += fresh
                 left[op.result] -= len(fresh)
-                if (
-                    not any(left.values())
-                    or (op.result in goal and not goal[op.result].isdisjoint(fresh))
-                    or len(reached[op.result]) > budget.get(op.result, math.inf)
-                ):
+                if stop and stop(op.result, reached[op.result], fresh) or not any(left.values()):
                     return reached
                 changed = True
     return reached
@@ -501,12 +475,7 @@ def _offset_rows(alg: FiniteAlgebra):
     def rows(op, heads, n):
         if not heads:  # a constant or unary table: one prefix, at offset 0
             return [tables[op.name]], None
-        # a prefix's offset is its mixed-radix index times the last size
-        offsets = [0]
-        for pool, s in zip(heads, op.arity[1:]):
-            k = sizes[s]
-            offsets = [(b + e) * k for b in offsets for e in pool]
-        return tables[op.name], offsets
+        return tables[op.name], _offsets(heads, [sizes[s] for s in op.arity[1:]])
 
     return rows
 

@@ -23,7 +23,7 @@ import itertools
 import math
 from typing import Hashable, Mapping, Sequence
 
-from .algebra import FiniteAlgebra, _check_counts, _check_elements, _getter, _indices, _outside
+from .algebra import FiniteAlgebra, _check_counts, _check_elements, _getter, _offsets, _outside
 from .core import ValidationError, _check_sorts_once, _record
 
 
@@ -180,7 +180,7 @@ def _quotient_tables(alg: FiniteAlgebra, phi: SortedPartition):
         return alg._tables, None
     tables = {}
     for op in alg.signature.ops:
-        keys = _indices([counts[s] for s in op.arity], [classes[s] for s in op.arity])
+        keys = _offsets([classes[s] for s in op.arity], [counts[s] for s in op.arity[1:]] + [1])
         results = _getter(alg.table(op.name))(classes[op.result])
         # written in reverse, so each class key keeps its earliest tuple's class
         first = dict(zip(reversed(keys), reversed(results)))

@@ -174,46 +174,29 @@ def _seed(rec: Recognizer) -> dict[str, list[int]]:
 def is_empty(rec: Recognizer) -> bool:
     """Language emptiness by reachability: every term evaluates into the
     generated subalgebra of the seed, and every reachable value is some term's
-    value.  The accepting sets are ``algebra._closure``'s goal, so it stops
-    at the first accepting value reached, seed first; only an empty language
-    closes the whole subalgebra."""
+    value.  ``algebra._closure`` stops at the first accepting value reached,
+    seed first; only an empty language closes the whole subalgebra."""
     accepting = {s: rec.accepting_at(s) for s in rec.signature.sorts}
-    reached = _closure(rec.signature, _seed(rec), _offset_rows(rec.algebra), accepting)
+
+    def stop(sort, reached, fresh):
+        return not accepting[sort].isdisjoint(fresh)
+
+    reached = _closure(rec.signature, _seed(rec), _offset_rows(rec.algebra), stop=stop)
     return not any(accepting[s].intersection(reached[s]) for s in accepting)
 
 
-def _reached_pairs(
-    r1: Recognizer,
-    r2: Recognizer,
-    goal: Mapping[str, frozenset[int]] | None = None,
-    budget: Mapping[str, int] | None = None,
-) -> dict[str, list[int]]:
+def _reached_pairs(r1: Recognizer, r2: Recognizer, stop=None) -> dict[str, list[int]]:
     """Per sort, the pairs of the values in ``r1`` and ``r2`` of every term,
     coded ``x * n2 + y`` as ``product_algebra`` codes its elements (``n2``
     the size of ``r2``'s carrier at the sort): ``algebra._closure`` over
     ``_pair_rows`` from the zipped seeds, in its first-reached order, and a
-    prefix of that with a ``goal`` or a ``budget``.  No product is built."""
+    prefix of that where ``stop`` holds.  No product is built."""
     n1, n2 = r1.algebra._sizes, r2.algebra._sizes
     seed2 = _seed(r2)
     seed = {s: [x * n2[s] + y for x, y in zip(xs, seed2[s])] for s, xs in _seed(r1).items()}
     sizes = {s: n1[s] * n2[s] for s in r1.signature.sorts}
     rows = _pair_rows(r1.algebra, r2.algebra)
-    return _closure(r1.signature, seed, rows, goal, sizes, budget)
-
-
-class _Discordant:
-    """The pairs ``x * n + y`` at one sort whose two values only one of two
-    recognizers accepts, as ``algebra._closure``'s goal: a pair is decoded
-    when it is tested, and none is listed."""
-
-    __slots__ = ("accepting1", "accepting2", "n")
-
-    def __init__(self, accepting1: frozenset[int], accepting2: frozenset[int], n: int):
-        self.accepting1, self.accepting2, self.n = accepting1, accepting2, n
-
-    def isdisjoint(self, pairs) -> bool:
-        acc1, acc2, n = self.accepting1, self.accepting2, self.n
-        return all((e // n in acc1) == (e % n in acc2) for e in pairs)
+    return _closure(r1.signature, seed, rows, sizes, stop)
 
 
 def equivalent(r1: Recognizer, r2: Recognizer) -> bool:
@@ -221,20 +204,28 @@ def equivalent(r1: Recognizer, r2: Recognizer) -> bool:
     (Hopcroft and Karp): the languages are equal exactly when no term's pair
     of values is discordant, accepted by one recognizer only.
 
-    ``_reached_pairs`` takes the discordant pairs as its goal, so it stops
-    at the first one reached (False), and a budget of ``n1 + n2`` pairs per
-    sort.  A closure that completes within the budget proves equality.  With
-    equal languages and either input minimal, each reached value of the
-    other input pairs with one state only, so the budget holds; a closure
-    that outgrows it falls back to comparing the minimal recognizers.
+    ``_reached_pairs`` stops at the first discordant pair reached (False),
+    or once a sort holds more than ``n1 + n2`` pairs, its budget.  A closure
+    that completes within the budget proves equality.  With equal languages
+    and either input minimal, each reached value of the other input pairs
+    with one state only, so the budget holds; a closure that outgrows it
+    falls back to comparing the minimal recognizers.
     """
     _check_compatible(r1, r2)
     sorts = r1.signature.sorts
     n1, n2 = r1.algebra._sizes, r2.algebra._sizes
-    discordant = {s: _Discordant(r1.accepting_at(s), r2.accepting_at(s), n2[s]) for s in sorts}
+    accepting = {s: (r1.accepting_at(s), r2.accepting_at(s), n2[s]) for s in sorts}
     budget = {s: n1[s] + n2[s] for s in sorts}
-    reached = _reached_pairs(r1, r2, discordant, budget)
-    if not all(discordant[s].isdisjoint(reached[s]) for s in sorts):
+
+    def discordant(sort, pairs):
+        acc1, acc2, n = accepting[sort]
+        return any((e // n in acc1) != (e % n in acc2) for e in pairs)
+
+    def stop(sort, reached, fresh):
+        return len(reached) > budget[sort] or discordant(sort, fresh)
+
+    reached = _reached_pairs(r1, r2, stop)
+    if any(discordant(s, reached[s]) for s in sorts):
         return False
     if all(len(reached[s]) <= budget[s] for s in sorts):
         return True

@@ -8,7 +8,6 @@ from treelang import core
 from treelang.algebra import (
     _getter,
     _member,
-    _projection,
     _values,
     check_assignment,
     evaluate,
@@ -120,7 +119,7 @@ def reference_values(alg, assignment, term, free):
     for v in free:
         n = sizes[v.sort]
         stride //= n
-        columns[v.name] = tuple(_projection(n, stride, space))
+        columns[v.name] = tuple(e // stride % n for e in range(space))
     stack = []
     for t in reversed([*_preorder(term)]):
         if t.__class__ is not Node:

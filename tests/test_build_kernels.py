@@ -32,6 +32,7 @@ from treelang.algebra import (
     FiniteAlgebra,
     _closure,
     _offset_rows,
+    _offsets,
     closure_elements,
     evaluate,
     finite_algebra,
@@ -380,6 +381,54 @@ def test_product_algebra_matches_reference():
     assert lengths == {1, 2, 3} and empty_e == {True, False}
 
 
+def reference_indices(sizes, pools):
+    """The mixed-radix index of every tuple of ``itertools.product`` over the
+    pools, last position fastest."""
+    out = []
+    for args in itertools.product(*pools):
+        i = 0
+        for a, n in zip(args, sizes):
+            i = i * n + a
+        out.append(i)
+    return out
+
+
+def test_offsets_match_product_reference():
+    """``_offsets`` with the sizes of the positions after the pools gives each
+    prefix's index times the last size, and with a last weight of 1 each
+    tuple's index; pools may repeat elements, come in any order or be empty."""
+    rng = random.Random(623)
+    seen = Counter()
+    for _ in range(400):
+        sizes = [rng.randint(0, 4) for _ in range(rng.randint(0, 4))]
+        pools = [rng.choices(range(n), k=rng.randint(0, n + 1)) if n else [] for n in sizes]
+        index = reference_indices(sizes, pools)
+        assert _offsets(pools, sizes[1:] + [1]) == index
+        if sizes:
+            heads = reference_indices(sizes[:-1], pools[:-1])
+            assert _offsets(pools[:-1], sizes[1:]) == [i * sizes[-1] for i in heads]
+        seen[min(len(sizes), 2)] += 1  # constant, unary, wider
+        seen["empty pool"] += [] in pools
+        seen["size 0"] += 0 in sizes
+    assert len(seen) == 5 and min(seen.values()) > 0, seen
+
+
+def test_product_projections_are_strided_digits():
+    """Component ``i`` of product element ``e`` at a sort is ``e // stride %
+    n``, with ``n`` that component's size there and ``stride`` the product of
+    the later components' sizes."""
+    rng = random.Random(624)
+    for _ in range(INSTANCES):
+        family = random_family(rng)
+        product, projections = product_algebra(family)
+        for s in SIG.sorts:
+            stride = 1
+            for alg, projection in zip(reversed(family), reversed(projections)):
+                n = alg.size(s)
+                assert projection[s] == tuple(e // stride % n for e in range(product.size(s)))
+                stride *= n
+
+
 def test_subset_algebra_matches_reference():
     rng = random.Random(607)
     for _ in range(INSTANCES):
@@ -545,10 +594,10 @@ def emptiness_instances(rng, f1, x1, f2, x2):
 
 
 def test_goal_closure_is_a_prefix_and_reads_no_more(f1, x1, f2, x2):
-    """With the accepting sets as its goal, ``_closure`` returns a prefix of
-    each of ``closure_elements``' lists and reads no more entries; it reads
-    none when the seed accepts, and all of the full closure's when the
-    language is empty.  ``is_empty`` gives the full closure's verdict and
+    """Stopped at the first accepting element reached, ``_closure`` returns a
+    prefix of each of ``closure_elements``' lists and reads no more entries;
+    it reads none when the seed accepts, and all of the full closure's when
+    the language is empty.  ``is_empty`` gives the full closure's verdict and
     reads the constants' seed values and the goal closure's entries."""
     rng = random.Random(618)
     seen = Counter()
@@ -563,7 +612,8 @@ def test_goal_closure_is_a_prefix_and_reads_no_more(f1, x1, f2, x2):
         reads = [0]
         counted = counting_tables(rec.algebra, reads)
         reads[0] = 0
-        got = _closure(sig, seed, _offset_rows(counted), goal)
+        stop = lambda sort, reached, fresh: not goal[sort].isdisjoint(fresh)
+        got = _closure(sig, seed, _offset_rows(counted), stop=stop)
         goal_reads = reads[0]
         assert {s: full[s][: len(es)] for s, es in got.items()} == got
         assert goal_reads <= full_reads
@@ -582,6 +632,43 @@ def test_goal_closure_is_a_prefix_and_reads_no_more(f1, x1, f2, x2):
             seen["stopped early" if goal_reads < full_reads else "stopped last"] += 1
         seen["empty carrier"] += 0 in dict(rec.algebra.carriers).values()
     assert len(seen) == 5 and min(seen.values()) > 0
+
+
+def test_stop_sees_each_seed_then_each_growth():
+    """``_closure`` asks ``stop`` for each sort's seed first, duplicates
+    dropped, then once per growth of a sort's list, with the grown list and
+    exactly the elements just added; a ``stop`` that never holds changes no
+    list.  One that holds at its k-th call leaves the lists as they were at
+    that call, each a prefix of the full closure's."""
+    rng = random.Random(625)
+    for alg, seed in read_count_instances(rng):
+        seed = {s: es + es[::-1] for s, es in seed.items()}
+        full = closure_elements(alg, seed)
+        calls = []
+
+        def record(sort, reached, fresh):
+            calls.append((sort, list(reached), list(fresh)))
+            return False
+
+        assert _closure(SIG, seed, _offset_rows(alg), stop=record) == full
+        start = {s: list(dict.fromkeys(seed.get(s, ()))) for s in SIG.sorts}
+        assert calls[: len(SIG.sorts)] == [(s, es, es) for s, es in start.items()]
+        states, lists = [dict(start)] * len(SIG.sorts), dict(start)
+        for sort, reached, fresh in calls[len(SIG.sorts) :]:
+            assert fresh and reached == lists[sort] + fresh
+            lists = {**lists, sort: reached}
+            states.append(lists)
+        assert lists == full
+        for k, state in enumerate(states, 1):
+            count = [0]
+
+            def stop_at_k(sort, reached, fresh):
+                count[0] += 1
+                return count[0] == k
+
+            got = _closure(SIG, seed, _offset_rows(alg), stop=stop_at_k)
+            assert count[0] == k and got == state
+            assert got == {s: full[s][: len(es)] for s, es in got.items()}
 
 
 # two sorts, each with a constant, unary maps between every pair of sorts

@@ -462,7 +462,7 @@ DEEP_OPERATIONS = {
         fx.f1, fx.vars, fx.f1, fx.vars, {"s": "s"}, {**fx.patterns, "g": fx.hall}, {"x": deep, "z": fx.c}
     ).pattern("g") is fx.hall,
     "apply_treehom": lambda deep, fx: apply_treehom(fx.identity, deep) == deep,
-    "apply_treehom_deep_pattern": lambda deep, fx: apply_treehom(fx.deep_h, fx.c).size
+    "apply_treehom_deep_pattern": lambda deep, fx: apply_treehom(fx.deep_h, fx.gc).size
     == DEPTH + 1,
     "direct_image_deep_pattern": lambda deep, fx: direct_image(fx.deep_h, fx.r_par, "s").signature
     == fx.f1,
@@ -501,7 +501,8 @@ class TestDeepTerms:
             deep_h=hyperderivor(
                 f1, x1, f1, x1, {"s": "s"}, {**patterns, "g": hall}, {x: Var(x, "s") for x in "xz"}
             ),
-            c=parse_term("c", f1, x1), hall=hall, ctx=context(_chain(Hole("s"))),
+            c=parse_term("c", f1, x1), gc=parse_term("g(c)", f1, x1), hall=hall,
+            ctx=context(_chain(Hole("s"))),
             asg={"x": 0, "z": 1},
         )
         try:
