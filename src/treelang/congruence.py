@@ -81,6 +81,19 @@ def partition(
     return SortedPartition(tuple(cls), tuple(counts))
 
 
+def _partition(
+    sig_sorts: Sequence[str], classes: Mapping[str, Sequence[int]], counts: Mapping[str, int]
+) -> SortedPartition:
+    """A partition of class lists that are already canonical, numbered by
+    first occurrence, built without ``SortedPartition``'s checks."""
+    phi = SortedPartition._of(
+        tuple((s, tuple(classes[s])) for s in sig_sorts), tuple((s, counts[s]) for s in sig_sorts)
+    )
+    object.__setattr__(phi, "_classes", dict(phi.classes))
+    object.__setattr__(phi, "_counts", dict(phi.counts))
+    return phi
+
+
 def identity_partition(alg: FiniteAlgebra) -> SortedPartition:
     return partition(alg.signature.sorts, {s: list(range(n)) for s, n in alg.carriers})
 
@@ -199,11 +212,13 @@ def cogenerated_congruence(alg: FiniteAlgebra, phi: SortedPartition) -> SortedPa
     Iterated splitting: two elements stay related only if every one-step table
     application, with the co-arguments ranging over the whole carriers, keeps
     them in one current class.  Stops when stable; the result is a congruence
-    contained in the input.
+    contained in the input.  The input's ids are renumbered by first
+    occurrence once, at the start, and every split numbers its classes so
+    too, so the result is canonical as it stands and is not renumbered again.
     """
     sizes = alg._sizes
     _check_sizes(phi, sizes)
-    cls: dict[str, list[int]] = {sort: list(ids) for sort, ids in phi.classes}
+    cls = {sort: _canonical(ids)[0] for sort, ids in phi.classes}
     count = dict(phi._counts)  # a sort is discrete when its count is its size
     changed = True
     while changed:
@@ -232,18 +247,21 @@ def cogenerated_congruence(alg: FiniteAlgebra, phi: SortedPartition) -> SortedPa
             if len(ids) > count[sort]:
                 changed = True
                 cls[sort], count[sort] = new_ids, len(ids)
-    return partition(alg.signature.sorts, cls)
+    return _partition(alg.signature.sorts, cls, count)
 
 
 def _positional_slices(mapped: tuple[int, ...], n: int, stride: int) -> list[tuple]:
     """For each element e of an argument position with ``n`` values and the
     given stride, the entries of a flat table whose argument there is e, as
-    contiguous runs of ``stride`` entries in table order."""
+    contiguous runs of ``stride`` entries in table order; at the first
+    position there is one run per element, and it is the signature itself."""
     if not mapped:  # an empty carrier at another position
         return [()] * n
     if stride == 1:
         return [mapped[e::n] for e in range(n)]
     block = n * stride
+    if block == len(mapped):  # no position before it varies: one run per element
+        return [mapped[b : b + stride] for b in range(0, block, stride)]
     return [
         tuple(mapped[b : b + stride] for b in range(e * stride, len(mapped), block))
         for e in range(n)

@@ -244,27 +244,31 @@ def minimize(rec: Recognizer) -> Recognizer:
     declaration order, then variables), in which each class first appears at
     a step fixed by the language.  ``equivalent`` relies on this when its
     pair closure outgrows its budget.
-    """
-    from .congruence import syntactic_congruence  # only the commands that minimize compile it
 
+    The kernel of the accepting set is read off the reached lists, already
+    numbered by first occurrence, and the result is built without
+    ``Recognizer``'s checks: every value in it comes from the checked input.
+    """
+    # only the commands that minimize compile the congruence module
+    from .congruence import _partition, cogenerated_congruence
+
+    sorts = rec.signature.sorts
     reached = closure_elements(rec.algebra, _seed(rec))
     small, index = restrict_algebra(rec.algebra, reached)
-    acc = {
-        s: frozenset(index[s][e] for e in rec.accepting_at(s) if e in index[s])
-        for s in rec.signature.sorts
-    }
-    omega = syntactic_congruence(small, acc)
+    inside = {s: list(map(frozenset(acc).__contains__, reached[s])) for s, acc in rec.accepting}
+    kernel = {s: [int(f != fs[0]) for f in fs] for s, fs in inside.items()}
+    omega = cogenerated_congruence(
+        small, _partition(sorts, kernel, {s: len(set(fs)) for s, fs in inside.items()})
+    )
     quotient, projection = quotient_algebra(small, omega)
     asg = dict(rec.assignment)
-    assignment = {
-        x: projection[sort][index[sort][asg[x]]]
-        for sort, names in rec.vars.by_sort
-        for x in names
-    }
-    accepting = {
-        s: sorted({projection[s][e] for e in acc[s]}) for s in rec.signature.sorts
-    }
-    return recognizer(rec.vars, quotient, assignment, accepting)
+    assignment = tuple(
+        (x, projection[s][index[s][asg[x]]]) for s in sorts for x in rec.vars.names(s)
+    )
+    accepting = tuple(
+        (s, tuple(sorted({c for c, f in zip(projection[s], inside[s]) if f}))) for s in sorts
+    )
+    return Recognizer._of(rec.vars, quotient, assignment, accepting)
 
 
 # ---------------------------------------------------------------------------

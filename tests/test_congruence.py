@@ -79,6 +79,24 @@ class TestCogenerated:
         out = cogenerated_congruence(alg3, partition(["s"], {"s": [0, 0, 1]}))
         assert dict(out.classes)["s"] == (0, 1, 2)
 
+    def test_non_canonical_input_gives_canonical_classes(self):
+        """Hand-built ids may be contiguous without being numbered by first
+        occurrence; the result is canonical at every sort, including a sort
+        that does not split, a discrete sort and an empty one."""
+        sig = signature(
+            ["a", "d", "e"],
+            [("g", ["a"], "a"), ("h", ["d", "d"], "d"), ("w", ["a", "e"], "e")],
+        )
+        alg = finite_algebra(
+            sig, {"a": 3, "d": 3, "e": 0}, {"g": [0, 1, 2], "h": [0, 1, 2] * 3, "w": []}
+        )
+        phi = SortedPartition(
+            (("a", (1, 0, 1)), ("d", (2, 0, 1)), ("e", ())), (("a", 2), ("d", 3), ("e", 0))
+        )
+        out = cogenerated_congruence(alg, phi)
+        assert repr(out) == repr(partition(sig.sorts, dict(out.classes)))
+        assert out.classes == (("a", (0, 1, 0)), ("d", (0, 1, 2)), ("e", ()))
+
     def test_greatest_congruence_below(self):
         # brute force: the output must be a congruence, refine the input, and
         # be refined by every congruence refining the input

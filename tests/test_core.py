@@ -48,10 +48,10 @@ from treelang.core import (
     typecheck,
     variables_of,
 )
-from treelang.congruence import partition
+from treelang.congruence import cogenerated_congruence, partition
 from treelang.derivor import apply_derivor_term, hall_term, projection, xi_substitute
 from treelang.closure import NTA, nta, table_rules
-from treelang.recognizer import inverse_translation
+from treelang.recognizer import inverse_translation, minimize
 from treelang.treehom import (
     apply_treehom,
     derived_algebra,
@@ -199,6 +199,9 @@ UNCHECKED = {
     "apply_derivor_term": ("HallTerm", lambda fx: apply_derivor_term(fx("d2"), fx("d2").pattern("g"))),
     "_Builder.determinize": ("NTA", builder_machine),
     "context": ("Context", lambda fx: context(Node("g", (Hole("s"),), "s", 2))),
+    "minimize": ("Recognizer", lambda fx: minimize(fx("r_par"))),
+    "cogenerated_congruence": ("SortedPartition", lambda fx: cogenerated_congruence(
+        fx("rpar_algebra"), partition(["s"], {"s": [0, 1]}))),
 }
 
 

@@ -17,8 +17,12 @@ from importlib import import_module
 
 import pytest
 
-from treelang.core import enumerate_all_terms, signature, sorted_vars
-from treelang.recognizer import _reached_pairs, combine, equivalent, is_empty, minimize, recognizer
+from treelang.algebra import closure_elements, quotient_algebra, restrict_algebra
+from treelang.congruence import SortedPartition, syntactic_congruence
+from treelang.core import SortedVars, enumerate_all_terms, signature, sorted_vars
+from treelang.recognizer import (
+    Recognizer, _reached_pairs, combine, equivalent, is_empty, minimize, recognizer
+)
 
 from conftest import accepted_sets, inflated, permuted, random_algebra, random_rich_signature
 
@@ -31,6 +35,26 @@ def reference_equivalent(a, b):
     """Language equality by comparing the minimal recognizers, which
     ``minimize`` numbers canonically."""
     return minimize(a) == minimize(b)
+
+
+def reference_minimize(rec):
+    """``minimize`` through the checked builds: the reached lists, the
+    restriction, the public ``syntactic_congruence`` of the reached accepting
+    sets, the quotient and the checked ``recognizer``."""
+    reached = closure_elements(rec.algebra, RECOGNIZER_MODULE._seed(rec))
+    small, index = restrict_algebra(rec.algebra, reached)
+    acc = {
+        s: frozenset(index[s][e] for e in rec.accepting_at(s) if e in index[s])
+        for s in rec.signature.sorts
+    }
+    omega = syntactic_congruence(small, acc)
+    quotient, projection = quotient_algebra(small, omega)
+    asg = dict(rec.assignment)
+    assignment = {
+        x: projection[sort][index[sort][asg[x]]] for sort, names in rec.vars.by_sort for x in names
+    }
+    accepting = {s: sorted({projection[s][e] for e in acc[s]}) for s in rec.signature.sorts}
+    return recognizer(rec.vars, quotient, assignment, accepting), small, acc
 
 
 def termless(sig, vars):
@@ -78,6 +102,32 @@ def test_minimize_is_idempotent(instances):
         for rec in recs:
             m = minimize(rec)
             assert minimize(m) == m
+
+
+def test_minimize_matches_the_checked_pipeline(instances):
+    """``minimize`` and ``syntactic_congruence`` build their results without
+    the records' checks; each equals, up to ``repr``, what the checked
+    pipeline builds, and passes the checks when rebuilt from its fields.
+    Besides each draw: its empty and full languages, a non-minimal copy, and
+    its variables listed in reverse sort order."""
+    rng = random.Random(806)
+    for _, recs in instances:
+        for rec in recs:
+            vars, alg, asg = rec.vars, rec.algebra, dict(rec.assignment)
+            for variant in (
+                rec,
+                recognizer(vars, alg, asg, {}),
+                recognizer(vars, alg, asg, {s: range(n) for s, n in alg.carriers}),
+                inflated(rng, rec, 2),
+                Recognizer(SortedVars(vars.by_sort[::-1]), alg, rec.assignment, rec.accepting),
+            ):
+                m = minimize(variant)
+                want, small, acc = reference_minimize(variant)
+                assert repr(m) == repr(want)
+                assert Recognizer(*(getattr(m, f) for f in Recognizer.__match_args__)) == want
+                omega = syntactic_congruence(small, acc)
+                rebuilt = SortedPartition(omega.classes, omega.counts)
+                assert rebuilt == omega and repr(rebuilt) == repr(omega)
 
 
 def test_minimize_keeps_the_language(instances):
