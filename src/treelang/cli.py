@@ -412,7 +412,7 @@ def main(argv=None) -> int:
     except (ValidationError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    except RecursionError:  # the parser, _rebuild and the pattern compilers recurse
+    except RecursionError:  # the parser and _rebuild recurse
         limit = sys.getrecursionlimit()
         print(
             f"error: input nests deeper than the recursion limit of {limit} allows",

@@ -209,7 +209,8 @@ def _determinize(machine: NTA, cap: int) -> Recognizer:
             raise ValidationError(
                 f"determinization entry budget exceeded: {entries} table entries > {cap}"
             )
-        members[sort].append(tuple(q for q in range(mask.bit_length()) if mask >> q & 1))
+        # the members from the binary digits, lowest first: linear in the width
+        members[sort].append(tuple(q for q, b in enumerate(bin(mask)[:1:-1]) if b == "1"))
         index[sort][mask] = got = sizes[sort] - 1
         return got
 

@@ -20,10 +20,11 @@ outputs are reproducible.
 from __future__ import annotations
 
 import itertools
-import math
 from typing import Hashable, Mapping, Sequence
 
-from .algebra import FiniteAlgebra, _check_counts, _check_elements, _getter, _offsets, _outside
+from .algebra import (
+    FiniteAlgebra, _check_counts, _check_elements, _getter, _offsets, _outside, _weights
+)
 from .core import ValidationError, _check_sorts_once, _record
 
 
@@ -236,11 +237,9 @@ def cogenerated_congruence(alg: FiniteAlgebra, phi: SortedPartition) -> SortedPa
                 # through it are equal where the entries are
                 if count[op.result] < sizes[op.result]:
                     mapped = _getter(mapped)(cls[op.result])
-                for i, arg_sort in enumerate(op.arity):
-                    if arg_sort != sort:
-                        continue
-                    stride = math.prod(sizes[s] for s in op.arity[i + 1 :])
-                    columns.append(_positional_slices(mapped, n, stride))
+                for arg_sort, stride in zip(op.arity, _weights(sizes, op.arity)):
+                    if arg_sort == sort:
+                        columns.append(_positional_slices(mapped, n, stride))
             ids: dict[tuple, int] = {}
             new_ids = [ids.setdefault(key, len(ids)) for key in zip(*columns)]
             # the current class leads every signature, so classes only split

@@ -8,7 +8,6 @@ placeholders ``v0, v1, ...``, and a target term per source variable.
 
 from __future__ import annotations
 
-import itertools
 import re
 from typing import Callable, Mapping, Sequence
 
@@ -24,6 +23,7 @@ from .core import (
     ValidationError,
     Var,
     _new_node,
+    _preorder,
     _rebuild,
     _record,
     node,
@@ -168,9 +168,10 @@ def _typecheck_as(what: str, term: Term, sig: Signature, vars: SortedVars, sort:
 def _template(pattern: Term, arity: int) -> Callable[..., Term]:
     """Compile a pattern into a function of the images of ``v0..v(arity-1)``
     that returns the instantiated pattern: one statement builds each node
-    above a placeholder from its children, in post-order, and a subterm
-    without placeholders is the pattern's own, shared by every image.
-    Only generated names and ``repr``s of symbols and sorts enter the source.
+    above a placeholder from its children, children first (the reversed
+    preorder, as ``core.typecheck`` walks), and a subterm without
+    placeholders is the pattern's own, shared by every image.  Only
+    generated names and ``repr``s of symbols and sorts enter the source.
 
     ``sigma(g(c), v0)`` at arity 1 compiles to::
 
@@ -186,22 +187,25 @@ def _template(pattern: Term, arity: int) -> Callable[..., Term]:
         consts[name] = t
         return name
 
-    def emit(t: Term) -> str | None:
-        """The expression of t's image, or None when t holds no placeholder."""
+    # per subterm, the expression of its image, or None when it holds no
+    # placeholder; a node pops its children's, the first child's on top
+    stack: list[str | None] = []
+    for t in reversed([*_preorder(pattern)]):
         if isinstance(t, Var):
-            return t.name if placeholder_index(t.name) is not None else None
-        children = [emit(c) for c in t.children]
+            stack.append(t.name if placeholder_index(t.name) is not None else None)
+            continue
+        children = [stack.pop() for _ in t.children]
         if all(c is None for c in children):
-            return None
+            stack.append(None)
+            continue
         args = [const(u) if c is None else c for c, u in zip(children, t.children)]
         fixed = 1 + sum(u.size for c, u in zip(children, t.children) if c is None)
         name = f"n{len(lines)}"
         size = " + ".join([str(fixed)] + [f"{c}.size" for c in children if c is not None])
         call = f"new_node({t.symbol!r}, ({', '.join(args)},), {t.sort!r}, {size})"
         lines.append(f"    {name} = {call}")
-        return name
-
-    root = emit(pattern) or const(pattern)
+        stack.append(name)
+    root = stack.pop() or const(pattern)
     params = ", ".join(f"v{i}" for i in range(arity))
     exec("\n".join([f"def template({params}):", *lines, f"    return {root}"]), consts)
     return consts["template"]
@@ -299,52 +303,50 @@ def direct_image(h: Hyperderivor, l: Recognizer, sort: str) -> Recognizer:
         raise ValidationError("recognizer is not over the hyperderivor's source")
     if sort not in h.source.sorts:
         raise ValidationError(f"unknown source sort {sort!r}")
-    from .closure import _Builder  # only the commands that determinize compile it
+    from .closure import _Builder, table_rules  # only the commands that determinize compile it
 
     lm = minimize(l)
     machine = _Builder(h.target, h.target_vars)
     fresh, leaf, rules, epsilon = machine.fresh, machine.leaf, machine.rules, machine.epsilon
-    # the nonterminals, first: l's states by source sort, at the mapped sort
-    nonterminal = {
-        s: [fresh(h.sort_image(s)) for _ in range(lm.algebra.size(s))] for s in h.source.sorts
-    }
+    # the nonterminals, first: l's states by source sort, at the mapped
+    # sort, from each source sort's offset
+    offsets = {}
+    for s, n in lm.algebra.carriers:
+        offsets[s] = machine.counts[h.sort_image(s)]
+        machine.counts[h.sort_image(s)] += n
 
-    def compile_rhs(body: Term, env: Mapping[str, int]) -> int:
-        """Install states computing the production body; returns its state.
+    def produce(body: Term, env: Mapping[str, int], head: int) -> None:
+        """Install states computing the production body, children first,
+        and an epsilon edge from its state to the head nonterminal.
 
         ``env`` maps placeholder names to nonterminal states; target variables
         get leaf rules and operation nodes get transition rules.
         """
-        if isinstance(body, Var):
-            if body.name in env:
-                return env[body.name]
-            state = fresh(body.sort)
-            leaf[body.name].add(state)
-            return state
-        child_states = tuple(compile_rhs(c, env) for c in body.children)
-        state = fresh(body.sort)
-        rules.setdefault((body.symbol, child_states), set()).add(state)
-        return state
+        stack: list[int] = []
+        for t in reversed([*_preorder(body)]):
+            if isinstance(t, Var):
+                state = env.get(t.name)
+                if state is None:
+                    state = fresh(t.sort)
+                    leaf[t.name].add(state)
+            else:
+                args = tuple([stack.pop() for _ in t.children])
+                state = fresh(t.sort)
+                rules.setdefault((t.symbol, args), set()).add(state)
+            stack.append(state)
+        # the last state placed is the root's
+        if state != head:
+            epsilon[body.sort].append((state, head))
 
-    # one production per table entry: operations in declaration order,
-    # argument tuples with the last argument fastest
-    for op in h.source.ops:
-        pattern, heads = h.pattern(op.name), nonterminal[op.result]
-        edges = epsilon[h.sort_image(op.result)]
-        args = itertools.product(*(nonterminal[w] for w in op.arity))
-        for states, result in zip(args, lm.algebra.table(op.name)):
-            root = compile_rhs(pattern, {f"v{i}": q for i, q in enumerate(states)})
-            if root != heads[result]:
-                edges.append((root, heads[result]))
+    # one production per table entry, and one per source variable
+    for (name, args), head in table_rules(lm.algebra, offsets):
+        produce(h.pattern(name), {f"v{i}": q for i, q in enumerate(args)}, head)
     lm_assignment = dict(lm.assignment)
     for s, names in h.source_vars.by_sort:
         for x in names:
-            root = compile_rhs(h.var_image(x), {})
-            head = nonterminal[s][lm_assignment[x]]
-            if root != head:
-                epsilon[h.sort_image(s)].append((root, head))
+            produce(h.var_image(x), {}, offsets[s] + lm_assignment[x])
 
-    accepting = {nonterminal[sort][q] for q in lm.accepting_at(sort)}
+    accepting = {offsets[sort] + q for q in lm.accepting_at(sort)}
     return machine.determinize({h.sort_image(sort): accepting})
 
 

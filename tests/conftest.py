@@ -296,6 +296,17 @@ def random_recognizer(
     return recognizer(vars, alg, assignment, accepting)
 
 
+def termless(sig, vars):
+    """The signature with a sort ``u`` added that has no constant and no
+    variable: one operation into ``u`` and one out of it, each with a ``u``
+    argument, so that no term has sort ``u``."""
+    s0 = sig.sorts[0]
+    ops = [(op.name, op.arity, op.result) for op in sig.ops]
+    ops += [("ku", ["u", s0], "u"), ("hu", [s0, "u"], s0)]
+    usig = signature([*sig.sorts, "u"], ops)
+    return usig, sorted_vars(usig, dict(vars.by_sort))
+
+
 def permuted(rng, rec):
     """The recognizer with its states renamed by a random permutation per
     sort: the same language, with other state numbers."""

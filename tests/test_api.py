@@ -297,8 +297,6 @@ RECURSIVE_FUNCTIONS = {
     "formats.check": "the nesting of the document shapes formats declares",
     "oracle.evaluate_many.walk": ORACLE,
     "oracle.semantic_substitution_sets.walk": ORACLE,
-    "treehom._template.emit": TERM_DEPTH,
-    "treehom.direct_image.compile_rhs": TERM_DEPTH,
 }
 
 

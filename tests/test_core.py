@@ -404,6 +404,13 @@ def _chain(leaf, depth=DEPTH):
     return t
 
 
+def _message(call):
+    """The message of the ``ValidationError`` the call raises."""
+    with pytest.raises(ValidationError) as err:
+        call()
+    return str(err.value)
+
+
 def _recursive(name):
     walk = RECURSIVE[name]
     return pytest.param(
@@ -467,8 +474,12 @@ DEEP_OPERATIONS = {
     "apply_treehom": lambda deep, fx: apply_treehom(fx.identity, deep) == deep,
     "apply_treehom_deep_pattern": lambda deep, fx: apply_treehom(fx.deep_h, fx.gc).size
     == DEPTH + 1,
-    "direct_image_deep_pattern": lambda deep, fx: direct_image(fx.deep_h, fx.r_par, "s").signature
-    == fx.f1,
+    # the image of g's chain needs more subsets than the determinization
+    # budget allows: at 2,048 subsets, sigma alone has 2,048 ** 2 entries
+    "direct_image_deep_pattern": lambda deep, fx: _message(
+        lambda: direct_image(fx.deep_h, fx.r_par, "s")
+    )
+    == "determinization entry budget exceeded: 4196353 table entries > 4194304",
     "apply_derivor_term": lambda deep, fx: apply_derivor_term(
         fx.d2, hall_term(fx.hall, ["s"], "s")
     ).term.size
@@ -484,8 +495,6 @@ RECURSIVE = {
     "substitute_occurrences": "core._rebuild",
     "apply_context": "core._rebuild",
     "apply_treehom": "core._rebuild",
-    "apply_treehom_deep_pattern": "treehom._template.emit",
-    "direct_image_deep_pattern": "treehom.direct_image.compile_rhs",
     "apply_derivor_term": "core._rebuild",
 }
 

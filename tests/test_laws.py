@@ -19,12 +19,14 @@ import pytest
 
 from treelang.algebra import closure_elements, quotient_algebra, restrict_algebra
 from treelang.congruence import SortedPartition, syntactic_congruence
-from treelang.core import SortedVars, enumerate_all_terms, signature, sorted_vars
+from treelang.core import SortedVars, enumerate_all_terms
 from treelang.recognizer import (
     Recognizer, _reached_pairs, combine, equivalent, is_empty, minimize, recognizer
 )
 
-from conftest import accepted_sets, inflated, permuted, random_algebra, random_rich_signature
+from conftest import (
+    accepted_sets, inflated, permuted, random_algebra, random_rich_signature, termless
+)
 
 DRAWS = 60  # per signature
 ORACLE_NODES = 6
@@ -55,17 +57,6 @@ def reference_minimize(rec):
     }
     accepting = {s: sorted({projection[s][e] for e in acc[s]}) for s in rec.signature.sorts}
     return recognizer(rec.vars, quotient, assignment, accepting), small, acc
-
-
-def termless(sig, vars):
-    """The signature with a sort ``u`` added that has no constant and no
-    variable: one operation into ``u`` and one out of it, each with a ``u``
-    argument, so that no term has sort ``u``."""
-    s0 = sig.sorts[0]
-    ops = [(op.name, op.arity, op.result) for op in sig.ops]
-    ops += [("ku", ["u", s0], "u"), ("hu", [s0, "u"], s0)]
-    usig = signature([*sig.sorts, "u"], ops)
-    return usig, sorted_vars(usig, dict(vars.by_sort))
 
 
 def draws(rng, sig, vars):

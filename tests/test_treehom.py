@@ -1,16 +1,20 @@
+import itertools
 import pickle
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from treelang import treehom
 from treelang.algebra import evaluate, finite_algebra
+from treelang.closure import _Builder
 from treelang.core import (
     Hole,
     Node,
     SortError,
     ValidationError,
     Var,
+    _new_node,
     enumerate_all_terms,
     enumerate_terms,
     parse_term,
@@ -18,12 +22,14 @@ from treelang.core import (
     sorted_vars,
     substitute_uniform,
 )
-from treelang.derivor import Derivor, apply_derivor_term, compose_derivors, hall_term
+from treelang.derivor import Derivor, apply_derivor_term, compose_derivors, derivor, hall_term
 from treelang.recognizer import (
     accepts,
     empty_recognizer,
     equivalent,
+    minimize,
     recognize_singleton,
+    recognizer,
     universal_recognizer,
 )
 from treelang.treehom import (
@@ -36,11 +42,13 @@ from treelang.treehom import (
     identity_pattern,
     inverse_image,
     placeholder,
+    placeholder_index,
 )
 
 from conftest import (
     accepted_sets,
     check_branch,
+    random_algebra,
     random_derivor,
     random_hall_term,
     random_hyperderivor,
@@ -49,6 +57,7 @@ from conftest import (
     random_signature,
     random_term,
     retrying,
+    termless,
 )
 
 
@@ -452,3 +461,218 @@ BRANCHES = {
 @pytest.mark.parametrize("case", BRANCHES)
 def test_validation_branches(case, request):
     check_branch(BRANCHES, case, request)
+
+
+# ---------------------------------------------------------------------------
+# the flat pattern compilers against the recursive ones they replaced
+
+
+def reference_template(pattern, arity):
+    """``treehom._template`` as a recursive walk: each node's statement
+    after its children's, left to right."""
+    consts = {"new_node": _new_node}
+    lines = []
+
+    def const(t):
+        name = f"t{len(consts) - 1}"
+        consts[name] = t
+        return name
+
+    def emit(t):
+        if isinstance(t, Var):
+            return t.name if placeholder_index(t.name) is not None else None
+        children = [emit(c) for c in t.children]
+        if all(c is None for c in children):
+            return None
+        args = [const(u) if c is None else c for c, u in zip(children, t.children)]
+        fixed = 1 + sum(u.size for c, u in zip(children, t.children) if c is None)
+        name = f"n{len(lines)}"
+        size = " + ".join([str(fixed)] + [f"{c}.size" for c in children if c is not None])
+        lines.append(f"    {name} = new_node({t.symbol!r}, ({', '.join(args)},), {t.sort!r}, {size})")
+        return name
+
+    root = emit(pattern) or const(pattern)
+    params = ", ".join(f"v{i}" for i in range(arity))
+    exec("\n".join([f"def template({params}):", *lines, f"    return {root}"]), consts)
+    return consts["template"]
+
+
+def reference_direct_image(h, l, sort):
+    """``direct_image`` with a recursive production compiler: every state of
+    a production body after its children's, left to right, and the
+    productions in table order by ``itertools.product`` over the
+    nonterminals."""
+    lm = minimize(l)
+    machine = _Builder(h.target, h.target_vars)
+    nonterminal = {
+        s: [machine.fresh(h.sort_image(s)) for _ in range(lm.algebra.size(s))]
+        for s in h.source.sorts
+    }
+
+    def compile_rhs(body, env):
+        if isinstance(body, Var):
+            if body.name in env:
+                return env[body.name]
+            state = machine.fresh(body.sort)
+            machine.leaf[body.name].add(state)
+            return state
+        args = tuple(compile_rhs(c, env) for c in body.children)
+        state = machine.fresh(body.sort)
+        machine.rules.setdefault((body.symbol, args), set()).add(state)
+        return state
+
+    def produce(body, env, head):
+        root = compile_rhs(body, env)
+        if root != head:
+            machine.epsilon[body.sort].append((root, head))
+
+    for op in h.source.ops:
+        args = itertools.product(*(nonterminal[w] for w in op.arity))
+        for states, result in zip(args, lm.algebra.table(op.name)):
+            env = {f"v{i}": q for i, q in enumerate(states)}
+            produce(h.pattern(op.name), env, nonterminal[op.result][result])
+    asg = dict(lm.assignment)
+    for s, names in h.source_vars.by_sort:
+        for x in names:
+            produce(h.var_image(x), {}, nonterminal[s][asg[x]])
+    accepting = {nonterminal[sort][q] for q in lm.accepting_at(sort)}
+    return machine.determinize({h.sort_image(sort): accepting})
+
+
+def applied(monkeypatch, m, apply, inputs):
+    """``apply(m, x)`` for each input, by the flat compiler and, on a fresh
+    copy of the map, by the recursive one."""
+    got = [apply(m, x) for x in inputs]
+    copy = type(m)(*(getattr(m, f) for f in m.__match_args__))
+    with monkeypatch.context() as patched:
+        patched.setattr(treehom, "_template", reference_template)
+        want = [apply(copy, x) for x in inputs]
+    return got, want
+
+
+C = Node("c", (), "s", 1)
+
+
+def sigma(a, b):
+    return Node("sigma", (a, b), "s", a.size + b.size + 1)
+
+
+def random_pattern(rng, arity, depth, linear, variables):
+    """A pattern over ``f1`` in the placeholders ``v0..v(arity-1)`` at ``s``,
+    a spine of ``depth`` ``g`` and ``sigma`` nodes.  A placeholder is left
+    out with probability 0.2 and, unless linear, may be used twice or have
+    its spine squared.  The spine's other arguments are ground terms, target
+    variables (given ``variables``) and one placeholder-free subterm shared
+    by all of them."""
+    leaves = [placeholder(i, "s") for i in range(arity) if rng.random() < 0.8]
+    if not linear:
+        leaves += [v for v in leaves if rng.random() < 0.5]
+    rng.shuffle(leaves)
+    fillers = [C, Node("g", (C,), "s", 2), *(Var(y, "s") for y in "xy" if variables)]
+    fillers.append(sigma(rng.choice(fillers), rng.choice(fillers)))
+    t = leaves.pop() if leaves else rng.choice(fillers)
+    squares = 0 if linear else 2
+    for _ in range(depth):
+        if rng.random() < 0.5:
+            t = Node("g", (t,), "s", t.size + 1)
+            continue
+        if squares and rng.random() < 0.05:
+            other, squares = t, squares - 1
+        else:
+            other = leaves.pop() if leaves and rng.random() < 0.3 else rng.choice(fillers)
+        t = sigma(t, other) if rng.random() < 0.5 else sigma(other, t)
+    for v in leaves:
+        t = sigma(v, t)
+    return t
+
+
+DEPTHS = (0, 1, 3, 12, 60, 400)
+
+
+class TestFlatCompilers:
+    """The flat pattern compilers give what the recursive ones gave: equal
+    images, sharing the pattern's placeholder-free subterms, and
+    ``repr``-identical direct images, although the flat walk numbers the
+    NTA's states right to left (the subset construction numbers subsets in
+    first-reached order, whatever their states are called)."""
+
+    @pytest.mark.parametrize("linear", [True, False])
+    def test_apply_treehom(self, monkeypatch, f1, x1, linear):
+        rng = random.Random(3501 + linear)
+        source, source_vars = termless(f1, x1)
+        target_vars = sorted_vars(f1, {"s": ["x", "y"]})
+        terms = enumerate_all_terms(source, source_vars, 5)["s"]
+        for depth in DEPTHS:
+            for _ in range(4):
+                patterns = {
+                    op.name: random_pattern(rng, len(op.arity), rng.randint(0, depth), linear, True)
+                    for op in source.ops
+                }
+                images = {x: rng.choice([C, Var("y", "s"), sigma(Var("x", "s"), C)]) for x in "xz"}
+                sort_map = {"s": "s", "u": "s"}
+                h = hyperderivor(source, source_vars, f1, target_vars, sort_map, patterns, images)
+                got, want = applied(monkeypatch, h, apply_treehom, rng.sample(terms, 12))
+                assert got == want and list(map(repr, got)) == list(map(repr, want))
+                # a pattern without placeholders is its own image
+                assert apply_treehom(h, C) is h.pattern("c")
+
+    def test_apply_derivor_term(self, monkeypatch, f1):
+        rng = random.Random(3503)
+        for depth in DEPTHS:
+            for linear in (True, False):
+                patterns = {
+                    op.name: hall_term(
+                        random_pattern(rng, len(op.arity), rng.randint(0, depth), linear, False),
+                        op.arity,
+                        "s",
+                    )
+                    for op in f1.ops
+                }
+                d = derivor(f1, f1, {"s": "s"}, patterns)
+                arities = [["s"] * rng.randint(0, 3) for _ in range(6)]
+                ps = [retrying(lambda: random_hall_term(rng, f1, a, "s"), rng) for a in arities]
+                got, want = applied(monkeypatch, d, apply_derivor_term, ps)
+                assert got == want and list(map(repr, got)) == list(map(repr, want))
+
+    def test_direct_image(self, f1, x1):
+        rng = random.Random(3505)
+        # no term has sort u, so every minimized carrier there is empty
+        source, source_vars = termless(f1, x1)
+        target_vars = sorted_vars(f1, {"s": ["x", "y"]})
+        for depth in DEPTHS[:-1] + (300,):
+            for _ in range(3):
+                patterns = {
+                    op.name: random_pattern(rng, len(op.arity), rng.randint(0, depth), True, True)
+                    for op in source.ops
+                }
+                images = {x: rng.choice([C, Var("y", "s"), sigma(Var("x", "s"), C)]) for x in "xz"}
+                h = hyperderivor(
+                    source, source_vars, f1, target_vars, {"s": "s", "u": "s"}, patterns, images
+                )
+                sizes = {"s": rng.randint(1, 3), "u": rng.randint(0, 2)}
+                alg = random_algebra(rng, source, carriers=sizes)
+                asg = {x: rng.randrange(sizes["s"]) for x in "xz"}
+                for sort in source.sorts:
+                    accepting = {sort: [e for e in range(sizes[sort]) if rng.random() < 0.6]}
+                    l = recognizer(source_vars, alg, asg, accepting)
+                    assert repr(direct_image(h, l, sort)) == repr(reference_direct_image(h, l, sort))
+
+    def test_on_random_signatures(self, monkeypatch):
+        # many-sorted targets, the patterns of ``random_hyperderivor``
+        rng = random.Random(3507)
+        for linear in (True, False) * 10:
+            source, source_vars = random_signature(rng)
+            target, target_vars = random_rich_signature(rng)
+            h = retrying(
+                lambda: random_hyperderivor(
+                    rng, source, source_vars, target, target_vars, linear=linear
+                ),
+                rng,
+            )
+            terms = [t for ts in enumerate_all_terms(source, source_vars, 4).values() for t in ts]
+            got, want = applied(monkeypatch, h, apply_treehom, terms[:30])
+            assert got == want
+            if h.is_linear:
+                for sort in source.sorts:
+                    l = random_recognizer(rng, source, source_vars, only_sort=sort)
+                    assert repr(direct_image(h, l, sort)) == repr(reference_direct_image(h, l, sort))
