@@ -43,7 +43,8 @@ def _record(cls):
     not a field.  ``cls._of(*fields)`` sets them the same way without running
     ``__post_init__``, for values the library vouches for.  A record pickles
     as its fields, so unpickling runs ``__init__`` and its checks again and
-    carries no lookup or cache over."""
+    carries no lookup or cache over.  A record is immutable, so a copy,
+    shallow or deep, is the record itself."""
     names = tuple(cls.__dict__.get("__annotations__", ()))
     n, post_init = len(names), getattr(cls, "__post_init__", None)
     indices, set_field = range(n), object.__setattr__
@@ -76,6 +77,8 @@ def _record(cls):
         "__hash__": lambda self: hash(key(self)),
         "__repr__": __repr__,
         "__reduce__": lambda self: (self.__class__, key(self)),
+        "__copy__": lambda self: self,
+        "__deepcopy__": lambda self, memo: self,
     }
     for name, method in methods.items():
         if name not in cls.__dict__:  # a method the class defines stays
@@ -148,24 +151,21 @@ class SortedVars:
 
     def __post_init__(self):
         _check_sorts_once(self.by_sort, "variables")
-        names = [x for _, xs in self.by_sort for x in xs]
-        if len(set(names)) != len(names):
+        # name -> sort and the names in order, not fields (see ``_record``)
+        sorts = {x: s for s, xs in self.by_sort for x in xs}
+        if len(sorts) != sum(len(xs) for _, xs in self.by_sort):
             raise ValidationError("variable names must be globally unique across sorts")
+        object.__setattr__(self, "_sorts", sorts)
+        object.__setattr__(self, "_names", tuple(sorts))
 
     def names(self, sort: str) -> tuple[str, ...]:
-        for s, xs in self.by_sort:
-            if s == sort:
-                return xs
-        return ()
+        return tuple(x for x, s in self._sorts.items() if s == sort)
 
     def sort_of(self, name: str) -> str | None:
-        for s, xs in self.by_sort:
-            if name in xs:
-                return s
-        return None
+        return self._sorts.get(name)
 
     def all_names(self) -> tuple[str, ...]:
-        return tuple(x for _, xs in self.by_sort for x in xs)
+        return self._names
 
 
 def sorted_vars(signature: Signature, by_sort: Mapping[str, Sequence[str]]) -> SortedVars:

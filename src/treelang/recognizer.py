@@ -205,17 +205,18 @@ def equivalent(r1: Recognizer, r2: Recognizer) -> bool:
     of values is discordant, accepted by one recognizer only.
 
     ``_reached_pairs`` stops at the first discordant pair reached (False),
-    or once a sort holds more than ``n1 + n2`` pairs, its budget.  A closure
-    that completes within the budget proves equality.  With equal languages
-    and either input minimal, each reached value of the other input pairs
-    with one state only, so the budget holds; a closure that outgrows it
+    or once a sort holds more pairs than the larger of ``n1`` and ``n2``,
+    its budget.  A closure that completes within the budget proves
+    equality.  With equal languages and either input minimal, each reached
+    value of the other input pairs with one state only, so a sort holds at
+    most that input's size and the budget holds; a closure that outgrows it
     falls back to comparing the minimal recognizers.
     """
     _check_compatible(r1, r2)
     sorts = r1.signature.sorts
     n1, n2 = r1.algebra._sizes, r2.algebra._sizes
     accepting = {s: (r1.accepting_at(s), r2.accepting_at(s), n2[s]) for s in sorts}
-    budget = {s: n1[s] + n2[s] for s in sorts}
+    budget = {s: n1[s] if n1[s] > n2[s] else n2[s] for s in sorts}
 
     def discordant(sort, pairs):
         acc1, acc2, n = accepting[sort]
@@ -314,45 +315,17 @@ def recognize_basic(sig: Signature, vars: SortedVars, pattern: Term) -> Recogniz
     constant, or a flat term ``op(x_0,...,x_{n-1})`` over variables (repeats
     allowed).
 
-    The three constructions mirror the standard proofs: a two-element sink
-    algebra with a characteristic assignment for a variable; a two-element
-    algebra where only the constant produces 1; and, for a flat term, carriers
-    ``k_t + 1`` (``k_s + 2`` at the root sort) with a single table entry
-    detecting the coded argument tuple.
+    It is the pattern's subterm automaton (``recognize_singleton``), so the
+    pattern is typechecked first.  For a flat term the carriers are
+    ``k_t + 1`` at a sort ``t`` holding ``k_t`` distinct argument variables
+    (``k_s + 2`` at the root sort ``s``): one state per variable, one for
+    the term, and a junk sink.
     """
     if not isinstance(pattern, (Var, Node)):
         raise ValidationError("pattern must be a variable, constant, or flat term")
-    if isinstance(pattern, Var) or not pattern.children:
-        assignment = {x: 0 for x in vars.all_names()}
-        hits = []
-        if isinstance(pattern, Var):
-            assignment[pattern.name] = 1
-        else:
-            hits = [(pattern.symbol, (), 1)]
-        alg = _sparse_algebra(sig, {s: 2 for s in sig.sorts}, {s: 0 for s in sig.sorts}, hits)
-        return recognizer(vars, alg, assignment, {pattern.sort: [1]})
-    for child in pattern.children:
-        if not isinstance(child, Var):
-            raise ValidationError("flat pattern arguments must be variables")
-    op = sig.operation(pattern.symbol)
-    root = op.result
-    # code the distinct argument variables per sort, in first-occurrence order
-    codes: dict[str, dict[str, int]] = {s: {} for s in sig.sorts}
-    for child in pattern.children:
-        table = codes[child.sort]
-        if child.name not in table:
-            table[child.name] = len(table)
-    k = {s: len(codes[s]) for s in sig.sorts}
-    sizes = {s: k[s] + (2 if s == root else 1) for s in sig.sorts}
-    junk = {s: k[s] for s in sig.sorts}
-    hit = k[root] + 1
-    wanted = tuple(codes[c.sort][c.name] for c in pattern.children)
-    alg = _sparse_algebra(sig, sizes, junk, [(op.name, wanted, hit)])
-    assignment = {}
-    for sort, names in vars.by_sort:
-        for x in names:
-            assignment[x] = codes[sort].get(x, junk[sort])
-    return recognizer(vars, alg, assignment, {root: [hit]})
+    if isinstance(pattern, Node) and not all(isinstance(c, Var) for c in pattern.children):
+        raise ValidationError("flat pattern arguments must be variables")
+    return recognize_singleton(sig, vars, pattern)
 
 
 def _subterm_recognizer(sig: Signature, vars: SortedVars, terms: Sequence[Term]) -> Recognizer:

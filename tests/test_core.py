@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import functools
 import pickle
@@ -264,8 +265,9 @@ def test_record_behaves_as_a_frozen_dataclass(path, request):
         cls(*fields, **{names[0]: fields[0]})
     with pytest.raises(TypeError):
         cls(**dict(zip(names, fields)), nonesuch=None)
-    copy = pickle.loads(pickle.dumps(made))
-    assert type(copy) is cls and copy == made and hash(copy) == hash(made)
+    again = pickle.loads(pickle.dumps(made))
+    assert type(again) is cls and again == made and hash(again) == hash(made)
+    assert copy.copy(made) is made and copy.deepcopy(made) is made
     assert unpickled == value
     if cls is Node:  # the hash computed above is a cache, not pickled
         assert not hasattr(pickle.loads(pickle.dumps(value)), "_hash")
@@ -440,6 +442,10 @@ DEEP_OPERATIONS = {
     "subterms_of": lambda deep, fx: len(subterms_of(deep)["s"]) == DEPTH + 1,
     "hash": lambda deep, fx: hash(deep) == hash(_chain(Var("x", "s"))),
     "==": lambda deep, fx: deep == _chain(Var("x", "s")) != _chain(Var("z", "s")),
+    # a record is immutable, so its copies are itself
+    "copy": lambda deep, fx: copy.copy(deep) is deep and copy.copy(fx.deep_h) is fx.deep_h,
+    "deepcopy": lambda deep, fx: copy.deepcopy(deep) is deep
+    and copy.deepcopy(fx.deep_h) is fx.deep_h,
     "context": lambda deep, fx: context(_chain(Hole("s"))).hole_sort == "s",
     "parse_context": lambda deep, fx: parse_context(print_term(fx.ctx.body), fx.f1, fx.vars)
     == fx.ctx,

@@ -1,4 +1,6 @@
+import itertools
 import random
+from collections import Counter
 from importlib import import_module
 
 import pytest
@@ -47,6 +49,7 @@ from conftest import (
     permuted,
     random_recognizer,
     same_language,
+    termless,
 )
 from test_build_kernels import counting_tables
 
@@ -358,7 +361,82 @@ class TestDeterminize:
             determinize(machine, cap=12)
 
 
+def reference_recognize_basic(sig, vars, pattern):
+    """``recognize_basic`` as a construction of its own, before it became the
+    pattern's subterm automaton: a two-element sink algebra with a
+    characteristic assignment for a variable; a two-element algebra where
+    only the constant gives 1; and, for a flat term, carriers ``k_t + 1``
+    (``k_s + 2`` at the root sort ``s``) with one table entry detecting the
+    coded argument tuple.  It does not typecheck the pattern."""
+
+    def sparse(sizes, default, hits):
+        tables = {
+            op.name: [
+                hits.get((op.name, args), default[op.result])
+                for args in itertools.product(*(range(sizes[s]) for s in op.arity))
+            ]
+            for op in sig.ops
+        }
+        return finite_algebra(sig, sizes, tables)
+
+    if isinstance(pattern, Var) or not pattern.children:
+        named = pattern.name if isinstance(pattern, Var) else None
+        assignment = {x: int(x == named) for x in vars.all_names()}
+        hits = {} if isinstance(pattern, Var) else {(pattern.symbol, ()): 1}
+        alg = sparse({s: 2 for s in sig.sorts}, {s: 0 for s in sig.sorts}, hits)
+        return recognizer(vars, alg, assignment, {pattern.sort: [1]})
+    root = sig.operation(pattern.symbol).result
+    # the distinct argument variables per sort, in first-occurrence order
+    codes = {s: {} for s in sig.sorts}
+    for child in pattern.children:
+        codes[child.sort].setdefault(child.name, len(codes[child.sort]))
+    junk = {s: len(codes[s]) for s in sig.sorts}
+    sizes = {s: junk[s] + (2 if s == root else 1) for s in sig.sorts}
+    wanted = tuple(codes[c.sort][c.name] for c in pattern.children)
+    alg = sparse(sizes, junk, {(pattern.symbol, wanted): junk[root] + 1})
+    assignment = {x: codes[s].get(x, junk[s]) for s, names in vars.by_sort for x in names}
+    return recognizer(vars, alg, assignment, {root: [junk[root] + 1]})
+
+
+def basic_patterns(sig, vars):
+    """Every basic pattern: each variable, each constant, and each flat term
+    over the variables, repeats included."""
+    yield from (Var(x, s) for s, names in vars.by_sort for x in names)
+    for op in sig.ops:
+        for names in itertools.product(*map(vars.names, op.arity)):
+            children = tuple(Var(x, s) for x, s in zip(names, op.arity))
+            yield Node(op.name, children, op.result, len(children) + 1)
+
+
 class TestRecognizeBasic:
+    def test_matches_the_reference_construction(self, f1, x1, f2, x2):
+        """The same language as the reference on every basic pattern of
+        ``f1``, ``f2`` and a three-sorted signature whose sort ``u`` no term
+        has; a flat pattern gets the same carriers, and a variable or a
+        constant one sink state at each sort it does not reach."""
+        base = signature(
+            ["a", "b"],
+            [("ca", [], "a"), ("cb", [], "b"), ("f", ["a", "a"], "b"),
+             ("h", ["b", "a"], "a"), ("m", ["a", "b", "a"], "a")],
+        )
+        sig3, vars3 = termless(base, sorted_vars(base, {"a": ["x", "y"], "b": ["w"]}))
+        kinds = Counter()
+        for sig, vars in ((f1, x1), (f2, x2), (sig3, vars3)):
+            for pattern in basic_patterns(sig, vars):
+                got = recognize_basic(sig, vars, pattern)
+                want = reference_recognize_basic(sig, vars, pattern)
+                assert got == recognize_singleton(sig, vars, pattern)
+                assert equivalent(got, want) and minimize(got) == minimize(want)
+                flat = isinstance(pattern, Node) and bool(pattern.children)
+                if flat:
+                    assert got.algebra.carriers == want.algebra.carriers
+                else:
+                    sinks = {s: 1 + (s == pattern.sort) for s in sig.sorts}
+                    assert dict(got.algebra.carriers) == sinks
+                repeated = flat and len({c.name for c in pattern.children}) < len(pattern.children)
+                kinds["flat" if flat else "leaf", repeated] += 1
+        assert kinds == {("leaf", False): 10, ("flat", False): 12, ("flat", True): 6}, kinds
+
     @pytest.mark.parametrize(
         "pattern,expected",
         [
@@ -514,6 +592,34 @@ BRANCHES = {
     "basic-not-flat": (
         lambda fx: recognize_basic(fx("f1"), fx("x1"), parse_term("g(g(x))", fx("f1"), fx("x1"))),
         ValidationError, "flat pattern arguments must be variables",
+    ),
+    # the pattern is typechecked: each of these built a recognizer, mostly of
+    # the empty language, or ended in a bare KeyError
+    "basic-unknown-variable": (
+        lambda fx: recognize_basic(fx("f1"), fx("x1"), Var("nope", "s")),
+        SortError, "unknown variable 'nope'",
+    ),
+    "basic-variable-sort": (
+        lambda fx: recognize_basic(fx("f1"), fx("x1"), Var("x", "t")),
+        SortError, "variable 'x' tagged with wrong sort 't'",
+    ),
+    "basic-unknown-constant": (
+        lambda fx: recognize_basic(fx("f1"), fx("x1"), Node("h", (), "s", 1)),
+        ValidationError, "unknown operation symbol 'h'",
+    ),
+    "basic-unknown-argument": (
+        lambda fx: recognize_basic(fx("f1"), fx("x1"), Node("g", (Var("nope", "s"),), "s", 2)),
+        SortError, "unknown variable 'nope'",
+    ),
+    "basic-argument-sort": (
+        lambda fx: recognize_basic(
+            fx("f1"), fx("x1"), Node("sigma", (Var("x", "s"), Var("x", "t")), "s", 3)
+        ),
+        SortError, "variable 'x' tagged with wrong sort 't'",
+    ),
+    "basic-node-sort": (
+        lambda fx: recognize_basic(fx("f1"), fx("x1"), Node("g", (Var("x", "s"),), "t", 2)),
+        SortError, "node 'g' tagged with wrong sort 't'",
     ),
     "context-over-foreign-sorts": (
         lambda fx: inverse_translation(fx("r_par"), parse_context("iszero(@)", fx("f2"), fx("x2"))),
