@@ -75,26 +75,20 @@ def nta(
     epsilon: Mapping[str, Sequence[tuple[int, int]]],
     accepting: Mapping[str, frozenset[int] | set[int]],
 ) -> NTA:
-    fields = (sig, vars, states, leaf, rules, epsilon, accepting)
-    try:
-        return NTA(*_fields(*fields))
-    except TypeError:
-        # states that do not compare cannot be sorted: the checks, run on
-        # the fields in the order given, name one
-        NTA(*_fields(*fields, order=lambda items, key=None: items))
-        raise
+    return NTA(*_fields(sig, vars, states, leaf, rules, epsilon, accepting))
 
 
-def _fields(sig, vars, states, leaf, rules, epsilon, accepting, order=sorted) -> tuple:
-    """``nta``'s arguments as the normalized fields of an ``NTA``, the rules
-    and each sort's epsilon edges put in ``order`` (sorted by default)."""
+def _fields(sig, vars, states, leaf, rules, epsilon, accepting) -> tuple:
+    """``nta``'s arguments as the normalized fields of an ``NTA``: the rules
+    and each sort's epsilon edges in the order given, a repeated edge kept
+    at its first occurrence."""
     return (
         sig,
         vars,
         tuple((s, states.get(s, 0)) for s in sig.sorts),
         tuple((x, frozenset(leaf.get(x, frozenset()))) for x in vars.all_names()),
-        tuple(order(((k, frozenset(v)) for k, v in rules.items()), key=lambda kv: (kv[0][0], kv[0][1]))),
-        tuple((s, tuple(order(set(epsilon.get(s, ()))))) for s in sig.sorts),
+        tuple((k, frozenset(v)) for k, v in rules.items()),
+        tuple((s, tuple(dict.fromkeys(epsilon.get(s, ())))) for s in sig.sorts),
         tuple((s, frozenset(accepting.get(s, frozenset()))) for s in sig.sorts),
     )
 

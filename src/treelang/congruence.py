@@ -117,16 +117,8 @@ def refines(finer: SortedPartition, coarser: SortedPartition) -> bool:
     """True when every class of ``finer`` is contained in a class of ``coarser``."""
     _check_sizes(finer, {s: len(ids) for s, ids in coarser.classes})
     coarse = coarser._classes
-    for sort, ids in finer.classes:
-        seen: dict[int, int] = {}
-        for e, c in enumerate(ids):
-            target = coarse[sort][e]
-            if c in seen:
-                if seen[c] != target:
-                    return False
-            else:
-                seen[c] = target
-    return True
+    # each finer class meets one coarser class: as many class pairs as finer classes
+    return all(len({*zip(ids, coarse[s])}) == finer._counts[s] for s, ids in finer.classes)
 
 
 def meet_partitions(phi: SortedPartition, psi: SortedPartition) -> SortedPartition:

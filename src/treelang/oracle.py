@@ -17,6 +17,7 @@ from .core import (
     Signature,
     SortedVars,
     Term,
+    ValidationError,
     Var,
     enumerate_all_terms,
     occurrence_counts,
@@ -155,7 +156,7 @@ def semantic_iteration_bounded(
     """
     sort = vars.sort_of(z)
     if sort is None:
-        raise ValueError(f"unknown variable {z!r}")
+        raise ValidationError(f"unknown variable {z!r}")
     members = {Var(z, sort)}
     l_list = [t for t in l_terms if t.size <= max_nodes]
     while True:
@@ -179,6 +180,8 @@ def semantic_quotient_bounded(
     K-members larger than ``k_member_bound`` (default: ``max_nodes``) are not
     tried; membership in l is decided exactly by the evaluator.
     """
+    if l.vars.sort_of(z) is None:
+        raise ValidationError(f"unknown variable {z!r}")
     bound = max_nodes if k_member_bound is None else k_member_bound
     pool = [t for t in k_terms if t.size <= bound]
     sig = l.signature

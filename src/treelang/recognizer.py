@@ -297,19 +297,6 @@ def determinize(machine, cap: int = DETERMINIZE_BUDGET) -> Recognizer:
 # basic languages
 
 
-def _sparse_algebra(
-    sig: Signature, sizes: Mapping[str, int], default: Mapping[str, int], hits
-) -> FiniteAlgebra:
-    """Tables that map everything to ``default[result sort]`` except at the
-    ``(opname, args, value)`` hits."""
-    tables = {
-        op.name: [default[op.result]] * math.prod(sizes[s] for s in op.arity) for op in sig.ops
-    }
-    for name, args, value in hits:
-        tables[name][_index(sizes, sig.operation(name).arity, args)] = value
-    return finite_algebra(sig, sizes, tables)
-
-
 def recognize_basic(sig: Signature, vars: SortedVars, pattern: Term) -> Recognizer:
     """A recognizer for the singleton of a basic pattern: a variable, a
     constant, or a flat term ``op(x_0,...,x_{n-1})`` over variables (repeats
@@ -342,13 +329,14 @@ def _subterm_recognizer(sig: Signature, vars: SortedVars, terms: Sequence[Term])
     index = {s: {t: i for i, t in enumerate(ordered[s])} for s in sig.sorts}
     junk = {s: len(ordered[s]) for s in sig.sorts}
     sizes = {s: junk[s] + 1 for s in sig.sorts}
-    hits = [
-        (t.symbol, [index[c.sort][c] for c in t.children], i)
-        for s in sig.sorts
-        for t, i in index[s].items()
-        if isinstance(t, Node)
-    ]
-    alg = _sparse_algebra(sig, sizes, junk, hits)
+    # every entry is the junk sink but one per node subterm
+    tables = {op.name: [junk[op.result]] * math.prod(map(sizes.get, op.arity)) for op in sig.ops}
+    for s in sig.sorts:
+        for t, i in index[s].items():
+            if isinstance(t, Node):
+                args = [index[c.sort][c] for c in t.children]
+                tables[t.symbol][_index(sizes, sig.operation(t.symbol).arity, args)] = i
+    alg = finite_algebra(sig, sizes, tables)
     assignment = {}
     for sort, names in vars.by_sort:
         for x in names:

@@ -47,6 +47,32 @@ def random_partition(rng, alg):
     return partition(alg.signature.sorts, classes)
 
 
+def reference_refines(finer, coarser):
+    """``refines`` by its earlier loop: each finer class keeps the coarser
+    class of its first element, and every later element must share it."""
+    coarse = dict(coarser.classes)
+    for sort, ids in finer.classes:
+        seen: dict[int, int] = {}
+        for e, c in enumerate(ids):
+            target = coarse[sort][e]
+            if c in seen:
+                if seen[c] != target:
+                    return False
+            else:
+                seen[c] = target
+    return True
+
+
+def refinement_algebras(rng):
+    """Ten random algebras of at most three elements per sort, then a
+    two-sorted one with an empty carrier at ``t``."""
+    for _ in range(10):
+        sig, _ = random_signature(rng)
+        yield random_algebra(rng, sig, max_carrier=3)
+    ops = [("c", [], "s"), ("g", ["s"], "s"), ("f", ["s", "t"], "t"), ("h", ["t"], "s")]
+    yield random_algebra(rng, signature(["s", "t"], ops), carriers={"s": 3, "t": 0})
+
+
 class TestIsCongruence:
     def test_parity_identity(self, rpar_algebra):
         ok, _ = is_congruence(rpar_algebra, identity_partition(rpar_algebra))
@@ -239,11 +265,10 @@ class TestSaturate:
             assert all(met[s] <= both[s] & other[s] for s in met)
 
     def test_refinement_characterization(self):
-        # phi refines psi iff saturating a psi-saturated set with phi is a fixpoint
+        # phi refines psi iff saturating a psi-saturated set with phi is a
+        # fixpoint; and refines agrees with its earlier loop on every pair
         rng = random.Random(37)
-        for _ in range(10):
-            sig, _ = random_signature(rng)
-            alg = random_algebra(rng, sig, max_carrier=3)
+        for alg in refinement_algebras(rng):
             phi = random_partition(rng, alg)
             psi = random_partition(rng, alg)
             lhs = refines(phi, psi)
@@ -252,6 +277,10 @@ class TestSaturate:
                 for subset in _all_subsets(alg)
             )
             assert lhs == rhs
+            partitions = list(all_sorted_partitions(alg))
+            for a in partitions:
+                for b in partitions:
+                    assert refines(a, b) == reference_refines(a, b)
 
 
 def _all_subsets(alg):

@@ -178,6 +178,23 @@ def test_matches_reference_bit_exact(seed):
     assert got.algebra.tables == want.algebra.tables
     assert got.assignment == want.assignment
     assert got.accepting == want.accepting
+    # the NTA keeps its rules and edges in the order given; the output
+    # does not depend on that order
+    rules = list(machine.rules)
+    random.Random(seed).shuffle(rules)
+    epsilon = {s: edges[::-1] for s, edges in machine.epsilon}
+    states, leaf, accepting = (dict(f) for f in (machine.states, machine.leaf, machine.accepting))
+    rebuilt = nta(machine.signature, machine.vars, states, leaf, dict(rules), epsilon, accepting)
+    assert determinize(rebuilt) == got
+
+
+def test_nta_keeps_the_order_given():
+    rules = {("sigma", (1, 0)): {1}, ("g", (1,)): {0}, ("c", ()): {0}, ("g", (0,)): {1}}
+    epsilon = {"s": [(1, 0), (0, 1), (1, 0), (0, 0)]}
+    machine = nta(F1, sorted_vars(F1, {"s": ["x"]}), {"s": 2}, {"x": {0}}, rules, epsilon, {})
+    assert [key for key, _ in machine.rules] == [*rules]
+    # a repeated edge is kept at its first occurrence
+    assert machine.epsilon == (("s", ((1, 0), (0, 1), (0, 0))),)
 
 
 def test_generator_covers_the_hard_cases():
@@ -304,8 +321,8 @@ def small_machine(**changes) -> NTA:
             for kind, v in NON_ELEMENTS.items()
             if kind != "at-size"  # 2 is a count
         ],
-        # a state that does not compare with the ints beside it, so the
-        # fields cannot be sorted
+        # a state that does not compare with the ints beside it; the NTA
+        # never sorts its fields, so the checks name it
         ({"rules": {("g", ("a",)): {0}}}, re.escape("NTA rule g(a): state 'a' out of range at sort 's'")),
         ({"epsilon": {"s": [(0, 1), (0, "a")]}}, re.escape("NTA epsilon state 'a' out of range at sort 's'")),
     ],

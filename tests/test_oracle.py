@@ -7,6 +7,7 @@ import pytest
 from treelang import oracle
 from treelang.core import (
     Term,
+    ValidationError,
     Var,
     enumerate_terms,
     node,
@@ -253,12 +254,25 @@ class TestIterationBounded:
         got = semantic_iteration_bounded(f1, x1, [parse_term("z", f1, x1)], "z", 6)
         assert {print_term(t) for t in got} == {"z"}
 
+    def test_unknown_variable(self, f1, x1):
+        # the message and class of closure.iterate_language
+        with pytest.raises(ValidationError, match="^unknown variable 'nope'$"):
+            semantic_iteration_bounded(f1, x1, [parse_term("g(z)", f1, x1)], "nope", 3)
+
 
 class TestQuotientBounded:
     def test_by_z_is_restriction(self, f1, x1, r_par):
         got = semantic_quotient_bounded(r_par, [parse_term("z", f1, x1)], "z", 4)
         want = set(enumerate_language(r_par, 4)["s"])
         assert got["s"] == want
+
+    def test_unknown_variable(self, f1, x1):
+        # the message and class of closure.quotient_language, not l's members
+        from treelang.recognizer import recognize_singleton
+
+        l = recognize_singleton(f1, x1, parse_term("g(c)", f1, x1))
+        with pytest.raises(ValidationError, match="^unknown variable 'nope'$"):
+            semantic_quotient_bounded(l, [parse_term("c", f1, x1)], "nope", 3)
 
     def test_empty_k(self, f1, x1, r_par):
         got = semantic_quotient_bounded(r_par, [], "z", 4)
