@@ -42,11 +42,10 @@ def _emit(args, payload_json, payload_text: str) -> None:
 
 
 def _emit_doc(args, doc: dict) -> None:
-    """Print the document and write the same text to ``-o``, dumped once."""
-    text = formats.dump_document(doc)  # ends with a line break
+    """Write the document to ``-o`` first, then print the same text, dumped
+    once: a failed write prints nothing."""
+    text = formats.dump_document(doc, args.output)  # ends with a line break
     _emit(args, doc, text[:-1])
-    if args.output:
-        Path(args.output).write_text(text, encoding="utf-8")
 
 
 def cmd_member(args) -> int:

@@ -38,9 +38,8 @@ from .core import (
     Term,
     ValidationError,
     Var,
+    _preorder,
     _record,
-    subterms_of,
-    term_sort_key,
     typecheck,
 )
 
@@ -318,16 +317,15 @@ def recognize_basic(sig: Signature, vars: SortedVars, pattern: Term) -> Recogniz
 def _subterm_recognizer(sig: Signature, vars: SortedVars, terms: Sequence[Term]) -> Recognizer:
     """The subterm automaton of a term list: one state per distinct subterm
     plus a junk sink per sort, accepting each term at its own sort.  Each
-    term is typechecked first, so an unknown variable or operation raises."""
-    by_sort: dict[str, set[Term]] = {}
+    term is typechecked first, so an unknown variable or operation raises.
+    A sort's subterms are numbered by first occurrence in one preorder walk
+    of the terms in the order given, so the work is linear in their size."""
+    index: dict[str, dict[Term, int]] = {s: {} for s in sig.sorts}
     for term in terms:
         typecheck(term, sig, vars)
-        for s, found in subterms_of(term).items():
-            by_sort.setdefault(s, set()).update(found)
-    key = term_sort_key(sig, vars)
-    ordered = {s: sorted(by_sort.get(s, ()), key=key) for s in sig.sorts}
-    index = {s: {t: i for i, t in enumerate(ordered[s])} for s in sig.sorts}
-    junk = {s: len(ordered[s]) for s in sig.sorts}
+        for t in _preorder(term):
+            index[t.sort].setdefault(t, len(index[t.sort]))
+    junk = {s: len(index[s]) for s in sig.sorts}
     sizes = {s: junk[s] + 1 for s in sig.sorts}
     # every entry is the junk sink but one per node subterm
     tables = {op.name: [junk[op.result]] * math.prod(map(sizes.get, op.arity)) for op in sig.ops}

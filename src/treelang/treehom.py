@@ -284,7 +284,7 @@ def inverse_image(h: Hyperderivor, l: Recognizer, sort: str) -> Recognizer:
         raise ValidationError(f"unknown source sort {sort!r}")
     alg, assignment = derived_algebra(h, l.algebra, dict(l.assignment))
     target_sort = h.sort_image(sort)
-    accepting = {sort: sorted(l.accepting_at(target_sort))}
+    accepting = {sort: l.accepting_at(target_sort)}
     return recognizer(h.source_vars, alg, assignment, accepting)
 
 

@@ -4,9 +4,12 @@ worked hyperderivor/derivor examples, and seeded random instance generators.
 
 from __future__ import annotations
 
+import ast
+import io
 import itertools
 import random
 import re
+import tokenize
 
 import pytest
 
@@ -61,6 +64,32 @@ def non_element_branches(name, call, message, kinds=NON_ELEMENTS):
         )
         for kind in kinds
     }
+
+
+# tokens that hold no code: a line holding only these is not a code line
+_NOT_CODE = {
+    tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
+    tokenize.ENDMARKER,
+}
+_DOCUMENTED = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def code_lines(source: str) -> int:
+    """The number of code lines in a module's source: the lines that hold a
+    token other than a comment, line break, indent, dedent or end marker,
+    outside every module, class and function docstring (the first
+    statement of the body, when it is a string).  A token spanning lines,
+    such as a string that is not a docstring, holds each of them."""
+    docs = set()
+    for scope in ast.walk(ast.parse(source)):
+        if isinstance(scope, _DOCUMENTED) and ast.get_docstring(scope, clean=False) is not None:
+            first = scope.body[0]
+            docs.update(range(first.lineno, first.end_lineno + 1))
+    lines = set()
+    for token in tokenize.generate_tokens(io.StringIO(source).readline):
+        if token.type not in _NOT_CODE:
+            lines.update(range(token.start[0], token.end[0] + 1))
+    return len(lines - docs)
 
 
 # ---------------------------------------------------------------------------

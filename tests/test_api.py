@@ -1,7 +1,7 @@
 """The public ``treelang`` names stay importable while code is removed, no
 module keeps an import it no longer uses, only ``core._record`` knows
-where a record keeps its fields, and every recursive function says what
-bounds its depth."""
+where a record keeps its fields, every recursive function says what
+bounds its depth, and code lines are counted by one rule."""
 
 import ast
 import importlib
@@ -11,6 +11,8 @@ import inspect
 from pathlib import Path
 
 import treelang
+
+from conftest import code_lines
 
 # treelang.__all__ before the read path was folded into one parser, one
 # printer and one evaluator; names may be added, never dropped
@@ -42,6 +44,45 @@ def test_public_names_still_import():
     namespace: dict = {}
     exec("from treelang import *", namespace)
     assert [name for name in PUBLIC_NAMES if name not in namespace] == []
+
+
+def test_dir_lists_every_public_name():
+    assert set(treelang.__all__) <= set(dir(treelang))
+
+
+# a module with docstrings, comments, blank lines, a continued expression and
+# strings that are not docstrings; ``code_lines`` counts the marked lines
+CODE_LINES_FIXTURE = '''\
+"""The module docstring,
+over two lines."""
+
+import os  # code
+# a comment alone
+
+
+class A:  # code
+    """The class docstring."""
+
+    total = (1 +  # code
+             2)  # code
+
+    def f(self):  # code
+        """The function docstring,
+        over two lines."""
+        return """a string  # code
+over two lines"""  # code
+
+
+def g():  # code
+    "a docstring in single quotes"
+    if os:  # code
+        "a string in a block is no docstring"  # code
+'''
+
+
+def test_code_lines_counts_by_the_stated_rule():
+    assert code_lines(CODE_LINES_FIXTURE) == CODE_LINES_FIXTURE.count("# code") == 10
+    assert code_lines("") == 0 and code_lines('"""only a docstring"""\n') == 0
 
 
 def test_no_unused_imports():

@@ -361,6 +361,15 @@ class TestTransforms:
         assert code == 0 and out
         assert out_path.read_bytes() == out.encode("utf-8")
 
+    def test_failed_output_write_prints_nothing(self, tmp_path, capsys):
+        """``-o`` is written before stdout, so a write that fails ends with
+        exit 1, one ``error:`` line and nothing printed."""
+        out_path = tmp_path / "missing" / "m.rec"
+        code, out = run("minimize", GOLDEN / "rpar.rec", "-o", out_path)
+        assert code == 1 and out == ""
+        assert capsys.readouterr().err.startswith("error: [Errno 2] ")
+        assert not out_path.exists()
+
     def test_syncong_matches_minimize_counts(self, tmp_path):
         code, out = run("syncong", GOLDEN / "rpar.rec")
         assert code == 0

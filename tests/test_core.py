@@ -546,6 +546,15 @@ class TestDeepTerms:
         assert len({a, other}) == 2
         assert a != a.children[0]
 
+    def test_variable_against_node(self, f1, x1):
+        """A variable and a node at one position make the terms unequal, also
+        at the bottom of two chains that agree everywhere else."""
+        assert parse_term("g(x)", f1, x1) != parse_term("g(c)", f1, x1)
+        assert parse_term("sigma(x,c)", f1, x1) != parse_term("sigma(c,x)", f1, x1)
+        over_x, over_c = _chain(Var("x", "s")), _chain(Node("c", (), "s", 1))
+        assert over_x.size == over_c.size
+        assert over_x != over_c and not over_c == over_x
+
 
 # The walks the library had before one leaf-replacing walk served
 # substitution and plugging and one explicit-stack walk printed, kept as

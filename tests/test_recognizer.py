@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 from collections import Counter
 from importlib import import_module
 
@@ -19,6 +20,9 @@ from treelang.core import (
     print_term,
     signature,
     sorted_vars,
+    subterms_of,
+    term_sort_key,
+    typecheck,
 )
 from treelang.recognizer import (
     Recognizer,
@@ -63,6 +67,14 @@ U_SIG = signature(
     [("c", [], "s"), ("g", ["s"], "s"), ("h", ["u", "s"], "s"), ("k", ["u", "s"], "u")],
 )
 U_VARS = sorted_vars(U_SIG, {"s": ["x"]})
+
+# three sorts, of which ``u`` (added by ``termless``) has no term
+_BASE3 = signature(
+    ["a", "b"],
+    [("ca", [], "a"), ("cb", [], "b"), ("f", ["a", "a"], "b"),
+     ("h", ["b", "a"], "a"), ("m", ["a", "b", "a"], "a")],
+)
+SIG3, VARS3 = termless(_BASE3, sorted_vars(_BASE3, {"a": ["x", "y"], "b": ["w"]}))
 
 
 class TestAccepts:
@@ -414,14 +426,8 @@ class TestRecognizeBasic:
         ``f1``, ``f2`` and a three-sorted signature whose sort ``u`` no term
         has; a flat pattern gets the same carriers, and a variable or a
         constant one sink state at each sort it does not reach."""
-        base = signature(
-            ["a", "b"],
-            [("ca", [], "a"), ("cb", [], "b"), ("f", ["a", "a"], "b"),
-             ("h", ["b", "a"], "a"), ("m", ["a", "b", "a"], "a")],
-        )
-        sig3, vars3 = termless(base, sorted_vars(base, {"a": ["x", "y"], "b": ["w"]}))
         kinds = Counter()
-        for sig, vars in ((f1, x1), (f2, x2), (sig3, vars3)):
+        for sig, vars in ((f1, x1), (f2, x2), (SIG3, VARS3)):
             for pattern in basic_patterns(sig, vars):
                 got = recognize_basic(sig, vars, pattern)
                 want = reference_recognize_basic(sig, vars, pattern)
@@ -462,6 +468,100 @@ class TestRecognizeBasic:
         # flat case carriers: root sort gets k_s + 2
         rec = recognize_basic(f1, x1, parse_term("sigma(x,z)", f1, x1))
         assert rec.algebra.size("s") == 4  # two coded variables + junk + hit
+
+
+def reference_subterm_recognizer(sig, vars, terms):
+    """The subterm automaton as it was built before it numbered subterms by
+    first occurrence: each sort's distinct subterms gathered in a set and
+    sorted by ``term_sort_key``, whose key walks each subterm whole, so the
+    work is quadratic in a term's depth."""
+    by_sort = {}
+    for term in terms:
+        typecheck(term, sig, vars)
+        for s, found in subterms_of(term).items():
+            by_sort.setdefault(s, set()).update(found)
+    key = term_sort_key(sig, vars)
+    index = {
+        s: {t: i for i, t in enumerate(sorted(by_sort.get(s, ()), key=key))} for s in sig.sorts
+    }
+    junk = {s: len(index[s]) for s in sig.sorts}
+    hits = {
+        (t.symbol, tuple(index[c.sort][c] for c in t.children)): i
+        for s in sig.sorts
+        for t, i in index[s].items()
+        if isinstance(t, Node)
+    }
+    tables = {
+        op.name: [
+            hits.get((op.name, args), junk[op.result])
+            for args in itertools.product(*(range(junk[s] + 1) for s in op.arity))
+        ]
+        for op in sig.ops
+    }
+    alg = finite_algebra(sig, {s: n + 1 for s, n in junk.items()}, tables)
+    assignment = {x: index[s].get(Var(x, s), junk[s]) for s, names in vars.by_sort for x in names}
+    accepting = {}
+    for term in terms:
+        accepting.setdefault(term.sort, []).append(index[term.sort][term])
+    return recognizer(vars, alg, assignment, accepting)
+
+
+def iszero_chain(depth):
+    """``iszero(succ^depth(x))`` over ``f2``."""
+    t = Var("x", "e")
+    for size in range(2, depth + 2):
+        t = Node("succ", (t,), "e", size)
+    return Node("iszero", (t,), "b", depth + 2)
+
+
+class TestSubtermAutomaton:
+    def test_matches_the_sorted_construction(self, f1, x1, f2, x2):
+        """On seeded term lists over ``f1``, ``f2`` and the three-sorted
+        signature, with repeated terms and shared subterms, numbering by
+        first occurrence gives the sorted construction's carriers, its
+        language and, once minimized, the same recognizer."""
+        rng = random.Random(38)
+        subterm_recognizer = RECOGNIZER_MODULE._subterm_recognizer
+        for sig, vars in ((f1, x1), (f2, x2), (SIG3, VARS3)):
+            universe = enumerate_all_terms(sig, vars, 6)
+            pool = [t for s in sig.sorts for t in universe[s]]
+            for _ in range(40):
+                # enumerated terms share their subterm objects
+                terms = rng.sample(pool, rng.randint(1, 4))
+                # a repeated term, and a subterm of a listed term listed too
+                terms += rng.choices(terms, k=rng.randint(0, 2))
+                nodes = [t for t in terms if isinstance(t, Node) and t.children]
+                if nodes:
+                    terms.append(rng.choice(rng.choice(nodes).children))
+                rng.shuffle(terms)
+                got = subterm_recognizer(sig, vars, terms)
+                want = reference_subterm_recognizer(sig, vars, terms)
+                assert got.algebra.carriers == want.algebra.carriers
+                assert equivalent(got, want)
+                assert repr(minimize(got)) == repr(minimize(want))
+                assert repr(recognize_finite(sig, vars, terms)) == repr(minimize(want))
+
+    def test_deep_chain(self, f2, x2):
+        """Linear in the term's size: a 20,000-deep chain is accepted, and
+        the chain one level shorter is not."""
+        term = iszero_chain(20_000)
+        rec = recognize_singleton(f2, x2, term)
+        assert dict(rec.algebra.carriers) == {"e": 20_002, "b": 2}
+        assert accepts(rec, term) and not accepts(rec, iszero_chain(19_999))
+
+    def test_deep_chain_memory(self, f2, x2):
+        """The construction keeps no per-subterm key: at depth 4,000 its
+        allocation peak stays under 16 MB, where a sort by ``term_sort_key``
+        holds a key as long as each subterm, about 123 MB in all."""
+        term = iszero_chain(4_000)
+        tracemalloc.start()
+        try:
+            rec = recognize_singleton(f2, x2, term)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert accepts(rec, term)
+        assert peak < 16 * 2**20, peak
 
 
 class TestRecognizeSingleton:
