@@ -60,7 +60,7 @@ def cmd_member(args) -> int:
         if term.size > bound:
             print(f"undecidable at bound: term has {term.size} nodes > {bound}", file=sys.stderr)
             return 2
-        langs = oracle.enumerate_language(rec, bound)
+        langs = oracle.enumerate_language(rec, term.size)
         result = term in set(langs[term.sort])
     else:
         result = accepts(rec, term)

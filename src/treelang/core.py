@@ -7,7 +7,6 @@ safe to share.
 
 from __future__ import annotations
 
-import itertools
 import re
 from operator import attrgetter
 from typing import Iterable, Mapping, Sequence
@@ -677,68 +676,45 @@ def print_context(ctx: Context) -> str:
 # canonical ordering and enumeration
 
 
-def term_sort_key(sig: Signature, vars: SortedVars):
-    """Key for the canonical order: size, then root symbol by declaration
-    order (operations before variables), then children lexicographically.
-    The key is the flat tuple ``(size, rank, size, rank, ...)`` of the
-    preorder: sizes come first, so two subterms at one position span equal
-    lengths and the flat tuples compare as the nested keys would."""
-    op_rank = {op.name: i for i, op in enumerate(sig.ops)}
-    var_rank = {x: len(op_rank) + i for i, x in enumerate(vars.all_names())}
-
-    def key(term: Term):
-        out: list[int] = []
-        for t in _preorder(term):
-            if t.__class__ is Var:
-                out += (1, var_rank[t.name])
-            else:
-                out += (t.size, op_rank[t.symbol])
-        return tuple(out)
-
-    return key
-
-
 def enumerate_all_terms(
     sig: Signature, vars: SortedVars, max_nodes: int
 ) -> dict[str, list[Term]]:
     """All well-sorted terms with at most ``max_nodes`` nodes, per sort, in
-    canonical order."""
+    canonical order: by size, then by the root symbol in declaration order
+    (operations before variables), then by the children lexicographically,
+    each child ordered by its size and then canonically."""
     _check_disjoint(sig, vars)
-    if max_nodes < 1:
-        return {s: [] for s in sig.sorts}
-    # by_size[n][sort] lists the terms with exactly n nodes
-    by_size: list[dict[str, list[Term]]] = [dict()]
-    leaves: dict[str, list[Term]] = {s: [] for s in sig.sorts}
-    for op in sig.ops:
-        if not op.arity:
-            leaves[op.result].append(_new_node(op.name, (), op.result, 1))
-    for s in sig.sorts:
-        for x in vars.names(s):
-            leaves[s].append(Var(x, s))
-    by_size.append(leaves)
-    for n in range(2, max_nodes + 1):
+    # by_size[n][sort] lists the terms with exactly n nodes, in canonical
+    # order, so the result is the layers joined and nothing is sorted
+    by_size: list[dict[str, list[Term]]] = [{s: [] for s in sig.sorts}]
+    for n in range(1, max_nodes + 1):
         layer: dict[str, list[Term]] = {s: [] for s in sig.sorts}
         for op in sig.ops:
             k = len(op.arity)
-            if k == 0 or n - 1 < k:
-                continue
-            # the compositions of n - 1 into k positive parts, in
-            # lexicographic order: the gaps between k - 1 cut points
-            for cuts in itertools.combinations(range(1, n - 1), k - 1):
-                split = [b - a for a, b in zip((0, *cuts), (*cuts, n - 1))]
-                pools = [by_size[split[i]].get(op.arity[i], []) for i in range(k)]
-                if any(not p for p in pools):
-                    continue
-                for children in itertools.product(*pools):
-                    layer[op.result].append(_new_node(op.name, children, op.result, n))
+            # suffixes[r] lists the tuples of terms of the sorts op.arity[i:]
+            # with r nodes in all, in canonical order
+            suffixes: dict[int, list[tuple[Term, ...]]] = {0: [()]}
+            for i in range(k - 1, -1, -1):
+                # every position takes at least one node, the first all that
+                # the later ones leave of n - 1
+                later = k - 1 - i
+                suffixes = {
+                    r: [
+                        (t, *rest)
+                        for m in range(1, r - later + 1)
+                        for t in by_size[m][op.arity[i]]
+                        for rest in suffixes.get(r - m, ())
+                    ]
+                    for r in (range(later + 1, n - i) if i else (n - 1,))
+                }
+            layer[op.result] += [
+                _new_node(op.name, children, op.result, n) for children in suffixes.get(n - 1, ())
+            ]
+        if n == 1:
+            for s in sig.sorts:
+                layer[s] += [Var(x, s) for x in vars.names(s)]
         by_size.append(layer)
-    key = term_sort_key(sig, vars)
-    out: dict[str, list[Term]] = {}
-    for s in sig.sorts:
-        terms = [t for layer in by_size[1:] for t in layer.get(s, [])]
-        terms.sort(key=key)
-        out[s] = terms
-    return out
+    return {s: [t for layer in by_size for t in layer[s]] for s in sig.sorts}
 
 
 def enumerate_terms(

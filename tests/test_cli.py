@@ -11,9 +11,11 @@ import pytest
 import yaml
 from hypothesis import given, settings, strategies as st
 
+from treelang import oracle
 from treelang.cli import build_parser, main
+from treelang.core import parse_term
 from treelang.formats import load_recognizer, recognizer_to_doc, dump_document
-from treelang.recognizer import equivalent
+from treelang.recognizer import accepts, equivalent
 
 GOLDEN = Path(__file__).parent / "golden"
 SRC = Path(__file__).parent.parent / "src"
@@ -103,6 +105,28 @@ class TestBasicCommands:
             "member", GOLDEN / "rpar.rec", "g(g(c))", "--oracle", "--max-nodes", "4"
         )
         assert code == 0 and out == "true\n"
+
+    def test_oracle_mode_enumerates_to_the_terms_size(self, monkeypatch):
+        """Only terms of the query's size decide it, so the oracle lists
+        those, not the terms up to ``--max-nodes``, and the verdict is the
+        one ``accepts`` gives."""
+        enumerate_language, bounds = oracle.enumerate_language, []
+
+        def spy(rec, max_nodes):
+            bounds.append(max_nodes)
+            return enumerate_language(rec, max_nodes)
+
+        monkeypatch.setattr(oracle, "enumerate_language", spy)
+        rec = load_recognizer(GOLDEN / "rpar.rec")
+        verdicts = set()
+        for text in ("c", "x", "g(c)", "g(g(c))", "sigma(x,z)", "sigma(g(x),c)", "g(sigma(z,g(c)))"):
+            term = parse_term(text, rec.signature, rec.vars)
+            bounds.clear()
+            code, out = run("member", GOLDEN / "rpar.rec", text, "--oracle", "--max-nodes", "10")
+            assert code == 0 and bounds == [term.size]
+            assert out == ("true\n" if accepts(rec, term) else "false\n")
+            verdicts.add(out)
+        assert verdicts == {"true\n", "false\n"}
 
 
 COMMANDS = [

@@ -13,6 +13,7 @@ from treelang.core import (
     SortedVars,
     ValidationError,
     Var,
+    _preorder,
     enumerate_all_terms,
     enumerate_terms,
     parse_context,
@@ -21,7 +22,6 @@ from treelang.core import (
     signature,
     sorted_vars,
     subterms_of,
-    term_sort_key,
     typecheck,
 )
 from treelang.recognizer import (
@@ -473,14 +473,26 @@ class TestRecognizeBasic:
 def reference_subterm_recognizer(sig, vars, terms):
     """The subterm automaton as it was built before it numbered subterms by
     first occurrence: each sort's distinct subterms gathered in a set and
-    sorted by ``term_sort_key``, whose key walks each subterm whole, so the
-    work is quadratic in a term's depth."""
+    sorted by the flat key of the canonical order, the (size, rank) pairs
+    of the preorder, which walks each subterm whole, so the work is
+    quadratic in a term's depth."""
     by_sort = {}
     for term in terms:
         typecheck(term, sig, vars)
         for s, found in subterms_of(term).items():
             by_sort.setdefault(s, set()).update(found)
-    key = term_sort_key(sig, vars)
+    op_rank = {op.name: i for i, op in enumerate(sig.ops)}
+    var_rank = {x: len(op_rank) + i for i, x in enumerate(vars.all_names())}
+
+    def key(term):
+        out: list[int] = []
+        for t in _preorder(term):
+            if t.__class__ is Var:
+                out += (1, var_rank[t.name])
+            else:
+                out += (t.size, op_rank[t.symbol])
+        return tuple(out)
+
     index = {
         s: {t: i for i, t in enumerate(sorted(by_sort.get(s, ()), key=key))} for s in sig.sorts
     }
@@ -551,8 +563,9 @@ class TestSubtermAutomaton:
 
     def test_deep_chain_memory(self, f2, x2):
         """The construction keeps no per-subterm key: at depth 4,000 its
-        allocation peak stays under 16 MB, where a sort by ``term_sort_key``
-        holds a key as long as each subterm, about 123 MB in all."""
+        allocation peak stays under 16 MB, where a sort by the flat key of
+        ``reference_subterm_recognizer`` holds a key as long as each
+        subterm, about 123 MB in all."""
         term = iszero_chain(4_000)
         tracemalloc.start()
         try:
