@@ -5,16 +5,21 @@ The cogenerated congruence is computed by signature refinement, in pure
 Python.  For each sort in declaration order, every operation table that takes
 the sort is mapped once through the current classes of its result sort (a
 discrete result sort's table is used as it is: equal entries give equal
-signatures, and first-occurrence numbering sees the same equalities).  An
-element's signature is its current class plus, for each argument position of
-that sort, the mapped entries where the element sits at that position (the
-co-arguments range over the whole carriers).  Elements with equal signatures
-stay together; the new classes are numbered by first occurrence and replace
-the old ones at once, so later sorts of the same round see them.  A discrete
-sort (all classes singletons) cannot split and is not re-signed; rounds
-repeat until no sort that can still split does split, so a discrete input
-reads no table.  Class ids are numbered by first occurrence everywhere, so
-outputs are reproducible.
+signatures, and first-occurrence numbering sees the same equalities).  When
+the result sort has at most 256 elements, its entries and class ids fit a
+byte: the table is read as ``bytes`` the first time a round reads it, kept
+for the rest of the call, and mapped by ``bytes.translate`` through a
+256-byte table of the sort's classes, made at the start and again only when
+the sort splits.  Any other table is mapped through ``algebra._getter``'s
+gather.  An element's signature is its current class plus, for each argument
+position of that sort, the mapped entries where the element sits at that
+position (the co-arguments range over the whole carriers).  Elements with
+equal signatures stay together; the new classes are numbered by first
+occurrence and replace the old ones at once, so later sorts of the same round
+see them.  A discrete sort (all classes singletons) cannot split and is not
+re-signed; rounds repeat until no sort that can still split does split, so a
+discrete input reads no table.  Class ids are numbered by first occurrence
+everywhere, so outputs are reproducible.
 """
 
 from __future__ import annotations
@@ -213,6 +218,9 @@ def cogenerated_congruence(alg: FiniteAlgebra, phi: SortedPartition) -> SortedPa
     _check_sizes(phi, sizes)
     cls = {sort: _canonical(ids)[0] for sort, ids in phi.classes}
     count = dict(phi._counts)  # a sort is discrete when its count is its size
+    # per sort of at most 256 elements, its classes as a translation table
+    trans = {sort: bytes(ids).ljust(256) for sort, ids in cls.items() if sizes[sort] <= 256}
+    as_bytes: dict[str, bytes] = {}  # the tables read so far, as bytes
     changed = True
     while changed:
         changed = False
@@ -225,10 +233,15 @@ def cogenerated_congruence(alg: FiniteAlgebra, phi: SortedPartition) -> SortedPa
                 if sort not in op.arity:
                     continue
                 mapped = alg.table(op.name)
+                if op.result in trans:  # the entries fit a byte: convert on first read
+                    mapped = as_bytes[op.name] = as_bytes.get(op.name) or bytes(mapped)
                 # classes of a discrete sort are a bijection: signatures
                 # through it are equal where the entries are
                 if count[op.result] < sizes[op.result]:
-                    mapped = _getter(mapped)(cls[op.result])
+                    if op.result in trans:
+                        mapped = mapped.translate(trans[op.result])
+                    else:
+                        mapped = _getter(mapped)(cls[op.result])
                 for arg_sort, stride in zip(op.arity, _weights(sizes, op.arity)):
                     if arg_sort == sort:
                         columns.append(_positional_slices(mapped, n, stride))
@@ -238,14 +251,17 @@ def cogenerated_congruence(alg: FiniteAlgebra, phi: SortedPartition) -> SortedPa
             if len(ids) > count[sort]:
                 changed = True
                 cls[sort], count[sort] = new_ids, len(ids)
+                if sort in trans:
+                    trans[sort] = bytes(new_ids).ljust(256)
     return _partition(alg.signature.sorts, cls, count)
 
 
-def _positional_slices(mapped: tuple[int, ...], n: int, stride: int) -> list[tuple]:
+def _positional_slices(mapped: bytes | tuple[int, ...], n: int, stride: int) -> list:
     """For each element e of an argument position with ``n`` values and the
     given stride, the entries of a flat table whose argument there is e, as
     contiguous runs of ``stride`` entries in table order; at the first
-    position there is one run per element, and it is the signature itself."""
+    position there is one run per element, and it is the signature itself.
+    The table is ``bytes`` or a tuple, and each run is a slice of it."""
     if not mapped:  # an empty carrier at another position
         return [()] * n
     if stride == 1:

@@ -449,9 +449,11 @@ def test_closure_elements_matches_reference():
             assert closure_elements(alg, seed) == reference_closure_elements(alg, seed)
 
 
-def counting_tables(alg, reads):
-    """The algebra with each table wrapped to add the number of entries read
-    from it to ``reads[0]``; a slice or an iteration counts its length."""
+def counting_tables(alg, reads, names=None):
+    """The algebra with each table (or each one named in ``names``) wrapped to
+    add the number of entries read from it to ``reads[0]``; a slice or an
+    iteration counts its length, and so does ``bytes()`` of the table, which
+    iterates it."""
 
     class Table(tuple):
         def __getitem__(self, i):
@@ -464,7 +466,9 @@ def counting_tables(alg, reads):
             return tuple.__iter__(self)
 
     return FiniteAlgebra(
-        alg.signature, alg.carriers, tuple((name, Table(t)) for name, t in alg.tables)
+        alg.signature,
+        alg.carriers,
+        tuple((name, Table(t) if names is None or name in names else t) for name, t in alg.tables),
     )
 
 
@@ -759,6 +763,33 @@ def test_cogenerated_congruence_of_a_discrete_input_reads_no_table():
         delta = identity_partition(alg)
         assert cogenerated_congruence(counted, delta) == delta
         assert reads[0] == 0
+
+
+@pytest.mark.parametrize("sorts", [2, 3])
+def test_cogenerated_congruence_reads_no_table_over_discrete_sorts_only(sorts):
+    """``b`` is discrete and ``a`` is not, so refinement signs ``a`` and reads
+    the tables that take it; a table whose argument sorts are all discrete
+    (``m``, the constants, and over ``SIG`` none more) is never read, not
+    even to be converted."""
+    rng = random.Random(616 + sorts)
+    sig = {2: TWO, 3: SIG}[sorts]
+    for _ in range(INSTANCES):
+        carriers = {s: rng.randint(0 if s == "e" else 2, 6) for s in sig.sorts}
+        alg = random_algebra(rng, sig, carriers=carriers)
+        n = carriers["b"]
+        # fewer classes than elements at ``a``
+        classes = {s: [rng.randrange(max(m - 1, 1)) for _ in range(m)] for s, m in alg.carriers}
+        classes["b"] = rng.sample(range(n), n)
+        phi = partition(sig.sorts, classes)
+        idle = {op.name for op in sig.ops if all(phi.index(s) == alg.size(s) for s in op.arity)}
+        unread, read = [0], [0]
+        busy = {op.name for op in sig.ops} - idle
+        counted = counting_tables(counting_tables(alg, unread, idle), read, busy)
+        unread[0] = read[0] = 0
+        got = cogenerated_congruence(counted, phi)
+        assert got == cogenerated_congruence(alg, phi)
+        assert unread[0] == 0 and read[0] > 0
+        assert "m" in idle and "u" not in idle
 
 
 def test_identity_partition_quotients_to_the_algebra():
@@ -1190,6 +1221,45 @@ def test_cogenerated_congruence_with_a_discrete_result_sort_matches_reference(so
             assert got.classes == want.classes and got.counts == want.counts
             split += got.index("a") > phi.index("a")
     assert split
+
+
+# sorts ``a`` and ``b`` of any size and an empty sort ``e``; no table takes
+# two large carriers, so every table is linear in the larger one
+WIDE = signature(
+    ["a", "b", "e"],
+    [
+        ("k", [], "a"),
+        ("g", ["a"], "a"),
+        ("u", ["a"], "b"),
+        ("v", ["b"], "a"),
+        ("p", ["a", "b"], "a"),
+        ("q", ["b", "a"], "b"),
+        ("h", ["a", "e"], "b"),
+        ("w", ["e"], "e"),
+    ],
+)
+
+
+@pytest.mark.parametrize("a, b", [(255, 3), (256, 3), (257, 3), (3, 256), (3, 257), (257, 40)])
+def test_cogenerated_congruence_at_the_byte_boundary_matches_reference(a, b):
+    """Tables whose result sort has at most 256 elements are mapped as bytes,
+    the others as tuples: result sorts of 255, 256 and 257 elements, and
+    two-sorted algebras where one call maps tables both ways."""
+    rng = random.Random(617 + a + b)
+    alg = random_algebra(rng, WIDE, carriers={"a": a, "b": b, "e": 0})
+    largest = 0
+    for phi in (
+        kernel_of_subset(alg, {s: frozenset(rng.sample(range(n), n // 2)) for s, n in alg.carriers}),
+        partition(WIDE.sorts, {s: [rng.randrange(3) for _ in range(n)] for s, n in alg.carriers}),
+        partition(WIDE.sorts, {"a": [0] * a, "b": rng.sample(range(b), b)}),
+        all_in_one_partition(alg),
+    ):
+        got = cogenerated_congruence(alg, phi)
+        want = reference_cogenerated_congruence(alg, phi)
+        assert got.classes == want.classes and got.counts == want.counts
+        largest = max(largest, got.index("a" if a > b else "b"))
+    # class ids reach the top of the byte range
+    assert largest > 250
 
 
 def test_evaluate_matches_plain_evaluator():
