@@ -3,7 +3,9 @@ generated subalgebras, subset algebras, and translation tables.
 
 Carriers are ``{0..n_s-1}`` per sort; operation tables are dense tuples
 indexed in mixed-radix argument order with the last argument fastest.  That
-order is normative for serialized files.
+order is normative for serialized files.  A product table whose result sort
+has at most 256 elements is folded as byte strings, in C, and stored as a
+tuple like every other table (see ``product_algebra``).
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 from operator import itemgetter
-from typing import Callable, Collection, Iterator, Mapping, Sequence
+from typing import Callable, Collection, Iterable, Iterator, Mapping, Sequence
 
 from .core import (
     HOLE,
@@ -343,6 +345,17 @@ def product_algebra(algebras: Sequence[FiniteAlgebra]):
     Elements are mixed-radix encodings of component tuples, last component
     fastest.  Each projection maps sort -> tuple giving the component value of
     every product element.
+
+    A table is folded one component at a time over the components' rows at
+    each argument prefix (every argument but the last): each distinct row of
+    a later component is coded once per value ``x`` of the earlier ones,
+    and the folded row at a prefix joins the codes at its values ``x``, in
+    order.  When the table's result sort has at most 256 elements in the
+    product, every entry fits a byte: the components' tables are read as
+    ``bytes`` once per call, a row is coded by ``bytes.translate`` and the
+    codes are joined by ``bytes.join``, all in C.  A larger result sort
+    gathers each code from a list of ints (``_getter``) and concatenates
+    lists.  Either way the stored tables are tuples of ints.
     """
     if not algebras:
         raise ValidationError("product of an empty family is not supported")
@@ -356,31 +369,50 @@ def product_algebra(algebras: Sequence[FiniteAlgebra]):
     radix = {s: [a._sizes[s] for a in algebras] for s in sig.sorts}
     ks = range(len(algebras))
     projections = [{s: tuple(_spread((i,), ks, radix[s])) for s in sig.sorts} for i in ks]
-    # Per later component and sort, codes[x][y] = x * n + y folds a value x
-    # of the earlier components with a value y of this one; reading it from
-    # these lists gives each product element one int object, shared by
+    # Per later component and result sort, the code of each value x of the
+    # earlier components, which maps a value y of this one to x * n + y: a
+    # 256-byte translation table when the product sort fits a byte, else a
+    # list, from which each product element is one int object, shared by
     # every table entry that holds it.
-    codes, folded = [], dict(algebras[0]._sizes)
-    for a in algebras[1:]:
-        codes.append({})
-        for s, m in folded.items():
-            n = a._sizes[s]
-            codes[-1][s] = [list(range(x * n, x * n + n)) for x in range(m)]
-            folded[s] = m * n
-    # The product's entries at an argument prefix fold the components' rows
-    # at the projected prefixes, last component fastest.
+    codes = {}
     tables = {}
     for op in sig.ops:
-        head = op.arity[:-1]
-        rows = [_rows(a, op.name, [p[s] for s in head]) for a, p in zip(algebras, projections)]
-        later = [c[op.result] for c in codes]
-        entries = []
-        for row, *segs in zip(*rows):
-            for code, seg in zip(later, segs):
-                row = [c[y] for c in map(code.__getitem__, row) for y in seg]
-            entries += row
-        tables[op.name] = entries
+        small = carriers[op.result] <= 256  # every entry fits a byte
+        join = b"".join if small else _concat
+        m = 1  # the earlier components' folded size at the result sort
+        for i, (a, p) in enumerate(zip(algebras, projections)):
+            table = bytes(a._tables[op.name]) if small else a._tables[op.name]
+            width = a._sizes[op.arity[-1]] if op.arity else 1
+            # this component's row at each argument prefix of the product
+            offsets = _offsets([p[s] for s in op.arity[:-1]], [a._sizes[s] for s in op.arity[1:]])
+            n = a._sizes[op.result]
+            if not i:
+                rows = [table[b : b + width] for b in offsets]
+            else:
+                if (i, op.result) not in codes:
+                    codes[i, op.result] = [
+                        bytes(range(x * n, x * n + n)).ljust(256) if small else list(range(x * n, x * n + n))
+                        for x in range(m)
+                    ]
+                # each distinct row, coded once per earlier value x
+                parts = {}
+                for b in set(offsets):
+                    seg = table[b : b + width]
+                    parts[b] = [*map(seg.translate if small else _getter(seg), codes[i, op.result])]
+                # the folded row at a prefix: the parts at its values x, in order
+                rows = [join(map(ps.__getitem__, row)) for row, ps in zip(rows, map(parts.__getitem__, offsets))]
+            m *= n
+        tables[op.name] = join(rows)
     return FiniteAlgebra._built(sig, carriers, tables), projections
+
+
+def _concat(parts: Iterable[Sequence[int]]) -> list[int]:
+    """The parts' items in one list: ``+=`` copies each part in C, which is
+    faster than taking the items one at a time through an iterator."""
+    out: list[int] = []
+    for part in parts:
+        out += part
+    return out
 
 
 # ---------------------------------------------------------------------------

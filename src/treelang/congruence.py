@@ -9,8 +9,8 @@ signatures, and first-occurrence numbering sees the same equalities).  When
 the result sort has at most 256 elements, its entries and class ids fit a
 byte: the table is read as ``bytes`` the first time a round reads it, kept
 for the rest of the call, and mapped by ``bytes.translate`` through a
-256-byte table of the sort's classes, made at the start and again only when
-the sort splits.  Any other table is mapped through ``algebra._getter``'s
+256-byte table of the sort's classes, made when a round first maps through
+it and again only after the sort splits.  Any other table is mapped through ``algebra._getter``'s
 gather.  An element's signature is its current class plus, for each argument
 position of that sort, the mapped entries where the element sits at that
 position (the co-arguments range over the whole carriers).  Elements with
@@ -218,8 +218,9 @@ def cogenerated_congruence(alg: FiniteAlgebra, phi: SortedPartition) -> SortedPa
     _check_sizes(phi, sizes)
     cls = {sort: _canonical(ids)[0] for sort, ids in phi.classes}
     count = dict(phi._counts)  # a sort is discrete when its count is its size
-    # per sort of at most 256 elements, its classes as a translation table
-    trans = {sort: bytes(ids).ljust(256) for sort, ids in cls.items() if sizes[sort] <= 256}
+    # per sort of at most 256 elements that a round has mapped through since
+    # it last split, its classes as a translation table
+    trans: dict[str, bytes] = {}
     as_bytes: dict[str, bytes] = {}  # the tables read so far, as bytes
     changed = True
     while changed:
@@ -233,13 +234,17 @@ def cogenerated_congruence(alg: FiniteAlgebra, phi: SortedPartition) -> SortedPa
                 if sort not in op.arity:
                     continue
                 mapped = alg.table(op.name)
-                if op.result in trans:  # the entries fit a byte: convert on first read
+                small = sizes[op.result] <= 256
+                if small:  # the entries fit a byte: convert on first read
                     mapped = as_bytes[op.name] = as_bytes.get(op.name) or bytes(mapped)
                 # classes of a discrete sort are a bijection: signatures
                 # through it are equal where the entries are
                 if count[op.result] < sizes[op.result]:
-                    if op.result in trans:
-                        mapped = mapped.translate(trans[op.result])
+                    if small:
+                        table = trans.get(op.result)
+                        if table is None:
+                            table = trans[op.result] = bytes(cls[op.result]).ljust(256)
+                        mapped = mapped.translate(table)
                     else:
                         mapped = _getter(mapped)(cls[op.result])
                 for arg_sort, stride in zip(op.arity, _weights(sizes, op.arity)):
@@ -251,8 +256,7 @@ def cogenerated_congruence(alg: FiniteAlgebra, phi: SortedPartition) -> SortedPa
             if len(ids) > count[sort]:
                 changed = True
                 cls[sort], count[sort] = new_ids, len(ids)
-                if sort in trans:
-                    trans[sort] = bytes(new_ids).ljust(256)
+                trans.pop(sort, None)
     return _partition(alg.signature.sorts, cls, count)
 
 

@@ -10,7 +10,9 @@ public entry to their subset construction, which lives with them in
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from typing import Mapping, Sequence
 
 from .algebra import (
@@ -123,11 +125,9 @@ def _check_compatible(r1: Recognizer, r2: Recognizer) -> None:
 
 
 # whether a product element accepts, given whether each component accepts
-_KEEP = {
-    "union": lambda in1, in2: in1 or in2,
-    "intersection": lambda in1, in2: in1 and in2,
-    "difference": lambda in1, in2: in1 and not in2,
-}
+# whether a pair of memberships is kept, as a C function of two bools
+# (``in1 and not in2`` is ``in1 > in2``)
+_KEEP = {"union": operator.or_, "intersection": operator.and_, "difference": operator.gt}
 
 
 def combine(kind: str, r1: Recognizer, r2: Recognizer) -> Recognizer:
@@ -143,13 +143,9 @@ def combine(kind: str, r1: Recognizer, r2: Recognizer) -> Recognizer:
     assignment = {x: a1[x] * n2[r1.vars.sort_of(x)] + a2[x] for x in r1.vars.all_names()}
     accepting = {}
     for s in r1.signature.sorts:
-        m1 = r1.accepting_at(s)
-        m2 = r2.accepting_at(s)
-        accepting[s] = [
-            e
-            for e, (c1, c2) in enumerate(zip(projs[0][s], projs[1][s]))
-            if keep(c1 in m1, c2 in m2)
-        ]
+        in1 = map(r1.accepting_at(s).__contains__, projs[0][s])
+        in2 = map(r2.accepting_at(s).__contains__, projs[1][s])
+        accepting[s] = [*itertools.compress(range(prod.size(s)), map(keep, in1, in2))]
     return recognizer(r1.vars, prod, assignment, accepting)
 
 

@@ -1262,6 +1262,56 @@ def test_cogenerated_congruence_at_the_byte_boundary_matches_reference(a, b):
     assert largest > 250
 
 
+def wide_family(rng, a, b, e):
+    """Components over ``WIDE`` with the per-component sizes of each sort."""
+    return [
+        random_algebra(rng, WIDE, carriers={"a": na, "b": nb, "e": ne}) for na, nb, ne in zip(a, b, e)
+    ]
+
+
+@pytest.mark.parametrize(
+    "a, b, e",
+    [
+        ((15, 17), (2, 3), (2, 1)),  # a: 255 elements
+        ((16, 16), (3, 2), (0, 2)),  # a: 256, e empty in one component only
+        ((1, 257), (2, 3), (1, 2)),  # a: 257, as 1 x 257
+        ((3, 2), (1, 257), (0, 0)),  # b: 257, both e empty
+        ((3, 5, 17), (2, 2, 2), (1, 2, 1)),  # three components, a: 255
+        ((2, 2, 64), (1, 3, 1), (2, 1, 1)),  # three components, a: 256
+        ((1, 1, 257), (2, 1, 3), (1, 1, 2)),  # three components, a: 257
+    ],
+)
+def test_product_algebra_at_the_byte_boundary_matches_reference(a, b, e):
+    """A product table whose result sort has at most 256 elements is folded
+    as bytes, the others as lists: result sorts of 255, 256 and 257
+    elements, with the other sort small, so that one call folds tables both
+    ways, among them ``u`` from the larger sort into the smaller and ``v``
+    back; and empty sorts, in one component or in all."""
+    rng = random.Random(626 + sum(a) + sum(b) + sum(e))
+    family = wide_family(rng, a, b, e)
+    got, projections = product_algebra(family)
+    want, want_projections = reference_product_algebra(family)
+    assert got.carriers == want.carriers
+    assert got.tables == want.tables
+    assert projections == want_projections
+    # the entries of the largest sort reach the top of its range
+    n = max(got.size("a"), got.size("b"))
+    assert max(max(table, default=0) for _, table in got.tables) > n - 8
+
+
+@pytest.mark.parametrize("a", [(10, 10), (1, 257)])
+def test_product_algebra_stores_tuples_of_ints(a):
+    """On the byte path and the list path alike, a product stores each table
+    as a tuple of ints, so it compares equal to, and hashes as, the checked
+    algebra of the same tables."""
+    family = wide_family(random.Random(627), a, (3, 2), (1, 2))
+    product, _ = product_algebra(family)
+    for _, table in product.tables:
+        assert type(table) is tuple and {*map(type, table)} <= {int}
+    checked = finite_algebra(WIDE, dict(product.carriers), dict(product.tables))
+    assert product == checked and hash(product) == hash(checked)
+
+
 def test_evaluate_matches_plain_evaluator():
     rng = random.Random(610)
     leaves = [Var(y, s) for s, ys in TARGET_VARS.by_sort for y in ys]
