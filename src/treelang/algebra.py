@@ -390,17 +390,17 @@ def product_algebra(algebras: Sequence[FiniteAlgebra]):
                 rows = [table[b : b + width] for b in offsets]
             else:
                 if (i, op.result) not in codes:
-                    codes[i, op.result] = [
-                        bytes(range(x * n, x * n + n)).ljust(256) if small else list(range(x * n, x * n + n))
-                        for x in range(m)
-                    ]
+                    spans = [range(x * n, x * n + n) for x in range(m)]
+                    codes[i, op.result] = [bytes(r).ljust(256) if small else list(r) for r in spans]
+                code = codes[i, op.result]
                 # each distinct row, coded once per earlier value x
                 parts = {}
                 for b in set(offsets):
                     seg = table[b : b + width]
-                    parts[b] = [*map(seg.translate if small else _getter(seg), codes[i, op.result])]
+                    parts[b] = [*map(seg.translate if small else _getter(seg), code)]
                 # the folded row at a prefix: the parts at its values x, in order
-                rows = [join(map(ps.__getitem__, row)) for row, ps in zip(rows, map(parts.__getitem__, offsets))]
+                at = map(parts.__getitem__, offsets)
+                rows = [join(map(ps.__getitem__, row)) for row, ps in zip(rows, at)]
             m *= n
         tables[op.name] = join(rows)
     return FiniteAlgebra._built(sig, carriers, tables), projections

@@ -10,8 +10,8 @@ the result sort has at most 256 elements, its entries and class ids fit a
 byte: the table is read as ``bytes`` the first time a round reads it, kept
 for the rest of the call, and mapped by ``bytes.translate`` through a
 256-byte table of the sort's classes, made when a round first maps through
-it and again only after the sort splits.  Any other table is mapped through ``algebra._getter``'s
-gather.  An element's signature is its current class plus, for each argument
+it and again only after the sort splits.  Any other table is mapped through
+``algebra._getter``'s gather.  An element's signature is its current class plus, for each argument
 position of that sort, the mapped entries where the element sits at that
 position (the co-arguments range over the whole carriers).  Elements with
 equal signatures stay together; the new classes are numbered by first
@@ -241,10 +241,9 @@ def cogenerated_congruence(alg: FiniteAlgebra, phi: SortedPartition) -> SortedPa
                 # through it are equal where the entries are
                 if count[op.result] < sizes[op.result]:
                     if small:
-                        table = trans.get(op.result)
-                        if table is None:
-                            table = trans[op.result] = bytes(cls[op.result]).ljust(256)
-                        mapped = mapped.translate(table)
+                        if op.result not in trans:
+                            trans[op.result] = bytes(cls[op.result]).ljust(256)
+                        mapped = mapped.translate(trans[op.result])
                     else:
                         mapped = _getter(mapped)(cls[op.result])
                 for arg_sort, stride in zip(op.arity, _weights(sizes, op.arity)):

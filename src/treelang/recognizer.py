@@ -124,9 +124,8 @@ def _check_compatible(r1: Recognizer, r2: Recognizer) -> None:
         raise ValidationError("recognizers have different variable sets")
 
 
-# whether a product element accepts, given whether each component accepts
-# whether a pair of memberships is kept, as a C function of two bools
-# (``in1 and not in2`` is ``in1 > in2``)
+# whether a product element accepts, given whether each component accepts,
+# as a C function of two bools (``in1 and not in2`` is ``in1 > in2``)
 _KEEP = {"union": operator.or_, "intersection": operator.and_, "difference": operator.gt}
 
 

@@ -1264,9 +1264,7 @@ def test_cogenerated_congruence_at_the_byte_boundary_matches_reference(a, b):
 
 def wide_family(rng, a, b, e):
     """Components over ``WIDE`` with the per-component sizes of each sort."""
-    return [
-        random_algebra(rng, WIDE, carriers={"a": na, "b": nb, "e": ne}) for na, nb, ne in zip(a, b, e)
-    ]
+    return [random_algebra(rng, WIDE, carriers=dict(zip("abe", sizes))) for sizes in zip(a, b, e)]
 
 
 @pytest.mark.parametrize(
