@@ -4,7 +4,7 @@ generated subalgebras, subset algebras, and translation tables.
 Carriers are ``{0..n_s-1}`` per sort; operation tables are dense tuples
 indexed in mixed-radix argument order with the last argument fastest.  That
 order is normative for serialized files.  A product table whose result sort
-has at most 256 elements is folded as byte strings, in C, and stored as a
+has 1 to 256 elements is folded as byte strings, in C, and stored as a
 tuple like every other table (see ``product_algebra``).
 """
 
@@ -145,14 +145,18 @@ def _offsets(pools: Sequence[Collection[int]], weights: Sequence[int]) -> list[i
     return index
 
 
-def _rows(alg: FiniteAlgebra, opname: str, pools: Sequence[Collection[int]]) -> Iterator:
+def _rows(
+    alg: FiniteAlgebra, opname: str, pools: Sequence[Collection[int]], table: Sequence | None = None
+) -> Iterator:
     """The table's rows at every tuple of the per-position pools of all
     positions but the last, in table order: with the last argument fastest,
     the entries at one such prefix are one contiguous slice.  A constant's
-    table is one row of one entry."""
+    table is one row of one entry.  A given ``table`` holds the same entries
+    in another form, such as ``bytes``, and its rows are sliced instead."""
     arity = alg.signature.operation(opname).arity
     width = alg._sizes[arity[-1]] if arity else 1
-    table = alg._tables[opname]
+    if table is None:
+        table = alg._tables[opname]
     offsets = _offsets(pools, [alg._sizes[s] for s in arity[1:]])
     return (table[b : b + width] for b in offsets)
 
@@ -350,7 +354,7 @@ def product_algebra(algebras: Sequence[FiniteAlgebra]):
     each argument prefix (every argument but the last): each distinct row of
     a later component is coded once per value ``x`` of the earlier ones,
     and the folded row at a prefix joins the codes at its values ``x``, in
-    order.  When the table's result sort has at most 256 elements in the
+    order.  When the table's result sort has 1 to 256 elements in the
     product, every entry fits a byte: the components' tables are read as
     ``bytes`` once per call, a row is coded by ``bytes.translate`` and the
     codes are joined by ``bytes.join``, all in C.  A larger result sort
@@ -377,29 +381,30 @@ def product_algebra(algebras: Sequence[FiniteAlgebra]):
     codes = {}
     tables = {}
     for op in sig.ops:
-        small = carriers[op.result] <= 256  # every entry fits a byte
+        # Every entry fits a byte.  A nonempty product sort bounds each
+        # component's sort and each partial fold there; an empty one has an
+        # empty table, and a component's entries need not fit a byte.
+        small = 0 < carriers[op.result] <= 256
         join = b"".join if small else _concat
         m = 1  # the earlier components' folded size at the result sort
         for i, (a, p) in enumerate(zip(algebras, projections)):
-            table = bytes(a._tables[op.name]) if small else a._tables[op.name]
-            width = a._sizes[op.arity[-1]] if op.arity else 1
+            table = bytes(a._tables[op.name]) if small else None
             # this component's row at each argument prefix of the product
-            offsets = _offsets([p[s] for s in op.arity[:-1]], [a._sizes[s] for s in op.arity[1:]])
+            segs = list(_rows(a, op.name, [p[s] for s in op.arity[:-1]], table))
             n = a._sizes[op.result]
             if not i:
-                rows = [table[b : b + width] for b in offsets]
+                rows = segs
             else:
                 if (i, op.result) not in codes:
                     spans = [range(x * n, x * n + n) for x in range(m)]
                     codes[i, op.result] = [bytes(r).ljust(256) if small else list(r) for r in spans]
                 code = codes[i, op.result]
                 # each distinct row, coded once per earlier value x
-                parts = {}
-                for b in set(offsets):
-                    seg = table[b : b + width]
-                    parts[b] = [*map(seg.translate if small else _getter(seg), code)]
+                parts = {
+                    seg: [*map(seg.translate if small else _getter(seg), code)] for seg in set(segs)
+                }
                 # the folded row at a prefix: the parts at its values x, in order
-                at = map(parts.__getitem__, offsets)
+                at = map(parts.__getitem__, segs)
                 rows = [join(map(ps.__getitem__, row)) for row, ps in zip(rows, at)]
             m *= n
         tables[op.name] = join(rows)

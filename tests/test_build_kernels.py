@@ -1277,6 +1277,8 @@ def wide_family(rng, a, b, e):
         ((3, 5, 17), (2, 2, 2), (1, 2, 1)),  # three components, a: 255
         ((2, 2, 64), (1, 3, 1), (2, 1, 1)),  # three components, a: 256
         ((1, 1, 257), (2, 1, 3), (1, 1, 2)),  # three components, a: 257
+        ((2, 2), (1, 1), (300, 0)),  # e empty, one component's e: 300
+        ((1, 1, 1), (1, 1, 1), (20, 20, 0)),  # e empty, the first two fold to 400
     ],
 )
 def test_product_algebra_at_the_byte_boundary_matches_reference(a, b, e):
@@ -1284,7 +1286,8 @@ def test_product_algebra_at_the_byte_boundary_matches_reference(a, b, e):
     as bytes, the others as lists: result sorts of 255, 256 and 257
     elements, with the other sort small, so that one call folds tables both
     ways, among them ``u`` from the larger sort into the smaller and ``v``
-    back; and empty sorts, in one component or in all."""
+    back; and empty sorts, in one component or in all, also where the other
+    components' sizes there would not fit a byte."""
     rng = random.Random(626 + sum(a) + sum(b) + sum(e))
     family = wide_family(rng, a, b, e)
     got, projections = product_algebra(family)
